@@ -1,5 +1,6 @@
-"""Command-line front end: figure presets, parameter sweeps, the (tau,
-theta) optimizer, crossover finder, and deterministic CSV/JSON emission.
+"""Command-line front end: argument parsing, config files, and
+deterministic CSV/JSON emission.  The batch algorithms live in
+`ptbath.drivers`; they are re-exported here.
 
 Exit codes: 0 success, 2 invalid arguments, 3 quadrature non-convergence,
 4 oracle validation failure.
@@ -11,13 +12,20 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from .continuum import OhmicSpectrum, QuadratureSpec, QuadratureError, gamma_continuum_nh
 from .core import load_bath_csv, gamma_discrete
+from .drivers import (  # noqa: F401  (re-exported)
+    FIGURE_PRESETS,
+    FigurePreset,
+    crossover,
+    golden_section_min,
+    optimize,
+    run_figure,
+    run_sweep,
+)
 from .entanglement import concurrence, dephased_bell, eof_from_concurrence
 from . import oracle as oracle_mod
 
@@ -48,28 +56,13 @@ def _parse_range(text: str) -> np.ndarray:
 
 
 def _quad_from_args(args) -> QuadratureSpec:
-    kwargs = {}
-    if getattr(args, "rel_tol", None) is not None:
-        kwargs["rel_tol"] = args.rel_tol
-    if getattr(args, "abs_tol", None) is not None:
-        kwargs["abs_tol"] = args.abs_tol
-    if getattr(args, "max_subdivisions", None) is not None:
-        kwargs["max_subdivisions"] = args.max_subdivisions
-    return QuadratureSpec(**kwargs)
+    given = {"rel_tol": args.rel_tol, "abs_tol": args.abs_tol,
+             "max_subdivisions": args.max_subdivisions}
+    return QuadratureSpec(**{k: v for k, v in given.items() if v is not None})
 
 
-def _write_table(columns, rows, out, fmt):
-    """Rows of floats, serialized with 12 significant digits."""
-    if fmt == "json":
-        payload = {
-            "columns": list(columns),
-            "rows": [[float(_fmt(v)) for v in row] for row in rows],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+def _emit(text: str, out) -> None:
+    """Write text to the --out file, or to stdout when there is none."""
     if out:
         with open(out, "w", newline="\n") as fh:
             fh.write(text)
@@ -77,268 +70,19 @@ def _write_table(columns, rows, out, fmt):
         sys.stdout.write(text)
 
 
-def _gamma_worker(task):
-    amplitude, cutoff, theta, temp, tau, t, quad_kwargs = task
-    spec = OhmicSpectrum(amplitude, cutoff, theta, temp, tau)
-    return gamma_continuum_nh(spec, t, QuadratureSpec(**quad_kwargs))
+def _emit_json(payload, out) -> None:
+    _emit(json.dumps(payload, indent=2) + "\n", out)
 
 
-def _eval_points(tasks, jobs):
-    """Evaluate gamma for every task, preserving input order."""
-    if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_gamma_worker, tasks, chunksize=8))
-    return [_gamma_worker(t) for t in tasks]
-
-
-def _quad_kwargs(quad: QuadratureSpec) -> dict:
-    return {
-        "rel_tol": quad.rel_tol,
-        "abs_tol": quad.abs_tol,
-        "omega_max": quad.omega_max,
-        "min_panels_per_oscillation": quad.min_panels_per_oscillation,
-        "max_subdivisions": quad.max_subdivisions,
-    }
-
-
-# ---------------------------------------------------------------------------
-# figure presets
-
-
-@dataclass(frozen=True)
-class FigurePreset:
-    id: str
-    fixed: dict            # amplitude, cutoff, temp (+ theta/tau/t if common)
-    axis: tuple            # (name, values)
-    curves: tuple          # per-curve overrides, dicts over {tau, theta, t}
-
-
-def _figure_presets() -> dict[str, FigurePreset]:
-    common = {"amplitude": 1.0, "cutoff": 0.1, "temp": 300.0}
-    t_grid = np.linspace(0.0, 20.0, 401)
-    theta_grid = np.linspace(0.0, 2.0 * PI, 721)
-    tau_grid = np.linspace(0.0, 4.0, 201)
-    tau_grid_wide = np.linspace(0.0, 20.0, 201)
-    presets = [
-        FigurePreset(
-            "fig1a", dict(common), ("t", t_grid),
-            tuple(
-                [{"tau": 2.0, "theta": th} for th in (0.0, PI / 4, PI / 2, 3 * PI / 4, PI)]
-                + [{"tau": 0.0, "theta": 0.0}]  # Hermitian reference
-            ),
-        ),
-        FigurePreset(
-            "fig1b", {**common, "amplitude": 0.1, "t": 20.0}, ("theta", theta_grid),
-            tuple({"tau": tv} for tv in (0.5, 1.0, 2.0, 4.0)),
-        ),
-        FigurePreset(
-            "fig2", {**common, "theta": PI / 2}, ("t", t_grid),
-            tuple({"tau": tv} for tv in (0.0, 1.0, 2.0, 4.0)),
-        ),
-        FigurePreset(
-            "fig3a", {**common, "t": 120.0}, ("tau", tau_grid),
-            tuple({"theta": th} for th in (0.0, PI / 4, PI / 2, 2 * PI / 3, PI)),
-        ),
-        FigurePreset(
-            "fig3b", {**common, "t": 2.0}, ("tau", tau_grid),
-            tuple({"theta": th} for th in (0.0, PI / 4, PI / 2, 2 * PI / 3, PI)),
-        ),
-        FigurePreset(
-            "fig4", {**common, "theta": PI / 2}, ("tau", tau_grid_wide),
-            tuple({"t": tv} for tv in (2.0, 120.0)),
-        ),
-    ]
-    return {p.id: p for p in presets}
-
-
-FIGURE_PRESETS = _figure_presets()
-
-
-def run_figure(preset: FigurePreset, quad: QuadratureSpec, jobs: int = 1,
-               axis_values=None):
-    """Evaluate every curve of a preset; returns (columns, rows)."""
-    axis_name, values = preset.axis
-    if axis_values is not None:
-        values = np.asarray(axis_values, dtype=float)
-    tasks = []
-    for curve in preset.curves:
-        params = {**preset.fixed, **curve}
-        for v in values:
-            params[axis_name] = float(v)
-            tasks.append(
-                (params["amplitude"], params["cutoff"], params.get("theta", 0.0),
-                 params["temp"], params.get("tau", 0.0), params["t"],
-                 _quad_kwargs(quad))
-            )
-    gammas = _eval_points(tasks, jobs)
-    rows = []
-    for (a, cutoff, theta, temp, tau, t, _), g in zip(tasks, gammas):
-        rows.append([tau, theta, t, g, math.exp(-g)])
-    return ["tau", "theta", "t", "gamma", "coherence"], rows
-
-
-# ---------------------------------------------------------------------------
-# sweep
-
-
-def run_sweep(fixed: dict, grids: list[tuple[str, np.ndarray]], quad: QuadratureSpec,
-              jobs: int = 1):
-    """Cartesian product over the declared grids, rows in lexicographic
-    grid order; byte-deterministic regardless of worker count."""
-    names = [n for n, _ in grids]
-    if len(set(names)) != len(names):
-        raise ValueError("sweep grids must cover distinct parameters")
-    for name, values in grids:
-        if name not in ("tau", "theta", "t"):
-            raise ValueError(f"cannot sweep parameter {name!r}")
-        values = np.asarray(values)
-        if values.size == 0 or np.any(np.diff(values) <= 0) and values.size > 1:
-            raise ValueError(f"grid for {name!r} must be nonempty and strictly increasing")
-    mesh = [np.asarray(v, dtype=float) for _, v in grids]
-    tasks = []
-    combos = []
-    idx = np.indices([len(v) for v in mesh]).reshape(len(mesh), -1).T
-    for multi in idx:
-        params = dict(fixed)
-        for (name, _), values, k in zip(grids, mesh, multi):
-            params[name] = float(values[k])
-        combos.append([params[n] for n in names])
-        tasks.append(
-            (params["amplitude"], params["cutoff"], params.get("theta", 0.0),
-             params["temp"], params.get("tau", 0.0), params["t"], _quad_kwargs(quad))
-        )
-    gammas = _eval_points(tasks, jobs)
-    rows = [combo + [g, math.exp(-g)] for combo, g in zip(combos, gammas)]
-    return names + ["gamma", "coherence"], rows
-
-
-# ---------------------------------------------------------------------------
-# optimizer and crossover
-
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_section_min(f, lo: float, hi: float, tol: float):
-    """Golden-section minimization on [lo, hi] to absolute tol in the
-    argument; returns (x, f(x), evaluation log)."""
-    log = []
-
-    def probe(x):
-        v = f(x)
-        log.append((x, v))
-        return v
-
-    if hi < lo:
-        raise ValueError("bounds must satisfy lo <= hi")
-    if hi == lo:
-        return lo, probe(lo), log
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = probe(c), probe(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = probe(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = probe(d)
-    x_best, f_best = min(log, key=lambda p: p[1])
-    return x_best, f_best, log
-
-
-def optimize(fixed: OhmicSpectrum, free: list[str], t: float, bounds: dict,
-             quad: QuadratureSpec, grid_points: int = 64, tol: float = 1e-4):
-    """Coarse grid scan then golden-section refinement per free axis.
-
-    Returns (argmin dict, gamma at the argmin).  The result is never worse
-    than the best point in the evaluation log.
-    """
-    if not free:
-        raise ValueError("free parameter set must be nonempty")
-    for name in free:
-        if name not in ("tau", "theta"):
-            raise ValueError(f"cannot optimize over {name!r}")
-        lo, hi = bounds[name]
-        if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
-            raise ValueError(f"bad bounds for {name!r}: {bounds[name]}")
-
-    params = {"tau": fixed.tau, "theta": fixed.theta}
-    log = []
-
-    def evaluate(p):
-        spec = OhmicSpectrum(fixed.amplitude, fixed.cutoff, p["theta"],
-                             fixed.temperature, p["tau"])
-        g = gamma_continuum_nh(spec, t, quad)
-        log.append((dict(p), g))
-        return g
-
-    # joint coarse scan
-    axes = {name: np.linspace(bounds[name][0], bounds[name][1],
-                              max(grid_points, 2) if bounds[name][0] != bounds[name][1] else 1)
-            for name in free}
-    best_p, best_g = None, math.inf
-    grid_idx = np.indices([len(axes[n]) for n in free]).reshape(len(free), -1).T
-    for multi in grid_idx:
-        p = dict(params)
-        for name, k in zip(free, multi):
-            p[name] = float(axes[name][k])
-        g = evaluate(p)
-        if g < best_g:
-            best_p, best_g = p, g
-
-    # per-axis golden refinement around the best grid point
-    for name in free:
-        values = axes[name]
-        if len(values) == 1:
-            continue
-        i = int(np.argmin(np.abs(values - best_p[name])))
-        lo = values[max(i - 1, 0)]
-        hi = values[min(i + 1, len(values) - 1)]
-
-        def f1(x, _name=name):
-            p = dict(best_p)
-            p[_name] = x
-            return evaluate(p)
-
-        x, _, _ = golden_section_min(f1, float(lo), float(hi), tol)
-        best_p = dict(best_p)
-        best_p[name] = x
-
-    log_best_p, log_best_g = min(log, key=lambda e: e[1])
-    return {n: log_best_p[n] for n in free}, log_best_g
-
-
-def crossover(fixed: OhmicSpectrum, t: float, quad: QuadratureSpec,
-              tau_max: float = 4.0, scan_points: int = 41, tol: float = 1e-3):
-    """Smallest tau* > 0 with Gamma(tau*) = Gamma(0), by scan + bisection;
-    None when Gamma(tau) - Gamma(0) never changes sign on (0, tau_max]."""
-
-    def g(tau):
-        spec = OhmicSpectrum(fixed.amplitude, fixed.cutoff, fixed.theta,
-                             fixed.temperature, tau)
-        return gamma_continuum_nh(spec, t, quad)
-
-    g0 = g(0.0)
-    taus = np.linspace(0.0, tau_max, scan_points)[1:]
-    f_prev, tau_prev = None, None
-    for tau in taus:
-        f = g(float(tau)) - g0
-        if f_prev is not None and f_prev * f < 0:
-            a, b, fa = tau_prev, float(tau), f_prev
-            while b - a > tol:
-                m = 0.5 * (a + b)
-                fm = g(m) - g0
-                if fa * fm <= 0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            return 0.5 * (a + b)
-        f_prev, tau_prev = f, float(tau)
-    return None
+def _write_table(columns, rows, out, fmt):
+    """Rows of floats, serialized with 12 significant digits."""
+    if fmt == "json":
+        _emit_json({"columns": list(columns),
+                    "rows": [[float(_fmt(v)) for v in row] for row in rows]}, out)
+    else:
+        lines = [",".join(columns)]
+        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        _emit("\n".join(lines) + "\n", out)
 
 
 # ---------------------------------------------------------------------------
@@ -353,19 +97,14 @@ def _spectrum_from_args(args) -> OhmicSpectrum:
 
 
 def _cmd_gamma(args) -> int:
-    quad = _quad_from_args(args)
-    times = _parse_range(args.t)
-    rows = []
+    times = [float(t) for t in _parse_range(args.t)]
     if args.modes_file:
         bath = load_bath_csv(args.modes_file, temperature=args.temp, tau=args.tau)
-        for t in times:
-            g = gamma_discrete(bath, float(t))
-            rows.append([float(t), g, math.exp(-g)])
+        gammas = [gamma_discrete(bath, t) for t in times]
     else:
-        spec = _spectrum_from_args(args)
-        for t in times:
-            g = gamma_continuum_nh(spec, float(t), quad)
-            rows.append([float(t), g, math.exp(-g)])
+        spec, quad = _spectrum_from_args(args), _quad_from_args(args)
+        gammas = [gamma_continuum_nh(spec, t, quad) for t in times]
+    rows = [[t, g, math.exp(-g)] for t, g in zip(times, gammas)]
     _write_table(["t", "gamma", "coherence"], rows, args.out, args.format)
     return EXIT_OK
 
@@ -413,14 +152,8 @@ def _cmd_optimize(args) -> int:
     t = float(_parse_range(args.t)[0])
     argmin, g_min = optimize(fixed, list(args.free), t, bounds, quad,
                              grid_points=args.grid_points)
-    payload = {"argmin": {k: float(_fmt(v)) for k, v in argmin.items()},
-               "gamma_min": float(_fmt(g_min))}
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit_json({"argmin": {k: float(_fmt(v)) for k, v in argmin.items()},
+                "gamma_min": float(_fmt(g_min))}, args.out)
     return EXIT_OK
 
 
@@ -433,12 +166,7 @@ def _cmd_crossover(args) -> int:
         payload = {"crossover_tau": None, "message": "no crossover in interval"}
     else:
         payload = {"crossover_tau": float(_fmt(tau_star))}
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit_json(payload, args.out)
     return EXIT_OK
 
 
@@ -458,12 +186,7 @@ def _cmd_oracle(args) -> int:
         temperature=args.temp, t_max=args.t_max, num_times=args.num_times,
         fock_dim=args.fock_dim, dim_budget=args.dim_budget,
     )
-    text = report.to_json() + "\n"
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(report.to_json() + "\n", args.out)
     if report.converged and report.dephasing_max_error <= 1e-6:
         return EXIT_OK
     return EXIT_ORACLE
@@ -471,22 +194,6 @@ def _cmd_oracle(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser / config plumbing
-
-
-def _add_common(parser):
-    parser.add_argument("--tau", type=float, default=None)
-    parser.add_argument("--theta", type=float, default=None)
-    parser.add_argument("--A", type=float, default=None, help="Ohmic amplitude")
-    parser.add_argument("--cutoff", type=float, default=None)
-    parser.add_argument("--temp", type=float, default=None)
-    parser.add_argument("--t", type=str, default=None, help="scalar or start:stop:count")
-    parser.add_argument("--rel-tol", type=float, default=None)
-    parser.add_argument("--abs-tol", type=float, default=None)
-    parser.add_argument("--max-subdivisions", type=int, default=None)
-    parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
-    parser.add_argument("--config", type=str, default=None, help="JSON config file")
-    parser.add_argument("--jobs", type=int, default=None)
 
 
 _COMMON_DEFAULTS = {
@@ -497,6 +204,24 @@ _COMMON_DEFAULTS = {
 # a high-temperature continuum default would need astronomically large Fock
 # truncations, so the validation command carries its own defaults
 _ORACLE_DEFAULTS = {"tau": 0.2, "theta": PI / 2, "temp": 1.0}
+
+
+def _add_common(parser, **defaults):
+    """The common flags, with the built-in defaults overridden by `defaults`."""
+    parser.add_argument("--tau", type=float)
+    parser.add_argument("--theta", type=float)
+    parser.add_argument("--A", type=float, help="Ohmic amplitude")
+    parser.add_argument("--cutoff", type=float)
+    parser.add_argument("--temp", type=float)
+    parser.add_argument("--t", type=str, help="scalar or start:stop:count")
+    parser.add_argument("--rel-tol", type=float)
+    parser.add_argument("--abs-tol", type=float)
+    parser.add_argument("--max-subdivisions", type=int)
+    parser.add_argument("--out", type=str)
+    parser.add_argument("--format", choices=("csv", "json"))
+    parser.add_argument("--config", type=str, help="JSON config file")
+    parser.add_argument("--jobs", type=int)
+    parser.set_defaults(**{**_COMMON_DEFAULTS, **defaults})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -519,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("figure", help="figure-preset data generation")
-    _add_common(p)
+    _add_common(p, t=None)  # without --t a preset keeps its own t axis or t
     p.add_argument("id", choices=sorted(FIGURE_PRESETS))
     p.add_argument("--points", type=int, default=None,
                    help="override the preset axis sample count")
@@ -544,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_concurrence)
 
     p = sub.add_parser("oracle", help="exact truncated-Fock validation report")
-    _add_common(p)
+    _add_common(p, **_ORACLE_DEFAULTS)
     p.add_argument("--omega", type=float, default=1.0)
     p.add_argument("--g-abs", type=float, default=0.1)
     p.add_argument("--t-max", type=float, default=20.0)
@@ -556,31 +281,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args) -> None:
-    """Precedence: flags > config file > built-in defaults."""
-    config = {}
-    if args.config:
-        with open(args.config) as fh:
-            config = json.load(fh)
+# namespace entries that are not options a config file may set
+_NOT_CONFIG_KEYS = {"command", "func", "config", "id"}
+
+
+def _apply_config(parser, argv: list[str], args) -> argparse.Namespace:
+    """Precedence: flags > config file > built-in defaults.
+
+    Each config entry becomes a `--key=value` flag placed before the
+    command line's own flags, so it goes through the flag's type and
+    choices and a later explicit flag overrides it.
+    """
+    with open(args.config) as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"config {args.config} must hold a JSON object")
+    flags = []
     for key, value in config.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, value)
-    defaults = dict(_COMMON_DEFAULTS)
-    if getattr(args, "command", None) == "oracle":
-        defaults.update(_ORACLE_DEFAULTS)
-    for key, value in defaults.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
-    if isinstance(getattr(args, "t", None), (int, float)):
-        args.t = str(args.t)
+        dest = key.replace("-", "_")
+        if dest in _NOT_CONFIG_KEYS or dest not in vars(args):
+            raise ValueError(f"config key {key!r} is not an option of {args.command!r}")
+        flags.append(f"--{dest.replace('_', '-')}={value}")
+    i = argv.index(args.command) + 1
+    return parser.parse_args(argv[:i] + flags + argv[i:])
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        if args.config:
+            args = _apply_config(parser, argv, args)
         return args.func(args)
     except QuadratureError as exc:
         print(f"error: {exc} (params: {exc.params})", file=sys.stderr)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import big_omega
+from .core import check_time, coth, dephasing_kernel, require_finite
 
 _N7, _W7 = np.polynomial.legendre.leggauss(7)
 _N15, _W15 = np.polynomial.legendre.leggauss(15)
@@ -30,6 +30,8 @@ class OhmicSpectrum:
     tau: float = 0.0
 
     def __post_init__(self):
+        require_finite(amplitude=self.amplitude, cutoff=self.cutoff, theta=self.theta,
+                       temperature=self.temperature, tau=self.tau)
         if self.amplitude < 0:
             raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
         if self.cutoff <= 0:
@@ -53,6 +55,9 @@ class QuadratureSpec:
     max_subdivisions: int = 2_000_000
 
     def __post_init__(self):
+        require_finite(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
+        if self.omega_max is not None:
+            require_finite(omega_max=self.omega_max)
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be > 0")
         if self.min_panels_per_oscillation < 4:
@@ -76,15 +81,6 @@ def spectral_density(omega, amplitude: float, cutoff: float):
     return out if out.ndim else float(out)
 
 
-def _coth_arr(x):
-    # x > 0 elementwise; series below 1e-4
-    x = np.asarray(x, dtype=float)
-    small = x < 1e-4
-    xs = np.where(small, 1.0, x)
-    out = 1.0 / np.tanh(xs)
-    return np.where(small, 1.0 / np.where(small, x, 1.0) + x / 3.0 - x**3 / 45.0, out)
-
-
 def _omega_coth(w, temperature):
     """w * coth(w/2T), finite and smooth through w = 0 (-> 2T)."""
     w = np.asarray(w, dtype=float)
@@ -98,32 +94,20 @@ def _omega_coth(w, temperature):
 
 
 def gamma_integrand_nh(omega, spec: OhmicSpectrum, t: float):
-    """Integrand of the non-Hermitian continuum decoherence factor.
-
-    Pointwise equal to 2 J(w) |xi_w(t)|^2 coth(w/2T) with a unit-magnitude
-    coupling of phase theta.  The removable 0*inf form at w -> 0 is handled
-    by the analytic limit (leading order 2 A t^2 * w coth(w/2T)).
+    """Integrand of the non-Hermitian continuum decoherence factor:
+    J(w) times the dephasing kernel 2 |xi_w(t)|^2 coth(w/2T) of a
+    unit-magnitude coupling of phase theta.  The removable 0*inf form at
+    w -> 0 is handled by the analytic limit (leading order
+    2 A t^2 * w coth(w/2T)).
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    check_time(t)
     w = np.asarray(omega, dtype=float)
     scalar = w.ndim == 0
     w = np.atleast_1d(w)
-    A, lam, th, T, tau = spec.amplitude, spec.cutoff, spec.theta, spec.temperature, spec.tau
-    tau2 = tau * tau
-    r = math.sqrt(1.0 + 4.0 * tau2)
+    A, lam, T = spec.amplitude, spec.cutoff, spec.temperature
     small = w < 1e-6 * lam
     ws = np.where(small, lam, w)  # placeholder, overwritten by the limit
-    Om = ws * r
-    sO = np.sin(Om * t)
-    s2 = np.sin(0.5 * Om * t) ** 2
-    cth = _coth_arr(ws / (2.0 * T)) if T > 0 else np.ones_like(ws)
-    bracket = (
-        Om * Om * sO * sO
-        + 16.0 * tau2 * ws * Om * math.sin(th) * math.cos(th) * sO * s2
-        + 4.0 * ws * ws * s2 * s2 * (1.0 + 8.0 * tau2 * (1.0 + 2.0 * tau2) * math.cos(th) ** 2)
-    )
-    val = 2.0 * A * ws * np.exp(-ws / lam) / Om**4 * bracket * cth
+    val = dephasing_kernel(ws, spectral_density(ws, A, lam), spec.theta, spec.tau, t, T)
     limit = 2.0 * A * t * t * _omega_coth(w, T) * np.exp(-w / lam)
     out = np.where(small, limit, val)
     return float(out[0]) if scalar else out
@@ -132,14 +116,13 @@ def gamma_integrand_nh(omega, spec: OhmicSpectrum, t: float):
 def gamma_integrand_hermitian(omega, amplitude: float, cutoff: float, temperature: float, t: float):
     """Integrand of the ordinary (tau = 0) spin-boson decoherence factor:
     4 A exp(-w/cutoff) (1 - cos w t) coth(w/2T) / w."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    check_time(t)
     w = np.asarray(omega, dtype=float)
     scalar = w.ndim == 0
     w = np.atleast_1d(w)
     small = w < 1e-6 * cutoff
     ws = np.where(small, cutoff, w)
-    cth = _coth_arr(ws / (2.0 * temperature)) if temperature > 0 else np.ones_like(ws)
+    cth = coth(ws / (2.0 * temperature)) if temperature > 0 else np.ones_like(ws)
     # 1 - cos(wt) = 2 sin^2(wt/2), immune to cancellation
     val = 8.0 * amplitude * np.exp(-ws / cutoff) * np.sin(0.5 * ws * t) ** 2 * cth / ws
     limit = 2.0 * amplitude * t * t * _omega_coth(w, temperature) * np.exp(-w / cutoff)
@@ -206,8 +189,7 @@ def _panel_width(cutoff: float, t: float, tau: float, quad: QuadratureSpec) -> f
 
 def gamma_continuum_nh(spec: OhmicSpectrum, t: float, quad: QuadratureSpec | None = None) -> float:
     """Gamma(t) for the non-Hermitian Ohmic continuum."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    check_time(t)
     if t == 0.0 or spec.amplitude == 0.0:
         return 0.0
     quad = quad or QuadratureSpec()
@@ -223,8 +205,7 @@ def gamma_continuum_nh(spec: OhmicSpectrum, t: float, quad: QuadratureSpec | Non
 def gamma_hermitian(amplitude: float, cutoff: float, temperature: float, t: float,
                     quad: QuadratureSpec | None = None) -> float:
     """Gamma(t) for the ordinary spin-boson model (tau = 0, theta-free)."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    check_time(t)
     if t == 0.0 or amplitude == 0.0:
         return 0.0
     quad = quad or QuadratureSpec()

@@ -13,19 +13,35 @@ import cmath
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
 
-def coth(x: float) -> float:
-    """Stable coth for x > 0 (series below 1e-4 to avoid cancellation)."""
-    if x < 1e-4:
-        return 1.0 / x + x / 3.0 - x**3 / 45.0
-    return 1.0 / math.tanh(x)
+def require_finite(**values) -> None:
+    """Raise ValueError naming the first value that is nan or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+def check_time(t: float) -> None:
+    """Raise ValueError unless t is finite and >= 0."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
+
+
+def coth(x):
+    """Stable coth for x > 0, elementwise (series below 1e-4 to avoid
+    cancellation); a scalar argument gives a float."""
+    x = np.asarray(x, dtype=float)
+    small = x < 1e-4
+    out = np.where(small, 1.0 / np.where(small, x, 1.0) + x / 3.0 - x**3 / 45.0,
+                   1.0 / np.tanh(np.where(small, 1.0, x)))
+    return out if out.ndim else float(out)
 
 
 def thermal_coth(omega: float, temperature: float) -> float:
@@ -91,8 +107,18 @@ class DiscreteBath:
         object.__setattr__(self, "modes", tuple(self.modes))
         if not self.modes:
             raise ValueError("bath needs at least one mode")
+        require_finite(temperature=self.temperature, tau=self.tau)
         if self.temperature < 0:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+
+    @cached_property
+    def _mode_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # (omega, |g|^2, phase) per mode, built once per bath
+        return (
+            np.array([m.omega for m in self.modes]),
+            np.array([m.coupling.magnitude**2 for m in self.modes]),
+            np.array([m.coupling.phase for m in self.modes]),
+        )
 
 
 @dataclass(frozen=True)
@@ -107,20 +133,26 @@ class QubitSystem:
             raise ValueError(f"omega0 must be > 0, got {self.omega0}")
 
 
+def density_matrix(rho, dim: int, eig_tol: float) -> np.ndarray:
+    """rho as a complex dim x dim array, checked to be Hermitian with unit
+    trace (both to 1e-12) and no eigenvalue below -eig_tol."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (dim, dim):
+        raise ValueError(f"expected a {dim}x{dim} matrix, got shape {rho.shape}")
+    if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
+        raise ValueError("density matrix is not Hermitian")
+    if abs(np.trace(rho) - 1.0) > 1e-12:
+        raise ValueError("density matrix trace differs from 1")
+    if np.linalg.eigvalsh(rho).min() < -eig_tol:
+        raise ValueError("density matrix has a negative eigenvalue")
+    return rho
+
+
 class QubitState:
     """2x2 density matrix, validated on construction."""
 
     def __init__(self, rho):
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(rho) - 1.0) > 1e-12:
-            raise ValueError("density matrix trace differs from 1")
-        if np.linalg.eigvalsh(rho).min() < -1e-12:
-            raise ValueError("density matrix has a negative eigenvalue")
-        self.rho = rho
+        self.rho = density_matrix(rho, 2, eig_tol=1e-12)
 
     def __repr__(self):
         return f"QubitState({self.rho!r})"
@@ -138,8 +170,7 @@ def xi_hermitian(g: Coupling, omega: float, t: float) -> complex:
     (g/omega) * (1 - exp(i omega t))."""
     if omega <= 0:
         raise ValueError(f"omega must be > 0, got {omega}")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    check_time(t)
     return g.as_complex / omega * (1.0 - cmath.exp(1j * omega * t))
 
 
@@ -151,36 +182,43 @@ def xi_non_hermitian(g: Coupling, omega: float, tau: float, t: float) -> complex
 
     Reduces to xi_hermitian at tau = 0 and vanishes at t = 0.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    check_time(t)
     Om = big_omega(omega, tau)
     gz = g.as_complex
     s2 = math.sin(0.5 * Om * t) ** 2
     return (8.0 * omega * s2 / Om**2) * (0.25 * gz + tau * tau * g.real) - 1j * gz * math.sin(Om * t) / Om
 
 
-def gamma_discrete(bath: DiscreteBath, t: float) -> float:
-    """Decoherence exponent Gamma(t) for a discrete bath, summed mode by mode
-    in the three-term trigonometric form (fast path)."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    tau = bath.tau
+def dephasing_kernel(w, weight, phase, tau: float, t: float, temperature: float):
+    """weight * 2 |xi_w(t)|^2 coth(w/2T) for a unit coupling of phase
+    `phase`, elementwise over w > 0 (and over array weights and phases).
+
+    The one dephasing formula: weight is |g_k|^2 for a discrete mode and
+    J(w) for the continuum.  With Omega = w sqrt(1+4 tau^2),
+    |xi|^2 = [Omega^2 sin^2(Omega t) + 16 tau^2 w Omega sin(phase) cos(phase)
+    sin(Omega t) sin^2(Omega t/2) + 4 w^2 sin^4(Omega t/2)
+    (1 + 8 tau^2 (1 + 2 tau^2) cos^2(phase))] / Omega^4.
+    """
     tau2 = tau * tau
-    total = 0.0
-    for mode in bath.modes:
-        w = mode.omega
-        g = mode.coupling
-        Om = big_omega(w, tau)
-        sO = math.sin(Om * t)
-        s2 = math.sin(0.5 * Om * t) ** 2
-        g2 = g.magnitude**2
-        term = (
-            32.0 * tau2 * w * g.real * g.imag * sO * s2 / Om**3
-            + 8.0 * w * w * s2 * s2 * (g2 + 8.0 * tau2 * g.real**2 * (1.0 + 2.0 * tau2)) / Om**4
-            + 2.0 * g2 * sO * sO / Om**2
-        )
-        total += term * thermal_coth(w, bath.temperature)
-    return total
+    Om = w * math.sqrt(1.0 + 4.0 * tau2)
+    sO = np.sin(Om * t)
+    s2 = np.sin(0.5 * Om * t) ** 2
+    sin_p, cos_p = np.sin(phase), np.cos(phase)
+    cth = coth(w / (2.0 * temperature)) if temperature > 0 else 1.0
+    bracket = (
+        Om * Om * sO * sO
+        + 16.0 * tau2 * w * Om * sin_p * cos_p * sO * s2
+        + 4.0 * w * w * s2 * s2 * (1.0 + 8.0 * tau2 * (1.0 + 2.0 * tau2) * cos_p**2)
+    )
+    return 2.0 * weight / Om**4 * bracket * cth
+
+
+def gamma_discrete(bath: DiscreteBath, t: float) -> float:
+    """Decoherence exponent Gamma(t) for a discrete bath: the dephasing
+    kernel summed over the modes with weights |g_k|^2 (fast path)."""
+    check_time(t)
+    omega, weight, phase = bath._mode_arrays
+    return float(dephasing_kernel(omega, weight, phase, bath.tau, t, bath.temperature).sum())
 
 
 def gamma_discrete_amplitude(bath: DiscreteBath, t: float) -> float:
@@ -189,8 +227,7 @@ def gamma_discrete_amplitude(bath: DiscreteBath, t: float) -> float:
     Kept as an independent cross-check of gamma_discrete; the two agree to
     machine precision (algebraic identity).
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    check_time(t)
     total = 0.0
     for mode in bath.modes:
         xi = xi_non_hermitian(mode.coupling, mode.omega, bath.tau, t)

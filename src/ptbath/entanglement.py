@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import density_matrix
+
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SY_SY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
@@ -16,16 +18,7 @@ class TwoQubitState:
     """4x4 density matrix, validated on construction."""
 
     def __init__(self, rho):
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(rho) - 1.0) > 1e-12:
-            raise ValueError("density matrix trace differs from 1")
-        if np.linalg.eigvalsh(rho).min() < -1e-10:
-            raise ValueError("density matrix has a negative eigenvalue")
-        self.rho = rho
+        self.rho = density_matrix(rho, 4, eig_tol=1e-10)
 
     def __repr__(self):
         return f"TwoQubitState({self.rho!r})"

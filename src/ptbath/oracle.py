@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Coupling, QubitSystem, thermal_coth
+from .core import Coupling, QubitSystem
 
 
 @dataclass(frozen=True)

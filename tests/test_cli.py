@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ptbath import cli, drivers
 from ptbath.cli import (
     FIGURE_PRESETS,
     crossover,
@@ -22,6 +23,22 @@ def run_cli(tmp_path, *argv):
     out = tmp_path / "out.txt"
     code = main([*argv, "--out", str(out)])
     return code, out.read_text() if out.exists() else ""
+
+
+def test_cli_reexports_the_drivers():
+    # callers and tracers that look the drivers up in ptbath.cli must find
+    # the very objects ptbath.drivers defines
+    for name in ("FIGURE_PRESETS", "run_figure", "run_sweep", "optimize", "crossover",
+                 "golden_section_min"):
+        assert getattr(cli, name) is getattr(drivers, name)
+
+
+def exit_code(*argv):
+    """main's return code, or the code of the SystemExit argparse raises."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestGammaCommand:
@@ -159,6 +176,22 @@ class TestFigure:
         assert code == 0
         assert len(text.strip().split("\n")) == 1 + 5 * 3  # five theta curves
 
+    @pytest.mark.parametrize("fig, rows", [("fig1a", 6 * 401), ("fig2", 4 * 401)])
+    def test_cli_figure_runs_full_t_axis(self, tmp_path, fig, rows):
+        code, text = run_cli(tmp_path, "figure", fig)
+        assert code == 0
+        lines = text.strip().split("\n")
+        assert len(lines) == 1 + rows
+        assert {line.split(",")[2] for line in lines[1:]} == {
+            f"{t:.11e}" for t in FIGURE_PRESETS[fig].axis[1]}
+
+    def test_cli_figure_points_override_t_axis(self, tmp_path):
+        code, text = run_cli(tmp_path, "figure", "fig2", "--points", "3")
+        assert code == 0
+        lines = text.strip().split("\n")
+        assert len(lines) == 1 + 4 * 3  # four tau curves
+        assert [float(line.split(",")[2]) for line in lines[1:4]] == [0.0, 10.0, 20.0]
+
 
 class TestOptimize:
     def test_golden_section_on_parabola(self):
@@ -295,3 +328,49 @@ class TestExitCodesAndConfig:
         _, overridden = run_cli(tmp_path, "gamma", "--config", str(cfg), "--tau", "2.0")
         _, direct2 = run_cli(tmp_path, "gamma", "--tau", "2.0", "--theta", "0.5", "--t", "2")
         assert overridden == direct2
+
+    def test_config_overrides_subcommand_defaults(self, tmp_path):
+        # Gamma falls with tau at theta = pi/2, so the argmin is the upper bound
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tau-bounds": "0:4", "grid_points": 16}))
+        code, text = run_cli(tmp_path, "optimize", "--free", "tau", "--config", str(cfg),
+                             "--theta", "1.5707963267948966", "--t", "2")
+        assert code == 0
+        assert json.loads(text)["argmin"]["tau"] == pytest.approx(4.0, abs=1e-3)
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([["tau", 1.0]]))
+        assert exit_code("gamma", "--config", str(cfg)) == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_config_value_goes_through_flag_type(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tau": "abc"}))
+        assert exit_code("gamma", "--config", str(cfg)) == 2
+        assert "--tau" in capsys.readouterr().err
+
+    def test_config_rejects_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tua": 1.0}))
+        assert exit_code("gamma", "--config", str(cfg)) == 2
+        assert "'tua'" in capsys.readouterr().err
+        # an option of another subcommand is not an option of this one
+        cfg.write_text(json.dumps({"points": 3}))
+        assert exit_code("gamma", "--config", str(cfg)) == 2
+        assert "'points'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("gamma", "--t", "nan"),
+        ("gamma", "--t", "inf"),
+        ("gamma", "--tau", "nan"),
+        ("gamma", "--A", "nan"),
+        ("gamma", "--temp", "nan"),
+        ("gamma", "--cutoff", "inf"),
+        ("gamma", "--rel-tol", "nan"),
+        ("sweep", "--sweep", "tau=0:1:2", "--t", "nan"),
+        ("figure", "fig2", "--t", "0:nan:3"),
+    ])
+    def test_non_finite_input_is_a_usage_error(self, tmp_path, argv):
+        code, _ = run_cli(tmp_path, *argv)
+        assert code == 2

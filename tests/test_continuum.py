@@ -164,6 +164,13 @@ class TestGammaContinuum:
         with pytest.raises(ValueError):
             gamma_continuum_nh(OhmicSpectrum(1.0, 0.1), -1.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            gamma_continuum_nh(OhmicSpectrum(1.0, 0.1), t)
+        with pytest.raises(ValueError, match="finite"):
+            gamma_hermitian(1.0, 0.1, 0.0, t)
+
 
 class TestQuadratureSpec:
     def test_rejects_bad_tolerances(self):
@@ -179,3 +186,17 @@ class TestQuadratureSpec:
             OhmicSpectrum(1.0, 0.0)
         with pytest.raises(ValueError):
             OhmicSpectrum(1.0, 0.1, temperature=-1.0)
+
+    @pytest.mark.parametrize("field", ["amplitude", "cutoff", "theta", "temperature", "tau"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_spectrum_rejects_non_finite(self, field, value):
+        kwargs = {"amplitude": 1.0, "cutoff": 0.1, field: value}
+        with pytest.raises(ValueError, match=field):
+            OhmicSpectrum(**kwargs)
+
+    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "omega_max"])
+    def test_quadrature_rejects_non_finite(self, field):
+        with pytest.raises(ValueError, match=field):
+            QuadratureSpec(**{field: math.nan})
+        with pytest.raises(ValueError, match=field):
+            QuadratureSpec(**{field: math.inf})

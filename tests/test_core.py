@@ -54,6 +54,18 @@ class TestTypes:
         with pytest.raises(ValueError):
             DiscreteBath((BathMode(1.0, Coupling(1.0)),), temperature=-1.0)
 
+    @pytest.mark.parametrize("field", ["temperature", "tau"])
+    def test_bath_rejects_non_finite(self, field):
+        with pytest.raises(ValueError, match=field):
+            DiscreteBath((BathMode(1.0, Coupling(1.0)),), **{field: math.nan})
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_gamma_rejects_non_finite_time(self, t):
+        bath = DiscreteBath((BathMode(1.0, Coupling(1.0)),))
+        for gamma in (gamma_discrete, gamma_discrete_amplitude):
+            with pytest.raises(ValueError, match="finite"):
+                gamma(bath, t)
+
     def test_qubit_state_validation(self):
         QubitState(np.array([[0.5, 0.5], [0.5, 0.5]]))
         with pytest.raises(ValueError):

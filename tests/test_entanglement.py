@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ptbath.core import QubitState
 from ptbath.entanglement import (
     TwoQubitState,
     concurrence,
@@ -31,6 +32,14 @@ class TestTwoQubitState:
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError):
             TwoQubitState(np.eye(4) / 2)
+
+    def test_negative_eigenvalue_tolerance(self):
+        # the two-qubit bound is 1e-10, looser than the single-qubit 1e-12
+        TwoQubitState(np.diag([0.5 + 1e-11, 0.5, 0.0, -1e-11]))
+        with pytest.raises(ValueError):
+            TwoQubitState(np.diag([0.5 + 1e-9, 0.5, 0.0, -1e-9]))
+        with pytest.raises(ValueError):
+            QubitState(np.diag([1.0 + 1e-11, -1e-11]))
 
 
 class TestConcurrence:
