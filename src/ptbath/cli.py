@@ -189,6 +189,12 @@ def _cmd_oracle(args) -> int:
     _emit(report.to_json() + "\n", args.out)
     if report.converged and report.dephasing_max_error <= 1e-6:
         return EXIT_OK
+    needed = oracle_mod.unreachable_fock_dim(
+        oracle_mod.TruncatedMode(args.omega, args.tau, args.fock_dim), args.temp, args.dim_budget)
+    if needed is not None:
+        print(f"error: the thermal state at temperature {args.temp:g} needs Fock dimension "
+              f"{needed}; doubling --fock-dim {args.fock_dim} within --dim-budget "
+              f"{args.dim_budget} cannot reach it", file=sys.stderr)
     return EXIT_ORACLE
 
 

@@ -32,11 +32,17 @@ class TruncatedMode:
             raise ValueError(f"fock_dim must be >= 2, got {self.fock_dim}")
 
 
+# thermal weight beyond the truncation that still counts as converged
+TAIL_TOL = 1e-10
+
+
 @dataclass
 class OracleReport:
+    """dephasing_max_error is None when no exact evolution was run."""
+
     spectrum_residuals: list[float]
     similarity_residual: float
-    dephasing_max_error: float
+    dephasing_max_error: float | None
     fock_dim_used: int
     converged: bool
 
@@ -120,6 +126,18 @@ def thermal_tail_weight(mode: TruncatedMode, temperature: float) -> float:
         return 0.0
     x = math.exp(-mode.omega / temperature)
     return x**mode.fock_dim
+
+
+def unreachable_fock_dim(mode: TruncatedMode, temperature: float, dim_budget: int) -> int | None:
+    """Fock dimension the thermal state needs (tail weight <= TAIL_TOL),
+    when doubling mode.fock_dim within dim_budget cannot reach it; None
+    when it can.  About 23 T / omega at high temperature."""
+    reach = mode.fock_dim
+    while 2 * reach <= dim_budget:
+        reach *= 2
+    if thermal_tail_weight(TruncatedMode(mode.omega, mode.tau, reach), temperature) <= TAIL_TOL:
+        return None
+    return math.ceil(math.log(1.0 / TAIL_TOL) * temperature / mode.omega)
 
 
 def _branch_hamiltonians(modes: Sequence[tuple[TruncatedMode, Coupling]]):
@@ -223,7 +241,9 @@ def certify(
     dim_budget: int = 6400,
 ) -> OracleReport:
     """Full validation sweep: spectrum, similarity, and exact-vs-closed-form
-    dephasing for a single mode."""
+    dephasing for a single mode.  When doubling fock_dim within dim_budget
+    cannot truncate the thermal state (see unreachable_fock_dim), the
+    report is non-converged at once, without exact evolution."""
     from .core import BathMode, DiscreteBath, gamma_discrete
 
     spec_mode = TruncatedMode(omega, tau, spectrum_fock_dim)
@@ -231,16 +251,19 @@ def certify(
     sim = similarity_residual(spec_mode, spectrum_fock_dim // 4)
 
     g = Coupling(g_abs, theta)
+    mode = TruncatedMode(omega, tau, fock_dim)
+    if unreachable_fock_dim(mode, temperature, dim_budget) is not None:
+        # fail before any exact evolution: the budget cannot hold the state
+        return OracleReport(residuals, float(sim), None, fock_dim, False)
     times = np.linspace(0.0, t_max, num_times)
     system = QubitSystem(omega0=1.0)
     ratios, dim_used, converged = exact_dephasing_converged(
-        system, [(TruncatedMode(omega, tau, fock_dim), g)], temperature, times,
-        dim_budget=dim_budget,
+        system, [(mode, g)], temperature, times, dim_budget=dim_budget,
     )
     bath = DiscreteBath((BathMode(omega, g),), temperature=temperature, tau=tau)
     closed = np.exp(-np.array([gamma_discrete(bath, t) for t in times]))
     max_err = float(np.max(np.abs(ratios - closed)))
-    if thermal_tail_weight(TruncatedMode(omega, tau, dim_used), temperature) > 1e-10:
+    if thermal_tail_weight(TruncatedMode(omega, tau, dim_used), temperature) > TAIL_TOL:
         converged = False
     return OracleReport(
         spectrum_residuals=residuals,

@@ -1,10 +1,11 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
-from ptbath import cli, drivers
+from ptbath import cli, continuum, drivers
 from ptbath.cli import (
     FIGURE_PRESETS,
     crossover,
@@ -14,7 +15,8 @@ from ptbath.cli import (
     run_figure,
     run_sweep,
 )
-from ptbath.continuum import OhmicSpectrum, QuadratureSpec, gamma_continuum_nh
+from ptbath.continuum import OhmicSpectrum, QuadratureSpec, gamma_continuum_nh, spectral_density
+from ptbath.core import dephasing_kernel
 
 FIG1B = dict(amplitude=0.1, cutoff=0.1, temp=300.0, t=20.0)
 
@@ -85,6 +87,23 @@ class TestGammaCommand:
         payload = json.loads(text)
         assert payload["columns"] == ["t", "gamma", "coherence"]
         assert len(payload["rows"]) == 1
+
+    def test_low_frequency_nodes_use_the_kernel(self, tmp_path, monkeypatch):
+        # one node taking the leading-order w -> 0 limit (with a switch at
+        # 1e-6 * cutoff) puts this value 3.1e-6 off
+        argv = ["--A", "1", "--cutoff", "0.7", "--temp", "0.05", "--theta", "4.9",
+                "--tau", "-19.3", "--t", "300"]
+        code, text = run_cli(tmp_path, "gamma", *argv)
+        assert code == 0
+        g = float(text.strip().split("\n")[1].split(",")[1])
+
+        def kernel_everywhere(w, spec, t):
+            j = spectral_density(w, spec.amplitude, spec.cutoff)
+            return dephasing_kernel(w, j, spec.theta, spec.tau, t, spec.temperature)
+
+        monkeypatch.setattr(continuum, "gamma_integrand_nh", kernel_everywhere)
+        ref = gamma_continuum_nh(OhmicSpectrum(1.0, 0.7, 4.9, 0.05, -19.3), 300.0)
+        assert g == pytest.approx(ref, rel=1e-9)
 
 
 class TestSweep:
@@ -296,6 +315,15 @@ class TestOracleCommand:
         assert payload["converged"] is True
         assert payload["dephasing_max_error"] <= 1e-6
 
+    def test_unreachable_truncation_fails_fast(self, tmp_path, capsys):
+        start = time.perf_counter()
+        code, text = run_cli(tmp_path, "oracle", "--temp", "300")
+        assert time.perf_counter() - start < 5.0
+        assert code == 4
+        payload = json.loads(text)
+        assert payload["converged"] is False and payload["dephasing_max_error"] is None
+        assert "needs Fock dimension 6908" in capsys.readouterr().err
+
     def test_tau_zero_similarity(self, tmp_path):
         _, text = run_cli(tmp_path, "oracle", "--tau", "0", "--num-times", "11")
         assert json.loads(text)["similarity_residual"] == 0.0
@@ -313,6 +341,13 @@ class TestExitCodesAndConfig:
         code, _ = run_cli(tmp_path, "gamma", "--tau", "2", "--theta", "0.3",
                           "--t", "20", "--config", str(cfg))
         assert code == 3
+
+    def test_start_grid_over_budget_exits_fast(self, capsys):
+        # about 1.5e11 start panels: refused before anything is allocated
+        start = time.perf_counter()
+        assert exit_code("gamma", "--tau", "20", "--t", "1e9") == 3
+        assert time.perf_counter() - start < 1.0
+        assert "start grid needs" in capsys.readouterr().err
 
     def test_invalid_arguments_exit_code(self):
         with pytest.raises(SystemExit) as exc:

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from ptbath import continuum
 from ptbath.continuum import (
+    _NODES,
+    _WEIGHTS,
     OhmicSpectrum,
     QuadratureError,
     QuadratureSpec,
@@ -23,6 +26,27 @@ FIG_SETTINGS = dict(amplitude=1.0, cutoff=0.1, temperature=300.0)
 # to ~2e-12 relative (checked by doubling to 2e7 points)
 RIEMANN_NH_TAU2 = 369.42515216568825      # tau=2, theta=pi/2, t=2
 RIEMANN_HERMITIAN_T20 = 33829.88368261289  # t=20
+
+
+class TestKronrodRule:
+    def test_gauss_subset_is_gauss_legendre_7(self):
+        nodes, weights = np.polynomial.legendre.leggauss(7)
+        gauss = _WEIGHTS[:, 1] != 0.0
+        assert np.count_nonzero(gauss) == 7
+        assert np.max(np.abs(_NODES[gauss] - nodes)) <= 1e-15
+        assert np.max(np.abs(_WEIGHTS[gauss, 1] - weights)) <= 1e-15
+
+    @pytest.mark.parametrize("column, degree", [(0, 22), (1, 13)])
+    def test_polynomial_exactness(self, column, degree):
+        # K15 is exact through degree 3*7+1 = 22, G7 through 2*7-1 = 13
+        for k in range(degree + 1):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert _WEIGHTS[:, column] @ _NODES**k == pytest.approx(exact, rel=1e-14, abs=1e-15)
+        k = degree + 1 if degree % 2 else degree + 2  # first even degree beyond
+        assert abs(_WEIGHTS[:, column] @ _NODES**k - 2.0 / (k + 1)) > 1e-12
+
+    def test_weights_sum_to_two(self):
+        assert _WEIGHTS.sum(axis=0) == pytest.approx([2.0, 2.0], rel=1e-15)
 
 
 class TestSpectralDensity:
@@ -90,6 +114,31 @@ class TestIntegrand:
         # leading order 4 A T t^2 at w -> 0
         assert gamma_integrand_nh(1e-12, spec, t) == pytest.approx(
             4.0 * spec.amplitude * spec.temperature * t * t, rel=1e-4)
+
+    def test_continuous_where_the_limit_used_to_start(self):
+        # at 1e-6 * cutoff the leading-order limit is 3.4 % off for these
+        # parameters, so the integrand must still be the kernel there
+        spec = OhmicSpectrum(1.0, 0.7, 4.9, 0.05, -19.3)
+        w = 1e-6 * spec.cutoff
+        for t in (1.0, 174.0):
+            below = gamma_integrand_nh(np.nextafter(w, 0.0), spec, t)
+            assert below == pytest.approx(gamma_integrand_nh(w, spec, t), rel=1e-10)
+            below = gamma_integrand_hermitian(np.nextafter(w, 0.0), 1.0, 0.7, 0.05, t)
+            assert below == pytest.approx(
+                gamma_integrand_hermitian(w, 1.0, 0.7, 0.05, t), rel=1e-10)
+
+    @pytest.mark.parametrize("temperature", [0.0, 2.0])
+    def test_zero_frequency_takes_the_limit(self, temperature):
+        spec = OhmicSpectrum(1.3, 0.2, 0.4, temperature, 1.5)
+        t = 3.0
+        # 2 A t^2 * lim w coth(w/2T): 0 at T = 0, 2T otherwise
+        limit = 2.0 * spec.amplitude * t * t * 2.0 * temperature
+        w = np.array([0.0, 1e-3])
+        val = gamma_integrand_nh(w, spec, t)
+        assert val[0] == pytest.approx(limit, rel=1e-15, abs=0.0)
+        assert val[1] == pytest.approx(gamma_integrand_nh(1e-3, spec, t), rel=1e-15)
+        assert gamma_integrand_hermitian(0.0, 1.3, 0.2, temperature, t) == pytest.approx(
+            limit, rel=1e-15, abs=0.0)
 
 
 class TestGammaContinuum:
@@ -159,6 +208,54 @@ class TestGammaContinuum:
             gamma_continuum_nh(spec, 20.0,
                                QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300,
                                               max_subdivisions=10))
+
+    def test_bisection_exhausts_its_budget(self):
+        # the start grid (315 panels for tau=2, t=20) fits the budget, so
+        # the failure comes from bisection, not from the start-grid bound
+        spec = OhmicSpectrum(theta=0.3, tau=2.0, **FIG_SETTINGS)
+        with pytest.raises(QuadratureError, match="did not converge within 400 subdivisions"):
+            gamma_continuum_nh(spec, 20.0,
+                               QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300,
+                                              max_subdivisions=400))
+
+    def test_start_grid_over_budget_raises_before_allocating(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("the start grid was built")
+
+        monkeypatch.setattr(continuum, "_initial_edges", no_grid)
+        spec = OhmicSpectrum(1.0, 0.1, tau=20.0)
+        # about 1.5e11 panels at the default budget of 2e6
+        with pytest.raises(QuadratureError, match=r"start grid needs 1528\d{8} panels"):
+            gamma_continuum_nh(spec, 1e9)
+        with pytest.raises(QuadratureError, match="start grid needs 315 panels"):
+            gamma_continuum_nh(OhmicSpectrum(theta=0.3, tau=2.0, **FIG_SETTINGS), 20.0,
+                               QuadratureSpec(max_subdivisions=314))
+        # a width that underflows to 0 is over any budget
+        with pytest.raises(QuadratureError, match="start grid needs inf panels"):
+            gamma_continuum_nh(spec, 1e308)
+
+    def test_default_start_is_accurate_over_a_wide_range(self):
+        # the default (4 panels per oscillation, rel_tol 1e-8) against a
+        # 16-per-oscillation start at rel_tol 1e-11; cases whose reference
+        # start grid exceeds 2e5 panels (large cutoff * t * |tau|, about 3 %
+        # of draws) are redrawn to keep the test's time and memory small
+        rng = np.random.default_rng(26)
+        ref = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-14, min_panels_per_oscillation=16)
+        cases = 0
+        while cases < 30:
+            lam = math.exp(rng.uniform(math.log(0.02), 0.0))
+            T = float(rng.choice([0.0, 0.05, 1.0, 10.0, 300.0]))
+            tau = rng.uniform(-20.0, 20.0)
+            t = math.exp(rng.uniform(math.log(0.01), math.log(316.0)))
+            rate = t * math.sqrt(1.0 + 4.0 * tau * tau)
+            if 60.0 * lam * 16 * rate / (2.0 * math.pi) > 2e5:
+                continue
+            spec = OhmicSpectrum(1.0, lam, rng.uniform(0.0, 2.0 * math.pi), T, tau)
+            assert gamma_continuum_nh(spec, t) == pytest.approx(
+                gamma_continuum_nh(spec, t, ref), rel=1e-9)
+            assert gamma_hermitian(1.0, lam, T, t) == pytest.approx(
+                gamma_hermitian(1.0, lam, T, t, ref), rel=1e-9)
+            cases += 1
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):

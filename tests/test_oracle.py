@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ptbath.oracle import (
     spectrum_residuals,
     thermal_state,
     thermal_tail_weight,
+    unreachable_fock_dim,
 )
 
 OMEGA_SHIFTED = math.sqrt(1.36)  # omega=1, tau=0.3
@@ -124,6 +126,14 @@ class TestThermalState:
             math.exp(-40.0), rel=1e-12)
         assert thermal_tail_weight(TruncatedMode(1.0, 0.0, 40), 0.0) == 0.0
 
+    def test_unreachable_fock_dim(self):
+        # doubling 40 within 6400 reaches 5120; the tail needs ln(1e10) T / omega
+        assert unreachable_fock_dim(TruncatedMode(1.0, 0.2, 40), 300.0, 6400) == 6908
+        assert unreachable_fock_dim(TruncatedMode(2.0, 0.2, 40), 300.0, 3000) == 3454
+        assert unreachable_fock_dim(TruncatedMode(1.0, 0.2, 40), 10.0, 6400) is None
+        assert unreachable_fock_dim(TruncatedMode(1.0, 0.2, 40), 0.0, 40) is None
+        assert unreachable_fock_dim(TruncatedMode(1.0, 0.2, 40), 10.0, 79) == 231
+
 
 class TestExactDephasing:
     def test_zero_coupling_keeps_full_coherence(self):
@@ -191,6 +201,15 @@ class TestCertify:
     def test_zero_coupling(self):
         report = certify(g_abs=0.0, num_times=21)
         assert report.dephasing_max_error <= 1e-12
+
+    def test_unreachable_truncation_fails_before_evolving(self):
+        # doubling to 5120 would take over a minute and still not converge
+        start = time.perf_counter()
+        report = certify(temperature=300.0)
+        assert time.perf_counter() - start < 5.0
+        assert report.converged is False
+        assert report.dephasing_max_error is None
+        assert report.fock_dim_used == 40
 
     def test_json_schema(self):
         import json
