@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_time, coth, dephasing_kernel, require_finite
+from .core import check_time, coth, dephasing_terms, require_finite
 
 # QUADPACK QK15 (Piessens et al., QUADPACK, Springer 1983): the 15-point
 # Kronrod abscissae xgk on [0, 1) with weights wgk; xgk[1::2] are the
@@ -37,8 +37,20 @@ _NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
 _G7_ON_K15 = [0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3]]
 _WEIGHTS = np.array([_WGK[:-1] + _WGK[::-1],
                      _G7_ON_K15[:-1] + _G7_ON_K15[::-1]]).T  # (15, 2): K15, G7
+# the same weights as columns over the node axis; the G7 ones over the
+# 7 Gauss nodes _NODES[1::2] only
+_K15_COL = _WEIGHTS[:, :1]
+_G7_COL = _WEIGHTS[1::2, 1:]
 
-# The kernel divides by Omega^4, which underflows below w ~ 1e-77; under
+# Nodes x outputs of one integrand call.  A round evaluates its panels in
+# blocks of at most this many values, so the working set stays bounded
+# whatever the number of panels and of outputs.
+_BLOCK_VALUES = 1 << 16
+# Panels x phases of one grouped integral, as counted on its start grid:
+# larger groups of phases are split into several integrals.
+_RECORD_VALUES = 1 << 21
+
+# The kernel divides by w^2, which underflows below w ~ 1e-154; under
 # this multiple of the cutoff the integrands take their analytic w -> 0
 # limit instead.  No quadrature node comes near it; w = 0 is the case it
 # serves.  The limit's relative error grows like tau^2 t w, so a switch at
@@ -118,27 +130,49 @@ def _omega_coth(w, temperature):
     return np.where(small, series, w / np.tanh(xs))
 
 
-def gamma_integrand_nh(omega, spec: OhmicSpectrum, t: float):
+def _phase_factors(theta: float) -> tuple[float, float]:
+    # (sin cos, cos^2) by scalar math, so that a phase gets the same two
+    # numbers whether it is evaluated alone or inside a group
+    c = math.cos(theta)
+    return math.sin(theta) * c, c * c
+
+
+def gamma_integrand_nh(omega, spec: OhmicSpectrum, t: float, thetas=None):
     """Integrand of the non-Hermitian continuum decoherence factor:
     J(w) times the dephasing kernel 2 |xi_w(t)|^2 coth(w/2T) of a
-    unit-magnitude coupling of phase theta.  The removable 0*inf form at
-    w -> 0 is replaced by its analytic limit 2 A t^2 * w coth(w/2T)
-    only where the kernel's w^4 would underflow, so the two never meet at
-    a resolvable frequency.
+    unit-magnitude coupling of phase theta.
+
+    The theta-free terms of core.dephasing_terms are computed once per
+    node and combined per phase elementwise.  Without thetas the phase is
+    spec.theta and the result has the shape of omega; with a sequence of
+    phases it has shape (len(thetas),) + omega.shape, one row per phase
+    (spec.theta is then ignored), and each row equals the single-phase
+    integrand at that phase bit for bit.  The removable 0*inf form at
+    w -> 0 is replaced on every row by its analytic limit
+    2 A t^2 * w coth(w/2T) only where the kernel's w^2 would underflow, so
+    the two never meet at a resolvable frequency.
     """
     check_time(t)
     w = np.asarray(omega, dtype=float)
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w)
+    shape = w.shape
+    w = w.reshape(-1)
     A, lam, T = spec.amplitude, spec.cutoff, spec.temperature
     small = w < _LIMIT_BELOW * lam
     any_small = small.any()
     ws = np.where(small, lam, w) if any_small else w  # placeholder, overwritten below
-    out = dephasing_kernel(ws, spectral_density(ws, A, lam), spec.theta, spec.tau, t, T)
+    t0, t1, t2 = dephasing_terms(ws, spectral_density(ws, A, lam), spec.tau, t, T)
+    if thetas is None:
+        sc, c2 = _phase_factors(spec.theta)
+    else:
+        factors = np.array([_phase_factors(th) for th in thetas]).reshape(-1, 2)
+        sc, c2 = factors[:, :1], factors[:, 1:]
+    out = t0 + sc * t1 + c2 * t2
     if any_small:
         wl = w[small]
-        out[small] = 2.0 * A * t * t * _omega_coth(wl, T) * np.exp(-wl / lam)
-    return float(out[0]) if scalar else out
+        out[..., small] = 2.0 * A * t * t * _omega_coth(wl, T) * np.exp(-wl / lam)
+    if thetas is not None:
+        return out.reshape(out.shape[:1] + shape)
+    return float(out[0]) if not shape else out.reshape(shape)
 
 
 def gamma_integrand_hermitian(omega, amplitude: float, cutoff: float, temperature: float, t: float):
@@ -173,19 +207,37 @@ def _initial_edges(lo: float, hi: float, width: float) -> np.ndarray:
     return edges
 
 
-def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_width: float,
-                       params=None) -> float:
-    """Globally adaptive nested Gauss-Kronrod G7/K15 quadrature.
+def _node_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum of (outputs, nodes, panels) terms over the node axis, node after
+    node for every panel whatever the array's shape.  numpy adds along a
+    non-contiguous axis in order, but sums a lone contiguous column
+    pairwise, so a single panel is reduced as two copies of itself."""
+    if terms.shape[2] == 1:
+        return np.add.reduce(np.concatenate([terms, terms], axis=2), axis=1)[:, :1]
+    return np.add.reduce(terms, axis=1)
 
-    Panels of panel_width anchored at lo.  Each round calls f once, at the
-    15 Kronrod nodes of every open panel; the 7-point Gauss estimate reuses
-    7 of them.  A panel is accepted when |K15 - G7| <= rel_tol |K15| +
-    abs_tol * width and contributes K15; the others are bisected for the
-    next round.  The accepted values are summed in order of left edge, so
-    the result does not depend on the round a panel was accepted in.
+
+def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_width: float,
+                       params=None, outputs: int | None = None):
+    """Globally adaptive nested Gauss-Kronrod G7/K15 quadrature of one
+    integrand, or of several over one shared subdivision.
+
+    f maps a 1-D array of n nodes to n values, and the result is a float.
+    With outputs=k it maps them to a (k, n) array, k integrands at the same
+    nodes, and the result is an array of the k integrals.
+
+    Panels of panel_width anchored at lo.  Each round evaluates the 15
+    Kronrod nodes of every open panel, in integrand calls of at most
+    _BLOCK_VALUES nodes x outputs; the 7-point Gauss estimate reuses 7 of
+    them.  A panel is accepted for an output when |K15 - G7| <= rel_tol
+    |K15| + abs_tol * width and contributes K15 to it; it is bisected for
+    the outputs it failed for only.  Each output's accepted values are
+    summed in order of left edge as one array.  A panel's K15 and G7 are
+    elementwise functions of its own nodes, so an output's integral is
+    bit for bit the same alone, in any group and at any block size.
     Raises QuadratureError, before allocating anything, when the start grid
-    alone needs more than max_subdivisions panels, and when bisection
-    exceeds max_subdivisions.
+    alone needs more than max_subdivisions panels, and when bisection for
+    any one output exceeds max_subdivisions.
     """
     n_panels = (hi - lo) / panel_width if panel_width > 0.0 else math.inf
     if n_panels > quad.max_subdivisions:
@@ -195,35 +247,52 @@ def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_widt
             f"{quad.max_subdivisions} subdivisions allowed",
             params=params,
         )
+    k = 1 if outputs is None else outputs
+    block = max(1, _BLOCK_VALUES // (_NODES.size * k))
     edges = _initial_edges(lo, hi, panel_width)
-    work = np.stack([edges[:-1], edges[1:]], axis=1)
-    kept_left = []
-    kept_val = []
-    n_subdiv = 0
-    while work.shape[0]:
-        mid = 0.5 * (work[:, 0] + work[:, 1])
-        half = 0.5 * (work[:, 1] - work[:, 0])
-        x = mid[:, None] + half[:, None] * _NODES
-        kg = (f(x.ravel()).reshape(x.shape) @ _WEIGHTS) * half[:, None]
-        k15 = kg[:, 0]
-        ok = np.abs(k15 - kg[:, 1]) <= quad.rel_tol * np.abs(k15) + quad.abs_tol * 2.0 * half
-        kept_left.append(work[ok, 0])
-        kept_val.append(k15[ok])
-        bad = work[~ok]
-        n_subdiv += bad.shape[0]
-        if n_subdiv > quad.max_subdivisions:
-            raise QuadratureError(
-                f"quadrature did not converge within {quad.max_subdivisions} subdivisions",
-                params=params,
-            )
-        m = 0.5 * (bad[:, 0] + bad[:, 1])
-        work = np.concatenate(
-            [np.stack([bad[:, 0], m], axis=1), np.stack([m, bad[:, 1]], axis=1)]
-        )
-    lefts = np.concatenate(kept_left)
-    vals = np.concatenate(kept_val)
-    order = np.argsort(lefts, kind="stable")
-    return float(vals[order].sum())
+    a, b = edges[:-1], edges[1:]
+    open_ = np.ones((k, a.size), dtype=bool)  # the outputs each panel is open for
+    kept_left, kept_val, kept_ok = [], [], []
+    n_subdiv = np.zeros(k, dtype=np.int64)
+    while a.size:
+        split_a, split_b, split_open = [], [], []
+        for s in range(0, a.size, block):
+            pa, pb = a[s:s + block], b[s:s + block]
+            mid = 0.5 * (pa + pb)
+            half = 0.5 * (pb - pa)
+            fx = f((mid + half * _NODES[:, None]).ravel()).reshape(k, _NODES.size, -1)
+            g7 = _node_sum(fx[:, 1::2] * _G7_COL) * half
+            k15 = _node_sum(fx * _K15_COL) * half
+            ok = np.abs(k15 - g7) <= quad.rel_tol * np.abs(k15) + quad.abs_tol * 2.0 * half
+            failed = open_[:, s:s + block] & ~ok
+            ok &= open_[:, s:s + block]
+            kept_left.append(pa)
+            kept_val.append(k15)
+            kept_ok.append(ok)
+            split = failed.any(axis=0)
+            if split.any():
+                n_subdiv += failed.sum(axis=1)
+                if n_subdiv.max() > quad.max_subdivisions:
+                    raise QuadratureError(
+                        f"quadrature did not converge within {quad.max_subdivisions} "
+                        "subdivisions",
+                        params=params,
+                    )
+                split_a.append(pa[split])
+                split_b.append(pb[split])
+                split_open.append(failed[:, split])
+        if not split_a:
+            break
+        sa, sb = np.concatenate(split_a), np.concatenate(split_b)
+        so = np.concatenate(split_open, axis=1)
+        m = 0.5 * (sa + sb)
+        a, b = np.concatenate([sa, m]), np.concatenate([m, sb])
+        open_ = np.concatenate([so, so], axis=1)
+    order = np.argsort(np.concatenate(kept_left), kind="stable")
+    vals = np.concatenate(kept_val, axis=1)[:, order]
+    kept = np.concatenate(kept_ok, axis=1)[:, order]
+    totals = [float(row[mask].sum()) for row, mask in zip(vals, kept)]
+    return totals[0] if outputs is None else np.array(totals)
 
 
 def _panel_width(cutoff: float, t: float, tau: float, quad: QuadratureSpec) -> float:
@@ -231,19 +300,43 @@ def _panel_width(cutoff: float, t: float, tau: float, quad: QuadratureSpec) -> f
     return min(cutoff / 2.0, 2.0 * math.pi / (quad.min_panels_per_oscillation * rate))
 
 
-def gamma_continuum_nh(spec: OhmicSpectrum, t: float, quad: QuadratureSpec | None = None) -> float:
-    """Gamma(t) for the non-Hermitian Ohmic continuum."""
+def _gamma_nh(spec: OhmicSpectrum, t: float, quad: QuadratureSpec | None, thetas):
+    # thetas None: a float at spec.theta; otherwise an array, one per phase
     check_time(t)
-    if t == 0.0 or spec.amplitude == 0.0:
-        return 0.0
+    if t == 0.0 or spec.amplitude == 0.0 or (thetas is not None and not len(thetas)):
+        return 0.0 if thetas is None else np.zeros(len(thetas))
     quad = quad or QuadratureSpec()
     hi = quad.omega_max if quad.omega_max is not None else 60.0 * spec.cutoff
     width = _panel_width(spec.cutoff, t, spec.tau, quad)
-    total = integrate_adaptive(
-        lambda w: gamma_integrand_nh(w, spec, t), 0.0, hi, quad, width,
-        params={"spec": spec, "t": t},
-    )
-    return max(total, 0.0)
+    params = {"spec": spec, "t": t}
+    if thetas is None:
+        total = integrate_adaptive(lambda w: gamma_integrand_nh(w, spec, t), 0.0, hi, quad,
+                                   width, params=params)
+        return max(total, 0.0)
+    # the engine keeps a value per panel and phase until its final sum, so
+    # a large group is split to keep those bounded too
+    step = max(1, int(_RECORD_VALUES * width / hi))
+    totals = []
+    for i in range(0, len(thetas), step):
+        part = thetas[i:i + step]
+        totals.append(integrate_adaptive(
+            lambda w: gamma_integrand_nh(w, spec, t, part), 0.0, hi, quad, width,
+            params={**params, "thetas": part}, outputs=len(part)))
+    return np.maximum(np.concatenate(totals), 0.0)
+
+
+def gamma_continuum_nh(spec: OhmicSpectrum, t: float, quad: QuadratureSpec | None = None) -> float:
+    """Gamma(t) for the non-Hermitian Ohmic continuum."""
+    return _gamma_nh(spec, t, quad, None)
+
+
+def gamma_continuum_thetas(spec: OhmicSpectrum, t: float, thetas,
+                           quad: QuadratureSpec | None = None) -> np.ndarray:
+    """Gamma(t) at every coupling phase in thetas (spec.theta is ignored),
+    as one adaptive integral over a shared subdivision (a group too large
+    for _RECORD_VALUES as several).  Each value equals gamma_continuum_nh
+    at that phase bit for bit."""
+    return _gamma_nh(spec, t, quad, [float(th) for th in thetas])
 
 
 def gamma_hermitian(amplitude: float, cutoff: float, temperature: float, t: float,

@@ -39,6 +39,9 @@ def coth(x):
     cancellation); a scalar argument gives a float."""
     x = np.asarray(x, dtype=float)
     small = x < 1e-4
+    if not small.any():
+        out = 1.0 / np.tanh(x)
+        return out if out.ndim else float(out)
     out = np.where(small, 1.0 / np.where(small, x, 1.0) + x / 3.0 - x**3 / 45.0,
                    1.0 / np.tanh(np.where(small, 1.0, x)))
     return out if out.ndim else float(out)
@@ -189,28 +192,47 @@ def xi_non_hermitian(g: Coupling, omega: float, tau: float, t: float) -> complex
     return (8.0 * omega * s2 / Om**2) * (0.25 * gz + tau * tau * g.real) - 1j * gz * math.sin(Om * t) / Om
 
 
+def dephasing_terms(w, weight, tau: float, t: float, temperature: float):
+    """The dephasing kernel split by its coupling phase phi: three arrays
+    (T0, T1, T2), elementwise over w > 0, with
+
+        kernel = T0 + sin(phi) cos(phi) T1 + cos^2(phi) T2.
+
+    With r = sqrt(1+4 tau^2), x = r w t and p = 2 weight coth(w/2T) / (r^4 w^2):
+    T0 = p [r^2 sin^2 x + 4 sin^4(x/2)], T1 = 16 tau^2 r p sin x sin^2(x/2)
+    and T2 = 32 tau^2 (1 + 2 tau^2) p sin^4(x/2).  The phase enters only
+    through the two scalar coefficients, so one evaluation serves every phase.
+    """
+    tau2 = tau * tau
+    r2 = 1.0 + 4.0 * tau2
+    r = math.sqrt(r2)
+    x = w * r * t  # (w r) t, the rounding of Omega t in xi_non_hermitian
+    sx = np.sin(x)
+    s2 = np.sin(0.5 * x) ** 2
+    cth = coth(w / (2.0 * temperature)) if temperature > 0 else 1.0
+    p = (2.0 / (r2 * r2)) * (weight * cth / (w * w))
+    q = p * (s2 * s2)
+    t0 = p * (r2 * sx * sx) + 4.0 * q
+    t1 = (16.0 * tau2 * r) * (p * sx * s2)
+    t2 = (32.0 * tau2 * (1.0 + 2.0 * tau2)) * q
+    return t0, t1, t2
+
+
 def dephasing_kernel(w, weight, phase, tau: float, t: float, temperature: float):
     """weight * 2 |xi_w(t)|^2 coth(w/2T) for a unit coupling of phase
     `phase`, elementwise over w > 0 (and over array weights and phases).
 
     The one dephasing formula: weight is |g_k|^2 for a discrete mode and
-    J(w) for the continuum.  With Omega = w sqrt(1+4 tau^2),
+    J(w) for the continuum.  It is the phase combination of
+    dephasing_terms, which the continuum evaluates once for many phases.
+    With Omega = w sqrt(1+4 tau^2),
     |xi|^2 = [Omega^2 sin^2(Omega t) + 16 tau^2 w Omega sin(phase) cos(phase)
     sin(Omega t) sin^2(Omega t/2) + 4 w^2 sin^4(Omega t/2)
     (1 + 8 tau^2 (1 + 2 tau^2) cos^2(phase))] / Omega^4.
     """
-    tau2 = tau * tau
-    Om = w * math.sqrt(1.0 + 4.0 * tau2)
-    sO = np.sin(Om * t)
-    s2 = np.sin(0.5 * Om * t) ** 2
+    t0, t1, t2 = dephasing_terms(w, weight, tau, t, temperature)
     sin_p, cos_p = np.sin(phase), np.cos(phase)
-    cth = coth(w / (2.0 * temperature)) if temperature > 0 else 1.0
-    bracket = (
-        Om * Om * sO * sO
-        + 16.0 * tau2 * w * Om * sin_p * cos_p * sO * s2
-        + 4.0 * w * w * s2 * s2 * (1.0 + 8.0 * tau2 * (1.0 + 2.0 * tau2) * cos_p**2)
-    )
-    return 2.0 * weight / Om**4 * bracket * cth
+    return t0 + sin_p * cos_p * t1 + cos_p * cos_p * t2
 
 
 def gamma_discrete(bath: DiscreteBath, t: float) -> float:

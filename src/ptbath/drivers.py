@@ -1,9 +1,10 @@
 """Batch drivers over the continuum exponent: figure presets, Cartesian
 parameter sweeps, the (tau, theta) optimizer and the crossover finder.
 
-Every driver reduces to calls of gamma_continuum_nh with an OhmicSpectrum,
-a time and a QuadratureSpec; rows come back in a fixed order whatever the
-number of worker processes.
+Every driver reduces to calls of gamma_continuum_nh, or of
+gamma_continuum_thetas for points that differ only in theta, with an
+OhmicSpectrum, a time and a QuadratureSpec; rows come back in a fixed order
+whatever the number of worker processes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .continuum import OhmicSpectrum, QuadratureSpec, gamma_continuum_nh
+from .continuum import OhmicSpectrum, QuadratureSpec, gamma_continuum_nh, gamma_continuum_thetas
 
 PI = math.pi
 
@@ -23,17 +24,31 @@ PI = math.pi
 def _gamma_rows(points: list[dict], columns: list[str], quad: QuadratureSpec, jobs: int):
     """Gamma for every parameter dict (keys amplitude, cutoff, temp, t and
     optionally tau, theta; both default to 0), in input order.  Returns
-    (columns, rows), each row the point's `columns`, Gamma and exp(-Gamma)."""
+    (columns, rows), each row the point's `columns`, Gamma and exp(-Gamma).
+
+    Points that differ only in theta share one gamma_continuum_thetas
+    call; with jobs > 1 the process pool maps these groups."""
     points = [{"tau": 0.0, "theta": 0.0, **p} for p in points]
-    specs = [OhmicSpectrum(p["amplitude"], p["cutoff"], p["theta"], p["temp"], p["tau"])
-             for p in points]
-    times = [p["t"] for p in points]
-    quads = [quad] * len(points)
+    groups: dict[tuple[OhmicSpectrum, float], list[int]] = {}
+    for i, p in enumerate(points):
+        spec = OhmicSpectrum(p["amplitude"], p["cutoff"], p["theta"], p["temp"], p["tau"])
+        groups.setdefault((replace(spec, theta=0.0), p["t"]), []).append(i)
+    specs = [spec for spec, _ in groups]
+    times = [t for _, t in groups]
+    thetas = [[points[i]["theta"] for i in members] for members in groups.values()]
+    quads = [quad] * len(groups)
     if jobs and jobs > 1:
+        # about eight chunks per worker, so that no worker idles long at the end
+        chunksize = max(1, len(groups) // (8 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            gammas = list(pool.map(gamma_continuum_nh, specs, times, quads, chunksize=8))
+            results = list(pool.map(gamma_continuum_thetas, specs, times, thetas, quads,
+                                    chunksize=chunksize))
     else:
-        gammas = list(map(gamma_continuum_nh, specs, times, quads))
+        results = list(map(gamma_continuum_thetas, specs, times, thetas, quads))
+    gammas = [0.0] * len(points)
+    for members, values in zip(groups.values(), results):
+        for i, g in zip(members, values):
+            gammas[i] = float(g)
     rows = [[p[c] for c in columns] + [g, math.exp(-g)] for p, g in zip(points, gammas)]
     return columns + ["gamma", "coherence"], rows
 
@@ -186,14 +201,21 @@ def optimize(fixed: OhmicSpectrum, free: list[str], t: float, bounds: dict,
         log.append((dict(p), g))
         return g
 
-    # joint coarse scan
+    # joint coarse scan: one gamma_continuum_thetas call per tau serves the
+    # theta axis; the points are then logged in the order of the free axes
     axes = {name: np.linspace(bounds[name][0], bounds[name][1],
                               max(grid_points, 2) if bounds[name][0] != bounds[name][1] else 1)
             for name in free}
+    scan = {"tau": [fixed.tau], "theta": [fixed.theta]}
+    scan.update({name: [float(v) for v in axes[name]] for name in free})
+    grid = [gamma_continuum_thetas(replace(fixed, tau=tau), t, scan["theta"], quad)
+            for tau in scan["tau"]]
     best_p, best_g = None, math.inf
-    for combo in itertools.product(*(axes[n] for n in free)):
-        p = {"tau": fixed.tau, "theta": fixed.theta, **{n: float(v) for n, v in zip(free, combo)}}
-        g = evaluate(p)
+    for combo in itertools.product(*(range(len(scan[n])) for n in free)):
+        at = {"tau": 0, "theta": 0, **dict(zip(free, combo))}
+        p = {n: scan[n][at[n]] for n in ("tau", "theta")}
+        g = float(grid[at["tau"]][at["theta"]])
+        log.append((dict(p), g))
         if g < best_g:
             best_p, best_g = p, g
 

@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ptbath
 from ptbath import cli, continuum, drivers
 from ptbath.cli import (
     FIGURE_PRESETS,
@@ -16,6 +22,7 @@ from ptbath.cli import (
     run_sweep,
 )
 from ptbath.continuum import OhmicSpectrum, QuadratureSpec, gamma_continuum_nh, spectral_density
+from ptbath.continuum import integrate_adaptive
 from ptbath.core import dephasing_kernel
 
 FIG1B = dict(amplitude=0.1, cutoff=0.1, temp=300.0, t=20.0)
@@ -33,6 +40,18 @@ def test_cli_reexports_the_drivers():
     for name in ("FIGURE_PRESETS", "run_figure", "run_sweep", "optimize", "crossover",
                  "golden_section_min"):
         assert getattr(cli, name) is getattr(drivers, name)
+
+
+def count_integrals(monkeypatch):
+    """Count the calls of continuum.integrate_adaptive; returns a one-item list."""
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return integrate_adaptive(*args, **kwargs)
+
+    monkeypatch.setattr(continuum, "integrate_adaptive", counting)
+    return calls
 
 
 def exit_code(*argv):
@@ -106,6 +125,27 @@ class TestGammaCommand:
         assert g == pytest.approx(ref, rel=1e-9)
 
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="peak memory is read from /proc/self/status")
+    def test_large_t_peak_memory_is_bounded(self):
+        # 3.1e5 panels (4.6e6 nodes): evaluated in blocks, the run stays far
+        # below the 380 MB that one integrand call over every panel needed
+        code = (
+            "from ptbath.cli import main\n"
+            "main(['gamma', '--A', '1', '--cutoff', '0.7', '--temp', '0.05', '--theta', '4.9',"
+            " '--tau', '-19.3', '--t', '300'])\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n"
+        )
+        src = str(Path(ptbath.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout.split()
+        assert out[-2] == "3.00000000000e+02,1.13793417600e+02,3.80317806368e-50"
+        assert int(out[-1]) <= 150 * 1024  # VmHWM in kB
+
+
 class TestSweep:
     def test_singleton_matches_direct_call(self, tmp_path):
         code, text = run_cli(tmp_path, "sweep", "--sweep", "tau=2:2:1",
@@ -128,6 +168,15 @@ class TestSweep:
         for tau, theta, g, _ in rows:
             direct = gamma_continuum_nh(OhmicSpectrum(0.1, 0.1, theta, 300.0, tau), 20.0, quad)
             assert g == direct  # bit-for-bit
+
+    def test_one_integral_per_tau_and_time(self, monkeypatch):
+        calls = count_integrals(monkeypatch)
+        fixed = dict(amplitude=0.1, cutoff=0.1, theta=0.0, temp=300.0, tau=0.0, t=20.0)
+        grids = [("theta", np.array([0.3, 1.0, 2.0, 2.5])), ("tau", np.array([0.5, 1.0, 2.0]))]
+        _, rows = run_sweep(fixed, grids, QuadratureSpec())
+        assert calls[0] == 3
+        assert [(th, tau) for th, tau, _, _ in rows] == [
+            (th, tau) for th in (0.3, 1.0, 2.0, 2.5) for tau in (0.5, 1.0, 2.0)]
 
     def test_declaration_order_permutes_rows_not_values(self):
         quad = QuadratureSpec()
@@ -182,6 +231,17 @@ class TestFigure:
             by_curve.setdefault(tau, []).append(g)
         for tau, (g_low, g_high) in by_curve.items():
             assert g_low == pytest.approx(g_high, rel=1e-10)
+
+    @pytest.mark.parametrize("fig, values", [
+        ("fig1a", np.linspace(0.0, 20.0, 7)),
+        ("fig1b", np.linspace(0.0, 2.0 * math.pi, 9)),
+        ("fig3b", np.linspace(0.0, 4.0, 5)),
+    ])
+    def test_worker_pool_gives_identical_rows(self, fig, values):
+        quad = QuadratureSpec()
+        serial = run_figure(FIGURE_PRESETS[fig], quad, jobs=1, axis_values=values)
+        parallel = run_figure(FIGURE_PRESETS[fig], quad, jobs=2, axis_values=values)
+        assert serial == parallel
 
     def test_cli_figure_with_reduced_axis(self, tmp_path):
         code, text = run_cli(tmp_path, "figure", "fig2", "--t", "0:2:3")
@@ -256,6 +316,28 @@ class TestOptimize:
         payload = json.loads(text)
         assert set(payload) == {"argmin", "gamma_min"}
         assert 0.0 <= payload["argmin"]["tau"] <= 4.0
+
+    def test_grouped_scan_matches_per_point_evaluation(self, tmp_path, monkeypatch):
+        # the README optimization on a small grid: one integral per tau grid
+        # value serves the theta axis, with the same JSON as evaluating every
+        # grid point on its own
+        argv = ("optimize", "--free", "tau", "--free", "theta", "--t", "20",
+                "--grid-points", "6")
+        calls = count_integrals(monkeypatch)
+        code, grouped = run_cli(tmp_path, *argv)
+        assert code == 0
+        grouped_calls = calls[0]
+
+        def per_point(spec, t, thetas, quad=None):
+            return np.array([gamma_continuum_nh(replace(spec, theta=th), t, quad)
+                             for th in thetas])
+
+        monkeypatch.setattr(drivers, "gamma_continuum_thetas", per_point)
+        calls[0] = 0
+        code, single = run_cli(tmp_path, *argv)
+        assert code == 0
+        assert grouped == single
+        assert grouped_calls == calls[0] - 6 * 6 + 6
 
     def test_rejects_empty_free_set(self):
         with pytest.raises(ValueError):

@@ -7,10 +7,12 @@ from ptbath import continuum
 from ptbath.continuum import (
     _NODES,
     _WEIGHTS,
+    _node_sum,
     OhmicSpectrum,
     QuadratureError,
     QuadratureSpec,
     gamma_continuum_nh,
+    gamma_continuum_thetas,
     gamma_hermitian,
     gamma_integrand_hermitian,
     gamma_integrand_nh,
@@ -267,6 +269,147 @@ class TestGammaContinuum:
             gamma_continuum_nh(OhmicSpectrum(1.0, 0.1), t)
         with pytest.raises(ValueError, match="finite"):
             gamma_hermitian(1.0, 0.1, 0.0, t)
+
+
+def count_integrand_points(monkeypatch):
+    """Route continuum.gamma_integrand_nh through a wrapper that records the
+    size of every call; returns the list of sizes."""
+    sizes = []
+    real = continuum.gamma_integrand_nh
+
+    def counting(w, *args):
+        sizes.append(np.size(w))
+        return real(w, *args)
+
+    monkeypatch.setattr(continuum, "gamma_integrand_nh", counting)
+    return sizes
+
+
+class TestGroupedThetas:
+    def test_integrand_rows_equal_single_phase_integrands(self):
+        spec = OhmicSpectrum(1.3, 0.2, 0.0, 2.0, 1.5)
+        w = np.array([[0.0, 1e-3, 0.5], [1.0, 2.0, 7.5]])
+        thetas = [2.0, -0.4, 2.0, 9.1]
+        rows = gamma_integrand_nh(w, spec, 3.0, thetas)
+        assert rows.shape == (4, 2, 3)
+        for theta, row in zip(thetas, rows):
+            single = gamma_integrand_nh(w, OhmicSpectrum(1.3, 0.2, theta, 2.0, 1.5), 3.0)
+            assert np.array_equal(row, single)
+        # the w -> 0 limit is on every row
+        assert np.all(rows[:, 0, 0] == 2.0 * 1.3 * 9.0 * 2.0 * 2.0)
+        assert gamma_integrand_nh(0.5, spec, 3.0, [0.1, 0.2]).shape == (2,)
+
+    def test_grouped_equals_single_bit_for_bit(self, monkeypatch):
+        # at rel_tol 1e-13 some phases bisect panels that others accept, so
+        # the group's subdivision is the union of different ones
+        sizes = count_integrand_points(monkeypatch)
+        quad = QuadratureSpec(rel_tol=1e-13)
+        spec = OhmicSpectrum(0.1, 0.1, 0.0, 300.0, 2.0)
+        thetas = [2.0, 0.3, 1.0, 0.3, 3.0, -5.0]
+        grouped = gamma_continuum_thetas(spec, 20.0, thetas, quad)
+        grouped_points = sum(sizes)
+        single_points = []
+        for theta, g in zip(thetas, grouped):
+            sizes.clear()
+            alone = gamma_continuum_nh(OhmicSpectrum(0.1, 0.1, theta, 300.0, 2.0), 20.0, quad)
+            single_points.append(sum(sizes))
+            assert g == alone
+        assert len(set(single_points)) > 1
+        assert max(single_points) < grouped_points
+
+    def test_grouped_equals_single_over_random_cases(self):
+        rng = np.random.default_rng(27)
+        for rel_tol in (1e-8, 1e-13):
+            quad = QuadratureSpec(rel_tol=rel_tol)
+            for _ in range(8):
+                spec = OhmicSpectrum(rng.uniform(0.1, 2.0), rng.uniform(0.05, 0.5), 0.0,
+                                     float(rng.choice([0.0, 1.0, 300.0])), rng.uniform(-4, 4))
+                t = rng.uniform(0.1, 30.0)
+                thetas = list(rng.uniform(-7.0, 7.0, size=5))
+                thetas += thetas[:2]
+                grouped = gamma_continuum_thetas(spec, t, thetas, quad)
+                for theta, g in zip(thetas, grouped):
+                    assert g == gamma_continuum_nh(
+                        OhmicSpectrum(spec.amplitude, spec.cutoff, theta, spec.temperature,
+                                      spec.tau), t, quad)
+
+    def test_result_does_not_depend_on_the_block_size(self, monkeypatch):
+        spec = OhmicSpectrum(1.0, 0.1, 0.0, 300.0, 1.0)
+        thetas = [0.0, 0.7, 2.1]
+        quad = QuadratureSpec(rel_tol=1e-13)
+        default = gamma_continuum_thetas(spec, 5.0, thetas, quad)
+        for block in (1, 45, 15 * 3 * 7):
+            monkeypatch.setattr(continuum, "_BLOCK_VALUES", block)
+            assert np.array_equal(gamma_continuum_thetas(spec, 5.0, thetas, quad), default)
+
+    def test_large_groups_are_split(self, monkeypatch):
+        # 120 start panels here: four phases per integral at this record bound
+        spec = OhmicSpectrum(1.0, 0.1, 0.0, 300.0, 0.5)
+        thetas = [0.1 * i for i in range(10)]
+        whole = gamma_continuum_thetas(spec, 2.0, thetas)
+        monkeypatch.setattr(continuum, "_RECORD_VALUES", 4 * 120)
+        outputs = []
+        real = continuum.integrate_adaptive
+
+        def recording(*args, **kwargs):
+            outputs.append(kwargs["outputs"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(continuum, "integrate_adaptive", recording)
+        assert np.array_equal(gamma_continuum_thetas(spec, 2.0, thetas), whole)
+        assert outputs == [4, 4, 2]
+
+    def test_integrand_calls_stay_within_the_block(self, monkeypatch):
+        sizes = count_integrand_points(monkeypatch)
+        spec = OhmicSpectrum(1.0, 0.7, 0.0, 0.05, -19.3)
+        thetas = [0.0, 1.0, 4.9]
+        gamma_continuum_thetas(spec, 40.0, thetas)
+        assert len(sizes) > 1
+        assert max(sizes) * len(thetas) <= continuum._BLOCK_VALUES
+        sizes.clear()
+        gamma_continuum_nh(OhmicSpectrum(1.0, 0.7, 4.9, 0.05, -19.3), 40.0)
+        assert len(sizes) > 1 and max(sizes) <= continuum._BLOCK_VALUES
+
+    def test_zero_time_zero_amplitude_and_no_phases(self):
+        spec = OhmicSpectrum(1.0, 0.1, 0.0, 300.0, 2.0)
+        assert np.array_equal(gamma_continuum_thetas(spec, 0.0, [0.1, 0.2]), [0.0, 0.0])
+        assert np.array_equal(
+            gamma_continuum_thetas(OhmicSpectrum(0.0, 0.1, tau=2.0), 5.0, [0.1, 0.2, 0.3]),
+            [0.0, 0.0, 0.0])
+        assert gamma_continuum_thetas(spec, 5.0, []).shape == (0,)
+
+    def test_engine_routes_through_the_module_integrand(self, monkeypatch):
+        # every node of a grouped integral goes through the module-level
+        # gamma_integrand_nh, once for all phases
+        sizes = count_integrand_points(monkeypatch)
+        spec = OhmicSpectrum(1.0, 0.1, 0.0, 300.0, 2.0)
+        gamma_continuum_thetas(spec, 2.0, [0.0, 1.0, 2.0])
+        grouped = sum(sizes)
+        sizes.clear()
+        gamma_continuum_nh(spec, 2.0)
+        assert grouped == sum(sizes) > 0
+
+    def test_vector_integrand(self):
+        quad = QuadratureSpec()
+
+        def f(x):
+            return np.stack([np.sin(x), x * x, np.exp(-x)])
+
+        vals = continuum.integrate_adaptive(f, 0.0, 3.0, quad, 0.5, outputs=3)
+        np.testing.assert_allclose(vals, [1.0 - math.cos(3.0), 9.0, 1.0 - math.exp(-3.0)],
+                                   rtol=1e-13)
+        for i, v in enumerate(vals):
+            assert v == continuum.integrate_adaptive(lambda x: f(x)[i], 0.0, 3.0, quad, 0.5)
+
+    def test_node_sum_adds_node_after_node_at_any_panel_count(self):
+        rng = np.random.default_rng(28)
+        terms = rng.standard_normal((2, 15, 9)) * 10.0 ** rng.uniform(-8, 8, size=(2, 15, 9))
+        loop = terms[:, 0]
+        for j in range(1, 15):
+            loop = loop + terms[:, j]
+        assert np.array_equal(_node_sum(terms), loop)
+        for j in range(9):
+            assert np.array_equal(_node_sum(terms[:, :, j:j + 1])[:, 0], loop[:, j])
 
 
 class TestQuadratureSpec:

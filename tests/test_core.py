@@ -10,10 +10,13 @@ from ptbath.core import (
     QubitState,
     big_omega,
     coherence_factor,
+    dephasing_kernel,
+    dephasing_terms,
     evolve_qubit,
     gamma_discrete,
     gamma_discrete_amplitude,
     load_bath_csv,
+    thermal_coth,
     xi_hermitian,
     xi_non_hermitian,
 )
@@ -184,6 +187,39 @@ class TestGammaDiscrete:
             t = rng.uniform(0, 20)
             assert gamma_discrete(bath, t + period) == pytest.approx(
                 gamma_discrete(bath, t), rel=1e-12, abs=1e-10)
+
+
+class TestDephasingTerms:
+    def test_phase_combination_is_the_amplitude_route(self):
+        # one set of phase-free terms gives 2 |g|^2 |xi|^2 coth at every phase
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            w = rng.uniform(0.05, 3.0)
+            weight = rng.uniform(0.1, 2.0)
+            tau = rng.uniform(-3.0, 3.0)
+            t = rng.uniform(0.0, 30.0)
+            temp = float(rng.choice([0.0, 0.5, 300.0]))
+            t0, t1, t2 = dephasing_terms(np.array([w]), weight, tau, t, temp)
+            for phase in rng.uniform(0.0, 2 * math.pi, size=5):
+                xi = xi_non_hermitian(Coupling(math.sqrt(weight), phase), w, tau, t)
+                ref = 2.0 * abs(xi) ** 2 * thermal_coth(w, temp)
+                val = t0 + math.sin(phase) * math.cos(phase) * t1 + math.cos(phase) ** 2 * t2
+                assert val[0] == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
+    def test_phase_terms_vanish_without_non_hermiticity(self):
+        w = np.linspace(0.1, 3.0, 50)
+        _, t1, t2 = dephasing_terms(w, 1.0, 0.0, 7.0, 1.0)
+        assert np.all(t1 == 0.0) and np.all(t2 == 0.0)
+
+    def test_kernel_is_the_combination_of_the_terms(self):
+        rng = np.random.default_rng(31)
+        w = rng.uniform(0.1, 3.0, size=20)
+        weight = rng.uniform(0.1, 2.0, size=20)
+        phase = rng.uniform(0.0, 2 * math.pi, size=20)
+        t0, t1, t2 = dephasing_terms(w, weight, 1.3, 4.0, 0.5)
+        expected = t0 + np.sin(phase) * np.cos(phase) * t1 + np.cos(phase) ** 2 * t2
+        np.testing.assert_allclose(dephasing_kernel(w, weight, phase, 1.3, 4.0, 0.5),
+                                   expected, rtol=1e-15, atol=0.0)
 
 
 class TestCoherenceFactor:
