@@ -89,20 +89,14 @@ def _write_table(columns, rows, out, fmt):
 # subcommands
 
 
-def _spectrum_from_args(args) -> OhmicSpectrum:
-    return OhmicSpectrum(
-        amplitude=args.A, cutoff=args.cutoff, theta=args.theta,
-        temperature=args.temp, tau=args.tau,
-    )
-
-
 def _cmd_gamma(args) -> int:
     times = [float(t) for t in _parse_range(args.t)]
     if args.modes_file:
         bath = load_bath_csv(args.modes_file, temperature=args.temp, tau=args.tau)
         gammas = [gamma_discrete(bath, t) for t in times]
     else:
-        spec, quad = _spectrum_from_args(args), _quad_from_args(args)
+        spec = OhmicSpectrum(args.A, args.cutoff, args.theta, args.temp, args.tau)
+        quad = _quad_from_args(args)
         gammas = [gamma_continuum_nh(spec, t, quad) for t in times]
     rows = [[t, g, math.exp(-g)] for t, g in zip(times, gammas)]
     _write_table(["t", "gamma", "coherence"], rows, args.out, args.format)
@@ -110,7 +104,6 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    quad = _quad_from_args(args)
     grids = []
     for spec_text in args.sweep:
         if "=" not in spec_text:
@@ -119,38 +112,35 @@ def _cmd_sweep(args) -> int:
         grids.append((name, _parse_range(rng)))
     fixed = {
         "amplitude": args.A, "cutoff": args.cutoff, "theta": args.theta,
-        "temp": args.temp, "tau": args.tau, "t": float(_parse_range(args.t)[0]),
+        "temp": args.temp, "tau": args.tau, "t": args.t,
     }
-    columns, rows = run_sweep(fixed, grids, quad, jobs=args.jobs)
+    columns, rows = run_sweep(fixed, grids, _quad_from_args(args), jobs=args.jobs)
     _write_table(columns, rows, args.out, args.format)
     return EXIT_OK
 
 
 def _cmd_figure(args) -> int:
     preset = FIGURE_PRESETS[args.id]
-    quad = _quad_from_args(args)
-    axis_values = None
-    axis_name = preset.axis[0]
-    if args.t is not None and axis_name == "t":
-        axis_values = _parse_range(args.t)
-    elif args.points is not None:
-        lo, hi = preset.axis[1][0], preset.axis[1][-1]
-        axis_values = np.linspace(lo, hi, args.points)
-    columns, rows = run_figure(preset, quad, jobs=args.jobs, axis_values=axis_values)
+    axis_name, axis = preset.axis
+    if args.t is not None and axis_name != "t":
+        raise ValueError(f"--t: {args.id} runs over {axis_name}, not t; use --points")
+    axis_values = None if args.t is None else _parse_range(args.t)
+    if args.points is not None:  # --points and --t exclude each other
+        axis_values = np.linspace(axis[0], axis[-1], args.points)
+    columns, rows = run_figure(preset, _quad_from_args(args), jobs=args.jobs,
+                               axis_values=axis_values)
     _write_table(columns, rows, args.out, args.format)
     return EXIT_OK
 
 
 def _cmd_optimize(args) -> int:
-    quad = _quad_from_args(args)
-    fixed = _spectrum_from_args(args)
+    fixed = OhmicSpectrum(args.A, args.cutoff, args.theta, args.temp, args.tau)
     bounds = {}
     if "tau" in args.free:
         bounds["tau"] = tuple(float(v) for v in args.tau_bounds.split(":"))
     if "theta" in args.free:
         bounds["theta"] = tuple(float(v) for v in args.theta_bounds.split(":"))
-    t = float(_parse_range(args.t)[0])
-    argmin, g_min = optimize(fixed, list(args.free), t, bounds, quad,
+    argmin, g_min = optimize(fixed, list(args.free), args.t, bounds, _quad_from_args(args),
                              grid_points=args.grid_points)
     _emit_json({"argmin": {k: float(_fmt(v)) for k, v in argmin.items()},
                 "gamma_min": float(_fmt(g_min))}, args.out)
@@ -158,10 +148,9 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_crossover(args) -> int:
-    quad = _quad_from_args(args)
-    fixed = _spectrum_from_args(args)
-    t = float(_parse_range(args.t)[0])
-    tau_star = crossover(fixed, t, quad, tau_max=args.tau_max)
+    # crossover scans tau itself, so the spectrum keeps its default tau
+    fixed = OhmicSpectrum(args.A, args.cutoff, args.theta, args.temp)
+    tau_star = crossover(fixed, args.t, _quad_from_args(args), tau_max=args.tau_max)
     if tau_star is None:
         payload = {"crossover_tau": None, "message": "no crossover in interval"}
     else:
@@ -202,32 +191,43 @@ def _cmd_oracle(args) -> int:
 # parser / config plumbing
 
 
-_COMMON_DEFAULTS = {
-    "tau": 0.0, "theta": 0.0, "A": 1.0, "cutoff": 0.1, "temp": 300.0,
-    "t": "1", "format": "csv", "jobs": 1,
+def _positive_int(text: str) -> int:
+    """argparse type of the count flags."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
+# The flags that several subcommands share, with their built-in defaults.
+# Each subcommand declares only the flags its handler reads.
+_FLAGS = {
+    "tau": dict(type=float, default=0.0),
+    "theta": dict(type=float, default=0.0),
+    "A": dict(type=float, default=1.0, help="Ohmic amplitude"),
+    "cutoff": dict(type=float, default=0.1),
+    "temp": dict(type=float, default=300.0),
+    "t": dict(type=float, default=1.0),  # gamma and figure take a t axis instead
+    "rel-tol": dict(type=float),
+    "abs-tol": dict(type=float),
+    "max-subdivisions": dict(type=int),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "jobs": dict(type=_positive_int, default=1),
 }
-
-# a high-temperature continuum default would need astronomically large Fock
-# truncations, so the validation command carries its own defaults
-_ORACLE_DEFAULTS = {"tau": 0.2, "theta": PI / 2, "temp": 1.0}
+_SPECTRUM = ("tau", "theta", "A", "cutoff", "temp")
+_QUAD = ("rel-tol", "abs-tol", "max-subdivisions")
 
 
-def _add_common(parser, **defaults):
-    """The common flags, with the built-in defaults overridden by `defaults`."""
-    parser.add_argument("--tau", type=float)
-    parser.add_argument("--theta", type=float)
-    parser.add_argument("--A", type=float, help="Ohmic amplitude")
-    parser.add_argument("--cutoff", type=float)
-    parser.add_argument("--temp", type=float)
-    parser.add_argument("--t", type=str, help="scalar or start:stop:count")
-    parser.add_argument("--rel-tol", type=float)
-    parser.add_argument("--abs-tol", type=float)
-    parser.add_argument("--max-subdivisions", type=int)
-    parser.add_argument("--out", type=str)
-    parser.add_argument("--format", choices=("csv", "json"))
-    parser.add_argument("--config", type=str, help="JSON config file")
-    parser.add_argument("--jobs", type=int)
-    parser.set_defaults(**{**_COMMON_DEFAULTS, **defaults})
+def _subcommand(sub, name, func, flags, help, **defaults):
+    """A subparser with the named shared flags plus --out and --config;
+    `defaults` override the built-in defaults."""
+    p = sub.add_parser(name, help=help, allow_abbrev=False)
+    for flag in flags:
+        p.add_argument(f"--{flag}", **_FLAGS[flag])
+    p.add_argument("--out", type=str)
+    p.add_argument("--config", type=str, help="JSON config file")
+    p.set_defaults(func=func, **defaults)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,52 +237,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gamma", help="decoherence exponent Gamma(t)")
-    _add_common(p)
+    p = _subcommand(sub, "gamma", _cmd_gamma, _SPECTRUM + _QUAD + ("format",),
+                    "decoherence exponent Gamma(t)")
+    p.add_argument("--t", type=str, default="1", help="scalar or start:stop:count")
     p.add_argument("--modes-file", type=str, default=None,
                    help="CSV of discrete modes (omega,g_abs,theta)")
-    p.set_defaults(func=_cmd_gamma)
 
-    p = sub.add_parser("sweep", help="Cartesian parameter sweep")
-    _add_common(p)
+    p = _subcommand(sub, "sweep", _cmd_sweep, _SPECTRUM + _QUAD + ("t", "format", "jobs"),
+                    "Cartesian parameter sweep")
     p.add_argument("--sweep", action="append", required=True,
                    metavar="PARAM=START:STOP:COUNT")
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("figure", help="figure-preset data generation")
-    _add_common(p, t=None)  # without --t a preset keeps its own t axis or t
+    # a preset fixes its spectrum; without --t or --points it keeps its own axis
+    p = _subcommand(sub, "figure", _cmd_figure, _QUAD + ("format", "jobs"),
+                    "figure-preset data generation")
     p.add_argument("id", choices=sorted(FIGURE_PRESETS))
-    p.add_argument("--points", type=int, default=None,
-                   help="override the preset axis sample count")
-    p.set_defaults(func=_cmd_figure)
+    axis = p.add_mutually_exclusive_group()
+    axis.add_argument("--t", type=str, help="scalar or start:stop:count; fig1a, fig2 only")
+    axis.add_argument("--points", type=_positive_int,
+                      help="override the preset axis sample count")
 
-    p = sub.add_parser("optimize", help="minimize Gamma over tau and/or theta")
-    _add_common(p)
+    p = _subcommand(sub, "optimize", _cmd_optimize, _SPECTRUM + _QUAD + ("t",),
+                    "minimize Gamma over tau and/or theta")
     p.add_argument("--free", action="append", choices=("tau", "theta"), required=True)
     p.add_argument("--tau-bounds", type=str, default="0:20", metavar="LO:HI")
     p.add_argument("--theta-bounds", type=str, default=f"0:{PI}", metavar="LO:HI")
-    p.add_argument("--grid-points", type=int, default=64)
-    p.set_defaults(func=_cmd_optimize)
+    p.add_argument("--grid-points", type=_positive_int, default=64)
 
-    p = sub.add_parser("crossover", help="tau* with Gamma(tau*) = Gamma(0)")
-    _add_common(p)
+    p = _subcommand(sub, "crossover", _cmd_crossover, _SPECTRUM[1:] + _QUAD + ("t",),
+                    "tau* with Gamma(tau*) = Gamma(0)")
     p.add_argument("--tau-max", type=float, default=4.0)
-    p.set_defaults(func=_cmd_crossover)
 
-    p = sub.add_parser("concurrence", help="concurrence and EoF from gamma")
-    _add_common(p)
+    p = _subcommand(sub, "concurrence", _cmd_concurrence, ("format",),
+                    "concurrence and EoF from gamma")
     p.add_argument("--gamma", type=float, required=True)
-    p.set_defaults(func=_cmd_concurrence)
 
-    p = sub.add_parser("oracle", help="exact truncated-Fock validation report")
-    _add_common(p, **_ORACLE_DEFAULTS)
+    # a high-temperature continuum default would need astronomically large
+    # Fock truncations, so the validation command has its own defaults
+    p = _subcommand(sub, "oracle", _cmd_oracle, ("tau", "theta", "temp"),
+                    "exact truncated-Fock validation report",
+                    tau=0.2, theta=PI / 2, temp=1.0)
     p.add_argument("--omega", type=float, default=1.0)
     p.add_argument("--g-abs", type=float, default=0.1)
     p.add_argument("--t-max", type=float, default=20.0)
-    p.add_argument("--num-times", type=int, default=101)
+    p.add_argument("--num-times", type=_positive_int, default=101)
     p.add_argument("--fock-dim", type=int, default=40)
     p.add_argument("--dim-budget", type=int, default=6400)
-    p.set_defaults(func=_cmd_oracle)
 
     return parser
 

@@ -95,6 +95,8 @@ class QuadratureSpec:
         require_finite(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
         if self.omega_max is not None:
             require_finite(omega_max=self.omega_max)
+            if self.omega_max <= 0:
+                raise ValueError(f"omega_max must be > 0, got {self.omega_max}")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be > 0")
         if self.min_panels_per_oscillation < 4:

@@ -28,6 +28,8 @@ def _gamma_rows(points: list[dict], columns: list[str], quad: QuadratureSpec, jo
 
     Points that differ only in theta share one gamma_continuum_thetas
     call; with jobs > 1 the process pool maps these groups."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     points = [{"tau": 0.0, "theta": 0.0, **p} for p in points]
     groups: dict[tuple[OhmicSpectrum, float], list[int]] = {}
     for i, p in enumerate(points):
@@ -37,7 +39,7 @@ def _gamma_rows(points: list[dict], columns: list[str], quad: QuadratureSpec, jo
     times = [t for _, t in groups]
     thetas = [[points[i]["theta"] for i in members] for members in groups.values()]
     quads = [quad] * len(groups)
-    if jobs and jobs > 1:
+    if jobs > 1:
         # about eight chunks per worker, so that no worker idles long at the end
         chunksize = max(1, len(groups) // (8 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -187,6 +189,8 @@ def optimize(fixed: OhmicSpectrum, free: list[str], t: float, bounds: dict,
     """
     if not free:
         raise ValueError("free parameter set must be nonempty")
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     for name in free:
         if name not in ("tau", "theta"):
             raise ValueError(f"cannot optimize over {name!r}")
@@ -204,7 +208,7 @@ def optimize(fixed: OhmicSpectrum, free: list[str], t: float, bounds: dict,
     # joint coarse scan: one gamma_continuum_thetas call per tau serves the
     # theta axis; the points are then logged in the order of the free axes
     axes = {name: np.linspace(bounds[name][0], bounds[name][1],
-                              max(grid_points, 2) if bounds[name][0] != bounds[name][1] else 1)
+                              grid_points if bounds[name][0] != bounds[name][1] else 1)
             for name in free}
     scan = {"tau": [fixed.tau], "theta": [fixed.theta]}
     scan.update({name: [float(v) for v in axes[name]] for name in free})
@@ -242,6 +246,8 @@ def crossover(fixed: OhmicSpectrum, t: float, quad: QuadratureSpec,
               tau_max: float = 4.0, scan_points: int = 41, tol: float = 1e-3):
     """Smallest tau* > 0 with Gamma(tau*) = Gamma(0), by scan + bisection;
     None when Gamma(tau) - Gamma(0) never changes sign on (0, tau_max]."""
+    if not 0.0 < tau_max < math.inf:
+        raise ValueError(f"tau_max must be finite and > 0, got {tau_max}")
 
     def g(tau):
         return gamma_continuum_nh(replace(fixed, tau=tau), t, quad)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Coupling, QubitSystem
+from .core import Coupling, QubitSystem, require_finite
 
 
 @dataclass(frozen=True)
@@ -245,6 +245,17 @@ def certify(
     cannot truncate the thermal state (see unreachable_fock_dim), the
     report is non-converged at once, without exact evolution."""
     from .core import BathMode, DiscreteBath, gamma_discrete
+
+    # checked before any work: a non-finite time or coupling would keep
+    # exact_dephasing_converged doubling the Fock dimension to its budget
+    require_finite(omega=omega, tau=tau, theta=theta, g_abs=g_abs, temperature=temperature,
+                   t_max=t_max)
+    if temperature < 0:
+        raise ValueError(f"temperature must be >= 0, got {temperature}")
+    if t_max < 0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    if num_times < 1:
+        raise ValueError(f"num_times must be >= 1, got {num_times}")
 
     spec_mode = TruncatedMode(omega, tau, spectrum_fock_dim)
     residuals, _ = spectrum_residuals(spec_mode)

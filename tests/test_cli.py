@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -491,3 +492,96 @@ class TestExitCodesAndConfig:
     def test_non_finite_input_is_a_usage_error(self, tmp_path, argv):
         code, _ = run_cli(tmp_path, *argv)
         assert code == 2
+
+
+class TestFlagsPerSubcommand:
+    """Each subcommand takes only the flags its handler reads."""
+
+    BASE = {
+        "gamma": ("gamma",),
+        "figure": ("figure", "fig3b"),
+        "optimize": ("optimize", "--free", "tau"),
+        "crossover": ("crossover",),
+        "concurrence": ("concurrence", "--gamma", "0.5"),
+        "oracle": ("oracle",),
+    }
+    VALUES = {"tau": "1", "theta": "1", "A": "1", "cutoff": "0.1", "temp": "1", "t": "1",
+              "rel-tol": "1e-8", "abs-tol": "1e-12", "max-subdivisions": "1000",
+              "format": "json", "jobs": "1"}
+    # once accepted and ignored: a preset fixes its spectrum, optimize and
+    # crossover always print JSON, crossover scans tau itself, and so on
+    DROPPED = (
+        [("gamma", "jobs")]
+        + [("figure", f) for f in ("tau", "theta", "A", "cutoff", "temp")]
+        + [("optimize", f) for f in ("jobs", "format")]
+        + [("crossover", f) for f in ("tau", "jobs", "format")]
+        + [("concurrence", f) for f in ("tau", "theta", "A", "cutoff", "temp", "t", "rel-tol",
+                                         "abs-tol", "max-subdivisions", "jobs")]
+        + [("oracle", f) for f in ("A", "cutoff", "t", "rel-tol", "abs-tol",
+                                    "max-subdivisions", "format", "jobs")]
+    )
+
+    @pytest.mark.parametrize("command, flag", DROPPED)
+    def test_dropped_flag_is_a_usage_error(self, command, flag, capsys):
+        assert exit_code(*self.BASE[command], f"--{flag}", self.VALUES[flag]) == 2
+        assert f"--{flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", DROPPED)
+    def test_dropped_config_key_is_a_usage_error(self, command, flag, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag: self.VALUES[flag]}))
+        assert exit_code(*self.BASE[command], "--config", str(cfg)) == 2
+        assert repr(flag) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("figure", "fig1b", "--t", "0:20:3"), "--t"),
+        (("figure", "fig3a", "--t", "0:20:3"), "--t"),
+        (("figure", "fig3b", "--t", "2"), "--t"),
+        (("figure", "fig4", "--t", "2"), "--t"),
+        (("figure", "fig2", "--t", "0:2:3", "--points", "3"), "--points"),
+    ])
+    def test_figure_rejects_flags_its_preset_would_drop(self, argv, flag, capsys):
+        assert exit_code(*argv) == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, name", [
+        (("figure", "fig3b", "--points", "0"), "--points"),
+        (("optimize", "--free", "tau", "--grid-points", "0"), "--grid-points"),
+        (("optimize", "--free", "tau", "--grid-points", "1"), "grid_points"),
+        (("sweep", "--sweep", "tau=0:1:2", "--jobs", "0"), "--jobs"),
+        (("figure", "fig3b", "--jobs", "-1"), "--jobs"),
+        (("oracle", "--num-times", "0"), "--num-times"),
+        (("crossover", "--tau-max", "0"), "tau_max"),
+        (("crossover", "--tau-max", "-4"), "tau_max"),
+        (("sweep", "--sweep", "tau=0:1:2", "--t", "0:20:5"), "--t"),
+        (("optimize", "--free", "tau", "--t", "0:20:5"), "--t"),
+        (("crossover", "--t", "0:20:5"), "--t"),
+    ])
+    def test_emptied_clamped_or_truncated_input_is_a_usage_error(self, argv, name, capsys):
+        assert exit_code(*argv) == 2
+        assert name in capsys.readouterr().err
+
+    def test_drivers_reject_what_they_used_to_clamp(self):
+        quad, spec = QuadratureSpec(), OhmicSpectrum(1.0, 0.1)
+        with pytest.raises(ValueError, match="grid_points"):
+            optimize(spec, ["tau"], 1.0, {"tau": (0.0, 1.0)}, quad, grid_points=1)
+        with pytest.raises(ValueError, match="jobs"):
+            run_figure(FIGURE_PRESETS["fig3b"], quad, jobs=0, axis_values=[0.0])
+        with pytest.raises(ValueError, match="tau_max"):
+            crossover(spec, 1.0, quad, tau_max=-4.0)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_oracle_non_finite_t_max_fails_fast(self, value, capsys):
+        start = time.perf_counter()
+        assert exit_code("oracle", "--t-max", value) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "t_max" in capsys.readouterr().err
+
+    def test_readme_cli_lines_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("ptbath ")]
+        assert {line.split()[1] for line in lines} == {*self.BASE, "sweep"}
+        parser = cli.build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line)[1:])

@@ -440,3 +440,8 @@ class TestQuadratureSpec:
             QuadratureSpec(**{field: math.nan})
         with pytest.raises(ValueError, match=field):
             QuadratureSpec(**{field: math.inf})
+
+    @pytest.mark.parametrize("omega_max", [0.0, -1.0])
+    def test_quadrature_rejects_non_positive_omega_max(self, omega_max):
+        with pytest.raises(ValueError, match="omega_max must be > 0"):
+            QuadratureSpec(omega_max=omega_max)

@@ -219,3 +219,22 @@ class TestCertify:
                                 "dephasing_max_error", "fock_dim_used", "converged"}
         assert isinstance(payload["spectrum_residuals"], list)
         assert isinstance(payload["converged"], bool)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"t_max": math.nan}, "t_max"),
+        ({"t_max": math.inf}, "t_max"),
+        ({"t_max": -1.0}, "t_max"),
+        ({"omega": math.nan}, "omega"),
+        ({"tau": math.inf}, "tau"),
+        ({"theta": math.nan}, "theta"),
+        ({"g_abs": math.nan}, "g_abs"),
+        ({"temperature": math.inf}, "temperature"),
+        ({"temperature": -1.0}, "temperature"),
+        ({"num_times": 0}, "num_times"),
+    ])
+    def test_rejects_bad_input_before_any_work(self, kwargs, name):
+        # a NaN time used to keep doubling the Fock dimension for 96 s
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=name):
+            certify(**kwargs)
+        assert time.perf_counter() - start < 1.0
