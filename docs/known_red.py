@@ -5,8 +5,10 @@
 Prints, in order: the exact truncated-Fock check of the single-mode closed
 form the continuum is built from (`oracle.certify`); the crossings
 Gamma(tau*) = Gamma(0) that criterion 8 asserts do not exist where it
-expects them (`drivers.crossover`, theta = 2 pi/3); and the ratio
-Gamma(tau=20)/Gamma(0) that criterion 9 bounds by 0.05 (theta = pi/2).
+expects them (`drivers.crossover`, theta = 2 pi/3); the ratio
+Gamma(tau=20)/Gamma(0) that criterion 9 bounds by 0.05 (theta = pi/2); and
+the same two criteria under another reading of the conventions, tau in
+frequency units (tau/w per mode), which is ruled out.
 See docs/known_red.md for how to read them.  Takes a few seconds.
 """
 
@@ -22,7 +24,10 @@ from ptbath.continuum import (
     QuadratureSpec,
     gamma_continuum_nh,
     gamma_hermitian,
+    integrate_adaptive,
+    spectral_density,
 )
+from ptbath.core import coth, dephasing_kernel
 from ptbath.drivers import crossover
 from ptbath.oracle import certify
 
@@ -64,11 +69,56 @@ def criterion_9(quad: QuadratureSpec) -> None:
         print(f"  t={t:g}: " + ", ".join(line))
 
 
+def kernel_tau_over_omega(w, theta, tau, t, temperature):
+    """core.dephasing_kernel with weight 1 and tau read in frequency units,
+    tau/w for the mode at w, written out with Omega = w sqrt(1 + 4 (tau/w)^2)
+    so that it takes a different tau at every node."""
+    te = tau / w
+    om = w * np.sqrt(1.0 + 4.0 * te * te)
+    s, s2 = np.sin(om * t), np.sin(0.5 * om * t) ** 2
+    sc, c2 = math.sin(theta) * math.cos(theta), math.cos(theta) ** 2
+    xi2 = (om * om * s * s + 16.0 * te * te * w * om * sc * s * s2
+           + 4.0 * w * w * s2 * s2 * (1.0 + 8.0 * te * te * (1.0 + 2.0 * te * te) * c2)) / om**4
+    return 2.0 * xi2 * coth(w / (2.0 * temperature))
+
+
+def gamma_tau_over_omega(theta, tau, t, eps, quad):
+    """The Ohmic integral from eps to 60 cutoff of that kernel, over u = ln w."""
+    lam, T = FIG["cutoff"], FIG["temperature"]
+
+    def f(u):
+        w = np.exp(u)
+        return w * spectral_density(w, FIG["amplitude"], lam) * kernel_tau_over_omega(
+            w, theta, tau, t, T)
+
+    # the phase t sqrt(w^2 + 4 tau^2) turns at most t * 60 cutoff per unit u
+    width = 2.0 * math.pi / (8.0 * max(t, 1.0) * 60.0 * lam)
+    return integrate_adaptive(f, math.log(eps), math.log(60.0 * lam), quad, width)
+
+
+def tau_over_omega(quad: QuadratureSpec) -> None:
+    print("ruled out: tau in frequency units, tau_eff = tau/w for the mode at w")
+    w = np.array([1e-3, 0.05, 0.7])
+    ref = [dephasing_kernel(x, 1.0, 2 * PI / 3, 1.0 / x, 120.0, 300.0) for x in w]
+    diff = np.max(np.abs(kernel_tau_over_omega(w, 2 * PI / 3, 1.0, 120.0, 300.0) / ref - 1))
+    print(f"  the kernel above equals core.dephasing_kernel at tau/w to {diff:.1e}")
+    line = [f"eps={eps:g}: {gamma_tau_over_omega(2 * PI / 3, 1.0, 120.0, eps, quad):.3g}"
+            for eps in (1e-3, 1e-5, 1e-7)]
+    print("  theta = 2 pi/3, tau=1, t=120, integral from eps to 60 cutoff: " + ", ".join(line))
+    print("  (grows like 1/eps: Gamma is infinite for every tau != 0, so criterion 8's")
+    print("  finite crossing cannot exist)")
+    for t in (2.0, 120.0):
+        g0 = gamma_hermitian(1.0, 0.1, 300.0, t, quad)
+        g = gamma_tau_over_omega(PI / 2, 20.0, t, 1e-7, quad)
+        print(f"  theta = pi/2, t={t:g}: Gamma(tau=20)/Gamma(0) = {g / g0:.2e}")
+
+
 def main() -> None:
     quad = QuadratureSpec()
     oracle_section()
     criterion_8(quad)
     criterion_9(quad)
+    tau_over_omega(quad)
 
 
 if __name__ == "__main__":

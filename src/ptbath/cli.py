@@ -43,16 +43,32 @@ def _fmt(x: float) -> str:
 
 
 def _parse_range(text: str) -> np.ndarray:
-    """Scalar or start:stop:count."""
+    """argparse type of a scalar or start:stop:count."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ValueError(f"expected start:stop:count, got {text!r}")
+            raise argparse.ArgumentTypeError(f"expected start:stop:count, got {text!r}")
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 1:
-            raise ValueError("count must be >= 1")
+            raise argparse.ArgumentTypeError(f"count must be >= 1, got {text!r}")
         return np.linspace(start, stop, count)
     return np.array([float(text)])
+
+
+def _sweep_axis(text: str) -> tuple[str, np.ndarray]:
+    """argparse type of --sweep: name=start:stop:count."""
+    if "=" not in text:
+        raise argparse.ArgumentTypeError(f"expected name=start:stop:count, got {text!r}")
+    name, rng = text.split("=", 1)
+    return name, _parse_range(rng)
+
+
+def _bounds(text: str) -> tuple[float, float]:
+    """argparse type of the LO:HI search bounds."""
+    parts = text.split(":")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}")
+    return float(parts[0]), float(parts[1])
 
 
 def _quad_from_args(args) -> QuadratureSpec:
@@ -90,7 +106,7 @@ def _write_table(columns, rows, out, fmt):
 
 
 def _cmd_gamma(args) -> int:
-    times = [float(t) for t in _parse_range(args.t)]
+    times = [float(t) for t in args.t]
     if args.modes_file:
         bath = load_bath_csv(args.modes_file, temperature=args.temp, tau=args.tau)
         gammas = [gamma_discrete(bath, t) for t in times]
@@ -104,17 +120,11 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    grids = []
-    for spec_text in args.sweep:
-        if "=" not in spec_text:
-            raise ValueError(f"expected name=start:stop:count, got {spec_text!r}")
-        name, rng = spec_text.split("=", 1)
-        grids.append((name, _parse_range(rng)))
     fixed = {
         "amplitude": args.A, "cutoff": args.cutoff, "theta": args.theta,
         "temp": args.temp, "tau": args.tau, "t": args.t,
     }
-    columns, rows = run_sweep(fixed, grids, _quad_from_args(args), jobs=args.jobs)
+    columns, rows = run_sweep(fixed, args.sweep, _quad_from_args(args), jobs=args.jobs)
     _write_table(columns, rows, args.out, args.format)
     return EXIT_OK
 
@@ -124,7 +134,7 @@ def _cmd_figure(args) -> int:
     axis_name, axis = preset.axis
     if args.t is not None and axis_name != "t":
         raise ValueError(f"--t: {args.id} runs over {axis_name}, not t; use --points")
-    axis_values = None if args.t is None else _parse_range(args.t)
+    axis_values = args.t
     if args.points is not None:  # --points and --t exclude each other
         axis_values = np.linspace(axis[0], axis[-1], args.points)
     columns, rows = run_figure(preset, _quad_from_args(args), jobs=args.jobs,
@@ -135,11 +145,7 @@ def _cmd_figure(args) -> int:
 
 def _cmd_optimize(args) -> int:
     fixed = OhmicSpectrum(args.A, args.cutoff, args.theta, args.temp, args.tau)
-    bounds = {}
-    if "tau" in args.free:
-        bounds["tau"] = tuple(float(v) for v in args.tau_bounds.split(":"))
-    if "theta" in args.free:
-        bounds["theta"] = tuple(float(v) for v in args.theta_bounds.split(":"))
+    bounds = {name: getattr(args, f"{name}_bounds") for name in args.free}
     argmin, g_min = optimize(fixed, list(args.free), args.t, bounds, _quad_from_args(args),
                              grid_points=args.grid_points)
     _emit_json({"argmin": {k: float(_fmt(v)) for k, v in argmin.items()},
@@ -239,13 +245,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _subcommand(sub, "gamma", _cmd_gamma, _SPECTRUM + _QUAD + ("format",),
                     "decoherence exponent Gamma(t)")
-    p.add_argument("--t", type=str, default="1", help="scalar or start:stop:count")
+    p.add_argument("--t", type=_parse_range, default="1", help="scalar or start:stop:count")
     p.add_argument("--modes-file", type=str, default=None,
                    help="CSV of discrete modes (omega,g_abs,theta)")
 
     p = _subcommand(sub, "sweep", _cmd_sweep, _SPECTRUM + _QUAD + ("t", "format", "jobs"),
                     "Cartesian parameter sweep")
-    p.add_argument("--sweep", action="append", required=True,
+    p.add_argument("--sweep", type=_sweep_axis, action="append", required=True,
                    metavar="PARAM=START:STOP:COUNT")
 
     # a preset fixes its spectrum; without --t or --points it keeps its own axis
@@ -253,15 +259,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "figure-preset data generation")
     p.add_argument("id", choices=sorted(FIGURE_PRESETS))
     axis = p.add_mutually_exclusive_group()
-    axis.add_argument("--t", type=str, help="scalar or start:stop:count; fig1a, fig2 only")
+    axis.add_argument("--t", type=_parse_range,
+                      help="scalar or start:stop:count; fig1a, fig2 only")
     axis.add_argument("--points", type=_positive_int,
                       help="override the preset axis sample count")
 
     p = _subcommand(sub, "optimize", _cmd_optimize, _SPECTRUM + _QUAD + ("t",),
                     "minimize Gamma over tau and/or theta")
     p.add_argument("--free", action="append", choices=("tau", "theta"), required=True)
-    p.add_argument("--tau-bounds", type=str, default="0:20", metavar="LO:HI")
-    p.add_argument("--theta-bounds", type=str, default=f"0:{PI}", metavar="LO:HI")
+    p.add_argument("--tau-bounds", type=_bounds, default="0:20", metavar="LO:HI")
+    p.add_argument("--theta-bounds", type=_bounds, default=f"0:{PI}", metavar="LO:HI")
     p.add_argument("--grid-points", type=_positive_int, default=64)
 
     p = _subcommand(sub, "crossover", _cmd_crossover, _SPECTRUM[1:] + _QUAD + ("t",),

@@ -11,11 +11,12 @@ converge raises, never returns a best-effort number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import check_time, coth, dephasing_terms, require_finite
+from .core import check_time, coth, dephasing_bound, dephasing_terms, require_finite
 
 # QUADPACK QK15 (Piessens et al., QUADPACK, Springer 1983): the 15-point
 # Kronrod abscissae xgk on [0, 1) with weights wgk; xgk[1::2] are the
@@ -83,6 +84,9 @@ class QuadratureSpec:
 
     abs_tol is applied per unit frequency so panel acceptance is purely
     local; extending omega_max leaves the shared panels untouched.
+    omega_max ends the start grid; start panels beyond the Ohmic tail's
+    cut-off, where a bound of the integrand (core.dephasing_bound) is at
+    most abs_tol/2, are accepted as 0 without being evaluated.
     """
 
     rel_tol: float = 1e-8
@@ -220,7 +224,7 @@ def _node_sum(terms: np.ndarray) -> np.ndarray:
 
 
 def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_width: float,
-                       params=None, outputs: int | None = None):
+                       params=None, outputs: int | None = None, bound=None):
     """Globally adaptive nested Gauss-Kronrod G7/K15 quadrature of one
     integrand, or of several over one shared subdivision.
 
@@ -237,6 +241,16 @@ def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_widt
     summed in order of left edge as one array.  A panel's K15 and G7 are
     elementwise functions of its own nodes, so an output's integral is
     bit for bit the same alone, in any group and at any block size.
+
+    bound, if given, maps the left edges of the n start panels to an
+    (outputs, n) array (n values without outputs) that bounds |f| over
+    each panel.  A start panel whose bound is <= abs_tol/2 is accepted for
+    that output with value 0 without being evaluated: its K15 and G7 lie
+    within abs_tol * width / 2 of 0, so it would pass the test above, and
+    the value left out is below abs_tol * width / 2.  A panel no output
+    needs is never evaluated; a NaN bound keeps the panel open.  The
+    bound is per output, so grouped and single integrals still agree bit
+    for bit.
     Raises QuadratureError, before allocating anything, when the start grid
     alone needs more than max_subdivisions panels, and when bisection for
     any one output exceeds max_subdivisions.
@@ -254,7 +268,12 @@ def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_widt
     edges = _initial_edges(lo, hi, panel_width)
     a, b = edges[:-1], edges[1:]
     open_ = np.ones((k, a.size), dtype=bool)  # the outputs each panel is open for
-    kept_left, kept_val, kept_ok = [], [], []
+    if bound is not None:
+        # a NaN bound compares False and keeps its panel open
+        open_ = ~(np.reshape(bound(a), (k, a.size)) <= 0.5 * quad.abs_tol)
+        needed = open_.any(axis=0)
+        a, b, open_ = a[needed], b[needed], open_[:, needed]
+    kept_left, kept_val, kept_ok = [np.empty(0)], [np.empty((k, 0))], [np.zeros((k, 0), bool)]
     n_subdiv = np.zeros(k, dtype=np.int64)
     while a.size:
         split_a, split_b, split_open = [], [], []
@@ -302,6 +321,23 @@ def _panel_width(cutoff: float, t: float, tau: float, quad: QuadratureSpec) -> f
     return min(cutoff / 2.0, 2.0 * math.pi / (quad.min_panels_per_oscillation * rate))
 
 
+def _tail_bound(spec: OhmicSpectrum, thetas):
+    """The engine's bound for gamma_integrand_nh at each phase in thetas:
+    core.dephasing_bound against J(w), one row per phase.  J(w)/w^2 =
+    A e^{-w/cutoff}/w falls with w, so its value at a panel's left edge
+    bounds the panel.  At w = 0 it is NaN or inf, which keeps the first
+    panel open."""
+    factors = np.array([_phase_factors(th) for th in thetas]).reshape(-1, 2)
+    sc, c2 = factors[:, :1], factors[:, 1:]
+
+    def bound(a):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return dephasing_bound(a, spectral_density(a, spec.amplitude, spec.cutoff),
+                                   spec.tau, spec.temperature, sc, c2)
+
+    return bound
+
+
 def _gamma_nh(spec: OhmicSpectrum, t: float, quad: QuadratureSpec | None, thetas):
     # thetas None: a float at spec.theta; otherwise an array, one per phase
     check_time(t)
@@ -311,20 +347,33 @@ def _gamma_nh(spec: OhmicSpectrum, t: float, quad: QuadratureSpec | None, thetas
     hi = quad.omega_max if quad.omega_max is not None else 60.0 * spec.cutoff
     width = _panel_width(spec.cutoff, t, spec.tau, quad)
     params = {"spec": spec, "t": t}
+    # Gamma is linear in the amplitude A: the integral runs at A = 1 with
+    # abs_tol / A, the same acceptance tests scaled by 1/A, so that a large
+    # A cannot overflow the kernel; the result is scaled back
+    amp = spec.amplitude
+    unit = replace(spec, amplitude=1.0)
+    unit_quad = replace(quad, abs_tol=min(quad.abs_tol / amp, sys.float_info.max))
     if thetas is None:
-        total = integrate_adaptive(lambda w: gamma_integrand_nh(w, spec, t), 0.0, hi, quad,
-                                   width, params=params)
-        return max(total, 0.0)
-    # the engine keeps a value per panel and phase until its final sum, so
-    # a large group is split to keep those bounded too
-    step = max(1, int(_RECORD_VALUES * width / hi))
-    totals = []
-    for i in range(0, len(thetas), step):
-        part = thetas[i:i + step]
-        totals.append(integrate_adaptive(
-            lambda w: gamma_integrand_nh(w, spec, t, part), 0.0, hi, quad, width,
-            params={**params, "thetas": part}, outputs=len(part)))
-    return np.maximum(np.concatenate(totals), 0.0)
+        totals = [max(integrate_adaptive(
+            lambda w: gamma_integrand_nh(w, unit, t), 0.0, hi, unit_quad, width,
+            params=params, bound=_tail_bound(unit, [spec.theta])), 0.0)]
+    else:
+        # the engine keeps a value per panel and phase until its final sum,
+        # so a large group is split to keep those bounded too
+        step = max(1, int(_RECORD_VALUES * width / hi))
+        parts = []
+        for i in range(0, len(thetas), step):
+            part = thetas[i:i + step]
+            parts.append(integrate_adaptive(
+                lambda w: gamma_integrand_nh(w, unit, t, part), 0.0, hi, unit_quad, width,
+                params={**params, "thetas": part}, outputs=len(part),
+                bound=_tail_bound(unit, part)))
+        totals = np.maximum(np.concatenate(parts), 0.0)
+    with np.errstate(over="ignore"):
+        totals = amp * np.asarray(totals)
+    if not np.isfinite(totals).all():
+        raise ValueError(f"amplitude {amp:g} (--A) makes Gamma({t:g}) overflow a float")
+    return float(totals[0]) if thetas is None else totals
 
 
 def gamma_continuum_nh(spec: OhmicSpectrum, t: float, quad: QuadratureSpec | None = None) -> float:

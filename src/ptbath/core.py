@@ -218,6 +218,25 @@ def dephasing_terms(w, weight, tau: float, t: float, temperature: float):
     return t0, t1, t2
 
 
+def dephasing_bound(w, weight, tau: float, temperature: float, sin_cos, cos2):
+    """An upper bound of the dephasing kernel at phase coefficients
+    sin_cos = sin(phi) cos(phi) and cos2 = cos^2(phi), elementwise over
+    w > 0 and broadcast over the coefficients.
+
+    Every sine in dephasing_terms is at most 1 in magnitude, so with p as
+    there T0 <= p (r^2 + 4), |T1| <= 16 tau^2 r p and 0 <= T2 <= 32 tau^2
+    (1 + 2 tau^2) p, and the kernel is at most p K with
+    K = r^2 + 4 + |sin_cos| 16 tau^2 r + cos2 32 tau^2 (1 + 2 tau^2).
+    Since e^{2y} - 1 >= 2y, coth y <= 1 + 1/y, so the bound is
+    2 K weight (1 + 2T/w) / (r^4 w^2); T = 0 gives coth = 1 exactly.
+    """
+    tau2 = tau * tau
+    r2 = 1.0 + 4.0 * tau2
+    k = (r2 + 4.0 + np.abs(sin_cos) * (16.0 * tau2 * math.sqrt(r2))
+         + cos2 * (32.0 * tau2 * (1.0 + 2.0 * tau2)))
+    return k * ((2.0 / (r2 * r2)) * weight * (1.0 + 2.0 * temperature / w) / (w * w))
+
+
 def dephasing_kernel(w, weight, phase, tau: float, t: float, temperature: float):
     """weight * 2 |xi_w(t)|^2 coth(w/2T) for a unit coupling of phase
     `phase`, elementwise over w > 0 (and over array weights and phases).

@@ -432,6 +432,17 @@ class TestExitCodesAndConfig:
         assert time.perf_counter() - start < 1.0
         assert "start grid needs" in capsys.readouterr().err
 
+    def test_large_amplitude_is_scaled_not_overflowed(self, tmp_path, capsys):
+        # Gamma is linear in A: 3.38e4 per unit amplitude at these defaults
+        for amp, gamma in [("1e290", "3.38298836827e+294"), ("1e299", "3.38298836827e+303"),
+                           ("1e300", "3.38298836827e+304")]:
+            code, text = run_cli(tmp_path, "gamma", "--A", amp, "--t", "20")
+            assert code == 0
+            assert text.splitlines()[1].split(",")[1] == gamma
+        # a Gamma beyond the float range is a usage error naming the flag
+        assert exit_code("gamma", "--A", "1e305", "--t", "20") == 2
+        assert "--A" in capsys.readouterr().err
+
     def test_invalid_arguments_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["gamma", "--format", "xml"])
@@ -556,6 +567,15 @@ class TestFlagsPerSubcommand:
         (("sweep", "--sweep", "tau=0:1:2", "--t", "0:20:5"), "--t"),
         (("optimize", "--free", "tau", "--t", "0:20:5"), "--t"),
         (("crossover", "--t", "0:20:5"), "--t"),
+        (("optimize", "--free", "tau", "--tau-bounds", "0:20:5"), "--tau-bounds"),
+        (("optimize", "--free", "tau", "--tau-bounds", "5"), "--tau-bounds"),
+        (("optimize", "--free", "theta", "--theta-bounds", "0:1:2"), "--theta-bounds"),
+        (("optimize", "--free", "theta", "--theta-bounds", "1"), "--theta-bounds"),
+        (("gamma", "--t", "0:1:-1"), "--t"),
+        (("gamma", "--t", "0:1"), "--t"),
+        (("figure", "fig2", "--t", "0:1:0"), "--t"),
+        (("sweep", "--sweep", "tau=0:1:0"), "--sweep"),
+        (("sweep", "--sweep", "tau"), "--sweep"),
     ])
     def test_emptied_clamped_or_truncated_input_is_a_usage_error(self, argv, name, capsys):
         assert exit_code(*argv) == 2

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from ptbath.continuum import (
     _NODES,
     _WEIGHTS,
     _node_sum,
+    _panel_width,
+    _tail_bound,
     OhmicSpectrum,
     QuadratureError,
     QuadratureSpec,
@@ -410,6 +413,133 @@ class TestGroupedThetas:
         assert np.array_equal(_node_sum(terms), loop)
         for j in range(9):
             assert np.array_equal(_node_sum(terms[:, :, j:j + 1])[:, 0], loop[:, j])
+
+
+class TestTailBound:
+    """Start panels that core.dephasing_bound puts below abs_tol/2 are
+    accepted as 0 without being evaluated."""
+
+    def test_integrand_never_exceeds_the_bound(self):
+        rng = np.random.default_rng(29)
+        thetas = list(np.linspace(0.0, 2.0 * math.pi, 13)) + list(rng.uniform(-7, 7, 4))
+        for _ in range(40):
+            lam = math.exp(rng.uniform(math.log(0.02), 0.0))
+            spec = OhmicSpectrum(1.0, lam, 0.0, float(rng.choice([0.0, 0.05, 1.0, 300.0])),
+                                 rng.uniform(-20.0, 20.0))
+            t = math.exp(rng.uniform(math.log(0.01), math.log(300.0)))
+            w = np.concatenate([np.geomspace(1e-8, lam, 2000),
+                                np.linspace(lam, 60.0 * lam, 20000)])
+            bound = _tail_bound(spec, thetas)(w)
+            values = gamma_integrand_nh(w, spec, t, thetas)
+            assert np.all(values <= bound * (1.0 + 1e-13))
+            # falling in w, so a panel's left edge bounds the whole panel
+            assert np.all(np.diff(bound, axis=1) <= 0.0)
+
+    @pytest.mark.parametrize("temperature", [0.0, 300.0])
+    def test_zero_frequency_panel_stays_open(self, temperature):
+        spec = OhmicSpectrum(1.0, 0.1, 0.5, temperature, 2.0)
+        assert not _tail_bound(spec, [0.5])(np.array([0.0]))[0, 0] <= 1e300
+        # the first panel holds most of Gamma at t = 120: were it accepted as
+        # 0, the result would be off by far more than abs_tol * 60 cutoff / 2
+        loose = QuadratureSpec(abs_tol=1e-3)
+        ref = continuum.integrate_adaptive(lambda w: gamma_integrand_nh(w, spec, 120.0),
+                                           0.0, 6.0, QuadratureSpec(rel_tol=1e-11),
+                                           _panel_width(0.1, 120.0, 2.0, loose))
+        assert abs(gamma_continuum_nh(spec, 120.0, loose) - ref) <= 1e-3 * 6.0 / 2.0
+
+    def test_nan_bound_keeps_the_panel_open(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.copy())
+            return np.ones_like(x)
+
+        def bound(a):
+            return np.where(a == 0.0, np.nan, 0.0)
+
+        quad = QuadratureSpec()
+        assert continuum.integrate_adaptive(f, 0.0, 1.0, quad, 0.25, bound=bound) == 0.25
+        assert len(calls) == 1 and calls[0].max() < 0.25
+
+    def test_all_panels_under_the_bound(self):
+        def f(x):
+            raise AssertionError("a panel under the bound was evaluated")
+
+        quad = QuadratureSpec()
+        assert continuum.integrate_adaptive(f, 0.0, 1.0, quad, 0.25,
+                                            bound=lambda a: np.zeros_like(a)) == 0.0
+        vals = continuum.integrate_adaptive(f, 0.0, 1.0, quad, 0.25, outputs=2,
+                                            bound=lambda a: np.zeros((2, a.size)))
+        assert np.array_equal(vals, [0.0, 0.0])
+
+    def test_grouped_equals_single_where_the_cut_offs_differ(self, monkeypatch):
+        sizes = count_integrand_points(monkeypatch)
+        thetas = [0.0, math.pi / 2, 2 * math.pi / 3]
+        spec = OhmicSpectrum(1.0, 0.1, 0.0, 300.0, 20.0)
+        grouped = gamma_continuum_thetas(spec, 120.0, thetas)
+        single_points = []
+        for theta, g in zip(thetas, grouped):
+            sizes.clear()
+            assert g == gamma_continuum_nh(replace(spec, theta=theta), 120.0)
+            single_points.append(sum(sizes))
+        assert len(set(single_points)) == 3
+
+    def test_bound_moves_the_result_by_at_most_the_skipped_tolerance(self):
+        rng = np.random.default_rng(30)
+        for _ in range(12):
+            spec = OhmicSpectrum(1.0, math.exp(rng.uniform(math.log(0.02), 0.0)),
+                                 rng.uniform(0.0, 2.0 * math.pi),
+                                 float(rng.choice([0.0, 1.0, 300.0])), rng.uniform(-4.0, 4.0))
+            t = math.exp(rng.uniform(math.log(0.1), math.log(50.0)))
+            quad = QuadratureSpec(abs_tol=10.0 ** rng.uniform(-14, -8))
+            hi, width = 60.0 * spec.cutoff, _panel_width(spec.cutoff, t, spec.tau, quad)
+            bound = _tail_bound(spec, [spec.theta])
+            left = continuum._initial_edges(0.0, hi, width)[:-1]
+            skipped = left[bound(left)[0] <= quad.abs_tol / 2.0]
+            assert skipped.size
+            cut = skipped.min()
+
+            def f(w):
+                return gamma_integrand_nh(w, spec, t)
+
+            with_bound = continuum.integrate_adaptive(f, 0.0, hi, quad, width, bound=bound)
+            without = continuum.integrate_adaptive(f, 0.0, hi, quad, width)
+            assert gamma_continuum_nh(spec, t, quad) == max(with_bound, 0.0)
+            assert abs(with_bound - without) <= (quad.abs_tol * (hi - cut) / 2.0
+                                                 + 8 * np.spacing(without))
+
+    def test_no_panel_under_the_bound_changes_nothing(self):
+        quad = QuadratureSpec(abs_tol=1e-300)
+        for spec, t in [(OhmicSpectrum(1.0, 0.1, 0.4, 300.0, 2.0), 20.0),
+                        (OhmicSpectrum(1.0, 0.3, 2.0, 0.0, -1.0), 3.0)]:
+            width = _panel_width(spec.cutoff, t, spec.tau, quad)
+            plain = continuum.integrate_adaptive(lambda w: gamma_integrand_nh(w, spec, t),
+                                                 0.0, 60.0 * spec.cutoff, quad, width)
+            assert gamma_continuum_nh(spec, t, quad) == plain
+
+    def test_large_t_integral_skips_more_than_half(self, monkeypatch):
+        # fig4's tau = 20, t = 120 point: 275,070 values on the full start grid
+        sizes = count_integrand_points(monkeypatch)
+        gamma_continuum_nh(OhmicSpectrum(1.0, 0.1, math.pi / 2, 300.0, 20.0), 120.0)
+        assert sum(sizes) <= 275_070 // 2
+
+
+class TestAmplitude:
+    def test_linear_in_amplitude(self):
+        spec = OhmicSpectrum(1.0, 0.1, 0.3, 300.0, 2.0)
+        unit = gamma_continuum_nh(spec, 20.0)
+        for amp in (1e-6, 0.1, 7.0, 1e299, 1e300):
+            g = gamma_continuum_nh(replace(spec, amplitude=amp), 20.0)
+            assert g == pytest.approx(amp * unit, rel=1e-12)
+        grouped = gamma_continuum_thetas(replace(spec, amplitude=1e300), 20.0, [0.3, 1.0])
+        assert grouped[0] == pytest.approx(1e300 * unit, rel=1e-12)
+
+    def test_overflowing_gamma_is_a_value_error(self):
+        spec = OhmicSpectrum(1e305, 0.1, 0.3, 300.0, 2.0)
+        with pytest.raises(ValueError, match="amplitude"):
+            gamma_continuum_nh(spec, 20.0)
+        with pytest.raises(ValueError, match="amplitude"):
+            gamma_continuum_thetas(spec, 20.0, [0.3, 1.0])
 
 
 class TestQuadratureSpec:
