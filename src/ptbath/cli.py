@@ -166,8 +166,8 @@ def _cmd_crossover(args) -> int:
 
 
 def _cmd_concurrence(args) -> int:
-    if args.gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {args.gamma}")
+    if not args.gamma >= 0:
+        raise ValueError(f"--gamma must be >= 0, got {args.gamma}")
     c = concurrence(dephased_bell(args.gamma)).concurrence
     ef = eof_from_concurrence(c)
     rows = [[args.gamma, c, ef]]
@@ -294,38 +294,58 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# namespace entries that are not options a config file may set
-_NOT_CONFIG_KEYS = {"command", "func", "config", "id"}
+def _subparser(parser, name: str):
+    """The parser of subcommand `name`, or None."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices.get(name)
+    return None
 
 
-def _apply_config(parser, argv: list[str], args) -> argparse.Namespace:
-    """Precedence: flags > config file > built-in defaults.
+def _with_config(parser, argv: list[str]) -> list[str]:
+    """argv with the --config file's entries as flags.  Precedence: flags >
+    config file > built-in defaults.
 
-    Each config entry becomes a `--key=value` flag placed before the
-    command line's own flags, so it goes through the flag's type and
-    choices and a later explicit flag overrides it.
+    Each entry becomes a `--key=value` flag placed before the command
+    line's own flags, so it goes through the flag's type and choices and a
+    later explicit flag overrides it.  The file is read before argparse
+    checks required flags, so it may give them.  A repeatable flag takes a
+    list, one flag per item, and is dropped when the command line gives
+    that flag itself.
     """
-    with open(args.config) as fh:
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config", nargs="?")
+    path = pre.parse_known_args(argv)[0].config
+    sub = None if path is None else _subparser(parser, argv[0])
+    if sub is None:
+        return argv  # no config, or argparse reports what is wrong
+    with open(path) as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
-        raise ValueError(f"config {args.config} must hold a JSON object")
+        raise ValueError(f"config {path} must hold a JSON object")
+    options = {a.dest: a for a in sub._actions
+               if a.option_strings and a.dest not in ("help", "config")}
     flags = []
     for key, value in config.items():
-        dest = key.replace("-", "_")
-        if dest in _NOT_CONFIG_KEYS or dest not in vars(args):
-            raise ValueError(f"config key {key!r} is not an option of {args.command!r}")
-        flags.append(f"--{dest.replace('_', '-')}={value}")
-    i = argv.index(args.command) + 1
-    return parser.parse_args(argv[:i] + flags + argv[i:])
+        action = options.get(key.replace("-", "_"))
+        if action is None:
+            raise ValueError(f"config key {key!r} is not an option of {argv[0]!r}")
+        flag = action.option_strings[0]
+        if isinstance(action, argparse._AppendAction):
+            if any(arg == flag or arg.startswith(flag + "=") for arg in argv):
+                continue
+            values = value if isinstance(value, list) else [value]
+        else:
+            values = [value]
+        flags.extend(f"{flag}={v}" for v in values)
+    return argv[:1] + flags + argv[1:]
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.config:
-            args = _apply_config(parser, argv, args)
+        args = parser.parse_args(_with_config(parser, argv))
         return args.func(args)
     except QuadratureError as exc:
         print(f"error: {exc} (params: {exc.params})", file=sys.stderr)

@@ -66,6 +66,7 @@ class Coupling:
     phase: float = 0.0
 
     def __post_init__(self):
+        require_finite(magnitude=self.magnitude, phase=self.phase)
         if self.magnitude < 0:
             raise ValueError(f"coupling magnitude must be >= 0, got {self.magnitude}")
         object.__setattr__(self, "phase", self.phase % TWO_PI)
@@ -93,6 +94,7 @@ class BathMode:
     coupling: Coupling
 
     def __post_init__(self):
+        require_finite(omega=self.omega)
         if self.omega <= 0:
             raise ValueError(f"mode frequency must be > 0, got {self.omega}")
 
@@ -202,19 +204,49 @@ def dephasing_terms(w, weight, tau: float, t: float, temperature: float):
     T0 = p [r^2 sin^2 x + 4 sin^4(x/2)], T1 = 16 tau^2 r p sin x sin^2(x/2)
     and T2 = 32 tau^2 (1 + 2 tau^2) p sin^4(x/2).  The phase enters only
     through the two scalar coefficients, so one evaluation serves every phase.
+
+    Both sines come from one tangent u = tan(x/4): sin(x/2) = 2u/(1+u^2),
+    cos(x/2) = (1-u)(1+u)/(1+u^2) and sin x = 2 sin(x/2) cos(x/2).  NumPy's
+    float64 tan is vectorized and its sin is not, so one tan costs a
+    fraction of one sin.  Since 2|u| <= 1 + u^2, every sine is still at most
+    1 in magnitude and dephasing_bound holds.  coth(w/2T) is
+    1 + 2/expm1(w/T), exactly 1 once expm1 overflows (w/T > 709.78).
     """
     tau2 = tau * tau
     r2 = 1.0 + 4.0 * tau2
     r = math.sqrt(r2)
-    x = w * r * t  # (w r) t, the rounding of Omega t in xi_non_hermitian
-    sx = np.sin(x)
-    s2 = np.sin(0.5 * x) ** 2
-    cth = coth(w / (2.0 * temperature)) if temperature > 0 else 1.0
-    p = (2.0 / (r2 * r2)) * (weight * cth / (w * w))
-    q = p * (s2 * s2)
-    t0 = p * (r2 * sx * sx) + 4.0 * q
-    t1 = (16.0 * tau2 * r) * (p * sx * s2)
-    t2 = (32.0 * tau2 * (1.0 + 2.0 * tau2)) * q
+    # x = (w r) t, the rounding of Omega t in xi_non_hermitian; x/4 is exact
+    u = np.tan(w * r * t * 0.25)
+    den = u * u
+    den += 1.0
+    sc = 1.0 - u
+    sc *= 1.0 + u
+    sc /= den  # cos(x/2)
+    u += u
+    u /= den  # sin(x/2)
+    del den
+    sc *= u  # sin(x)/2
+    u *= u  # sin^2(x/2)
+    # v = weight coth / w^2 is p without its factor 2/r^4, which k carries
+    v = weight / (w * w)
+    if temperature > 0:
+        with np.errstate(over="ignore"):
+            cth = np.expm1(w / temperature)
+        cth = 2.0 / cth
+        cth += 1.0
+        v *= cth
+        del cth
+    k = 2.0 / (r2 * r2)
+    t1 = v * sc
+    t0 = t1 * sc
+    t1 *= u
+    t1 *= 32.0 * tau2 * r * k
+    v *= u
+    v *= u  # v sin^4(x/2)
+    t0 *= r2
+    t0 += v
+    t0 *= 4.0 * k
+    t2 = v * (32.0 * tau2 * (1.0 + 2.0 * tau2) * k)
     return t0, t1, t2
 
 

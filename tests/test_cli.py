@@ -24,7 +24,7 @@ from ptbath.cli import (
 )
 from ptbath.continuum import OhmicSpectrum, QuadratureSpec, gamma_continuum_nh, spectral_density
 from ptbath.continuum import integrate_adaptive
-from ptbath.core import dephasing_kernel
+from ptbath.core import dephasing_kernel, load_bath_csv
 
 FIG1B = dict(amplitude=0.1, cutoff=0.1, temp=300.0, t=20.0)
 
@@ -94,6 +94,18 @@ class TestGammaCommand:
         assert code == 0
         g = float(text.strip().split("\n")[1].split(",")[1])
         assert g == pytest.approx(2.0, rel=1e-10)
+
+    @pytest.mark.parametrize("column", ["omega", "g_abs", "theta"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_modes_file_is_a_usage_error(self, tmp_path, capsys, column, value):
+        row = {"omega": "1.0", "g_abs": "1.0", "theta": "0.5", column: value}
+        modes = tmp_path / "modes.csv"
+        modes.write_text("omega,g_abs,theta\n" + ",".join(row.values()) + "\n")
+        code, text = run_cli(tmp_path, "gamma", "--modes-file", str(modes))
+        assert code == 2 and text == ""
+        assert f"must be finite, got {value}" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="must be finite"):
+            load_bath_csv(modes)
 
     def test_determinism_byte_identical(self, tmp_path):
         args = ("gamma", "--tau", "1.5", "--theta", "0.8", "--t", "0:10:11")
@@ -383,6 +395,11 @@ class TestConcurrenceCommand:
         _, c, ef = (float(v) for v in text.strip().split("\n")[1].split(","))
         assert c <= 1e-12 and ef <= 1e-10
 
+    def test_infinite_gamma_is_full_decoherence(self, tmp_path):
+        code, text = run_cli(tmp_path, "concurrence", "--gamma", "inf")
+        assert code == 0
+        assert text.strip().split("\n")[1] == "inf,0.00000000000e+00,0.00000000000e+00"
+
     def test_rejects_negative_gamma(self, tmp_path):
         code, _ = run_cli(tmp_path, "concurrence", "--gamma", "-1")
         assert code == 2
@@ -466,6 +483,30 @@ class TestExitCodesAndConfig:
                              "--theta", "1.5707963267948966", "--t", "2")
         assert code == 0
         assert json.loads(text)["argmin"]["tau"] == pytest.approx(4.0, abs=1e-3)
+
+    def test_config_gives_required_and_repeatable_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        direct = ("sweep", "--sweep", "tau=0:1:2", "--sweep", "theta=0:1:2", "--t", "2")
+        cfg.write_text(json.dumps({"sweep": ["tau=0:1:2", "theta=0:1:2"], "t": 2}))
+        assert run_cli(tmp_path, "sweep", "--config", str(cfg)) == run_cli(tmp_path, *direct)
+        # a single value is one flag; the command line's --sweep replaces the config's
+        cfg.write_text(json.dumps({"sweep": "tau=0:1:2", "t": 2}))
+        assert (run_cli(tmp_path, "sweep", "--config", str(cfg))
+                == run_cli(tmp_path, "sweep", "--sweep", "tau=0:1:2", "--t", "2"))
+        cfg.write_text(json.dumps({"sweep": ["tau=0:1:3", "theta=0:1:3"], "t": 2}))
+        assert (run_cli(tmp_path, "sweep", "--config", str(cfg), "--sweep", "tau=0:1:2",
+                        "--sweep=theta=0:1:2") == run_cli(tmp_path, *direct))
+        cfg.write_text(json.dumps({"free": "tau", "tau-bounds": "0:1", "grid_points": 8}))
+        via_config = run_cli(tmp_path, "optimize", "--config", str(cfg), "--t", "2")
+        assert via_config[0] == 0
+        assert via_config == run_cli(tmp_path, "optimize", "--free", "tau", "--tau-bounds",
+                                     "0:1", "--grid-points", "8", "--t", "2")
+
+    def test_config_list_for_a_single_flag_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tau": [1.0, 2.0]}))
+        assert exit_code("gamma", "--config", str(cfg)) == 2
+        assert "--tau" in capsys.readouterr().err
 
     def test_config_must_be_an_object(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -576,6 +617,7 @@ class TestFlagsPerSubcommand:
         (("figure", "fig2", "--t", "0:1:0"), "--t"),
         (("sweep", "--sweep", "tau=0:1:0"), "--sweep"),
         (("sweep", "--sweep", "tau"), "--sweep"),
+        (("concurrence", "--gamma", "nan"), "--gamma must be >= 0, got nan"),
     ])
     def test_emptied_clamped_or_truncated_input_is_a_usage_error(self, argv, name, capsys):
         assert exit_code(*argv) == 2
@@ -605,3 +647,14 @@ class TestFlagsPerSubcommand:
         parser = cli.build_parser()
         for line in lines:
             parser.parse_args(shlex.split(line)[1:])
+
+
+def test_known_red_script_runs():
+    # docs/known_red.py calls the library with numpy scalars; it must keep running
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, str(root / "docs" / "known_red.py")], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "criterion 9" in out.stdout

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,16 @@ class TestTypes:
     def test_mode_rejects_nonpositive_omega(self):
         with pytest.raises(ValueError):
             BathMode(0.0, Coupling(1.0))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_mode_and_coupling_reject_non_finite(self, value):
+        # nan passes `omega <= 0` and `magnitude < 0`, and inf % 2 pi is nan
+        with pytest.raises(ValueError, match=f"omega must be finite, got {value}"):
+            BathMode(value, Coupling(1.0))
+        with pytest.raises(ValueError, match=f"magnitude must be finite, got {value}"):
+            Coupling(value, 0.0)
+        with pytest.raises(ValueError, match=f"phase must be finite, got {value}"):
+            Coupling(1.0, value)
 
     def test_bath_rejects_empty_modes(self):
         with pytest.raises(ValueError):
@@ -220,6 +231,90 @@ class TestDephasingTerms:
         expected = t0 + np.sin(phase) * np.cos(phase) * t1 + np.cos(phase) ** 2 * t2
         np.testing.assert_allclose(dephasing_kernel(w, weight, phase, 1.3, 4.0, 0.5),
                                    expected, rtol=1e-15, atol=0.0)
+
+
+def amplitude_kernel(w, weight, phase, tau, t, temp):
+    """weight * 2 |xi|^2 coth(w/2T) by the amplitude route (libm sines)."""
+    xi = xi_non_hermitian(Coupling(1.0, phase), w, tau, t)
+    return weight * 2.0 * abs(xi) ** 2 * thermal_coth(w, temp)
+
+
+def ulp_neighbours(w, n=3):
+    """w and its n nearest floats on either side."""
+    out = [w]
+    for direction in (-math.inf, math.inf):
+        v = w
+        for _ in range(n):
+            v = math.nextafter(v, direction)
+            out.append(v)
+    return out
+
+
+@pytest.mark.filterwarnings("error")
+class TestTangentKernel:
+    """dephasing_terms takes both sines from tan(x/4); the amplitude route
+    (math.sin) checks it where that tangent or its formulas are delicate."""
+
+    PHASES = (0.0, 0.4, math.pi / 2, 2 * math.pi / 3, 5.1)
+
+    def check(self, ws, tau, t, temp):
+        ws = np.asarray(ws, dtype=float)
+        weight = np.linspace(0.5, 1.5, ws.size)
+        for phase in self.PHASES:
+            got = dephasing_kernel(ws, weight, phase, tau, t, temp)
+            for w, wt, g in zip(ws, weight, got):
+                ref = amplitude_kernel(float(w), float(wt), phase, tau, t, temp)
+                assert g == pytest.approx(ref, rel=1e-12, abs=1e-300), (w, phase)
+
+    @pytest.mark.parametrize("tau", [0.0, 1.3, -4.0])
+    def test_large_arguments(self, tau):
+        # x = w r t from 1e2 to 1e6
+        t = 1000.0
+        r = math.sqrt(1.0 + 4.0 * tau * tau)
+        x = np.geomspace(1e2, 1e6, 400)
+        self.check(x / (r * t), tau, t, 0.5)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 101, 102, 103, 104, 318309, 318310, 318311,
+                                   318312])
+    def test_near_poles_and_zeros(self, m):
+        # x = m pi: x/4 is a pole of the tangent for m = 2 mod 4 and a zero
+        # for m = 0 mod 4 (both zeros of sin(x/2)); cos(x/2) = 0 for odd m
+        tau, t = 0.7, 3.0
+        r = math.sqrt(1.0 + 4.0 * tau * tau)
+        self.check(ulp_neighbours(m * math.pi / (r * t)), tau, t, 2.0)
+
+    @pytest.mark.parametrize("temp, lo, hi", [
+        (0.0, 0.05, 3.0),
+        (1e-300, 0.05, 3.0),  # w/T overflows to inf: coth is 1
+        (0.01, 7.0, 7.2),  # w/T from 700 to 720: expm1 overflows above 709.78
+        (1e8, 0.05, 3.0),
+        (1e12, 1e-6, 1e-3),
+    ])
+    def test_temperatures(self, temp, lo, hi):
+        self.check(np.linspace(lo, hi, 101), 1.3, 7.0, temp)
+
+    @pytest.mark.parametrize("w", [1.3, np.float64(1.3), np.array(1.3)])
+    @pytest.mark.parametrize("temp", [0.0, 0.5])
+    def test_scalar_w(self, w, temp):
+        terms = dephasing_terms(w, 0.7, 1.1, 3.0, temp)
+        ref = dephasing_terms(np.array([1.3]), 0.7, 1.1, 3.0, temp)
+        for got, want in zip(terms, ref):
+            assert np.shape(got) == ()
+            assert got == pytest.approx(want[0], rel=1e-15)
+        k = dephasing_kernel(w, 0.7, 0.4, 1.1, 3.0, temp)
+        assert np.shape(k) == ()
+        assert k == pytest.approx(amplitude_kernel(1.3, 0.7, 0.4, 1.1, 3.0, temp), rel=1e-12)
+
+    @pytest.mark.parametrize("w_shape, weight_shape, shape", [
+        ((), (3,), (3,)),
+        ((3,), (), (3,)),
+        ((2,), (3, 1), (3, 2)),
+    ])
+    def test_broadcast_shapes(self, w_shape, weight_shape, shape):
+        w = np.full(w_shape, 1.3)
+        weight = np.full(weight_shape, 0.7)
+        for temp in (0.0, 0.5):
+            assert [np.shape(a) for a in dephasing_terms(w, weight, 1.1, 3.0, temp)] == [shape] * 3
 
 
 class TestCoherenceFactor:
