@@ -51,6 +51,11 @@ _BLOCK_VALUES = 1 << 16
 # larger groups of phases are split into several integrals.
 _RECORD_VALUES = 1 << 21
 
+# The start grid ends at this multiple of the cutoff, in panels no wider
+# than 1/_PANELS_PER_OSCILLATION of the integrand's fastest period.
+_OMEGA_MAX_CUTOFFS = 60.0
+_PANELS_PER_OSCILLATION = 4
+
 # The kernel divides by w^2, which underflows below w ~ 1e-154; under
 # this multiple of the cutoff the integrands take their analytic w -> 0
 # limit instead.  No quadrature node comes near it; w = 0 is the case it
@@ -83,28 +88,21 @@ class QuadratureSpec:
     """Tolerances and limits for the frequency integral.
 
     abs_tol is applied per unit frequency so panel acceptance is purely
-    local; extending omega_max leaves the shared panels untouched.
-    omega_max ends the start grid; start panels beyond the Ohmic tail's
-    cut-off, where a bound of the integrand (core.dephasing_bound) is at
-    most abs_tol/2, are accepted as 0 without being evaluated.
+    local: a longer start grid leaves the shared panels untouched.  The
+    start grid ends at 60 x cutoff (_OMEGA_MAX_CUTOFFS); start panels
+    beyond the Ohmic tail's cut-off, where a bound of the integrand
+    (core.dephasing_bound) is at most abs_tol/2, are accepted as 0
+    without being evaluated.
     """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
-    omega_max: float | None = None  # default 60 * cutoff
-    min_panels_per_oscillation: int = 4
     max_subdivisions: int = 2_000_000
 
     def __post_init__(self):
         require_finite(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
-        if self.omega_max is not None:
-            require_finite(omega_max=self.omega_max)
-            if self.omega_max <= 0:
-                raise ValueError(f"omega_max must be > 0, got {self.omega_max}")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be > 0")
-        if self.min_panels_per_oscillation < 4:
-            raise ValueError("min_panels_per_oscillation must be >= 4")
 
 
 class QuadratureError(RuntimeError):
@@ -136,11 +134,12 @@ def _omega_coth(w, temperature):
     return np.where(small, series, w / np.tanh(xs))
 
 
-def _phase_factors(theta: float) -> tuple[float, float]:
-    # (sin cos, cos^2) by scalar math, so that a phase gets the same two
-    # numbers whether it is evaluated alone or inside a group
-    c = math.cos(theta)
-    return math.sin(theta) * c, c * c
+def _phase_columns(thetas) -> tuple[np.ndarray, np.ndarray]:
+    # (sin cos, cos^2) of each phase as a column, from scalar math sines so
+    # that a phase gets the same two numbers alone or inside any group
+    cos = np.array([math.cos(th) for th in thetas]).reshape(-1, 1)
+    sin = np.array([math.sin(th) for th in thetas]).reshape(-1, 1)
+    return sin * cos, cos * cos
 
 
 def gamma_integrand_nh(omega, spec: OhmicSpectrum, t: float, thetas=None):
@@ -149,11 +148,10 @@ def gamma_integrand_nh(omega, spec: OhmicSpectrum, t: float, thetas=None):
     unit-magnitude coupling of phase theta.
 
     The theta-free terms of core.dephasing_terms are computed once per
-    node and combined per phase elementwise.  Without thetas the phase is
-    spec.theta and the result has the shape of omega; with a sequence of
-    phases it has shape (len(thetas),) + omega.shape, one row per phase
-    (spec.theta is then ignored), and each row equals the single-phase
-    integrand at that phase bit for bit.  The removable 0*inf form at
+    node and combined per phase elementwise.  With a sequence of phases
+    the result has shape (len(thetas),) + omega.shape, one row per phase
+    (spec.theta is then ignored); without thetas it is the row of
+    [spec.theta], with the shape of omega.  The removable 0*inf form at
     w -> 0 is replaced on every row by its analytic limit
     2 A t^2 * w coth(w/2T) only where the kernel's w^2 would underflow, so
     the two never meet at a resolvable frequency.
@@ -167,18 +165,15 @@ def gamma_integrand_nh(omega, spec: OhmicSpectrum, t: float, thetas=None):
     any_small = small.any()
     ws = np.where(small, lam, w) if any_small else w  # placeholder, overwritten below
     t0, t1, t2 = dephasing_terms(ws, spectral_density(ws, A, lam), spec.tau, t, T)
-    if thetas is None:
-        sc, c2 = _phase_factors(spec.theta)
-    else:
-        factors = np.array([_phase_factors(th) for th in thetas]).reshape(-1, 2)
-        sc, c2 = factors[:, :1], factors[:, 1:]
+    sc, c2 = _phase_columns([spec.theta] if thetas is None else thetas)
     out = t0 + sc * t1 + c2 * t2
     if any_small:
         wl = w[small]
-        out[..., small] = 2.0 * A * t * t * _omega_coth(wl, T) * np.exp(-wl / lam)
+        out[:, small] = 2.0 * A * t * t * _omega_coth(wl, T) * np.exp(-wl / lam)
+    rows = out.reshape(out.shape[:1] + shape)
     if thetas is not None:
-        return out.reshape(out.shape[:1] + shape)
-    return float(out[0]) if not shape else out.reshape(shape)
+        return rows
+    return float(rows[0]) if not shape else rows[0]
 
 
 def gamma_integrand_hermitian(omega, amplitude: float, cutoff: float, temperature: float, t: float):
@@ -316,9 +311,9 @@ def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_widt
     return totals[0] if outputs is None else np.array(totals)
 
 
-def _panel_width(cutoff: float, t: float, tau: float, quad: QuadratureSpec) -> float:
+def _panel_width(cutoff: float, t: float, tau: float) -> float:
     rate = max(t, 1.0) * math.sqrt(1.0 + 4.0 * tau * tau)
-    return min(cutoff / 2.0, 2.0 * math.pi / (quad.min_panels_per_oscillation * rate))
+    return min(cutoff / 2.0, 2.0 * math.pi / (_PANELS_PER_OSCILLATION * rate))
 
 
 def _tail_bound(spec: OhmicSpectrum, thetas):
@@ -327,8 +322,7 @@ def _tail_bound(spec: OhmicSpectrum, thetas):
     A e^{-w/cutoff}/w falls with w, so its value at a panel's left edge
     bounds the panel.  At w = 0 it is NaN or inf, which keeps the first
     panel open."""
-    factors = np.array([_phase_factors(th) for th in thetas]).reshape(-1, 2)
-    sc, c2 = factors[:, :1], factors[:, 1:]
+    sc, c2 = _phase_columns(thetas)
 
     def bound(a):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -338,56 +332,46 @@ def _tail_bound(spec: OhmicSpectrum, thetas):
     return bound
 
 
-def _gamma_nh(spec: OhmicSpectrum, t: float, quad: QuadratureSpec | None, thetas):
-    # thetas None: a float at spec.theta; otherwise an array, one per phase
+def gamma_continuum_thetas(spec: OhmicSpectrum, t: float, thetas,
+                           quad: QuadratureSpec | None = None) -> np.ndarray:
+    """Gamma(t) at every coupling phase in thetas (spec.theta is ignored),
+    as one adaptive integral over a shared subdivision (a group too large
+    for _RECORD_VALUES as several).  Each phase keeps its own acceptance
+    and bisection, so its value does not depend on the group."""
+    thetas = [float(th) for th in thetas]
     check_time(t)
-    if t == 0.0 or spec.amplitude == 0.0 or (thetas is not None and not len(thetas)):
-        return 0.0 if thetas is None else np.zeros(len(thetas))
+    if t == 0.0 or spec.amplitude == 0.0 or not thetas:
+        return np.zeros(len(thetas))
     quad = quad or QuadratureSpec()
-    hi = quad.omega_max if quad.omega_max is not None else 60.0 * spec.cutoff
-    width = _panel_width(spec.cutoff, t, spec.tau, quad)
-    params = {"spec": spec, "t": t}
+    hi = _OMEGA_MAX_CUTOFFS * spec.cutoff
+    width = _panel_width(spec.cutoff, t, spec.tau)
     # Gamma is linear in the amplitude A: the integral runs at A = 1 with
     # abs_tol / A, the same acceptance tests scaled by 1/A, so that a large
     # A cannot overflow the kernel; the result is scaled back
     amp = spec.amplitude
     unit = replace(spec, amplitude=1.0)
     unit_quad = replace(quad, abs_tol=min(quad.abs_tol / amp, sys.float_info.max))
-    if thetas is None:
-        totals = [max(integrate_adaptive(
-            lambda w: gamma_integrand_nh(w, unit, t), 0.0, hi, unit_quad, width,
-            params=params, bound=_tail_bound(unit, [spec.theta])), 0.0)]
-    else:
-        # the engine keeps a value per panel and phase until its final sum,
-        # so a large group is split to keep those bounded too
-        step = max(1, int(_RECORD_VALUES * width / hi))
-        parts = []
-        for i in range(0, len(thetas), step):
-            part = thetas[i:i + step]
-            parts.append(integrate_adaptive(
-                lambda w: gamma_integrand_nh(w, unit, t, part), 0.0, hi, unit_quad, width,
-                params={**params, "thetas": part}, outputs=len(part),
-                bound=_tail_bound(unit, part)))
-        totals = np.maximum(np.concatenate(parts), 0.0)
+    # the engine keeps a value per panel and phase until its final sum, so
+    # a large group is split to keep those bounded too
+    step = max(1, int(_RECORD_VALUES * width / hi))
+    parts = []
+    for i in range(0, len(thetas), step):
+        part = thetas[i:i + step]
+        parts.append(integrate_adaptive(
+            lambda w: gamma_integrand_nh(w, unit, t, part), 0.0, hi, unit_quad, width,
+            params={"spec": spec, "t": t, "thetas": part}, outputs=len(part),
+            bound=_tail_bound(unit, part)))
     with np.errstate(over="ignore"):
-        totals = amp * np.asarray(totals)
+        totals = amp * np.maximum(np.concatenate(parts), 0.0)
     if not np.isfinite(totals).all():
         raise ValueError(f"amplitude {amp:g} (--A) makes Gamma({t:g}) overflow a float")
-    return float(totals[0]) if thetas is None else totals
+    return totals
 
 
 def gamma_continuum_nh(spec: OhmicSpectrum, t: float, quad: QuadratureSpec | None = None) -> float:
-    """Gamma(t) for the non-Hermitian Ohmic continuum."""
-    return _gamma_nh(spec, t, quad, None)
-
-
-def gamma_continuum_thetas(spec: OhmicSpectrum, t: float, thetas,
-                           quad: QuadratureSpec | None = None) -> np.ndarray:
-    """Gamma(t) at every coupling phase in thetas (spec.theta is ignored),
-    as one adaptive integral over a shared subdivision (a group too large
-    for _RECORD_VALUES as several).  Each value equals gamma_continuum_nh
-    at that phase bit for bit."""
-    return _gamma_nh(spec, t, quad, [float(th) for th in thetas])
+    """Gamma(t) for the non-Hermitian Ohmic continuum: the group of the one
+    phase spec.theta."""
+    return float(gamma_continuum_thetas(spec, t, [spec.theta], quad)[0])
 
 
 def gamma_hermitian(amplitude: float, cutoff: float, temperature: float, t: float,
@@ -397,8 +381,8 @@ def gamma_hermitian(amplitude: float, cutoff: float, temperature: float, t: floa
     if t == 0.0 or amplitude == 0.0:
         return 0.0
     quad = quad or QuadratureSpec()
-    hi = quad.omega_max if quad.omega_max is not None else 60.0 * cutoff
-    width = _panel_width(cutoff, t, 0.0, quad)
+    hi = _OMEGA_MAX_CUTOFFS * cutoff
+    width = _panel_width(cutoff, t, 0.0)
     total = integrate_adaptive(
         lambda w: gamma_integrand_hermitian(w, amplitude, cutoff, temperature, t),
         0.0, hi, quad, width,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -83,10 +84,6 @@ class Coupling:
     def as_complex(self) -> complex:
         return complex(self.real, self.imag)
 
-    @classmethod
-    def from_complex(cls, g: complex) -> "Coupling":
-        return cls(abs(g), cmath.phase(g) % TWO_PI)
-
 
 @dataclass(frozen=True)
 class BathMode:
@@ -97,6 +94,17 @@ class BathMode:
         require_finite(omega=self.omega)
         if self.omega <= 0:
             raise ValueError(f"mode frequency must be > 0, got {self.omega}")
+        # the dephasing kernel's weight |g|^2 / omega^2, as dephasing_terms
+        # rounds it: a subnormal omega^2 or an overflowing quotient would
+        # turn Gamma into nan
+        w2 = self.omega * self.omega
+        if w2 < sys.float_info.min:
+            raise ValueError(f"mode frequency omega must be >= {math.sqrt(sys.float_info.min):.3g}"
+                             f" (omega^2 a normal float), got {self.omega}")
+        g2 = self.coupling.magnitude * self.coupling.magnitude
+        if not math.isfinite(g2 / w2):
+            raise ValueError(f"coupling g_abs {self.coupling.magnitude:g} at omega {self.omega:g}"
+                             " makes |g|^2/omega^2 overflow a float")
 
 
 @dataclass(frozen=True)

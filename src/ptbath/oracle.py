@@ -257,11 +257,14 @@ def certify(
     if num_times < 1:
         raise ValueError(f"num_times must be >= 1, got {num_times}")
 
+    # the closed form's bath too: a mode it rejects (|g|^2/omega^2 beyond a
+    # float) fails here, not after the Fock work
+    g = Coupling(g_abs, theta)
+    bath = DiscreteBath((BathMode(omega, g),), temperature=temperature, tau=tau)
     spec_mode = TruncatedMode(omega, tau, spectrum_fock_dim)
     residuals, _ = spectrum_residuals(spec_mode)
     sim = similarity_residual(spec_mode, spectrum_fock_dim // 4)
 
-    g = Coupling(g_abs, theta)
     mode = TruncatedMode(omega, tau, fock_dim)
     if unreachable_fock_dim(mode, temperature, dim_budget) is not None:
         # fail before any exact evolution: the budget cannot hold the state
@@ -271,7 +274,6 @@ def certify(
     ratios, dim_used, converged = exact_dephasing_converged(
         system, [(mode, g)], temperature, times, dim_budget=dim_budget,
     )
-    bath = DiscreteBath((BathMode(omega, g),), temperature=temperature, tau=tau)
     closed = np.exp(-np.array([gamma_discrete(bath, t) for t in times]))
     max_err = float(np.max(np.abs(ratios - closed)))
     if thermal_tail_weight(TruncatedMode(omega, tau, dim_used), temperature) > TAIL_TOL:

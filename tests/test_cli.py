@@ -107,6 +107,21 @@ class TestGammaCommand:
         with pytest.raises(ValueError, match="must be finite"):
             load_bath_csv(modes)
 
+    @pytest.mark.parametrize("row, message", [
+        ("1e-170,1.0,0.5", "omega must be >= 1.49e-154"),
+        ("1e-160,0.0,0.5", "omega must be >= 1.49e-154"),
+        ("0.5,1e200,0.5", "g_abs 1e+200"),
+        ("1e-150,1e10,0.5", "g_abs 1e+10"),
+    ])
+    def test_modes_file_beyond_the_float_range_is_a_usage_error(self, tmp_path, capsys,
+                                                                row, message):
+        # unchecked, each prints nan or raises an OverflowError
+        modes = tmp_path / "modes.csv"
+        modes.write_text("omega,g_abs,theta\n" + row + "\n")
+        code, text = run_cli(tmp_path, "gamma", "--modes-file", str(modes))
+        assert code == 2 and text == ""
+        assert message in capsys.readouterr().err
+
     def test_determinism_byte_identical(self, tmp_path):
         args = ("gamma", "--tau", "1.5", "--theta", "0.8", "--t", "0:10:11")
         _, a = run_cli(tmp_path, *args)
@@ -129,9 +144,10 @@ class TestGammaCommand:
         assert code == 0
         g = float(text.strip().split("\n")[1].split(",")[1])
 
-        def kernel_everywhere(w, spec, t):
+        def kernel_everywhere(w, spec, t, thetas):
             j = spectral_density(w, spec.amplitude, spec.cutoff)
-            return dephasing_kernel(w, j, spec.theta, spec.tau, t, spec.temperature)
+            return np.array([dephasing_kernel(w, j, theta, spec.tau, t, spec.temperature)
+                             for theta in thetas])
 
         monkeypatch.setattr(continuum, "gamma_integrand_nh", kernel_everywhere)
         ref = gamma_continuum_nh(OhmicSpectrum(1.0, 0.7, 4.9, 0.05, -19.3), 300.0)
@@ -638,6 +654,10 @@ class TestFlagsPerSubcommand:
         assert exit_code("oracle", "--t-max", value) == 2
         assert time.perf_counter() - start < 1.0
         assert "t_max" in capsys.readouterr().err
+
+    def test_oracle_overflowing_coupling_is_a_usage_error(self, capsys):
+        assert exit_code("oracle", "--g-abs", "1e200") == 2
+        assert "g_abs 1e+200" in capsys.readouterr().err
 
     def test_readme_cli_lines_parse(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

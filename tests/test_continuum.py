@@ -196,15 +196,18 @@ class TestGammaContinuum:
                                  rng.uniform(0, 2 * math.pi), 300.0, rng.uniform(-4, 4))
             assert gamma_continuum_nh(spec, rng.uniform(0, 30)) >= 0.0
 
-    def test_tail_truncation_negligible(self):
-        # doubling omega_max leaves the result unchanged at the abs_tol scale
+    def test_tail_truncation_negligible(self, monkeypatch):
+        # ending the start grid at 120 x cutoff instead of 60 leaves the
+        # result unchanged at the abs_tol scale
         rng = np.random.default_rng(25)
         for _ in range(10):
             spec = OhmicSpectrum(1.0, 0.1, rng.uniform(0, 2 * math.pi), 300.0,
                                  rng.uniform(0, 3))
             t = rng.uniform(0.5, 20.0)
             a = gamma_continuum_nh(spec, t, QuadratureSpec())
-            b = gamma_continuum_nh(spec, t, QuadratureSpec(omega_max=12.0))
+            with monkeypatch.context() as m:
+                m.setattr(continuum, "_OMEGA_MAX_CUTOFFS", 120.0)
+                b = gamma_continuum_nh(spec, t, QuadratureSpec())
             assert abs(a - b) <= 1e-12 * max(1.0, a)
 
     def test_convergence_failure_raises(self):
@@ -239,13 +242,13 @@ class TestGammaContinuum:
         with pytest.raises(QuadratureError, match="start grid needs inf panels"):
             gamma_continuum_nh(spec, 1e308)
 
-    def test_default_start_is_accurate_over_a_wide_range(self):
+    def test_default_start_is_accurate_over_a_wide_range(self, monkeypatch):
         # the default (4 panels per oscillation, rel_tol 1e-8) against a
         # 16-per-oscillation start at rel_tol 1e-11; cases whose reference
         # start grid exceeds 2e5 panels (large cutoff * t * |tau|, about 3 %
         # of draws) are redrawn to keep the test's time and memory small
         rng = np.random.default_rng(26)
-        ref = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-14, min_panels_per_oscillation=16)
+        ref = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-14)
         cases = 0
         while cases < 30:
             lam = math.exp(rng.uniform(math.log(0.02), 0.0))
@@ -256,10 +259,12 @@ class TestGammaContinuum:
             if 60.0 * lam * 16 * rate / (2.0 * math.pi) > 2e5:
                 continue
             spec = OhmicSpectrum(1.0, lam, rng.uniform(0.0, 2.0 * math.pi), T, tau)
-            assert gamma_continuum_nh(spec, t) == pytest.approx(
-                gamma_continuum_nh(spec, t, ref), rel=1e-9)
-            assert gamma_hermitian(1.0, lam, T, t) == pytest.approx(
-                gamma_hermitian(1.0, lam, T, t, ref), rel=1e-9)
+            nh, hermitian = gamma_continuum_nh(spec, t), gamma_hermitian(1.0, lam, T, t)
+            with monkeypatch.context() as m:
+                m.setattr(continuum, "_PANELS_PER_OSCILLATION", 16)
+                assert nh == pytest.approx(gamma_continuum_nh(spec, t, ref), rel=1e-9)
+                assert hermitian == pytest.approx(
+                    gamma_hermitian(1.0, lam, T, t, ref), rel=1e-9)
             cases += 1
 
     def test_rejects_negative_time(self):
@@ -444,7 +449,7 @@ class TestTailBound:
         loose = QuadratureSpec(abs_tol=1e-3)
         ref = continuum.integrate_adaptive(lambda w: gamma_integrand_nh(w, spec, 120.0),
                                            0.0, 6.0, QuadratureSpec(rel_tol=1e-11),
-                                           _panel_width(0.1, 120.0, 2.0, loose))
+                                           _panel_width(0.1, 120.0, 2.0))
         assert abs(gamma_continuum_nh(spec, 120.0, loose) - ref) <= 1e-3 * 6.0 / 2.0
 
     def test_nan_bound_keeps_the_panel_open(self):
@@ -492,7 +497,7 @@ class TestTailBound:
                                  float(rng.choice([0.0, 1.0, 300.0])), rng.uniform(-4.0, 4.0))
             t = math.exp(rng.uniform(math.log(0.1), math.log(50.0)))
             quad = QuadratureSpec(abs_tol=10.0 ** rng.uniform(-14, -8))
-            hi, width = 60.0 * spec.cutoff, _panel_width(spec.cutoff, t, spec.tau, quad)
+            hi, width = 60.0 * spec.cutoff, _panel_width(spec.cutoff, t, spec.tau)
             bound = _tail_bound(spec, [spec.theta])
             left = continuum._initial_edges(0.0, hi, width)[:-1]
             skipped = left[bound(left)[0] <= quad.abs_tol / 2.0]
@@ -512,7 +517,7 @@ class TestTailBound:
         quad = QuadratureSpec(abs_tol=1e-300)
         for spec, t in [(OhmicSpectrum(1.0, 0.1, 0.4, 300.0, 2.0), 20.0),
                         (OhmicSpectrum(1.0, 0.3, 2.0, 0.0, -1.0), 3.0)]:
-            width = _panel_width(spec.cutoff, t, spec.tau, quad)
+            width = _panel_width(spec.cutoff, t, spec.tau)
             plain = continuum.integrate_adaptive(lambda w: gamma_integrand_nh(w, spec, t),
                                                  0.0, 60.0 * spec.cutoff, quad, width)
             assert gamma_continuum_nh(spec, t, quad) == plain
@@ -546,8 +551,6 @@ class TestQuadratureSpec:
     def test_rejects_bad_tolerances(self):
         with pytest.raises(ValueError):
             QuadratureSpec(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(min_panels_per_oscillation=2)
 
     def test_spectrum_validation(self):
         with pytest.raises(ValueError):
@@ -564,14 +567,9 @@ class TestQuadratureSpec:
         with pytest.raises(ValueError, match=field):
             OhmicSpectrum(**kwargs)
 
-    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "omega_max"])
+    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
     def test_quadrature_rejects_non_finite(self, field):
         with pytest.raises(ValueError, match=field):
             QuadratureSpec(**{field: math.nan})
         with pytest.raises(ValueError, match=field):
             QuadratureSpec(**{field: math.inf})
-
-    @pytest.mark.parametrize("omega_max", [0.0, -1.0])
-    def test_quadrature_rejects_non_positive_omega_max(self, omega_max):
-        with pytest.raises(ValueError, match="omega_max must be > 0"):
-            QuadratureSpec(omega_max=omega_max)

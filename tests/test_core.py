@@ -50,6 +50,23 @@ class TestTypes:
         with pytest.raises(ValueError):
             BathMode(0.0, Coupling(1.0))
 
+    @pytest.mark.parametrize("omega, g_abs", [(1e-170, 1.0), (1e-160, 0.0)])
+    def test_mode_rejects_omega_whose_square_is_not_normal(self, omega, g_abs):
+        # omega^2 underflows to 0 or a subnormal, which would make Gamma nan
+        with pytest.raises(ValueError, match="omega must be >= 1.49e-154"):
+            BathMode(omega, Coupling(g_abs, 0.5))
+
+    @pytest.mark.parametrize("omega, g_abs", [(0.5, 1e200), (1e-150, 1e10)])
+    def test_mode_rejects_overflowing_weight(self, omega, g_abs):
+        # |g|^2 = 1e400 raises OverflowError; |g|^2/omega^2 = 1e320 would make Gamma nan
+        with pytest.raises(ValueError, match="g_abs"):
+            BathMode(omega, Coupling(g_abs, 0.5))
+
+    def test_mode_at_the_edge_of_the_range_gives_a_finite_gamma(self):
+        bath = DiscreteBath((BathMode(1.5e-154, Coupling(1e-10, 0.5)),
+                             BathMode(1e150, Coupling(1e150, 0.5))), tau=0.5)
+        assert math.isfinite(gamma_discrete(bath, 1.0))
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_mode_and_coupling_reject_non_finite(self, value):
         # nan passes `omega <= 0` and `magnitude < 0`, and inf % 2 pi is nan

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from ptbath import oracle
 from ptbath.core import BathMode, Coupling, DiscreteBath, QubitSystem, gamma_discrete
 from ptbath.oracle import (
     TruncatedMode,
@@ -210,6 +211,14 @@ class TestCertify:
         assert report.converged is False
         assert report.dephasing_max_error is None
         assert report.fock_dim_used == 40
+
+    def test_overflowing_coupling_fails_before_any_fock_work(self, monkeypatch):
+        def no_fock(*args):
+            raise AssertionError("Fock work ran")
+
+        monkeypatch.setattr(oracle, "spectrum_residuals", no_fock)
+        with pytest.raises(ValueError, match="g_abs"):
+            certify(g_abs=1e200)
 
     def test_json_schema(self):
         import json
