@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .continuum import OhmicSpectrum, QuadratureSpec, QuadratureError, gamma_continuum_nh
+from .continuum import OhmicSpectrum, QuadratureSpec, QuadratureError, gamma_continuum_batch
 from .core import load_bath_csv, gamma_discrete
 from .drivers import (  # noqa: F401  (re-exported)
     FIGURE_PRESETS,
@@ -113,7 +113,8 @@ def _cmd_gamma(args) -> int:
     else:
         spec = OhmicSpectrum(args.A, args.cutoff, args.theta, args.temp, args.tau)
         quad = _quad_from_args(args)
-        gammas = [gamma_continuum_nh(spec, t, quad) for t in times]
+        taus = [spec.tau] * len(times)
+        gammas = gamma_continuum_batch(spec, taus, times, [spec.theta], quad)[:, 0]
     rows = [[t, g, math.exp(-g)] for t, g in zip(times, gammas)]
     _write_table(["t", "gamma", "coherence"], rows, args.out, args.format)
     return EXIT_OK

@@ -118,8 +118,16 @@ def spectral_density(omega, amplitude: float, cutoff: float):
     w = np.asarray(omega, dtype=float)
     if np.any(w < 0):
         raise ValueError("omega must be >= 0")
-    out = amplitude * w * np.exp(-w / cutoff)
+    out = _ohmic(w.reshape(-1), amplitude, cutoff).reshape(w.shape)
     return out if out.ndim else float(out)
+
+
+def _ohmic(w: np.ndarray, amplitude: float, cutoff: float) -> np.ndarray:
+    # A w exp(-w/cutoff) over an array of w >= 0, rounded as (A w) exp(-w/cutoff)
+    j = w / -cutoff
+    np.exp(j, out=j)
+    j *= w if amplitude == 1.0 else amplitude * w
+    return j
 
 
 def _omega_coth(w, temperature):
@@ -142,7 +150,7 @@ def _phase_columns(thetas) -> tuple[np.ndarray, np.ndarray]:
     return sin * cos, cos * cos
 
 
-def gamma_integrand_nh(omega, spec: OhmicSpectrum, t: float, thetas=None):
+def gamma_integrand_nh(omega, spec: OhmicSpectrum, t, thetas=None, tau=None):
     """Integrand of the non-Hermitian continuum decoherence factor:
     J(w) times the dephasing kernel 2 |xi_w(t)|^2 coth(w/2T) of a
     unit-magnitude coupling of phase theta.
@@ -151,25 +159,27 @@ def gamma_integrand_nh(omega, spec: OhmicSpectrum, t: float, thetas=None):
     node and combined per phase elementwise.  With a sequence of phases
     the result has shape (len(thetas),) + omega.shape, one row per phase
     (spec.theta is then ignored); without thetas it is the row of
-    [spec.theta], with the shape of omega.  The removable 0*inf form at
+    [spec.theta], with the shape of omega.  t and tau (default spec.tau)
+    may be arrays broadcasting against omega.  The removable 0*inf form at
     w -> 0 is replaced on every row by its analytic limit
     2 A t^2 * w coth(w/2T) only where the kernel's w^2 would underflow, so
     the two never meet at a resolvable frequency.
     """
-    check_time(t)
-    w = np.asarray(omega, dtype=float)
-    shape = w.shape
-    w = w.reshape(-1)
+    if not isinstance(t, np.ndarray):
+        check_time(t)
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    tau = spec.tau if tau is None else tau
     A, lam, T = spec.amplitude, spec.cutoff, spec.temperature
     small = w < _LIMIT_BELOW * lam
     any_small = small.any()
     ws = np.where(small, lam, w) if any_small else w  # placeholder, overwritten below
-    t0, t1, t2 = dephasing_terms(ws, spectral_density(ws, A, lam), spec.tau, t, T)
+    t0, t1, t2 = (x.reshape(-1) for x in dephasing_terms(ws, _ohmic(ws, A, lam), tau, t, T))
     sc, c2 = _phase_columns([spec.theta] if thetas is None else thetas)
     out = t0 + sc * t1 + c2 * t2
     if any_small:
-        wl = w[small]
-        out[:, small] = 2.0 * A * t * t * _omega_coth(wl, T) * np.exp(-wl / lam)
+        wl, tl = w[small], np.broadcast_to(t, w.shape)[small]
+        out[:, small.reshape(-1)] = 2.0 * A * tl * tl * _omega_coth(wl, T) * np.exp(-wl / lam)
+    shape = np.shape(omega)
     rows = out.reshape(out.shape[:1] + shape)
     if thetas is not None:
         return rows
@@ -218,14 +228,19 @@ def _node_sum(terms: np.ndarray) -> np.ndarray:
     return np.add.reduce(terms, axis=1)
 
 
-def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_width: float,
+def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_width,
                        params=None, outputs: int | None = None, bound=None):
     """Globally adaptive nested Gauss-Kronrod G7/K15 quadrature of one
-    integrand, or of several over one shared subdivision.
+    integrand over [lo, hi], or of several over one shared subdivision, or
+    of a batch of such integrals in one pass.
 
     f maps a 1-D array of n nodes to n values, and the result is a float.
     With outputs=k it maps them to a (k, n) array, k integrands at the same
-    nodes, and the result is an array of the k integrals.
+    nodes, and the result is an array of the k integrals.  A batch has a
+    sequence of panel widths, one per integral: f(x, ids) then maps the
+    (15, m) nodes of m panels and each panel's integral index to values of
+    x's shape (times k), bound takes (a, ids), params holds one entry per
+    integral and the result has one row per integral.
 
     Panels of panel_width anchored at lo.  Each round evaluates the 15
     Kronrod nodes of every open panel, in integrand calls of at most
@@ -235,7 +250,7 @@ def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_widt
     the outputs it failed for only.  Each output's accepted values are
     summed in order of left edge as one array.  A panel's K15 and G7 are
     elementwise functions of its own nodes, so an output's integral is
-    bit for bit the same alone, in any group and at any block size.
+    bit for bit the same alone, in any group or batch and at any block size.
 
     bound, if given, maps the left edges of the n start panels to an
     (outputs, n) array (n values without outputs) that bounds |f| over
@@ -246,69 +261,75 @@ def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_widt
     needs is never evaluated; a NaN bound keeps the panel open.  The
     bound is per output, so grouped and single integrals still agree bit
     for bit.
-    Raises QuadratureError, before allocating anything, when the start grid
-    alone needs more than max_subdivisions panels, and when bisection for
-    any one output exceeds max_subdivisions.
+    Raises QuadratureError with the integral's params, before allocating
+    anything, when its start grid alone needs more than max_subdivisions
+    panels, and when bisection for any one of its outputs exceeds them.
     """
-    n_panels = (hi - lo) / panel_width if panel_width > 0.0 else math.inf
-    if n_panels > quad.max_subdivisions:
-        needed = math.ceil(n_panels) if math.isfinite(n_panels) else n_panels
-        raise QuadratureError(
-            f"the start grid needs {needed} panels, more than the "
-            f"{quad.max_subdivisions} subdivisions allowed",
-            params=params,
-        )
-    k = 1 if outputs is None else outputs
+    single = not np.iterable(panel_width)
+    if single:  # the batch of one
+        one, one_bound, params, panel_width = f, bound, [params], [panel_width]
+        f = lambda x, ids: one(x.ravel())  # noqa: E731
+        bound = bound and (lambda a, ids: one_bound(a))
+    for i, width in enumerate(panel_width):
+        n_panels = (hi - lo) / width if width > 0.0 else math.inf
+        if n_panels > quad.max_subdivisions:
+            needed = math.ceil(n_panels) if math.isfinite(n_panels) else n_panels
+            raise QuadratureError(
+                f"the start grid needs {needed} panels, more than the "
+                f"{quad.max_subdivisions} subdivisions allowed",
+                params=params[i],
+            )
+    n, k = len(panel_width), 1 if outputs is None else outputs
     block = max(1, _BLOCK_VALUES // (_NODES.size * k))
-    edges = _initial_edges(lo, hi, panel_width)
-    a, b = edges[:-1], edges[1:]
+    grids = [_initial_edges(lo, hi, width) for width in panel_width]
+    a, b = np.concatenate([e[:-1] for e in grids]), np.concatenate([e[1:] for e in grids])
+    ids = np.arange(n).repeat([e.size - 1 for e in grids])  # each panel's integral
     open_ = np.ones((k, a.size), dtype=bool)  # the outputs each panel is open for
     if bound is not None:
         # a NaN bound compares False and keeps its panel open
-        open_ = ~(np.reshape(bound(a), (k, a.size)) <= 0.5 * quad.abs_tol)
+        open_ = ~(np.reshape(bound(a, ids), (k, a.size)) <= 0.5 * quad.abs_tol)
         needed = open_.any(axis=0)
-        a, b, open_ = a[needed], b[needed], open_[:, needed]
-    kept_left, kept_val, kept_ok = [np.empty(0)], [np.empty((k, 0))], [np.zeros((k, 0), bool)]
-    n_subdiv = np.zeros(k, dtype=np.int64)
+        a, b, ids, open_ = a[needed], b[needed], ids[needed], open_[:, needed]
+    # per evaluated panel: left edge, integral, and K15 and acceptance per output
+    kept = [(np.empty(0), np.empty(0, ids.dtype), np.empty((0, k)), np.zeros((0, k), bool))]
+    n_subdiv = np.zeros((n, k), dtype=np.int64)
     while a.size:
-        split_a, split_b, split_open = [], [], []
+        splits = []
         for s in range(0, a.size, block):
-            pa, pb = a[s:s + block], b[s:s + block]
+            pa, pb, pi = a[s:s + block], b[s:s + block], ids[s:s + block]
             mid = 0.5 * (pa + pb)
             half = 0.5 * (pb - pa)
-            fx = f((mid + half * _NODES[:, None]).ravel()).reshape(k, _NODES.size, -1)
+            fx = f(mid + half * _NODES[:, None], pi).reshape(k, _NODES.size, -1)
             g7 = _node_sum(fx[:, 1::2] * _G7_COL) * half
             k15 = _node_sum(fx * _K15_COL) * half
             ok = np.abs(k15 - g7) <= quad.rel_tol * np.abs(k15) + quad.abs_tol * 2.0 * half
             failed = open_[:, s:s + block] & ~ok
             ok &= open_[:, s:s + block]
-            kept_left.append(pa)
-            kept_val.append(k15)
-            kept_ok.append(ok)
+            kept.append((pa, pi, k15.T, ok.T))
             split = failed.any(axis=0)
             if split.any():
-                n_subdiv += failed.sum(axis=1)
-                if n_subdiv.max() > quad.max_subdivisions:
-                    raise QuadratureError(
-                        f"quadrature did not converge within {quad.max_subdivisions} "
-                        "subdivisions",
-                        params=params,
-                    )
-                split_a.append(pa[split])
-                split_b.append(pb[split])
-                split_open.append(failed[:, split])
-        if not split_a:
+                splits.append((pa[split], pb[split], pi[split], failed[:, split].T))
+        if not splits:
             break
-        sa, sb = np.concatenate(split_a), np.concatenate(split_b)
-        so = np.concatenate(split_open, axis=1)
+        sa, sb, si, so = map(np.concatenate, zip(*splits))
+        np.add.at(n_subdiv, si, so)
+        worst = n_subdiv.max(axis=1)
+        if worst.max() > quad.max_subdivisions:
+            raise QuadratureError(
+                f"quadrature did not converge within {quad.max_subdivisions} subdivisions",
+                params=params[worst.argmax()],
+            )
         m = 0.5 * (sa + sb)
         a, b = np.concatenate([sa, m]), np.concatenate([m, sb])
-        open_ = np.concatenate([so, so], axis=1)
-    order = np.argsort(np.concatenate(kept_left), kind="stable")
-    vals = np.concatenate(kept_val, axis=1)[:, order]
-    kept = np.concatenate(kept_ok, axis=1)[:, order]
-    totals = [float(row[mask].sum()) for row, mask in zip(vals, kept)]
-    return totals[0] if outputs is None else np.array(totals)
+        ids, open_ = np.concatenate([si, si]), np.concatenate([so, so]).T
+    left, pid, vals, ok = map(np.concatenate, zip(*kept))
+    order = np.lexsort((left, pid))
+    ends = np.bincount(pid, minlength=n).cumsum().tolist()
+    totals = np.array([[row[o][mask[o]].sum() for row, mask in zip(vals.T, ok.T)]
+                       for o in (order[s:e] for s, e in zip([0] + ends, ends))])
+    if single:
+        return float(totals[0, 0]) if outputs is None else totals[0]
+    return totals[:, 0] if outputs is None else totals
 
 
 def _panel_width(cutoff: float, t: float, tau: float) -> float:
@@ -316,56 +337,104 @@ def _panel_width(cutoff: float, t: float, tau: float) -> float:
     return min(cutoff / 2.0, 2.0 * math.pi / (_PANELS_PER_OSCILLATION * rate))
 
 
-def _tail_bound(spec: OhmicSpectrum, thetas):
+def _tail_bound(spec: OhmicSpectrum, thetas, taus=None):
     """The engine's bound for gamma_integrand_nh at each phase in thetas:
-    core.dephasing_bound against J(w), one row per phase.  J(w)/w^2 =
+    core.dephasing_bound against J(w), one row per phase, at spec.tau (at
+    taus[ids] given a batch's taus and panel ids).  J(w)/w^2 =
     A e^{-w/cutoff}/w falls with w, so its value at a panel's left edge
     bounds the panel.  At w = 0 it is NaN or inf, which keeps the first
     panel open."""
     sc, c2 = _phase_columns(thetas)
 
-    def bound(a):
+    def bound(a, ids=None):
+        tau = spec.tau if taus is None else taus[ids]
         with np.errstate(divide="ignore", invalid="ignore"):
-            return dephasing_bound(a, spectral_density(a, spec.amplitude, spec.cutoff),
-                                   spec.tau, spec.temperature, sc, c2)
+            return dephasing_bound(a, _ohmic(a, spec.amplitude, spec.cutoff),
+                                   tau, spec.temperature, sc, c2)
 
     return bound
 
 
-def gamma_continuum_thetas(spec: OhmicSpectrum, t: float, thetas,
-                           quad: QuadratureSpec | None = None) -> np.ndarray:
-    """Gamma(t) at every coupling phase in thetas (spec.theta is ignored),
-    as one adaptive integral over a shared subdivision (a group too large
-    for _RECORD_VALUES as several).  Each phase keeps its own acceptance
-    and bisection, so its value does not depend on the group."""
-    thetas = [float(th) for th in thetas]
-    check_time(t)
-    if t == 0.0 or spec.amplitude == 0.0 or not thetas:
-        return np.zeros(len(thetas))
-    quad = quad or QuadratureSpec()
-    hi = _OMEGA_MAX_CUTOFFS * spec.cutoff
-    width = _panel_width(spec.cutoff, t, spec.tau)
+def batches(cutoff: float, taus, times, n_phases: int) -> list[tuple[slice, list[float]]]:
+    """The (tau, t) slices that gamma_continuum_batch integrates in one engine
+    pass each, with their start-panel widths: a batch closes once its start
+    panels x phases would exceed _BLOCK_VALUES // 15, so that its start
+    grid fits in one integrand call.  At t = 0 the integrand is exactly 0,
+    and one panel spans the grid."""
+    hi = _OMEGA_MAX_CUTOFFS * cutoff
+    widths = [_panel_width(cutoff, t, tau) if t > 0.0 else hi for tau, t in zip(taus, times)]
+    cuts, used = [0], 0.0
+    for i, width in enumerate(widths):
+        size = n_phases * (hi / width if width > 0.0 else math.inf)
+        if i > cuts[-1] and used + size > _BLOCK_VALUES // _NODES.size:
+            cuts.append(i)
+            used = 0.0
+        used += size
+    return [(slice(s, e), widths[s:e]) for s, e in zip(cuts, cuts[1:] + [len(widths)]) if e > s]
+
+
+def _batch_integrand(unit: OhmicSpectrum, taus, times, thetas):
+    # the engine's f(x, ids) and bound(a, ids) over a batch at unit
+    # amplitude; a lone integral passes scalars and a spectrum at its tau
+    if len(taus) == 1:
+        one = unit if unit.tau == taus[0] else replace(unit, tau=taus[0])
+        t = times[0]
+        return lambda w, ids: gamma_integrand_nh(w, one, t, thetas), _tail_bound(one, thetas)
+    taus, times = np.array(taus), np.array(times)
+    return (lambda w, ids: gamma_integrand_nh(w, unit, times[ids], thetas, taus[ids]),
+            _tail_bound(unit, thetas, taus))
+
+
+def gamma_continuum_batch(spec: OhmicSpectrum, taus, times, thetas,
+                          quad: QuadratureSpec | None = None) -> np.ndarray:
+    """Gamma at each (tau, t) of zip(taus, times) and each coupling phase in
+    thetas, as a (len(taus), len(thetas)) array (spec.tau and spec.theta
+    are ignored).  The phases of one (tau, t) share one integral (split in
+    several when too large for _RECORD_VALUES), and the integrals run in
+    batches (see batches), one integrate_adaptive pass each.  Every value
+    is bit for bit the one gamma_continuum_nh gives alone."""
+    taus, times, thetas = (list(map(float, v)) for v in (taus, times, thetas))
+    for t in times:
+        check_time(t)
+    for name, values in (("tau", taus), ("theta", thetas)):
+        if not all(map(math.isfinite, values)):
+            require_finite(**{name: next(x for x in values if not math.isfinite(x))})
+    gammas = np.zeros((len(taus), len(thetas)))
+    if not (spec.amplitude and thetas):
+        return gammas
+    quad, hi = quad or QuadratureSpec(), _OMEGA_MAX_CUTOFFS * spec.cutoff
     # Gamma is linear in the amplitude A: the integral runs at A = 1 with
     # abs_tol / A, the same acceptance tests scaled by 1/A, so that a large
     # A cannot overflow the kernel; the result is scaled back
-    amp = spec.amplitude
-    unit = replace(spec, amplitude=1.0)
-    unit_quad = replace(quad, abs_tol=min(quad.abs_tol / amp, sys.float_info.max))
-    # the engine keeps a value per panel and phase until its final sum, so
-    # a large group is split to keep those bounded too
-    step = max(1, int(_RECORD_VALUES * width / hi))
-    parts = []
-    for i in range(0, len(thetas), step):
-        part = thetas[i:i + step]
-        parts.append(integrate_adaptive(
-            lambda w: gamma_integrand_nh(w, unit, t, part), 0.0, hi, unit_quad, width,
-            params={"spec": spec, "t": t, "thetas": part}, outputs=len(part),
-            bound=_tail_bound(unit, part)))
-    with np.errstate(over="ignore"):
-        totals = amp * np.maximum(np.concatenate(parts), 0.0)
-    if not np.isfinite(totals).all():
+    amp, unit, unit_quad = spec.amplitude, spec, quad
+    if amp != 1.0:
+        unit = replace(spec, amplitude=1.0)
+        unit_quad = replace(quad, abs_tol=min(quad.abs_tol / amp, sys.float_info.max))
+    for cut, widths in batches(spec.cutoff, taus, times, len(thetas)):
+        # the engine keeps a value per panel and phase until its final sum,
+        # so a large group is split to keep those bounded too
+        step = max(1, int(_RECORD_VALUES * min(widths) / hi))
+        for i in range(0, len(thetas), step):
+            part = thetas[i:i + step]
+            f, bound = _batch_integrand(unit, taus[cut], times[cut], part)
+            gammas[cut, i:i + step] = integrate_adaptive(
+                f, 0.0, hi, unit_quad, widths, outputs=len(part), bound=bound,
+                params=[{"spec": spec, "tau": tau, "t": t, "thetas": part}
+                        for tau, t in zip(taus[cut], times[cut])])
+    gammas = np.maximum(gammas, 0.0)
+    if amp != 1.0:
+        with np.errstate(over="ignore"):
+            gammas *= amp
+    if not np.isfinite(gammas).all():
+        t = times[np.flatnonzero(~np.isfinite(gammas).all(axis=1))[0]]
         raise ValueError(f"amplitude {amp:g} (--A) makes Gamma({t:g}) overflow a float")
-    return totals
+    return gammas
+
+
+def gamma_continuum_thetas(spec: OhmicSpectrum, t: float, thetas,
+                           quad: QuadratureSpec | None = None) -> np.ndarray:
+    """Gamma(t) at each phase in thetas: gamma_continuum_batch at spec.tau."""
+    return gamma_continuum_batch(spec, [spec.tau], [t], thetas, quad)[0]
 
 
 def gamma_continuum_nh(spec: OhmicSpectrum, t: float, quad: QuadratureSpec | None = None) -> float:

@@ -123,6 +123,14 @@ class DiscreteBath:
         require_finite(temperature=self.temperature, tau=self.tau)
         if self.temperature < 0:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        # |g|^2 coth(w/2T) / w^2 as dephasing_terms rounds it (coth is 1 at
+        # T = 0): a factor past the float range would turn Gamma into nan
+        omega, weight, _ = self._mode_arrays
+        with np.errstate(over="ignore", divide="ignore"):
+            factor = weight / (omega * omega) * (2.0 / np.expm1(omega / self.temperature) + 1.0)
+        if not np.isfinite(factor).all():
+            raise ValueError(f"mode omega {omega[~np.isfinite(factor)][0]:g} at --temp "
+                             f"{self.temperature:g} makes |g|^2 coth(omega/2T)/omega^2 overflow")
 
     @cached_property
     def _mode_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -202,7 +210,7 @@ def xi_non_hermitian(g: Coupling, omega: float, tau: float, t: float) -> complex
     return (8.0 * omega * s2 / Om**2) * (0.25 * gz + tau * tau * g.real) - 1j * gz * math.sin(Om * t) / Om
 
 
-def dephasing_terms(w, weight, tau: float, t: float, temperature: float):
+def dephasing_terms(w, weight, tau, t, temperature: float):
     """The dephasing kernel split by its coupling phase phi: three arrays
     (T0, T1, T2), elementwise over w > 0, with
 
@@ -212,6 +220,7 @@ def dephasing_terms(w, weight, tau: float, t: float, temperature: float):
     T0 = p [r^2 sin^2 x + 4 sin^4(x/2)], T1 = 16 tau^2 r p sin x sin^2(x/2)
     and T2 = 32 tau^2 (1 + 2 tau^2) p sin^4(x/2).  The phase enters only
     through the two scalar coefficients, so one evaluation serves every phase.
+    tau and t may be arrays that broadcast against w.
 
     Both sines come from one tangent u = tan(x/4): sin(x/2) = 2u/(1+u^2),
     cos(x/2) = (1-u)(1+u)/(1+u^2) and sin x = 2 sin(x/2) cos(x/2).  NumPy's
@@ -222,7 +231,7 @@ def dephasing_terms(w, weight, tau: float, t: float, temperature: float):
     """
     tau2 = tau * tau
     r2 = 1.0 + 4.0 * tau2
-    r = math.sqrt(r2)
+    r = np.sqrt(r2) if isinstance(r2, np.ndarray) else math.sqrt(r2)
     # x = (w r) t, the rounding of Omega t in xi_non_hermitian; x/4 is exact
     u = np.tan(w * r * t * 0.25)
     den = u * u
@@ -258,10 +267,10 @@ def dephasing_terms(w, weight, tau: float, t: float, temperature: float):
     return t0, t1, t2
 
 
-def dephasing_bound(w, weight, tau: float, temperature: float, sin_cos, cos2):
+def dephasing_bound(w, weight, tau, temperature: float, sin_cos, cos2):
     """An upper bound of the dephasing kernel at phase coefficients
     sin_cos = sin(phi) cos(phi) and cos2 = cos^2(phi), elementwise over
-    w > 0 and broadcast over the coefficients.
+    w > 0 (and an array tau) and broadcast over the coefficients.
 
     Every sine in dephasing_terms is at most 1 in magnitude, so with p as
     there T0 <= p (r^2 + 4), |T1| <= 16 tau^2 r p and 0 <= T2 <= 32 tau^2
@@ -272,7 +281,8 @@ def dephasing_bound(w, weight, tau: float, temperature: float, sin_cos, cos2):
     """
     tau2 = tau * tau
     r2 = 1.0 + 4.0 * tau2
-    k = (r2 + 4.0 + np.abs(sin_cos) * (16.0 * tau2 * math.sqrt(r2))
+    r = np.sqrt(r2) if isinstance(r2, np.ndarray) else math.sqrt(r2)
+    k = (r2 + 4.0 + np.abs(sin_cos) * (16.0 * tau2 * r)
          + cos2 * (32.0 * tau2 * (1.0 + 2.0 * tau2)))
     return k * ((2.0 / (r2 * r2)) * weight * (1.0 + 2.0 * temperature / w) / (w * w))
 

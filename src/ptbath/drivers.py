@@ -1,10 +1,12 @@
 """Batch drivers over the continuum exponent: figure presets, Cartesian
 parameter sweeps, the (tau, theta) optimizer and the crossover finder.
 
-Every driver reduces to calls of gamma_continuum_nh, or of
-gamma_continuum_thetas for points that differ only in theta, with an
-OhmicSpectrum, a time and a QuadratureSpec; rows come back in a fixed order
-whatever the number of worker processes.
+Figures and sweeps reduce to gamma_continuum_batch calls: points that
+differ only in theta share one integral, and integrals with the same
+amplitude, cutoff, temperature and phase list share a call, cut into the
+engine's batches (continuum.batches).  The optimizer and the crossover
+finder call gamma_continuum_thetas and gamma_continuum_nh per tau.  Rows
+come back in a fixed order whatever the number of worker processes.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .continuum import OhmicSpectrum, QuadratureSpec, gamma_continuum_nh, gamma_continuum_thetas
+from .continuum import (OhmicSpectrum, QuadratureSpec, batches, gamma_continuum_batch,
+                        gamma_continuum_nh, gamma_continuum_thetas)
 
 PI = math.pi
 
@@ -26,32 +29,38 @@ def _gamma_rows(points: list[dict], columns: list[str], quad: QuadratureSpec, jo
     optionally tau, theta; both default to 0), in input order.  Returns
     (columns, rows), each row the point's `columns`, Gamma and exp(-Gamma).
 
-    Points that differ only in theta share one gamma_continuum_thetas
-    call; with jobs > 1 the process pool maps these groups."""
+    Points that differ only in theta are one integral; the (tau, t)
+    integrals of one (amplitude, cutoff, temp, phase list) go to
+    gamma_continuum_batch in the engine's batches, which the process pool
+    maps with jobs > 1."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     points = [{"tau": 0.0, "theta": 0.0, **p} for p in points]
-    groups: dict[tuple[OhmicSpectrum, float], list[int]] = {}
+    integrals: dict[tuple, list[int]] = {}
     for i, p in enumerate(points):
-        spec = OhmicSpectrum(p["amplitude"], p["cutoff"], p["theta"], p["temp"], p["tau"])
-        groups.setdefault((replace(spec, theta=0.0), p["t"]), []).append(i)
-    specs = [spec for spec, _ in groups]
-    times = [t for _, t in groups]
-    thetas = [[points[i]["theta"] for i in members] for members in groups.values()]
-    quads = [quad] * len(groups)
-    if jobs > 1:
+        key = (p["amplitude"], p["cutoff"], p["temp"], p["tau"], p["t"])
+        integrals.setdefault(key, []).append(i)
+    families: dict[tuple, list] = {}
+    for (amp, cutoff, temp, tau, t), members in integrals.items():
+        thetas = tuple(points[i]["theta"] for i in members)
+        families.setdefault((amp, cutoff, temp, thetas), []).append((tau, t, members))
+    tasks, owners = [], []
+    for (amp, cutoff, temp, thetas), family in families.items():
+        taus, times, members = zip(*family)
+        for cut, _ in batches(cutoff, taus, times, len(thetas)):
+            tasks.append((OhmicSpectrum(amp, cutoff, 0.0, temp), taus[cut], times[cut], thetas,
+                          quad))
+            owners.extend(i for point_ids in members[cut] for i in point_ids)
+    if jobs > 1 and tasks:
         # about eight chunks per worker, so that no worker idles long at the end
-        chunksize = max(1, len(groups) // (8 * jobs))
+        chunksize = max(1, len(tasks) // (8 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(gamma_continuum_thetas, specs, times, thetas, quads,
-                                    chunksize=chunksize))
+            results = list(pool.map(gamma_continuum_batch, *zip(*tasks), chunksize=chunksize))
     else:
-        results = list(map(gamma_continuum_thetas, specs, times, thetas, quads))
-    gammas = [0.0] * len(points)
-    for members, values in zip(groups.values(), results):
-        for i, g in zip(members, values):
-            gammas[i] = float(g)
-    rows = [[p[c] for c in columns] + [g, math.exp(-g)] for p, g in zip(points, gammas)]
+        results = [gamma_continuum_batch(*task) for task in tasks]
+    gammas = np.zeros(len(points))
+    gammas[owners] = np.concatenate([np.empty(0)] + [r.ravel() for r in results])
+    rows = [[p[c] for c in columns] + [g, math.exp(-g)] for p, g in zip(points, gammas.tolist())]
     return columns + ["gamma", "coherence"], rows
 
 

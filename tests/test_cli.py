@@ -44,12 +44,13 @@ def test_cli_reexports_the_drivers():
 
 
 def count_integrals(monkeypatch):
-    """Count the calls of continuum.integrate_adaptive; returns a one-item list."""
+    """Count the integrals of every continuum.integrate_adaptive call, one
+    per panel width of a batch; returns a one-item list."""
     calls = [0]
 
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return integrate_adaptive(*args, **kwargs)
+    def counting(f, lo, hi, quad, panel_width, *args, **kwargs):
+        calls[0] += np.size(panel_width)
+        return integrate_adaptive(f, lo, hi, quad, panel_width, *args, **kwargs)
 
     monkeypatch.setattr(continuum, "integrate_adaptive", counting)
     return calls
@@ -112,6 +113,7 @@ class TestGammaCommand:
         ("1e-160,0.0,0.5", "omega must be >= 1.49e-154"),
         ("0.5,1e200,0.5", "g_abs 1e+200"),
         ("1e-150,1e10,0.5", "g_abs 1e+10"),
+        ("1.5e-154,1.0,0.5", "omega 1.5e-154 at --temp 300"),
     ])
     def test_modes_file_beyond_the_float_range_is_a_usage_error(self, tmp_path, capsys,
                                                                 row, message):
@@ -121,6 +123,17 @@ class TestGammaCommand:
         code, text = run_cli(tmp_path, "gamma", "--modes-file", str(modes))
         assert code == 2 and text == ""
         assert message in capsys.readouterr().err
+
+    def test_thermal_overflow_depends_on_the_temperature(self, tmp_path, capsys):
+        # coth(omega/2T) ~ 4e156 overflows |g|^2 coth/omega^2 at --temp 300
+        # only; at --temp 0 the mode gives 2 |g t|^2
+        modes = tmp_path / "modes.csv"
+        modes.write_text("omega,g_abs,theta\n1.5e-154,1.0,0.5\n")
+        code, text = run_cli(tmp_path, "gamma", "--modes-file", str(modes), "--temp", "0")
+        assert code == 0
+        assert text.splitlines()[1] == "1.00000000000e+00,2.00000000000e+00,1.35335283237e-01"
+        assert exit_code("gamma", "--modes-file", str(modes), "--temp", "300") == 2
+        assert "omega 1.5e-154 at --temp 300" in capsys.readouterr().err
 
     def test_determinism_byte_identical(self, tmp_path):
         args = ("gamma", "--tau", "1.5", "--theta", "0.8", "--t", "0:10:11")
@@ -240,6 +253,12 @@ class TestFigure:
         assert FIGURE_PRESETS["fig3a"].fixed["t"] == 120.0
         assert FIGURE_PRESETS["fig3b"].fixed["t"] == 2.0
         assert {c["t"] for c in FIGURE_PRESETS["fig4"].curves} == {2.0, 120.0}
+
+    def test_batched_pool_preserves_bytes(self, tmp_path):
+        # with --jobs 2 the pool maps the engine's batches of (tau, t)
+        _, serial = run_cli(tmp_path, "figure", "fig3b", "--jobs", "1")
+        _, parallel = run_cli(tmp_path, "figure", "fig3b", "--jobs", "2")
+        assert serial == parallel and len(serial.splitlines()) == 1 + 5 * 201
 
     def test_curves_start_fully_coherent(self):
         quad = QuadratureSpec()
@@ -457,6 +476,14 @@ class TestExitCodesAndConfig:
         code, _ = run_cli(tmp_path, "gamma", "--tau", "2", "--theta", "0.3",
                           "--t", "20", "--config", str(cfg))
         assert code == 3
+
+    def test_quadrature_failure_in_a_batch_names_the_integral(self, capsys):
+        # t = 0 and t = 20 share one batch; only the second runs out of bisections
+        assert exit_code("gamma", "--tau", "2", "--theta", "0.3", "--t", "0:20:2",
+                         "--rel-tol", "1e-15", "--abs-tol", "1e-300",
+                         "--max-subdivisions", "400") == 3
+        err = capsys.readouterr().err
+        assert "did not converge within 400" in err and "'t': 20.0" in err
 
     def test_start_grid_over_budget_exits_fast(self, capsys):
         # about 1.5e11 start panels: refused before anything is allocated

@@ -14,6 +14,8 @@ from ptbath.continuum import (
     OhmicSpectrum,
     QuadratureError,
     QuadratureSpec,
+    batches,
+    gamma_continuum_batch,
     gamma_continuum_nh,
     gamma_continuum_thetas,
     gamma_hermitian,
@@ -418,6 +420,102 @@ class TestGroupedThetas:
         assert np.array_equal(_node_sum(terms), loop)
         for j in range(9):
             assert np.array_equal(_node_sum(terms[:, :, j:j + 1])[:, 0], loop[:, j])
+
+
+def count_batches(monkeypatch):
+    """Route continuum.integrate_adaptive through a wrapper that records the
+    number of integrals of every call; returns the list of counts."""
+    counts = []
+    real = continuum.integrate_adaptive
+
+    def recording(f, lo, hi, quad, panel_width, *args, **kwargs):
+        counts.append(np.size(panel_width))
+        return real(f, lo, hi, quad, panel_width, *args, **kwargs)
+
+    monkeypatch.setattr(continuum, "integrate_adaptive", recording)
+    return counts
+
+
+class TestBatch:
+    """gamma_continuum_batch integrates many (tau, t) in one engine pass,
+    each value bit for bit the one its integral gives alone."""
+
+    @pytest.mark.parametrize("block", [None, 1, 45])
+    def test_batch_equals_single_integrals_bit_for_bit(self, monkeypatch, block):
+        rng = np.random.default_rng(31 + (block or 0))
+        t_max = 30.0 if block is None else 3.0
+        for rel_tol in (1e-8, 1e-13):
+            quad = QuadratureSpec(rel_tol=rel_tol)
+            spec = OhmicSpectrum(rng.uniform(0.1, 2.0), rng.uniform(0.05, 0.5), 0.0,
+                                 float(rng.choice([0.0, 1.0, 300.0])))
+            n = 14
+            taus = list(rng.uniform(-4.0, 4.0, n))
+            times = list(rng.uniform(0.0, t_max, n))
+            times[3] = 0.0
+            taus[5], times[5] = taus[4], times[4]
+            thetas = list(rng.uniform(-7.0, 7.0, 3))
+            singles = np.array([[gamma_continuum_nh(replace(spec, theta=th, tau=tau), t, quad)
+                                 for th in thetas] for tau, t in zip(taus, times)])
+            with monkeypatch.context() as m:
+                if block is not None:
+                    m.setattr(continuum, "_BLOCK_VALUES", block)
+                counts = count_batches(m)
+                batch = gamma_continuum_batch(spec, taus, times, thetas, quad)
+            assert np.array_equal(batch, singles)
+            assert sum(counts) == n
+            if block is None:
+                # the batches close at the size cap: several, each of several integrals
+                assert 1 < len(counts) < n
+
+    def test_batches_close_at_the_block(self):
+        cuts = batches(0.1, [2.0] * 41, np.linspace(0.0, 20.0, 41), 5)
+        # consecutive slices that cover every pair, in order
+        assert cuts[0][0].start == 0 and cuts[-1][0].stop == 41 and len(cuts) > 1
+        assert all(a.stop == b.start for (a, _), (b, _) in zip(cuts, cuts[1:]))
+        hi = 60.0 * 0.1
+        for cut, widths in cuts:
+            assert len(widths) == cut.stop - cut.start
+            panels = sum(hi / w for w in widths) * 5
+            assert panels <= continuum._BLOCK_VALUES // 15 or len(widths) == 1
+        # an integral larger than the cap runs alone
+        assert [len(w) for _, w in batches(0.1, [20.0, 0.0, 0.0], [120.0, 1.0, 1.0], 1)] == [1, 2]
+
+    def test_start_grid_and_calls_stay_within_one_block(self, monkeypatch):
+        sizes = count_integrand_points(monkeypatch)
+        spec = OhmicSpectrum(1.0, 0.1, 0.0, 300.0)
+        times = np.linspace(0.05, 1.0, 30)
+        gamma_continuum_batch(spec, [0.0] * 30, times, [0.0, 1.0])
+        # 120 start panels each: the whole batch's start grid is one call
+        assert sizes[0] > 15 * 120
+        assert max(sizes) * 2 <= continuum._BLOCK_VALUES
+        assert len(sizes) < 30
+
+    def test_start_grid_over_budget_names_the_integral(self):
+        spec = OhmicSpectrum(1.0, 0.1, 0.0, 300.0)
+        quad = QuadratureSpec(max_subdivisions=200)
+        # 120 start panels at t = 0.5 and 315 at tau = 2, t = 20
+        with pytest.raises(QuadratureError, match="start grid needs 315 panels") as exc:
+            gamma_continuum_batch(spec, [0.0, 2.0, 0.0], [0.5, 20.0, 0.7], [0.3, 1.0], quad)
+        assert exc.value.params["tau"] == 2.0 and exc.value.params["t"] == 20.0
+        assert exc.value.params["thetas"] == [0.3, 1.0] and exc.value.params["spec"] is spec
+
+    def test_bisection_over_budget_names_the_integral(self):
+        spec = OhmicSpectrum(1.0, 0.1, 0.0, 300.0)
+        quad = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=400)
+        # at t = 0 every panel passes; at tau = 2, t = 20 bisection runs out
+        with pytest.raises(QuadratureError, match="did not converge within 400") as exc:
+            gamma_continuum_batch(spec, [2.0, 2.0], [0.0, 20.0], [0.3], quad)
+        assert exc.value.params["t"] == 20.0 and exc.value.params["thetas"] == [0.3]
+        assert exc.value.params["spec"] is spec
+
+    def test_rejects_non_finite_tau_and_theta(self):
+        spec = OhmicSpectrum(1.0, 0.1)
+        with pytest.raises(ValueError, match="tau must be finite, got nan"):
+            gamma_continuum_batch(spec, [0.0, math.nan], [1.0, 1.0], [0.0])
+        with pytest.raises(ValueError, match="theta must be finite, got inf"):
+            gamma_continuum_batch(spec, [0.0], [1.0], [0.0, math.inf])
+        with pytest.raises(ValueError, match="t must be finite"):
+            gamma_continuum_batch(spec, [0.0], [math.inf], [0.0])
 
 
 class TestTailBound:

@@ -62,6 +62,16 @@ class TestTypes:
         with pytest.raises(ValueError, match="g_abs"):
             BathMode(omega, Coupling(g_abs, 0.5))
 
+    def test_thermal_factor_at_the_edge_of_the_range(self):
+        # |g|^2 coth(omega/2T)/omega^2 ~ 2T/omega^3 reaches the float range
+        # at omega ~ 1.4946e-102 for T = 300
+        inside = DiscreteBath((BathMode(1.5e-102, Coupling(1.0, 0.5)),), temperature=300.0)
+        assert gamma_discrete(inside, 1.0) == pytest.approx(
+            gamma_discrete_amplitude(inside, 1.0), rel=1e-12)
+        with pytest.raises(ValueError, match="omega 1.49e-102 at --temp 300"):
+            DiscreteBath((BathMode(1.49e-102, Coupling(1.0, 0.5)),), temperature=300.0)
+        assert DiscreteBath((BathMode(1.49e-102, Coupling(1.0, 0.5)),)).temperature == 0.0
+
     def test_mode_at_the_edge_of_the_range_gives_a_finite_gamma(self):
         bath = DiscreteBath((BathMode(1.5e-154, Coupling(1e-10, 0.5)),
                              BathMode(1e150, Coupling(1e150, 0.5))), tau=0.5)
