@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,16 +118,8 @@ def spectral_density(omega, amplitude: float, cutoff: float):
     w = np.asarray(omega, dtype=float)
     if np.any(w < 0):
         raise ValueError("omega must be >= 0")
-    out = _ohmic(w.reshape(-1), amplitude, cutoff).reshape(w.shape)
+    out = amplitude * w * np.exp(-w / cutoff)
     return out if out.ndim else float(out)
-
-
-def _ohmic(w: np.ndarray, amplitude: float, cutoff: float) -> np.ndarray:
-    # A w exp(-w/cutoff) over an array of w >= 0, rounded as (A w) exp(-w/cutoff)
-    j = w / -cutoff
-    np.exp(j, out=j)
-    j *= w if amplitude == 1.0 else amplitude * w
-    return j
 
 
 def _omega_coth(w, temperature):
@@ -168,12 +160,14 @@ def gamma_integrand_nh(omega, spec: OhmicSpectrum, t, thetas=None, tau=None):
     if not isinstance(t, np.ndarray):
         check_time(t)
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    tau = spec.tau if tau is None else tau
-    A, lam, T = spec.amplitude, spec.cutoff, spec.temperature
+    A, lam, T, tau = spec.amplitude, spec.cutoff, spec.temperature, spec.tau if tau is None else tau
     small = w < _LIMIT_BELOW * lam
     any_small = small.any()
     ws = np.where(small, lam, w) if any_small else w  # placeholder, overwritten below
-    t0, t1, t2 = (x.reshape(-1) for x in dephasing_terms(ws, _ohmic(ws, A, lam), tau, t, T))
+    j = ws / -lam  # J(w) in place, rounded as spectral_density rounds it
+    np.exp(j, out=j)
+    j *= A * ws
+    t0, t1, t2 = (x.reshape(-1) for x in dephasing_terms(ws, j, tau, t, T))
     sc, c2 = _phase_columns([spec.theta] if thetas is None else thetas)
     out = t0 + sc * t1 + c2 * t2
     if any_small:
@@ -231,16 +225,14 @@ def _node_sum(terms: np.ndarray) -> np.ndarray:
 def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_width,
                        params=None, outputs: int | None = None, bound=None):
     """Globally adaptive nested Gauss-Kronrod G7/K15 quadrature of one
-    integrand over [lo, hi], or of several over one shared subdivision, or
-    of a batch of such integrals in one pass.
+    integrand, or of several over one shared subdivision, or of a batch.
 
     f maps a 1-D array of n nodes to n values, and the result is a float.
     With outputs=k it maps them to a (k, n) array, k integrands at the same
-    nodes, and the result is an array of the k integrals.  A batch has a
-    sequence of panel widths, one per integral: f(x, ids) then maps the
-    (15, m) nodes of m panels and each panel's integral index to values of
-    x's shape (times k), bound takes (a, ids), params holds one entry per
-    integral and the result has one row per integral.
+    nodes, and the result is an array of the k integrals.  A batch has one
+    panel width and one params entry per integral, and one result row per
+    integral; f(x, ids) and bound(a, ids) then take the (15, m) nodes or
+    left edges of m panels with their integrals' indices.
 
     Panels of panel_width anchored at lo.  Each round evaluates the 15
     Kronrod nodes of every open panel, in integrand calls of at most
@@ -265,33 +257,29 @@ def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_widt
     anything, when its start grid alone needs more than max_subdivisions
     panels, and when bisection for any one of its outputs exceeds them.
     """
-    single = not np.iterable(panel_width)
-    if single:  # the batch of one
-        one, one_bound, params, panel_width = f, bound, [params], [panel_width]
-        f = lambda x, ids: one(x.ravel())  # noqa: E731
-        bound = bound and (lambda a, ids: one_bound(a))
+    if not np.iterable(panel_width):  # the batch of one
+        total = integrate_adaptive(lambda x, ids: f(x.ravel()), lo, hi, quad, [panel_width],
+                                   [params], outputs, bound and (lambda a, ids: bound(a)))[0]
+        return float(total) if outputs is None else total
     for i, width in enumerate(panel_width):
         n_panels = (hi - lo) / width if width > 0.0 else math.inf
         if n_panels > quad.max_subdivisions:
             needed = math.ceil(n_panels) if math.isfinite(n_panels) else n_panels
-            raise QuadratureError(
-                f"the start grid needs {needed} panels, more than the "
-                f"{quad.max_subdivisions} subdivisions allowed",
-                params=params[i],
-            )
+            raise QuadratureError(f"the start grid needs {needed} panels, more than the "
+                                  f"{quad.max_subdivisions} subdivisions allowed", params[i])
     n, k = len(panel_width), 1 if outputs is None else outputs
     block = max(1, _BLOCK_VALUES // (_NODES.size * k))
     grids = [_initial_edges(lo, hi, width) for width in panel_width]
     a, b = np.concatenate([e[:-1] for e in grids]), np.concatenate([e[1:] for e in grids])
     ids = np.arange(n).repeat([e.size - 1 for e in grids])  # each panel's integral
-    open_ = np.ones((k, a.size), dtype=bool)  # the outputs each panel is open for
-    if bound is not None:
-        # a NaN bound compares False and keeps its panel open
+    if bound is None:
+        open_ = np.ones((k, a.size), dtype=bool)  # the outputs each panel is open for
+    else:  # a NaN bound compares False and keeps its panel open
         open_ = ~(np.reshape(bound(a, ids), (k, a.size)) <= 0.5 * quad.abs_tol)
         needed = open_.any(axis=0)
         a, b, ids, open_ = a[needed], b[needed], ids[needed], open_[:, needed]
     # per evaluated panel: left edge, integral, and K15 and acceptance per output
-    kept = [(np.empty(0), np.empty(0, ids.dtype), np.empty((0, k)), np.zeros((0, k), bool))]
+    kept = [(np.empty(0), np.empty(0, ids.dtype), np.empty((k, 0)), np.zeros((k, 0), bool))]
     n_subdiv = np.zeros((n, k), dtype=np.int64)
     while a.size:
         splits = []
@@ -303,32 +291,28 @@ def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_widt
             g7 = _node_sum(fx[:, 1::2] * _G7_COL) * half
             k15 = _node_sum(fx * _K15_COL) * half
             ok = np.abs(k15 - g7) <= quad.rel_tol * np.abs(k15) + quad.abs_tol * 2.0 * half
-            failed = open_[:, s:s + block] & ~ok
             ok &= open_[:, s:s + block]
-            kept.append((pa, pi, k15.T, ok.T))
-            split = failed.any(axis=0)
-            if split.any():
-                splits.append((pa[split], pb[split], pi[split], failed[:, split].T))
+            failed = open_[:, s:s + block] ^ ok  # open and not accepted
+            kept.append((pa, pi, k15, ok))
+            if failed.any():
+                split = failed.any(axis=0)
+                splits.append((pa[split], pb[split], pi[split], failed[:, split]))
         if not splits:
             break
-        sa, sb, si, so = map(np.concatenate, zip(*splits))
-        np.add.at(n_subdiv, si, so)
+        sa, sb, si, so = (np.concatenate(x, axis=-1) for x in zip(*splits))
+        np.add.at(n_subdiv, si, so.T)
         worst = n_subdiv.max(axis=1)
         if worst.max() > quad.max_subdivisions:
-            raise QuadratureError(
-                f"quadrature did not converge within {quad.max_subdivisions} subdivisions",
-                params=params[worst.argmax()],
-            )
+            raise QuadratureError(f"quadrature did not converge within {quad.max_subdivisions} "
+                                  "subdivisions", params[worst.argmax()])
         m = 0.5 * (sa + sb)
         a, b = np.concatenate([sa, m]), np.concatenate([m, sb])
-        ids, open_ = np.concatenate([si, si]), np.concatenate([so, so]).T
-    left, pid, vals, ok = map(np.concatenate, zip(*kept))
+        ids, open_ = np.concatenate([si, si]), np.concatenate([so, so], axis=1)
+    left, pid, vals, ok = (np.concatenate(x, axis=-1) for x in zip(*kept))
     order = np.lexsort((left, pid))
     ends = np.bincount(pid, minlength=n).cumsum().tolist()
-    totals = np.array([[row[o][mask[o]].sum() for row, mask in zip(vals.T, ok.T)]
+    totals = np.array([[row[o][mask[o]].sum() for row, mask in zip(vals, ok)]
                        for o in (order[s:e] for s, e in zip([0] + ends, ends))])
-    if single:
-        return float(totals[0, 0]) if outputs is None else totals[0]
     return totals[:, 0] if outputs is None else totals
 
 
@@ -340,16 +324,15 @@ def _panel_width(cutoff: float, t: float, tau: float) -> float:
 def _tail_bound(spec: OhmicSpectrum, thetas, taus=None):
     """The engine's bound for gamma_integrand_nh at each phase in thetas:
     core.dephasing_bound against J(w), one row per phase, at spec.tau (at
-    taus[ids] given a batch's taus and panel ids).  J(w)/w^2 =
-    A e^{-w/cutoff}/w falls with w, so its value at a panel's left edge
-    bounds the panel.  At w = 0 it is NaN or inf, which keeps the first
-    panel open."""
+    taus[ids] given a batch's taus).  J(w)/w^2 = A e^{-w/cutoff}/w falls
+    with w, so its value at a panel's left edge bounds the panel.  At
+    w = 0 it is NaN or inf, which keeps the first panel open."""
     sc, c2 = _phase_columns(thetas)
 
     def bound(a, ids=None):
         tau = spec.tau if taus is None else taus[ids]
         with np.errstate(divide="ignore", invalid="ignore"):
-            return dephasing_bound(a, _ohmic(a, spec.amplitude, spec.cutoff),
+            return dephasing_bound(a, spec.amplitude * a * np.exp(a / -spec.cutoff),
                                    tau, spec.temperature, sc, c2)
 
     return bound
@@ -357,32 +340,19 @@ def _tail_bound(spec: OhmicSpectrum, thetas, taus=None):
 
 def batches(cutoff: float, taus, times, n_phases: int) -> list[tuple[slice, list[float]]]:
     """The (tau, t) slices that gamma_continuum_batch integrates in one engine
-    pass each, with their start-panel widths: a batch closes once its start
-    panels x phases would exceed _BLOCK_VALUES // 15, so that its start
-    grid fits in one integrand call.  At t = 0 the integrand is exactly 0,
-    and one panel spans the grid."""
+    pass each, with their start-panel widths (one panel at t = 0, where the
+    integrand is 0): a batch closes once its start panels x phases would
+    exceed _BLOCK_VALUES // 15, so that its start grid is one integrand call."""
     hi = _OMEGA_MAX_CUTOFFS * cutoff
     widths = [_panel_width(cutoff, t, tau) if t > 0.0 else hi for tau, t in zip(taus, times)]
-    cuts, used = [0], 0.0
+    cuts, used = [], math.inf
     for i, width in enumerate(widths):
         size = n_phases * (hi / width if width > 0.0 else math.inf)
-        if i > cuts[-1] and used + size > _BLOCK_VALUES // _NODES.size:
+        if used + size > _BLOCK_VALUES // _NODES.size:
             cuts.append(i)
             used = 0.0
         used += size
-    return [(slice(s, e), widths[s:e]) for s, e in zip(cuts, cuts[1:] + [len(widths)]) if e > s]
-
-
-def _batch_integrand(unit: OhmicSpectrum, taus, times, thetas):
-    # the engine's f(x, ids) and bound(a, ids) over a batch at unit
-    # amplitude; a lone integral passes scalars and a spectrum at its tau
-    if len(taus) == 1:
-        one = unit if unit.tau == taus[0] else replace(unit, tau=taus[0])
-        t = times[0]
-        return lambda w, ids: gamma_integrand_nh(w, one, t, thetas), _tail_bound(one, thetas)
-    taus, times = np.array(taus), np.array(times)
-    return (lambda w, ids: gamma_integrand_nh(w, unit, times[ids], thetas, taus[ids]),
-            _tail_bound(unit, thetas, taus))
+    return [(slice(s, e), widths[s:e]) for s, e in zip(cuts, cuts[1:] + [len(widths)])]
 
 
 def gamma_continuum_batch(spec: OhmicSpectrum, taus, times, thetas,
@@ -393,38 +363,42 @@ def gamma_continuum_batch(spec: OhmicSpectrum, taus, times, thetas,
     several when too large for _RECORD_VALUES), and the integrals run in
     batches (see batches), one integrate_adaptive pass each.  Every value
     is bit for bit the one gamma_continuum_nh gives alone."""
-    taus, times, thetas = (list(map(float, v)) for v in (taus, times, thetas))
-    for t in times:
-        check_time(t)
+    thetas = [float(th) for th in thetas]
     for name, values in (("tau", taus), ("theta", thetas)):
         if not all(map(math.isfinite, values)):
             require_finite(**{name: next(x for x in values if not math.isfinite(x))})
+    for t in times:
+        check_time(t)
     gammas = np.zeros((len(taus), len(thetas)))
     if not (spec.amplitude and thetas):
         return gammas
-    quad, hi = quad or QuadratureSpec(), _OMEGA_MAX_CUTOFFS * spec.cutoff
+    quad, hi, amp = quad or QuadratureSpec(), _OMEGA_MAX_CUTOFFS * spec.cutoff, spec.amplitude
     # Gamma is linear in the amplitude A: the integral runs at A = 1 with
     # abs_tol / A, the same acceptance tests scaled by 1/A, so that a large
     # A cannot overflow the kernel; the result is scaled back
-    amp, unit, unit_quad = spec.amplitude, spec, quad
-    if amp != 1.0:
-        unit = replace(spec, amplitude=1.0)
-        unit_quad = replace(quad, abs_tol=min(quad.abs_tol / amp, sys.float_info.max))
+    unit_quad = QuadratureSpec(quad.rel_tol, min(quad.abs_tol / amp, sys.float_info.max),
+                               quad.max_subdivisions)
     for cut, widths in batches(spec.cutoff, taus, times, len(thetas)):
+        # at A = 1, and at the tau of a lone integral, which runs on floats
+        unit = OhmicSpectrum(1.0, spec.cutoff, 0.0, spec.temperature, taus[cut.start])
         # the engine keeps a value per panel and phase until its final sum,
         # so a large group is split to keep those bounded too
         step = max(1, int(_RECORD_VALUES * min(widths) / hi))
         for i in range(0, len(thetas), step):
             part = thetas[i:i + step]
-            f, bound = _batch_integrand(unit, taus[cut], times[cut], part)
+            if len(widths) == 1:
+                f = lambda w, ids: gamma_integrand_nh(w, unit, times[cut.start], part)  # noqa: E731
+                bound = _tail_bound(unit, part)
+            else:
+                us, ts = np.array(taus[cut], dtype=float), np.array(times[cut], dtype=float)
+                f = lambda w, ids: gamma_integrand_nh(w, unit, ts[ids], part, us[ids])  # noqa: E731
+                bound = _tail_bound(unit, part, us)
             gammas[cut, i:i + step] = integrate_adaptive(
                 f, 0.0, hi, unit_quad, widths, outputs=len(part), bound=bound,
                 params=[{"spec": spec, "tau": tau, "t": t, "thetas": part}
                         for tau, t in zip(taus[cut], times[cut])])
-    gammas = np.maximum(gammas, 0.0)
-    if amp != 1.0:
-        with np.errstate(over="ignore"):
-            gammas *= amp
+    with np.errstate(over="ignore"):
+        gammas = amp * np.maximum(gammas, 0.0)
     if not np.isfinite(gammas).all():
         t = times[np.flatnonzero(~np.isfinite(gammas).all(axis=1))[0]]
         raise ValueError(f"amplitude {amp:g} (--A) makes Gamma({t:g}) overflow a float")
@@ -440,7 +414,7 @@ def gamma_continuum_thetas(spec: OhmicSpectrum, t: float, thetas,
 def gamma_continuum_nh(spec: OhmicSpectrum, t: float, quad: QuadratureSpec | None = None) -> float:
     """Gamma(t) for the non-Hermitian Ohmic continuum: the group of the one
     phase spec.theta."""
-    return float(gamma_continuum_thetas(spec, t, [spec.theta], quad)[0])
+    return float(gamma_continuum_batch(spec, [spec.tau], [t], [spec.theta], quad)[0, 0])
 
 
 def gamma_hermitian(amplitude: float, cutoff: float, temperature: float, t: float,

@@ -123,14 +123,14 @@ class DiscreteBath:
         require_finite(temperature=self.temperature, tau=self.tau)
         if self.temperature < 0:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
-        # |g|^2 coth(w/2T) / w^2 as dephasing_terms rounds it (coth is 1 at
-        # T = 0): a factor past the float range would turn Gamma into nan
+        # |g|^2 coth(w/2T) / w^2 as dephasing_terms rounds it: past the float range, Gamma is nan
         omega, weight, _ = self._mode_arrays
         with np.errstate(over="ignore", divide="ignore"):
-            factor = weight / (omega * omega) * (2.0 / np.expm1(omega / self.temperature) + 1.0)
-        if not np.isfinite(factor).all():
-            raise ValueError(f"mode omega {omega[~np.isfinite(factor)][0]:g} at --temp "
-                             f"{self.temperature:g} makes |g|^2 coth(omega/2T)/omega^2 overflow")
+            bad = ~np.isfinite(weight / (omega * omega)
+                               * (2.0 / np.expm1(omega / self.temperature) + 1.0))
+        if bad.any():
+            raise ValueError(f"mode omega {omega[bad][0]:g} at --temp {self.temperature:g} "
+                             "makes |g|^2 coth(omega/2T)/omega^2 overflow")
 
     @cached_property
     def _mode_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -231,7 +231,7 @@ def dephasing_terms(w, weight, tau, t, temperature: float):
     """
     tau2 = tau * tau
     r2 = 1.0 + 4.0 * tau2
-    r = np.sqrt(r2) if isinstance(r2, np.ndarray) else math.sqrt(r2)
+    r = np.sqrt(r2)
     # x = (w r) t, the rounding of Omega t in xi_non_hermitian; x/4 is exact
     u = np.tan(w * r * t * 0.25)
     den = u * u
@@ -281,8 +281,7 @@ def dephasing_bound(w, weight, tau, temperature: float, sin_cos, cos2):
     """
     tau2 = tau * tau
     r2 = 1.0 + 4.0 * tau2
-    r = np.sqrt(r2) if isinstance(r2, np.ndarray) else math.sqrt(r2)
-    k = (r2 + 4.0 + np.abs(sin_cos) * (16.0 * tau2 * r)
+    k = (r2 + 4.0 + np.abs(sin_cos) * (16.0 * tau2 * np.sqrt(r2))
          + cos2 * (32.0 * tau2 * (1.0 + 2.0 * tau2)))
     return k * ((2.0 / (r2 * r2)) * weight * (1.0 + 2.0 * temperature / w) / (w * w))
 

@@ -1,12 +1,11 @@
 """Batch drivers over the continuum exponent: figure presets, Cartesian
 parameter sweeps, the (tau, theta) optimizer and the crossover finder.
 
-Figures and sweeps reduce to gamma_continuum_batch calls: points that
-differ only in theta share one integral, and integrals with the same
-amplitude, cutoff, temperature and phase list share a call, cut into the
-engine's batches (continuum.batches).  The optimizer and the crossover
-finder call gamma_continuum_thetas and gamma_continuum_nh per tau.  Rows
-come back in a fixed order whatever the number of worker processes.
+Figures and sweeps reduce to gamma_continuum_batch calls, one per engine
+batch (continuum.batches) of integrals with the same amplitude, cutoff,
+temperature and phase list; the optimizer and the crossover finder call
+gamma_continuum_thetas and gamma_continuum_nh per tau.  Rows come back in
+a fixed order whatever the number of worker processes.
 """
 
 from __future__ import annotations
@@ -36,20 +35,19 @@ def _gamma_rows(points: list[dict], columns: list[str], quad: QuadratureSpec, jo
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     points = [{"tau": 0.0, "theta": 0.0, **p} for p in points]
-    integrals: dict[tuple, list[int]] = {}
+    integrals: dict[tuple, list[int]] = {}  # point indices by (amplitude, cutoff, temp, tau, t)
+    families: dict[tuple, list] = {}  # (tau, t, point indices) by (amplitude, cutoff, temp, thetas)
     for i, p in enumerate(points):
         key = (p["amplitude"], p["cutoff"], p["temp"], p["tau"], p["t"])
         integrals.setdefault(key, []).append(i)
-    families: dict[tuple, list] = {}
-    for (amp, cutoff, temp, tau, t), members in integrals.items():
+    for (amp, lam, temp, tau, t), members in integrals.items():
         thetas = tuple(points[i]["theta"] for i in members)
-        families.setdefault((amp, cutoff, temp, thetas), []).append((tau, t, members))
+        families.setdefault((amp, lam, temp, thetas), []).append((tau, t, members))
     tasks, owners = [], []
-    for (amp, cutoff, temp, thetas), family in families.items():
+    for (amp, lam, temp, thetas), family in families.items():
         taus, times, members = zip(*family)
-        for cut, _ in batches(cutoff, taus, times, len(thetas)):
-            tasks.append((OhmicSpectrum(amp, cutoff, 0.0, temp), taus[cut], times[cut], thetas,
-                          quad))
+        for cut, _ in batches(lam, taus, times, len(thetas)):
+            tasks.append((OhmicSpectrum(amp, lam, 0.0, temp), taus[cut], times[cut], thetas, quad))
             owners.extend(i for point_ids in members[cut] for i in point_ids)
     if jobs > 1 and tasks:
         # about eight chunks per worker, so that no worker idles long at the end

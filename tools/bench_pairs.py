@@ -1,17 +1,16 @@
 """Alternating parent/change pairs of the ptbath benchmark.
 
-    python3 tools/bench_pairs.py --parent COMMIT --label NAME \\
-        [--pairs figures=10 --pairs sweep-jobs2=5 --pairs commands=5] \\
-        [--seconds 30] [--traced figures] [--note TEXT]
+    python3 tools/bench_pairs.py --parent COMMIT --label NAME [--note TEXT]
 
 Run from anywhere inside the repository.  The change side is this working
 tree; the parent side is the committed tree of COMMIT, unpacked with
-`git archive` into a temporary directory that is removed at the end.  Each
-pair runs `ptbench/run.py` once per side with the same workload and seed,
-and the side that runs first alternates from pair to pair.  Seeds are
-101, 102, ... for figures, 201, ... for sweep-jobs2 and 301, ... for
-commands; a traced run per side of each --traced workload takes the next
-seed.
+`git archive` into a temporary directory that is removed at the end.  The
+workloads and the run length are those of BENCHMARK.json.  Each pair runs
+`ptbench/run.py` once per side with the same workload and seed, and the
+side that runs first alternates from pair to pair: 10 pairs of figures,
+where a throughput gain is claimed, and 5 of every other workload.  The
+n-th workload of BENCHMARK.json takes seeds 100 n + 1, 100 n + 2, ...
+(figures 101, ...); a traced run per side of figures takes the next seed.
 
 Writes BENCH_<label>.json at the repository root: every run's result line
 (the last line of `ptbench/run.py`'s output), the traced runs, and per
@@ -33,7 +32,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SEED_BASE = {"figures": 101, "sweep-jobs2": 201, "commands": 301}
+FIGURE_PAIRS, OTHER_PAIRS = 10, 5
+TRACED = "figures"
 
 
 def quantile(values, q: float) -> float:
@@ -84,23 +84,15 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="commit of the parent side")
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    parser.add_argument("--pairs", action="append", metavar="WORKLOAD=N",
-                        help="pairs per workload (default figures=10, sweep-jobs2=5, "
-                             "commands=5)")
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--traced", action="append", default=[], choices=sorted(SEED_BASE))
     parser.add_argument("--note", default="", help="a description of the host")
     args = parser.parse_args()
-    pairs = dict(p.split("=") for p in args.pairs or
-                 ["figures=10", "sweep-jobs2=5", "commands=5"])
-    pairs = {w: int(n) for w, n in pairs.items()}
-    for workload in list(pairs) + args.traced:
-        if workload not in SEED_BASE:
-            parser.error(f"unknown workload {workload!r}")
     commit = subprocess.run(["git", "rev-parse", "--verify", args.parent + "^{commit}"],
                             cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    seconds = benchmark["run_seconds"]
+    seed_base = {w["name"]: 100 * n + 1 for n, w in enumerate(benchmark["workloads"], 1)}
+    pairs = {w: FIGURE_PAIRS if w == "figures" else OTHER_PAIRS for w in seed_base}
     command = "python3 ptbench/run.py --workload W --seed N --seconds {:g} --trace 0"
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -116,24 +108,22 @@ def main() -> int:
         runs, order = [], 0
         for workload, n in pairs.items():
             for i in range(n):
-                seed = SEED_BASE[workload] + i
+                seed = seed_base[workload] + i
                 sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in sides:
-                    result = run_side(roots[side], workload, seed, args.seconds, 0)
+                    result = run_side(roots[side], workload, seed, seconds, 0)
                     runs.append({"order": order, "side": side, "workload": workload,
                                  "seed": seed, "result": result})
                     print(json.dumps(runs[-1]), flush=True)
                     order += 1
-        traced = []
-        for workload in args.traced:
-            seed = SEED_BASE[workload] + pairs.get(workload, 0)
-            for side in ("parent", "change"):
-                traced.append({
-                    "side": side, "workload": workload, "seed": seed,
-                    "command": f"python3 ptbench/run.py --workload {workload} --seed {seed} "
-                               f"--seconds {args.seconds:g} --trace 1",
-                    "result": run_side(roots[side], workload, seed, args.seconds, 1)})
-                print(json.dumps(traced[-1]), flush=True)
+        traced, seed = [], seed_base[TRACED] + pairs[TRACED]
+        for side in ("parent", "change"):
+            traced.append({
+                "side": side, "workload": TRACED, "seed": seed,
+                "command": f"python3 ptbench/run.py --workload {TRACED} --seed {seed} "
+                           f"--seconds {seconds:g} --trace 1",
+                "result": run_side(roots[side], TRACED, seed, seconds, 1)})
+            print(json.dumps(traced[-1]), flush=True)
 
     report = {
         "label": args.label,
@@ -142,7 +132,7 @@ def main() -> int:
                 "first alternating per pair, each side from its own checkout; then the traced "
                 "runs, one per side",
         "parent_commit": commit,
-        "command": command.format(args.seconds),
+        "command": command.format(seconds),
         "host": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
                  "numpy": subprocess.run([sys.executable, "-c",
                                           "import numpy; print(numpy.__version__)"],
