@@ -5,7 +5,6 @@ from .core import (
     Coupling,
     DiscreteBath,
     QubitState,
-    QubitSystem,
     big_omega,
     coherence_factor,
     evolve_qubit,

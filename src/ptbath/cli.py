@@ -17,9 +17,8 @@ import numpy as np
 
 from .continuum import OhmicSpectrum, QuadratureSpec, QuadratureError, gamma_continuum_batch
 from .core import load_bath_csv, gamma_discrete
-from .drivers import (  # noqa: F401  (re-exported)
+from .drivers import (  # noqa: F401  (golden_section_min: re-exported)
     FIGURE_PRESETS,
-    FigurePreset,
     crossover,
     golden_section_min,
     optimize,
@@ -107,11 +106,18 @@ def _write_table(columns, rows, out, fmt):
 
 def _cmd_gamma(args) -> int:
     times = [float(t) for t in args.t]
+    # each None unless given (see build_parser)
+    ohmic = {flag: getattr(args, flag.replace("-", "_")) for flag in _OHMIC_ONLY}
     if args.modes_file:
+        given = [flag for flag, value in ohmic.items() if value is not None]
+        if given:
+            raise ValueError(f"--{given[0]} applies to the Ohmic continuum, not to --modes-file")
         bath = load_bath_csv(args.modes_file, temperature=args.temp, tau=args.tau)
         gammas = [gamma_discrete(bath, t) for t in times]
     else:
-        spec = OhmicSpectrum(args.A, args.cutoff, args.theta, args.temp, args.tau)
+        amp, cutoff, theta = (_FLAGS[f]["default"] if ohmic[f] is None else ohmic[f]
+                              for f in ("A", "cutoff", "theta"))
+        spec = OhmicSpectrum(amp, cutoff, theta, args.temp, args.tau)
         quad = _quad_from_args(args)
         taus = [spec.tau] * len(times)
         gammas = gamma_continuum_batch(spec, taus, times, [spec.theta], quad)[:, 0]
@@ -217,12 +223,14 @@ _FLAGS = {
     "t": dict(type=float, default=1.0),  # gamma and figure take a t axis instead
     "rel-tol": dict(type=float),
     "abs-tol": dict(type=float),
-    "max-subdivisions": dict(type=int),
+    "max-subdivisions": dict(type=_positive_int),
     "format": dict(choices=("csv", "json"), default="csv"),
     "jobs": dict(type=_positive_int, default=1),
 }
 _SPECTRUM = ("tau", "theta", "A", "cutoff", "temp")
 _QUAD = ("rel-tol", "abs-tol", "max-subdivisions")
+# the gamma flags that a discrete bath (--modes-file) has no use for
+_OHMIC_ONLY = ("A", "cutoff", "theta") + _QUAD
 
 
 def _subcommand(sub, name, func, flags, help, **defaults):
@@ -244,8 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # _cmd_gamma fills in the built-in defaults of the Ohmic-only flags, so
+    # that it can tell a given flag from a default one under --modes-file
     p = _subcommand(sub, "gamma", _cmd_gamma, _SPECTRUM + _QUAD + ("format",),
-                    "decoherence exponent Gamma(t)")
+                    "decoherence exponent Gamma(t)", A=None, cutoff=None, theta=None)
     p.add_argument("--t", type=_parse_range, default="1", help="scalar or start:stop:count")
     p.add_argument("--modes-file", type=str, default=None,
                    help="CSV of discrete modes (omega,g_abs,theta)")

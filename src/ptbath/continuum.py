@@ -103,6 +103,8 @@ class QuadratureSpec:
         require_finite(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be > 0")
+        if self.max_subdivisions < 1:
+            raise ValueError(f"max_subdivisions must be >= 1, got {self.max_subdivisions}")
 
 
 class QuadratureError(RuntimeError):
@@ -338,6 +340,27 @@ def _tail_bound(spec: OhmicSpectrum, thetas, taus=None):
     return bound
 
 
+def _check_range(spec: OhmicSpectrum, width: float) -> None:
+    """Raise ValueError, naming --cutoff or --temp, when the kernel cannot
+    be evaluated at the smallest node of a first start panel [0, width]
+    (every integral evaluates its first panel): w^2 must be a normal float
+    and J(w) coth(w/2T) / w^2 at unit amplitude a finite one, as for a
+    discrete mode (core.BathMode, core.DiscreteBath).  A node below
+    _LIMIT_BELOW x cutoff takes the w -> 0 limit, not the kernel."""
+    w = float(0.5 * width + 0.5 * width * _NODES[0])  # as integrate_adaptive places it
+    if w < _LIMIT_BELOW * spec.cutoff:
+        return
+    if w * w < sys.float_info.min:
+        raise ValueError(f"cutoff {spec.cutoff:g} (--cutoff) puts quadrature nodes at "
+                         f"w = {w:.3g}, where w^2 is not a normal float")
+    x = w / spec.temperature if spec.temperature else math.inf
+    cth = 2.0 / math.expm1(x) + 1.0 if x < 709.0 else 1.0  # 1 + 2/expm1(x) rounds to 1 above
+    weight = w * math.exp(w / -spec.cutoff) / (w * w) * cth
+    if not math.isfinite(weight):
+        raise ValueError(f"temperature {spec.temperature:g} (--temp) at cutoff {spec.cutoff:g} "
+                         f"(--cutoff) makes J(w) coth(w/2T)/w^2 overflow at w = {w:.3g}")
+
+
 def batches(cutoff: float, taus, times, n_phases: int) -> list[tuple[slice, list[float]]]:
     """The (tau, t) slices that gamma_continuum_batch integrates in one engine
     pass each, with their start-panel widths (one panel at t = 0, where the
@@ -378,7 +401,10 @@ def gamma_continuum_batch(spec: OhmicSpectrum, taus, times, thetas,
     # A cannot overflow the kernel; the result is scaled back
     unit_quad = QuadratureSpec(quad.rel_tol, min(quad.abs_tol / amp, sys.float_info.max),
                                quad.max_subdivisions)
-    for cut, widths in batches(spec.cutoff, taus, times, len(thetas)):
+    cuts = batches(spec.cutoff, taus, times, len(thetas))
+    if cuts:  # before any integral runs
+        _check_range(spec, min(width for _, widths in cuts for width in widths))
+    for cut, widths in cuts:
         # at A = 1, and at the tau of a lone integral, which runs on floats
         unit = OhmicSpectrum(1.0, spec.cutoff, 0.0, spec.temperature, taus[cut.start])
         # the engine keeps a value per panel and phase until its final sum,

@@ -142,18 +142,6 @@ class DiscreteBath:
         )
 
 
-@dataclass(frozen=True)
-class QubitSystem:
-    """Free qubit splitting omega0.  It drops out of the dephasing exponent
-    (interaction picture) but is kept for completeness."""
-
-    omega0: float
-
-    def __post_init__(self):
-        if self.omega0 <= 0:
-            raise ValueError(f"omega0 must be > 0, got {self.omega0}")
-
-
 def density_matrix(rho, dim: int, eig_tol: float) -> np.ndarray:
     """rho as a complex dim x dim array, checked to be Hermitian with unit
     trace (both to 1e-12) and no eigenvalue below -eig_tol."""
@@ -305,10 +293,29 @@ def dephasing_kernel(w, weight, phase, tau: float, t: float, temperature: float)
 
 def gamma_discrete(bath: DiscreteBath, t: float) -> float:
     """Decoherence exponent Gamma(t) for a discrete bath: the dephasing
-    kernel summed over the modes with weights |g_k|^2 (fast path)."""
+    kernel summed over the modes with weights |g_k|^2 (fast path).
+
+    The kernel is linear in the weight, but dephasing_terms can overflow
+    in a product (|g|^2/w^2 times r^2) whose end value is finite.  A mode
+    whose kernel is not finite is evaluated again with its weight scaled
+    by an exact power of two, and its kernel scaled back; every other mode
+    keeps its bits.  Raises ValueError when Gamma itself overflows."""
     check_time(t)
     omega, weight, phase = bath._mode_arrays
-    return float(dephasing_kernel(omega, weight, phase, bath.tau, t, bath.temperature).sum())
+    args = (bath.tau, t, bath.temperature)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernel = dephasing_kernel(omega, weight, phase, *args)
+    bad = ~np.isfinite(kernel)
+    with np.errstate(over="ignore"):
+        if bad.any():
+            w = omega[bad]
+            _, e = np.frexp(weight[bad] / (w * w))  # |g|^2/w^2 scaled into [1/2, 1)
+            kernel[bad] = np.ldexp(dephasing_kernel(w, np.ldexp(weight[bad], -e), phase[bad],
+                                                    *args), e)
+        total = float(kernel.sum())
+    if math.isinf(total):
+        raise ValueError(f"the couplings (--modes-file) make Gamma({t:g}) overflow a float")
+    return total
 
 
 def gamma_discrete_amplitude(bath: DiscreteBath, t: float) -> float:

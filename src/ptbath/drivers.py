@@ -1,11 +1,11 @@
 """Batch drivers over the continuum exponent: figure presets, Cartesian
 parameter sweeps, the (tau, theta) optimizer and the crossover finder.
 
-Figures and sweeps reduce to gamma_continuum_batch calls, one per engine
-batch (continuum.batches) of integrals with the same amplitude, cutoff,
-temperature and phase list; the optimizer and the crossover finder call
-gamma_continuum_thetas and gamma_continuum_nh per tau.  Rows come back in
-a fixed order whatever the number of worker processes.
+A figure or a sweep fixes one amplitude, cutoff and temperature and reduces
+to gamma_continuum_batch calls, one per engine batch (continuum.batches)
+of integrals with the same phase list; the optimizer and the crossover
+finder call gamma_continuum_thetas and gamma_continuum_nh per tau.  Rows
+come back in a fixed order whatever the number of worker processes.
 """
 
 from __future__ import annotations
@@ -22,32 +22,37 @@ from .continuum import (OhmicSpectrum, QuadratureSpec, batches, gamma_continuum_
 
 PI = math.pi
 
+# optimize's golden-section width; crossover's tau scan and bisection width
+_GOLDEN_TOL = 1e-4
+_CROSSOVER_SCAN_POINTS = 41
+_CROSSOVER_TOL = 1e-3
 
-def _gamma_rows(points: list[dict], columns: list[str], quad: QuadratureSpec, jobs: int):
-    """Gamma for every parameter dict (keys amplitude, cutoff, temp, t and
-    optionally tau, theta; both default to 0), in input order.  Returns
-    (columns, rows), each row the point's `columns`, Gamma and exp(-Gamma).
+
+def _gamma_rows(spec: OhmicSpectrum, points: list[dict], columns: list[str],
+                quad: QuadratureSpec, jobs: int):
+    """Gamma of the spectrum's amplitude, cutoff and temperature at every
+    parameter dict (key t and optionally tau, theta; both default to 0),
+    in input order.  Returns (columns, rows), each row the point's
+    `columns`, Gamma and exp(-Gamma).
 
     Points that differ only in theta are one integral; the (tau, t)
-    integrals of one (amplitude, cutoff, temp, phase list) go to
-    gamma_continuum_batch in the engine's batches, which the process pool
-    maps with jobs > 1."""
+    integrals of one phase list go to gamma_continuum_batch in the
+    engine's batches, which the process pool maps with jobs > 1."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     points = [{"tau": 0.0, "theta": 0.0, **p} for p in points]
-    integrals: dict[tuple, list[int]] = {}  # point indices by (amplitude, cutoff, temp, tau, t)
-    families: dict[tuple, list] = {}  # (tau, t, point indices) by (amplitude, cutoff, temp, thetas)
+    integrals: dict[tuple, list[int]] = {}  # point indices by (tau, t)
+    families: dict[tuple, list] = {}  # (tau, t, point indices) by phase list
     for i, p in enumerate(points):
-        key = (p["amplitude"], p["cutoff"], p["temp"], p["tau"], p["t"])
-        integrals.setdefault(key, []).append(i)
-    for (amp, lam, temp, tau, t), members in integrals.items():
+        integrals.setdefault((p["tau"], p["t"]), []).append(i)
+    for (tau, t), members in integrals.items():
         thetas = tuple(points[i]["theta"] for i in members)
-        families.setdefault((amp, lam, temp, thetas), []).append((tau, t, members))
+        families.setdefault(thetas, []).append((tau, t, members))
     tasks, owners = [], []
-    for (amp, lam, temp, thetas), family in families.items():
+    for thetas, family in families.items():
         taus, times, members = zip(*family)
-        for cut, _ in batches(lam, taus, times, len(thetas)):
-            tasks.append((OhmicSpectrum(amp, lam, 0.0, temp), taus[cut], times[cut], thetas, quad))
+        for cut, _ in batches(spec.cutoff, taus, times, len(thetas)):
+            tasks.append((spec, taus[cut], times[cut], thetas, quad))
             owners.extend(i for point_ids in members[cut] for i in point_ids)
     if jobs > 1 and tasks:
         # about eight chunks per worker, so that no worker idles long at the end
@@ -123,7 +128,9 @@ def run_figure(preset: FigurePreset, quad: QuadratureSpec, jobs: int = 1,
         values = np.asarray(axis_values, dtype=float)
     points = [{**preset.fixed, **curve, axis_name: float(v)}
               for curve in preset.curves for v in values]
-    return _gamma_rows(points, ["tau", "theta", "t"], quad, jobs)
+    f = preset.fixed
+    spec = OhmicSpectrum(f["amplitude"], f["cutoff"], 0.0, f["temp"])
+    return _gamma_rows(spec, points, ["tau", "theta", "t"], quad, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +153,8 @@ def run_sweep(fixed: dict, grids: list[tuple[str, np.ndarray]], quad: Quadrature
     mesh = [np.asarray(v, dtype=float) for _, v in grids]
     points = [{**fixed, **{n: float(v) for n, v in zip(names, combo)}}
               for combo in itertools.product(*mesh)]
-    return _gamma_rows(points, names, quad, jobs)
+    spec = OhmicSpectrum(fixed["amplitude"], fixed["cutoff"], 0.0, fixed["temp"])
+    return _gamma_rows(spec, points, names, quad, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +196,7 @@ def golden_section_min(f, lo: float, hi: float, tol: float):
 
 
 def optimize(fixed: OhmicSpectrum, free: list[str], t: float, bounds: dict,
-             quad: QuadratureSpec, grid_points: int = 64, tol: float = 1e-4):
+             quad: QuadratureSpec, grid_points: int = 64):
     """Coarse grid scan then golden-section refinement per free axis.
 
     Returns (argmin dict, gamma at the argmin).  The result is never worse
@@ -221,14 +229,11 @@ def optimize(fixed: OhmicSpectrum, free: list[str], t: float, bounds: dict,
     scan.update({name: [float(v) for v in axes[name]] for name in free})
     grid = [gamma_continuum_thetas(replace(fixed, tau=tau), t, scan["theta"], quad)
             for tau in scan["tau"]]
-    best_p, best_g = None, math.inf
     for combo in itertools.product(*(range(len(scan[n])) for n in free)):
         at = {"tau": 0, "theta": 0, **dict(zip(free, combo))}
         p = {n: scan[n][at[n]] for n in ("tau", "theta")}
-        g = float(grid[at["tau"]][at["theta"]])
-        log.append((dict(p), g))
-        if g < best_g:
-            best_p, best_g = p, g
+        log.append((p, float(grid[at["tau"]][at["theta"]])))
+    best_p = min(log, key=lambda e: e[1])[0]
 
     # per-axis golden refinement around the best grid point
     for name in free:
@@ -242,7 +247,7 @@ def optimize(fixed: OhmicSpectrum, free: list[str], t: float, bounds: dict,
         def f1(x, _name=name):
             return evaluate({**best_p, _name: x})
 
-        x, _, _ = golden_section_min(f1, float(lo), float(hi), tol)
+        x, _, _ = golden_section_min(f1, float(lo), float(hi), _GOLDEN_TOL)
         best_p = {**best_p, name: x}
 
     log_best_p, log_best_g = min(log, key=lambda e: e[1])
@@ -250,7 +255,7 @@ def optimize(fixed: OhmicSpectrum, free: list[str], t: float, bounds: dict,
 
 
 def crossover(fixed: OhmicSpectrum, t: float, quad: QuadratureSpec,
-              tau_max: float = 4.0, scan_points: int = 41, tol: float = 1e-3):
+              tau_max: float = 4.0):
     """Smallest tau* > 0 with Gamma(tau*) = Gamma(0), by scan + bisection;
     None when Gamma(tau) - Gamma(0) never changes sign on (0, tau_max]."""
     if not 0.0 < tau_max < math.inf:
@@ -260,13 +265,13 @@ def crossover(fixed: OhmicSpectrum, t: float, quad: QuadratureSpec,
         return gamma_continuum_nh(replace(fixed, tau=tau), t, quad)
 
     g0 = g(0.0)
-    taus = np.linspace(0.0, tau_max, scan_points)[1:]
+    taus = np.linspace(0.0, tau_max, _CROSSOVER_SCAN_POINTS)[1:]
     f_prev, tau_prev = None, None
     for tau in taus:
         f = g(float(tau)) - g0
         if f_prev is not None and f_prev * f < 0:
             a, b, fa = tau_prev, float(tau), f_prev
-            while b - a > tol:
+            while b - a > _CROSSOVER_TOL:
                 m = 0.5 * (a + b)
                 fm = g(m) - g0
                 if fa * fm <= 0:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Coupling, QubitSystem, require_finite
+from .core import Coupling, require_finite
 
 
 @dataclass(frozen=True)
@@ -34,14 +34,20 @@ class TruncatedMode:
 
 # thermal weight beyond the truncation that still counts as converged
 TAIL_TOL = 1e-10
+# exact_dephasing_converged stops doubling once no ratio moves by this much
+DOUBLING_TOL = 1e-8
+# certify's spectrum check: the lowest levels compared, at this Fock dimension
+SPECTRUM_LEVELS = 5
+SPECTRUM_FOCK_DIM = 80
 
 
 @dataclass
 class OracleReport:
-    """dephasing_max_error is None when no exact evolution was run."""
+    """dephasing_max_error is None when no exact evolution was run, and
+    similarity_residual when the metric is beyond the float range."""
 
     spectrum_residuals: list[float]
-    similarity_residual: float
+    similarity_residual: float | None
     dephasing_max_error: float | None
     fock_dim_used: int
     converged: bool
@@ -88,17 +94,22 @@ def metric(mode: TruncatedMode, inverse: bool = False) -> np.ndarray:
     return (vecs * np.exp(vals)) @ vecs.T
 
 
-def similarity_residual(mode: TruncatedMode, interior_dim: int) -> float:
+def similarity_residual(mode: TruncatedMode, interior_dim: int) -> float | None:
     """Max-norm mismatch of eta H_nh eta^-1 against the Hermitian
     equivalent, restricted to the top-left interior block (truncation
-    corrupts the edge rows)."""
+    corrupts the edge rows).  None when eta, eta^-1 or that product is not
+    finite: the metric grows like exp(tau fock_dim), so a large tau puts it
+    beyond the float range."""
     if interior_dim > mode.fock_dim // 4:
         raise ValueError("interior_dim must not exceed fock_dim / 4")
     if mode.tau == 0.0:
         return 0.0
-    eta = metric(mode)
-    eta_inv = metric(mode, inverse=True)
-    h_sim = eta @ bath_hamiltonian_nh(mode) @ eta_inv
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = metric(mode)
+        eta_inv = metric(mode, inverse=True)
+        h_sim = eta @ bath_hamiltonian_nh(mode) @ eta_inv
+    if not all(np.isfinite(m).all() for m in (eta, eta_inv, h_sim)):
+        return None
     diff = h_sim - bath_hamiltonian_h(mode)
     k = interior_dim
     return float(np.max(np.abs(diff[:k, :k])))
@@ -159,7 +170,6 @@ def _branch_hamiltonians(modes: Sequence[tuple[TruncatedMode, Coupling]]):
 
 
 def exact_dephasing(
-    system: QubitSystem,
     modes: Sequence[tuple[TruncatedMode, Coupling]],
     temperature: float,
     times: Sequence[float],
@@ -172,7 +182,6 @@ def exact_dephasing(
     the ratio is |Tr(exp(-i H_minus t) rho_B exp(+i H_plus t))|.  The free
     spin splitting only contributes a phase and drops out of the modulus.
     """
-    del system  # kept for interface completeness; cancels in the modulus
     total = int(np.prod([m.fock_dim for m, _ in modes]))
     if total > dim_budget:
         raise ValueError(f"total Fock dimension {total} exceeds budget {dim_budget}")
@@ -193,37 +202,35 @@ def exact_dephasing(
 
 
 def exact_dephasing_converged(
-    system: QubitSystem,
     modes: Sequence[tuple[TruncatedMode, Coupling]],
     temperature: float,
     times: Sequence[float],
-    tol: float = 1e-8,
     dim_budget: int = 6400,
 ):
     """Run exact_dephasing with Fock-dimension doubling until outputs move
-    by less than tol; returns (ratios, fock_dim_used, converged)."""
+    by less than DOUBLING_TOL; returns (ratios, fock_dim_used, converged)."""
     current = list(modes)
-    ratios = exact_dephasing(system, current, temperature, times, dim_budget)
+    ratios = exact_dephasing(current, temperature, times, dim_budget)
     while True:
         doubled = [
             (TruncatedMode(m.omega, m.tau, 2 * m.fock_dim), g) for m, g in current
         ]
         if int(np.prod([m.fock_dim for m, _ in doubled])) > dim_budget:
             return ratios, max(m.fock_dim for m, _ in current), False
-        ratios2 = exact_dephasing(system, doubled, temperature, times, dim_budget)
-        if np.max(np.abs(ratios2 - ratios)) < tol:
+        ratios2 = exact_dephasing(doubled, temperature, times, dim_budget)
+        if np.max(np.abs(ratios2 - ratios)) < DOUBLING_TOL:
             return ratios2, max(m.fock_dim for m, _ in doubled), True
         current, ratios = doubled, ratios2
 
 
-def spectrum_residuals(mode: TruncatedMode, n_levels: int = 5) -> tuple[list[float], float]:
-    """Distance of the lowest truncated non-Hermitian eigenvalues from the
-    analytic ladder Omega (n + 1/2) + omega tau; also the largest imaginary
-    part seen among those eigenvalues."""
+def spectrum_residuals(mode: TruncatedMode) -> tuple[list[float], float]:
+    """Distance of the SPECTRUM_LEVELS lowest truncated non-Hermitian
+    eigenvalues from the analytic ladder Omega (n + 1/2) + omega tau; also
+    the largest imaginary part seen among those eigenvalues."""
     vals = np.linalg.eigvals(bath_hamiltonian_nh(mode))
-    vals = vals[np.argsort(vals.real)][:n_levels]
+    vals = vals[np.argsort(vals.real)][:SPECTRUM_LEVELS]
     Om = mode.omega * math.sqrt(1.0 + 4.0 * mode.tau**2)
-    target = Om * (np.arange(n_levels) + 0.5) + mode.omega * mode.tau
+    target = Om * (np.arange(SPECTRUM_LEVELS) + 0.5) + mode.omega * mode.tau
     res = np.abs(vals.real - target)
     return [float(r) for r in res], float(np.max(np.abs(vals.imag)))
 
@@ -237,13 +244,13 @@ def certify(
     t_max: float = 20.0,
     num_times: int = 101,
     fock_dim: int = 40,
-    spectrum_fock_dim: int = 80,
     dim_budget: int = 6400,
 ) -> OracleReport:
-    """Full validation sweep: spectrum, similarity, and exact-vs-closed-form
-    dephasing for a single mode.  When doubling fock_dim within dim_budget
-    cannot truncate the thermal state (see unreachable_fock_dim), the
-    report is non-converged at once, without exact evolution."""
+    """Full validation sweep: spectrum and similarity (at Fock dimension
+    SPECTRUM_FOCK_DIM), and exact-vs-closed-form dephasing for a single
+    mode.  When doubling fock_dim within dim_budget cannot truncate the
+    thermal state (see unreachable_fock_dim), the report is non-converged
+    at once, without exact evolution."""
     from .core import BathMode, DiscreteBath, gamma_discrete
 
     # checked before any work: a non-finite time or coupling would keep
@@ -261,18 +268,17 @@ def certify(
     # float) fails here, not after the Fock work
     g = Coupling(g_abs, theta)
     bath = DiscreteBath((BathMode(omega, g),), temperature=temperature, tau=tau)
-    spec_mode = TruncatedMode(omega, tau, spectrum_fock_dim)
+    spec_mode = TruncatedMode(omega, tau, SPECTRUM_FOCK_DIM)
     residuals, _ = spectrum_residuals(spec_mode)
-    sim = similarity_residual(spec_mode, spectrum_fock_dim // 4)
+    sim = similarity_residual(spec_mode, SPECTRUM_FOCK_DIM // 4)
 
     mode = TruncatedMode(omega, tau, fock_dim)
     if unreachable_fock_dim(mode, temperature, dim_budget) is not None:
         # fail before any exact evolution: the budget cannot hold the state
-        return OracleReport(residuals, float(sim), None, fock_dim, False)
+        return OracleReport(residuals, sim, None, fock_dim, False)
     times = np.linspace(0.0, t_max, num_times)
-    system = QubitSystem(omega0=1.0)
     ratios, dim_used, converged = exact_dephasing_converged(
-        system, [(mode, g)], temperature, times, dim_budget=dim_budget,
+        [(mode, g)], temperature, times, dim_budget=dim_budget,
     )
     closed = np.exp(-np.array([gamma_discrete(bath, t) for t in times]))
     max_err = float(np.max(np.abs(ratios - closed)))
@@ -280,7 +286,7 @@ def certify(
         converged = False
     return OracleReport(
         spectrum_residuals=residuals,
-        similarity_residual=float(sim),
+        similarity_residual=sim,
         dephasing_max_error=max_err,
         fock_dim_used=int(dim_used),
         converged=bool(converged),

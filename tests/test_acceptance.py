@@ -14,7 +14,6 @@ from ptbath.core import (
     BathMode,
     Coupling,
     DiscreteBath,
-    QubitSystem,
     gamma_discrete,
     gamma_discrete_amplitude,
 )
@@ -72,14 +71,13 @@ def test_criterion_02_closed_form_amplitude_identity():
 def test_criterion_03_oracle_certification():
     """Exact truncated-Fock evolution matches exp(-Gamma) pointwise."""
     times = np.linspace(0.0, 20.0, 101)
-    system = QubitSystem(1.0)
     worst = 0.0
     all_converged = True
     for tau in (0.0, 0.2, 0.4):
         for theta in (0.0, PI / 4, PI / 2):
             g = Coupling(0.1, theta)
             ratios, _, conv = exact_dephasing_converged(
-                system, [(TruncatedMode(1.0, tau, 40), g)], 1.0, times)
+                [(TruncatedMode(1.0, tau, 40), g)], 1.0, times)
             all_converged &= conv
             bath = DiscreteBath((BathMode(1.0, g),), 1.0, tau)
             closed = np.exp(-np.array([gamma_discrete(bath, float(t)) for t in times]))
@@ -91,7 +89,7 @@ def test_criterion_03_oracle_certification():
 def test_criterion_04_non_hermitian_spectrum():
     """Truncated non-Hermitian spectrum is the shifted real ladder."""
     mode = TruncatedMode(1.0, 0.3, 80)
-    residuals, max_imag = spectrum_residuals(mode, n_levels=5)
+    residuals, max_imag = spectrum_residuals(mode)
     sim = similarity_residual(mode, 20)
     ok = max(residuals) <= 1e-6 and max_imag <= 1e-8 and sim <= 1e-8
     report(4, ok, f"spectrum {max(residuals):.3e}, imag {max_imag:.3e}, similarity {sim:.3e}")

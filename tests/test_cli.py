@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -41,6 +43,19 @@ def test_cli_reexports_the_drivers():
     for name in ("FIGURE_PRESETS", "run_figure", "run_sweep", "optimize", "crossover",
                  "golden_section_min"):
         assert getattr(cli, name) is getattr(drivers, name)
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's tracer skips a name it cannot find without a word, so a
+    # deleted or renamed function would drop its spans silently
+    path = Path(__file__).resolve().parents[1] / "ptbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("ptbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for layer, names in spans.TRACED.items():
+        module = importlib.import_module(f"ptbath.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"ptbath.{layer}.{name}"
 
 
 def count_integrals(monkeypatch):
@@ -95,6 +110,9 @@ class TestGammaCommand:
         assert code == 0
         g = float(text.strip().split("\n")[1].split(",")[1])
         assert g == pytest.approx(2.0, rel=1e-10)
+        code, text = run_cli(tmp_path, "gamma", "--modes-file", str(modes), "--tau", "0.5",
+                             "--temp", "0", "--t", "0:1:3")
+        assert code == 0 and len(text.splitlines()) == 4
 
     @pytest.mark.parametrize("column", ["omega", "g_abs", "theta"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -114,6 +132,7 @@ class TestGammaCommand:
         ("0.5,1e200,0.5", "g_abs 1e+200"),
         ("1e-150,1e10,0.5", "g_abs 1e+10"),
         ("1.5e-154,1.0,0.5", "omega 1.5e-154 at --temp 300"),
+        ("1.0,4.5e152,0.5", "make Gamma(1) overflow a float"),
     ])
     def test_modes_file_beyond_the_float_range_is_a_usage_error(self, tmp_path, capsys,
                                                                 row, message):
@@ -123,6 +142,15 @@ class TestGammaCommand:
         code, text = run_cli(tmp_path, "gamma", "--modes-file", str(modes))
         assert code == 2 and text == ""
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, row", [
+        (("--cutoff", "1e-150"), "1.00000000000e+00,1.20000000000e-147,1.00000000000e+00"),
+        (("--temp", "1e300"), "1.00000000000e+00,3.99335985803e+299,0.00000000000e+00"),
+        (("--temp", "1e-320"), "1.00000000000e+00,1.99006617063e-02,9.80296049407e-01"),
+    ])
+    def test_extreme_spectra_inside_the_range_still_compute(self, tmp_path, argv, row):
+        code, text = run_cli(tmp_path, "gamma", "--t", "1", *argv)
+        assert code == 0 and text.splitlines()[1] == row
 
     def test_thermal_overflow_depends_on_the_temperature(self, tmp_path, capsys):
         # coth(omega/2T) ~ 4e156 overflows |g|^2 coth/omega^2 at --temp 300
@@ -467,6 +495,17 @@ class TestOracleCommand:
         _, text = run_cli(tmp_path, "oracle", "--g-abs", "0", "--num-times", "11")
         assert json.loads(text)["dephasing_max_error"] <= 1e-12
 
+    @pytest.mark.parametrize("tau", ["5", "8", "1e10"])
+    def test_json_holds_no_nan(self, tau, capsys):
+        # exp(-(tau/2)(a - a')^2) leaves the float range at fock_dim 80
+        def no_constant(name):
+            raise AssertionError(f"{name} in the oracle report")
+
+        code = exit_code("oracle", "--tau", tau, "--dim-budget", "80")
+        report = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+        assert report["similarity_residual"] is None
+        assert code == (0 if tau == "1e10" else 4)
+
 
 class TestExitCodesAndConfig:
     def test_quadrature_failure_exit_code(self, tmp_path):
@@ -628,6 +667,22 @@ class TestFlagsPerSubcommand:
         assert exit_code(*self.BASE[command], "--config", str(cfg)) == 2
         assert repr(flag) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["A", "cutoff", "theta", "rel-tol", "abs-tol",
+                                      "max-subdivisions"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_modes_file_rejects_continuum_flags(self, flag, via, tmp_path, capsys):
+        modes = tmp_path / "modes.csv"
+        modes.write_text("omega,g_abs,theta\n1.0,1.0,0.5\n")
+        argv = ["gamma", "--modes-file", str(modes)]
+        if via == "flag":
+            argv += [f"--{flag}", self.VALUES[flag]]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag: self.VALUES[flag]}))
+            argv += ["--config", str(cfg)]
+        assert exit_code(*argv) == 2
+        assert f"--{flag}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, flag", [
         (("figure", "fig1b", "--t", "0:20:3"), "--t"),
         (("figure", "fig3a", "--t", "0:20:3"), "--t"),
@@ -661,6 +716,14 @@ class TestFlagsPerSubcommand:
         (("sweep", "--sweep", "tau=0:1:0"), "--sweep"),
         (("sweep", "--sweep", "tau"), "--sweep"),
         (("concurrence", "--gamma", "nan"), "--gamma must be >= 0, got nan"),
+        (("gamma", "--max-subdivisions", "0"), "--max-subdivisions"),
+        (("gamma", "--max-subdivisions", "-5"), "--max-subdivisions"),
+        (("sweep", "--sweep", "tau=0:1:2", "--max-subdivisions", "0"), "--max-subdivisions"),
+        # the kernel is beyond the float range at the first start panel
+        (("gamma", "--t", "1", "--cutoff", "1e-300"), "--cutoff"),
+        (("gamma", "--t", "1", "--cutoff", "1e-160", "--temp", "0"), "--cutoff"),
+        (("gamma", "--t", "1", "--temp", "1e302"), "--temp"),
+        (("gamma", "--t", "100", "--temp", "1e300"), "--temp"),  # a narrower first panel
     ])
     def test_emptied_clamped_or_truncated_input_is_a_usage_error(self, argv, name, capsys):
         assert exit_code(*argv) == 2

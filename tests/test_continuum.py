@@ -637,6 +637,10 @@ class TestAmplitude:
         grouped = gamma_continuum_thetas(replace(spec, amplitude=1e300), 20.0, [0.3, 1.0])
         assert grouped[0] == pytest.approx(1e300 * unit, rel=1e-12)
 
+    def test_empty_batch(self):
+        spec = OhmicSpectrum(1.0, 1e-300, 0.0, 300.0)  # no integral, so nothing to reject
+        assert gamma_continuum_batch(spec, [], [], [0.0]).shape == (0, 1)
+
     def test_overflowing_gamma_is_a_value_error(self):
         spec = OhmicSpectrum(1e305, 0.1, 0.3, 300.0, 2.0)
         with pytest.raises(ValueError, match="amplitude"):
@@ -649,6 +653,12 @@ class TestQuadratureSpec:
     def test_rejects_bad_tolerances(self):
         with pytest.raises(ValueError):
             QuadratureSpec(rel_tol=0.0)
+
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_rejects_a_budget_below_one(self, count):
+        # a budget of 0 or less used to fail only at the start grid, as exit 3
+        with pytest.raises(ValueError, match="max_subdivisions must be >= 1"):
+            QuadratureSpec(max_subdivisions=count)
 
     def test_spectrum_validation(self):
         with pytest.raises(ValueError):

@@ -72,6 +72,27 @@ class TestTypes:
             DiscreteBath((BathMode(1.49e-102, Coupling(1.0, 0.5)),), temperature=300.0)
         assert DiscreteBath((BathMode(1.49e-102, Coupling(1.0, 0.5)),)).temperature == 0.0
 
+    def test_intermediate_overflow_in_the_kernel(self):
+        # |g|^2/omega^2 = 1e306 times r^2 = 4e4 overflows in dephasing_terms;
+        # that mode is evaluated again at a smaller weight, the other one is not
+        big, small = BathMode(1.0, Coupling(1e153, 0.5)), BathMode(2.0, Coupling(0.3, 1.0))
+        for modes in ((big,), (big, small)):
+            bath = DiscreteBath(modes, tau=100.0)
+            assert gamma_discrete(bath, 1.5) == pytest.approx(
+                gamma_discrete_amplitude(bath, 1.5), rel=1e-14)
+        assert gamma_discrete(DiscreteBath((big,), tau=100.0), 1.5) == pytest.approx(1.5888e306,
+                                                                                       rel=1e-4)
+
+    def test_overflowing_gamma_is_a_value_error(self):
+        bath = DiscreteBath((BathMode(1.0, Coupling(6e153, 0.0)),), tau=1.0)
+        assert gamma_discrete(bath, 2.0) == pytest.approx(1.2392584803e308, rel=1e-9)
+        with pytest.raises(ValueError, match=r"Gamma\(1\) overflow"):
+            gamma_discrete(bath, 1.0)
+        # two finite kernels whose sum is beyond a float
+        twice = DiscreteBath((BathMode(1.0, Coupling(6e153, 0.0)),) * 2, tau=1.0)
+        with pytest.raises(ValueError, match="overflow"):
+            gamma_discrete(twice, 2.0)
+
     def test_mode_at_the_edge_of_the_range_gives_a_finite_gamma(self):
         bath = DiscreteBath((BathMode(1.5e-154, Coupling(1e-10, 0.5)),
                              BathMode(1e150, Coupling(1e150, 0.5))), tau=0.5)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ptbath import oracle
-from ptbath.core import BathMode, Coupling, DiscreteBath, QubitSystem, gamma_discrete
+from ptbath.core import BathMode, Coupling, DiscreteBath, gamma_discrete
 from ptbath.oracle import (
     TruncatedMode,
     annihilation,
@@ -90,6 +90,11 @@ class TestMetric:
     def test_similarity_residual_small(self):
         assert similarity_residual(TruncatedMode(1.0, 0.1, 80), 20) <= 1e-8
 
+    @pytest.mark.parametrize("tau", [5.0, 8.0, 1e10])
+    def test_similarity_residual_beyond_the_float_range_is_none(self, tau):
+        # eta grows like exp(tau fock_dim): inf at tau 8, and at tau 5 eta H eta^-1 is
+        assert similarity_residual(TruncatedMode(1.0, tau, 80), 20) is None
+
     def test_similarity_residual_zero_at_tau_zero(self):
         assert similarity_residual(TruncatedMode(1.0, 0.0, 80), 20) == 0.0
 
@@ -139,16 +144,14 @@ class TestThermalState:
 class TestExactDephasing:
     def test_zero_coupling_keeps_full_coherence(self):
         times = np.linspace(0, 10, 11)
-        ratios = exact_dephasing(QubitSystem(1.0),
-                                 [(TruncatedMode(1.0, 0.2, 30), Coupling(0.0))],
-                                 1.0, times)
+        ratios = exact_dephasing([(TruncatedMode(1.0, 0.2, 30), Coupling(0.0))], 1.0, times)
         assert np.allclose(ratios, 1.0, atol=1e-12)
 
     def test_matches_closed_form_non_hermitian(self):
         g = Coupling(0.1, math.pi / 2)
         times = np.linspace(0, 20, 41)
         ratios, dim, conv = exact_dephasing_converged(
-            QubitSystem(1.0), [(TruncatedMode(1.0, 0.2, 40), g)], 1.0, times)
+            [(TruncatedMode(1.0, 0.2, 40), g)], 1.0, times)
         assert conv
         bath = DiscreteBath((BathMode(1.0, g),), 1.0, 0.2)
         closed = np.exp(-np.array([gamma_discrete(bath, float(t)) for t in times]))
@@ -158,7 +161,7 @@ class TestExactDephasing:
         g = Coupling(0.1, math.pi / 2)
         times = np.linspace(0, 20, 41)
         ratios, _, conv = exact_dephasing_converged(
-            QubitSystem(1.0), [(TruncatedMode(1.0, 0.0, 40), g)], 1.0, times)
+            [(TruncatedMode(1.0, 0.0, 40), g)], 1.0, times)
         assert conv
         bath = DiscreteBath((BathMode(1.0, g),), 1.0, 0.0)
         closed = np.exp(-np.array([gamma_discrete(bath, float(t)) for t in times]))
@@ -168,22 +171,20 @@ class TestExactDephasing:
         modes = [(TruncatedMode(1.0, 0.1, 24), Coupling(0.08, 0.4)),
                  (TruncatedMode(1.7, 0.1, 24), Coupling(0.05, 2.0))]
         times = np.linspace(0, 10, 21)
-        ratios = exact_dephasing(QubitSystem(1.0), modes, 0.5, times)
+        ratios = exact_dephasing(modes, 0.5, times)
         bath = DiscreteBath((BathMode(1.0, Coupling(0.08, 0.4)),
                              BathMode(1.7, Coupling(0.05, 2.0))), 0.5, 0.1)
         closed = np.exp(-np.array([gamma_discrete(bath, float(t)) for t in times]))
         assert np.max(np.abs(ratios - closed)) <= 1e-5
 
     def test_unit_ratio_at_zero_time(self):
-        ratios = exact_dephasing(QubitSystem(1.0),
-                                 [(TruncatedMode(1.0, 0.3, 30), Coupling(0.1, 1.0))],
+        ratios = exact_dephasing([(TruncatedMode(1.0, 0.3, 30), Coupling(0.1, 1.0))],
                                  1.0, [0.0])
         assert ratios[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_budget_overflow_rejected(self):
         with pytest.raises(ValueError):
-            exact_dephasing(QubitSystem(1.0),
-                            [(TruncatedMode(1.0, 0.1, 100), Coupling(0.1))],
+            exact_dephasing([(TruncatedMode(1.0, 0.1, 100), Coupling(0.1))],
                             1.0, [1.0], dim_budget=50)
 
 
