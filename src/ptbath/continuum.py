@@ -51,10 +51,10 @@ _BLOCK_VALUES = 1 << 16
 # larger groups of phases are split into several integrals.
 _RECORD_VALUES = 1 << 21
 
-# The start grid ends at this multiple of the cutoff, in panels no wider
-# than 1/_PANELS_PER_OSCILLATION of the integrand's fastest period.
+# The start grid ends at this multiple of the cutoff, in panels no wider than
+# half the integrand's fastest period: for t >= 1, the lobes of sin(r w t).
 _OMEGA_MAX_CUTOFFS = 60.0
-_PANELS_PER_OSCILLATION = 4
+_PANELS_PER_OSCILLATION = 2
 
 # The kernel divides by w^2, which underflows below w ~ 1e-154; under
 # this multiple of the cutoff the integrands take their analytic w -> 0

@@ -123,6 +123,13 @@ class DiscreteBath:
         require_finite(temperature=self.temperature, tau=self.tau)
         if self.temperature < 0:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        # past the float range (|tau| ~ 4e76) Gamma is nan or loses its tau-free term;
+        # near tau = 0 the tau^2 constants may round to subnormals, below T0's rounding
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, _, k, k1, k2 = _kernel_constants(self.tau)
+        if not (k >= sys.float_info.min and math.isfinite(k1) and math.isfinite(k2)):
+            raise ValueError(f"tau {self.tau:g} (--tau) puts the kernel constants 2/r^4, 32 tau^2 "
+                             "r 2/r^4 or 32 tau^2 (1 + 2 tau^2) 2/r^4 outside the float range")
         # |g|^2 coth(w/2T) / w^2 as dephasing_terms rounds it: past the float range, Gamma is nan
         omega, weight, _ = self._mode_arrays
         with np.errstate(over="ignore", divide="ignore"):
@@ -198,6 +205,16 @@ def xi_non_hermitian(g: Coupling, omega: float, tau: float, t: float) -> complex
     return (8.0 * omega * s2 / Om**2) * (0.25 * gz + tau * tau * g.real) - 1j * gz * math.sin(Om * t) / Om
 
 
+def _kernel_constants(tau):
+    """(r, r^2, 2/r^4, 32 tau^2 r 2/r^4, 32 tau^2 (1 + 2 tau^2) 2/r^4) with
+    r = sqrt(1 + 4 tau^2): the factors of dephasing_terms, as it rounds them."""
+    tau2 = tau * tau
+    r2 = 1.0 + 4.0 * tau2
+    r = np.sqrt(r2)
+    k = 2.0 / (r2 * r2)
+    return r, r2, k, 32.0 * tau2 * r * k, 32.0 * tau2 * (1.0 + 2.0 * tau2) * k
+
+
 def dephasing_terms(w, weight, tau, t, temperature: float):
     """The dephasing kernel split by its coupling phase phi: three arrays
     (T0, T1, T2), elementwise over w > 0, with
@@ -217,9 +234,7 @@ def dephasing_terms(w, weight, tau, t, temperature: float):
     1 in magnitude and dephasing_bound holds.  coth(w/2T) is
     1 + 2/expm1(w/T), exactly 1 once expm1 overflows (w/T > 709.78).
     """
-    tau2 = tau * tau
-    r2 = 1.0 + 4.0 * tau2
-    r = np.sqrt(r2)
+    r, r2, k, k1, k2 = _kernel_constants(tau)
     # x = (w r) t, the rounding of Omega t in xi_non_hermitian; x/4 is exact
     u = np.tan(w * r * t * 0.25)
     den = u * u
@@ -241,17 +256,16 @@ def dephasing_terms(w, weight, tau, t, temperature: float):
         cth += 1.0
         v *= cth
         del cth
-    k = 2.0 / (r2 * r2)
     t1 = v * sc
     t0 = t1 * sc
     t1 *= u
-    t1 *= 32.0 * tau2 * r * k
+    t1 *= k1
     v *= u
     v *= u  # v sin^4(x/2)
     t0 *= r2
     t0 += v
     t0 *= 4.0 * k
-    t2 = v * (32.0 * tau2 * (1.0 + 2.0 * tau2) * k)
+    t2 = v * k2
     return t0, t1, t2
 
 

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -143,6 +144,22 @@ class TestGammaCommand:
         assert code == 2 and text == ""
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tau", ["4.5e76", "6e76", "1e160"])
+    def test_modes_file_tau_past_the_kernel_constants_is_a_usage_error(self, tmp_path,
+                                                                      capsys, tau):
+        # 6e76 and above printed nan with exit 0; 4.5e76 blamed --modes-file
+        modes = tmp_path / "modes.csv"
+        modes.write_text("omega,g_abs,theta\n0.5,0.1,0.3\n")
+        code, text = run_cli(tmp_path, "gamma", "--modes-file", str(modes), "--t", "1",
+                             "--tau", tau)
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "(--tau)" in err and "--modes-file" not in err
+        code, text = run_cli(tmp_path, "gamma", "--modes-file", str(modes), "--t", "1",
+                             "--tau", "1e50")
+        assert code == 0 and text.splitlines()[1] == (
+            "1.00000000000e+00,1.32565979127e+00,2.65627642458e-01")
+
     @pytest.mark.parametrize("argv, row", [
         (("--cutoff", "1e-150"), "1.00000000000e+00,1.20000000000e-147,1.00000000000e+00"),
         (("--temp", "1e300"), "1.00000000000e+00,3.99335985803e+299,0.00000000000e+00"),
@@ -151,6 +168,19 @@ class TestGammaCommand:
     def test_extreme_spectra_inside_the_range_still_compute(self, tmp_path, argv, row):
         code, text = run_cli(tmp_path, "gamma", "--t", "1", *argv)
         assert code == 0 and text.splitlines()[1] == row
+
+    def test_wide_first_panel_keeps_a_huge_temperature_in_range(self, tmp_path):
+        # at --t 100 the first node sits at w = 1.34e-4, where J(w) coth(w/2T)/w^2
+        # is finite at --temp 1e300; Gamma is linear in T there
+        rows = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for temp in ("1e200", "1e300"):
+                code, text = run_cli(tmp_path, "gamma", "--t", "100", "--temp", temp)
+                assert code == 0
+                rows[temp] = text.splitlines()[1]
+        assert rows["1e200"] == "1.00000000000e+02,9.92297318769e+202,0.00000000000e+00"
+        assert rows["1e300"] == "1.00000000000e+02,9.92297318769e+302,0.00000000000e+00"
 
     def test_thermal_overflow_depends_on_the_temperature(self, tmp_path, capsys):
         # coth(omega/2T) ~ 4e156 overflows |g|^2 coth/omega^2 at --temp 300
@@ -723,7 +753,7 @@ class TestFlagsPerSubcommand:
         (("gamma", "--t", "1", "--cutoff", "1e-300"), "--cutoff"),
         (("gamma", "--t", "1", "--cutoff", "1e-160", "--temp", "0"), "--cutoff"),
         (("gamma", "--t", "1", "--temp", "1e302"), "--temp"),
-        (("gamma", "--t", "100", "--temp", "1e300"), "--temp"),  # a narrower first panel
+        (("gamma", "--t", "200", "--temp", "1e300"), "--temp"),  # a narrower first panel
     ])
     def test_emptied_clamped_or_truncated_input_is_a_usage_error(self, argv, name, capsys):
         assert exit_code(*argv) == 2

@@ -220,7 +220,7 @@ class TestGammaContinuum:
                                               max_subdivisions=10))
 
     def test_bisection_exhausts_its_budget(self):
-        # the start grid (315 panels for tau=2, t=20) fits the budget, so
+        # the start grid (158 panels for tau=2, t=20) fits the budget, so
         # the failure comes from bisection, not from the start-grid bound
         spec = OhmicSpectrum(theta=0.3, tau=2.0, **FIG_SETTINGS)
         with pytest.raises(QuadratureError, match="did not converge within 400 subdivisions"):
@@ -234,18 +234,26 @@ class TestGammaContinuum:
 
         monkeypatch.setattr(continuum, "_initial_edges", no_grid)
         spec = OhmicSpectrum(1.0, 0.1, tau=20.0)
-        # about 1.5e11 panels at the default budget of 2e6
-        with pytest.raises(QuadratureError, match=r"start grid needs 1528\d{8} panels"):
+        # about 7.6e10 panels at the default budget of 2e6
+        with pytest.raises(QuadratureError, match=r"start grid needs 764\d{8} panels"):
             gamma_continuum_nh(spec, 1e9)
-        with pytest.raises(QuadratureError, match="start grid needs 315 panels"):
+        with pytest.raises(QuadratureError, match="start grid needs 158 panels"):
             gamma_continuum_nh(OhmicSpectrum(theta=0.3, tau=2.0, **FIG_SETTINGS), 20.0,
-                               QuadratureSpec(max_subdivisions=314))
+                               QuadratureSpec(max_subdivisions=157))
         # a width that underflows to 0 is over any budget
         with pytest.raises(QuadratureError, match="start grid needs inf panels"):
             gamma_continuum_nh(spec, 1e308)
 
+    @pytest.mark.parametrize("t", [1.0, 1.5, 20.0, 120.0, 1e5, 3.7e8])
+    @pytest.mark.parametrize("tau", [0.0, 1e-5, 2.0, -3.3, 20.0])
+    def test_start_panels_are_lobes_of_the_oscillation(self, t, tau):
+        # for t >= 1 a start panel spans x = r w t from k pi to (k + 1) pi,
+        # between zeros of sin x (a cutoff above 2 pi leaves the width uncapped)
+        r = math.sqrt(1.0 + 4.0 * tau * tau)
+        assert _panel_width(10.0, t, tau) * r * t == pytest.approx(math.pi, rel=4e-16)
+
     def test_default_start_is_accurate_over_a_wide_range(self, monkeypatch):
-        # the default (4 panels per oscillation, rel_tol 1e-8) against a
+        # the default (2 panels per oscillation, rel_tol 1e-8) against a
         # 16-per-oscillation start at rel_tol 1e-11; cases whose reference
         # start grid exceeds 2e5 panels (large cutoff * t * |tau|, about 3 %
         # of draws) are redrawn to keep the test's time and memory small
@@ -492,9 +500,9 @@ class TestBatch:
 
     def test_start_grid_over_budget_names_the_integral(self):
         spec = OhmicSpectrum(1.0, 0.1, 0.0, 300.0)
-        quad = QuadratureSpec(max_subdivisions=200)
-        # 120 start panels at t = 0.5 and 315 at tau = 2, t = 20
-        with pytest.raises(QuadratureError, match="start grid needs 315 panels") as exc:
+        quad = QuadratureSpec(max_subdivisions=140)
+        # 120 start panels at t = 0.5 and 158 at tau = 2, t = 20
+        with pytest.raises(QuadratureError, match="start grid needs 158 panels") as exc:
             gamma_continuum_batch(spec, [0.0, 2.0, 0.0], [0.5, 20.0, 0.7], [0.3, 1.0], quad)
         assert exc.value.params["tau"] == 2.0 and exc.value.params["t"] == 20.0
         assert exc.value.params["thetas"] == [0.3, 1.0] and exc.value.params["spec"] is spec
@@ -625,6 +633,13 @@ class TestTailBound:
         sizes = count_integrand_points(monkeypatch)
         gamma_continuum_nh(OhmicSpectrum(1.0, 0.1, math.pi / 2, 300.0, 20.0), 120.0)
         assert sum(sizes) <= 275_070 // 2
+
+    def test_large_t_integral_on_lobes_skips_three_quarters(self, monkeypatch):
+        # the same point on start panels of one lobe of sin(r w t) each:
+        # at most a quarter of the 275,070 values of the four-per-oscillation grid
+        sizes = count_integrand_points(monkeypatch)
+        gamma_continuum_nh(OhmicSpectrum(1.0, 0.1, math.pi / 2, 300.0, 20.0), 120.0)
+        assert sum(sizes) <= 275_070 // 4
 
 
 class TestAmplitude:

@@ -121,6 +121,19 @@ class TestTypes:
         with pytest.raises(ValueError, match=field):
             DiscreteBath((BathMode(1.0, Coupling(1.0)),), **{field: math.nan})
 
+    def test_bath_rejects_a_tau_past_the_kernel_constants(self):
+        # 32 tau^2 (1 + 2 tau^2) overflows just above |tau| = 4e76 and r^4 at
+        # 5.8e76; unchecked, Gamma was nan or a false coupling overflow
+        mode = (BathMode(0.5, Coupling(0.1, 0.3)),)
+        for tau in (4.1e76, -4.5e76, 6e76, 1e160):
+            with pytest.raises(ValueError, match=r"\(--tau\)"):
+                DiscreteBath(mode, tau=tau)
+        # inside, down to a tau whose tau^2 constants are subnormal
+        for tau in (1e-160, 1e50, -4e76):
+            bath = DiscreteBath(mode, tau=tau)
+            assert gamma_discrete(bath, 1.0) == pytest.approx(
+                gamma_discrete_amplitude(bath, 1.0), rel=1e-14)
+
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_gamma_rejects_non_finite_time(self, t):
         bath = DiscreteBath((BathMode(1.0, Coupling(1.0)),))

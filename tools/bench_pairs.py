@@ -11,12 +11,18 @@ side that runs first alternates from pair to pair: 10 pairs of figures,
 where a throughput gain is claimed, and 5 of every other workload.  The
 n-th workload of BENCHMARK.json takes seeds 100 n + 1, 100 n + 2, ...
 (figures 101, ...); a traced run per side of figures takes the next seed.
+Each side also counts, in one process, the integrand values (nodes x
+outputs) of one figures pass: the six presets as `ptbench/workloads.py`
+runs them, through a wrapper of every integrand that
+`continuum.integrate_adaptive` is given.  The count does not depend on the
+hardware and repeats run to run.
 
 Writes BENCH_<label>.json at the repository root: every run's result line
-(the last line of `ptbench/run.py`'s output), the traced runs, and per
-workload and end-to-end metric of BENCHMARK.json the number of pairs, the
-pairs the change wins (ties count for neither side) and each side's median
-and quartiles (linear interpolation between closest ranks).
+(the last line of `ptbench/run.py`'s output), the traced runs, both
+sides' integrand values per figures pass, and per workload and end-to-end
+metric of BENCHMARK.json the number of pairs, the pairs the change wins
+(ties count for neither side) and each side's median and quartiles (linear
+interpolation between closest ranks).
 """
 
 from __future__ import annotations
@@ -35,6 +41,38 @@ ROOT = Path(__file__).resolve().parents[1]
 FIGURE_PAIRS, OTHER_PAIRS = 10, 5
 TRACED = "figures"
 
+# argv[1] is the checkout; prints the integrand values of one figures pass
+COUNT_VALUES = '''
+import sys, tempfile
+from pathlib import Path
+import numpy as np
+from ptbath import cli, continuum
+sys.path.insert(0, str(Path(sys.argv[1]) / "ptbench"))
+from workloads import FIGURE_IDS, figure_argv
+
+real, depth, values = continuum.integrate_adaptive, [0], [0]
+
+def tally(out):
+    values[0] += np.size(out)
+    return out
+
+def counting(f, *args, **kwargs):
+    if depth[0]:  # the engine calling itself: its integrand is counted already
+        return real(f, *args, **kwargs)
+    depth[0] += 1
+    try:
+        return real(lambda *a: tally(f(*a)), *args, **kwargs)
+    finally:
+        depth[0] -= 1
+
+continuum.integrate_adaptive = counting
+with tempfile.TemporaryDirectory() as tmp:
+    for fig in FIGURE_IDS:
+        if cli.main(figure_argv(fig, str(Path(tmp) / (fig + ".csv")))) != 0:
+            sys.exit(f"figure {fig} failed")
+print(values[0])
+'''
+
 
 def quantile(values, q: float) -> float:
     xs = sorted(values)
@@ -51,6 +89,14 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True,
                          timeout=seconds * 4 + 600).stdout
     return json.loads(out.strip().splitlines()[-1])
+
+
+def count_values(checkout: Path) -> int:
+    """Integrand values of one figures pass of the ptbath in `checkout`."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    out = subprocess.run([sys.executable, "-c", COUNT_VALUES, str(checkout)], cwd=checkout,
+                         env=env, capture_output=True, text=True, check=True, timeout=600).stdout
+    return int(out.strip().splitlines()[-1])
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
@@ -104,6 +150,8 @@ def main() -> int:
         with tarfile.open(archive) as tar:
             tar.extractall(parent_root, filter="data")
         roots = {"parent": parent_root, "change": ROOT}
+        values = {side: count_values(root) for side, root in roots.items()}
+        print(json.dumps({"integrand_values_per_figures_pass": values}), flush=True)
 
         runs, order = [], 0
         for workload, n in pairs.items():
@@ -140,6 +188,7 @@ def main() -> int:
                  "note": args.note},
         "runs": runs,
         "traced": traced,
+        "integrand_values_per_figures_pass": values,
         "summary": summarize(runs, better),
     }
     out = ROOT / f"BENCH_{args.label}.json"
