@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_time, coth, dephasing_bound, dephasing_terms, require_finite
+from .core import check_tau, check_time, coth, dephasing_bound, dephasing_terms, require_finite
 
 # QUADPACK QK15 (Piessens et al., QUADPACK, Springer 1983): the 15-point
 # Kronrod abscissae xgk on [0, 1) with weights wgk; xgk[1::2] are the
@@ -48,7 +48,8 @@ _G7_COL = _WEIGHTS[1::2, 1:]
 # whatever the number of panels and of outputs.
 _BLOCK_VALUES = 1 << 16
 # Panels x phases of one grouped integral, as counted on its start grid:
-# larger groups of phases are split into several integrals.
+# larger groups of phases are split into several integrals, to bound the
+# engine's open mask (phases x panels) and the values of one integrand call.
 _RECORD_VALUES = 1 << 21
 
 # The start grid ends at this multiple of the cutoff, in panels no wider than
@@ -241,10 +242,11 @@ def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_widt
     _BLOCK_VALUES nodes x outputs; the 7-point Gauss estimate reuses 7 of
     them.  A panel is accepted for an output when |K15 - G7| <= rel_tol
     |K15| + abs_tol * width and contributes K15 to it; it is bisected for
-    the outputs it failed for only.  Each output's accepted values are
-    summed in order of left edge as one array.  A panel's K15 and G7 are
-    elementwise functions of its own nodes, so an output's integral is
-    bit for bit the same alone, in any group or batch and at any block size.
+    the outputs it failed for only.  An output's total adds its accepted
+    values one by one in evaluation order.  A panel's K15 and G7 are
+    elementwise functions of its own nodes and an integral's panels keep
+    their order among others', so an output's integral is bit for bit the
+    same alone, in any group or batch and at any block size.
 
     bound, if given, maps the left edges of the n start panels to an
     (outputs, n) array (n values without outputs) that bounds |f| over
@@ -280,8 +282,7 @@ def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_widt
         open_ = ~(np.reshape(bound(a, ids), (k, a.size)) <= 0.5 * quad.abs_tol)
         needed = open_.any(axis=0)
         a, b, ids, open_ = a[needed], b[needed], ids[needed], open_[:, needed]
-    # per evaluated panel: left edge, integral, and K15 and acceptance per output
-    kept = [(np.empty(0), np.empty(0, ids.dtype), np.empty((k, 0)), np.zeros((k, 0), bool))]
+    totals, outs = np.zeros(n * k), np.arange(k)[:, None]  # output j of integral i at i k + j
     n_subdiv = np.zeros((n, k), dtype=np.int64)
     while a.size:
         splits = []
@@ -295,7 +296,8 @@ def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_widt
             ok = np.abs(k15 - g7) <= quad.rel_tol * np.abs(k15) + quad.abs_tol * 2.0 * half
             ok &= open_[:, s:s + block]
             failed = open_[:, s:s + block] ^ ok  # open and not accepted
-            kept.append((pa, pi, k15, ok))
+            # unbuffered: each total adds its accepted values one by one, in panel order
+            np.add.at(totals, (pi * k + outs).ravel(), np.where(ok, k15, 0.0).ravel())
             if failed.any():
                 split = failed.any(axis=0)
                 splits.append((pa[split], pb[split], pi[split], failed[:, split]))
@@ -310,11 +312,7 @@ def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_widt
         m = 0.5 * (sa + sb)
         a, b = np.concatenate([sa, m]), np.concatenate([m, sb])
         ids, open_ = np.concatenate([si, si]), np.concatenate([so, so], axis=1)
-    left, pid, vals, ok = (np.concatenate(x, axis=-1) for x in zip(*kept))
-    order = np.lexsort((left, pid))
-    ends = np.bincount(pid, minlength=n).cumsum().tolist()
-    totals = np.array([[row[o][mask[o]].sum() for row, mask in zip(vals, ok)]
-                       for o in (order[s:e] for s, e in zip([0] + ends, ends))])
+    totals = totals.reshape(n, k)
     return totals[:, 0] if outputs is None else totals
 
 
@@ -390,6 +388,7 @@ def gamma_continuum_batch(spec: OhmicSpectrum, taus, times, thetas,
     for name, values in (("tau", taus), ("theta", thetas)):
         if not all(map(math.isfinite, values)):
             require_finite(**{name: next(x for x in values if not math.isfinite(x))})
+    check_tau(max(taus, key=abs, default=0.0))
     for t in times:
         check_time(t)
     gammas = np.zeros((len(taus), len(thetas)))
@@ -407,8 +406,8 @@ def gamma_continuum_batch(spec: OhmicSpectrum, taus, times, thetas,
     for cut, widths in cuts:
         # at A = 1, and at the tau of a lone integral, which runs on floats
         unit = OhmicSpectrum(1.0, spec.cutoff, 0.0, spec.temperature, taus[cut.start])
-        # the engine keeps a value per panel and phase until its final sum,
-        # so a large group is split to keep those bounded too
+        # the engine keeps an open flag per panel and phase, so a large
+        # group is split to keep those bounded too
         step = max(1, int(_RECORD_VALUES * min(widths) / hi))
         for i in range(0, len(thetas), step):
             part = thetas[i:i + step]

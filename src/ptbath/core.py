@@ -36,15 +36,8 @@ def check_time(t: float) -> None:
 
 
 def coth(x):
-    """Stable coth for x > 0, elementwise (series below 1e-4 to avoid
-    cancellation); a scalar argument gives a float."""
-    x = np.asarray(x, dtype=float)
-    small = x < 1e-4
-    if not small.any():
-        out = 1.0 / np.tanh(x)
-        return out if out.ndim else float(out)
-    out = np.where(small, 1.0 / np.where(small, x, 1.0) + x / 3.0 - x**3 / 45.0,
-                   1.0 / np.tanh(np.where(small, 1.0, x)))
+    """coth for x > 0, elementwise; a scalar argument gives a float."""
+    out = 1.0 / np.tanh(np.asarray(x, dtype=float))
     return out if out.ndim else float(out)
 
 
@@ -123,13 +116,7 @@ class DiscreteBath:
         require_finite(temperature=self.temperature, tau=self.tau)
         if self.temperature < 0:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
-        # past the float range (|tau| ~ 4e76) Gamma is nan or loses its tau-free term;
-        # near tau = 0 the tau^2 constants may round to subnormals, below T0's rounding
-        with np.errstate(over="ignore", invalid="ignore"):
-            _, _, k, k1, k2 = _kernel_constants(self.tau)
-        if not (k >= sys.float_info.min and math.isfinite(k1) and math.isfinite(k2)):
-            raise ValueError(f"tau {self.tau:g} (--tau) puts the kernel constants 2/r^4, 32 tau^2 "
-                             "r 2/r^4 or 32 tau^2 (1 + 2 tau^2) 2/r^4 outside the float range")
+        check_tau(self.tau)
         # |g|^2 coth(w/2T) / w^2 as dephasing_terms rounds it: past the float range, Gamma is nan
         omega, weight, _ = self._mode_arrays
         with np.errstate(over="ignore", divide="ignore"):
@@ -150,11 +137,13 @@ class DiscreteBath:
 
 
 def density_matrix(rho, dim: int, eig_tol: float) -> np.ndarray:
-    """rho as a complex dim x dim array, checked to be Hermitian with unit
-    trace (both to 1e-12) and no eigenvalue below -eig_tol."""
+    """rho as a complex dim x dim array, checked to be finite and Hermitian
+    with unit trace (both to 1e-12) and no eigenvalue below -eig_tol."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got shape {rho.shape}")
+    if not np.isfinite(rho).all():  # nan compares False in every test below
+        raise ValueError("density matrix has a non-finite entry")
     if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
         raise ValueError("density matrix is not Hermitian")
     if abs(np.trace(rho) - 1.0) > 1e-12:
@@ -213,6 +202,17 @@ def _kernel_constants(tau):
     r = np.sqrt(r2)
     k = 2.0 / (r2 * r2)
     return r, r2, k, 32.0 * tau2 * r * k, 32.0 * tau2 * (1.0 + 2.0 * tau2) * k
+
+
+def check_tau(tau: float) -> None:
+    """Raise ValueError, naming --tau, past |tau| ~ 4.09e76, where the kernel
+    constants leave the float range and Gamma is nan or loses its tau-free
+    term.  Near tau = 0 the tau^2 constants may be subnormal: they pass."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, _, k, k1, k2 = _kernel_constants(tau)
+    if not (k >= sys.float_info.min and math.isfinite(k1) and math.isfinite(k2)):
+        raise ValueError(f"tau {tau:g} (--tau) puts the kernel constants 2/r^4, 32 tau^2 "
+                         "r 2/r^4 or 32 tau^2 (1 + 2 tau^2) 2/r^4 outside the float range")
 
 
 def dephasing_terms(w, weight, tau, t, temperature: float):
@@ -353,7 +353,7 @@ def coherence_factor(bath: DiscreteBath, t: float) -> float:
 
 def evolve_qubit(initial: QubitState, gamma: float) -> QubitState:
     """Pure-dephasing map: populations fixed, coherences scaled by e^-gamma."""
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     d = math.exp(-gamma)
     rho = initial.rho.copy()

@@ -51,7 +51,7 @@ def concurrence(state: TwoQubitState) -> ConcurrenceResult:
 def dephased_bell(gamma: float) -> TwoQubitState:
     """|Phi+> after pure dephasing of one qubit: unit diagonal corners,
     anti-diagonal corners e^-gamma, everything over 2."""
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     d = math.exp(-gamma)
     rho = np.zeros((4, 4), dtype=complex)

@@ -242,7 +242,7 @@ class TestGammaCommand:
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60).stdout.split()
-        assert out[-2] == "3.00000000000e+02,1.13793417600e+02,3.80317806368e-50"
+        assert out[-2] == "3.00000000000e+02,1.13793417600e+02,3.80317806372e-50"
         assert int(out[-1]) <= 150 * 1024  # VmHWM in kB
 
 
@@ -560,6 +560,9 @@ class TestExitCodesAndConfig:
         assert exit_code("gamma", "--tau", "20", "--t", "1e9") == 3
         assert time.perf_counter() - start < 1.0
         assert "start grid needs" in capsys.readouterr().err
+        # inside the kernel constants' range a huge tau is a start grid over budget
+        assert exit_code("gamma", "--t", "1", "--tau", "1e76") == 3
+        assert "start grid needs" in capsys.readouterr().err
 
     def test_large_amplitude_is_scaled_not_overflowed(self, tmp_path, capsys):
         # Gamma is linear in A: 3.38e4 per unit amplitude at these defaults
@@ -754,6 +757,10 @@ class TestFlagsPerSubcommand:
         (("gamma", "--t", "1", "--cutoff", "1e-160", "--temp", "0"), "--cutoff"),
         (("gamma", "--t", "1", "--temp", "1e302"), "--temp"),
         (("gamma", "--t", "200", "--temp", "1e300"), "--temp"),  # a narrower first panel
+        # tau past the kernel constants, as for --modes-file (was exit 3, a start grid
+        # of 1.9e77 or inf panels)
+        (("gamma", "--t", "1", "--tau", "5e76"), "(--tau)"),
+        (("gamma", "--t", "1", "--tau", "1e160"), "(--tau)"),
     ])
     def test_emptied_clamped_or_truncated_input_is_a_usage_error(self, argv, name, capsys):
         assert exit_code(*argv) == 2

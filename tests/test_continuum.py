@@ -525,6 +525,15 @@ class TestBatch:
         with pytest.raises(ValueError, match="t must be finite"):
             gamma_continuum_batch(spec, [0.0], [math.inf], [0.0])
 
+    def test_rejects_a_tau_past_the_kernel_constants_before_integrating(self, monkeypatch):
+        # the largest |tau| is checked, as core.DiscreteBath checks its tau
+        def never(*args, **kwargs):
+            raise AssertionError("an integral ran")
+
+        monkeypatch.setattr(continuum, "integrate_adaptive", never)
+        with pytest.raises(ValueError, match=r"tau -5e\+76 \(--tau\)"):
+            gamma_continuum_batch(OhmicSpectrum(1.0, 0.1), [0.0, -5e76, 1e76], [1.0] * 3, [0.0])
+
 
 class TestTailBound:
     """Start panels that core.dephasing_bound puts below abs_tol/2 are

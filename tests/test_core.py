@@ -11,6 +11,7 @@ from ptbath.core import (
     QubitState,
     big_omega,
     coherence_factor,
+    coth,
     dephasing_kernel,
     dephasing_terms,
     evolve_qubit,
@@ -432,6 +433,34 @@ class TestEvolveQubit:
         rho = QubitState(np.eye(2) / 2)
         with pytest.raises(ValueError):
             evolve_qubit(rho, -0.1)
+
+    def test_rejects_nan_gamma(self):
+        # nan used to pass every test and give a "validated" state with nan coherences
+        rho = QubitState(np.full((2, 2), 0.5))
+        with pytest.raises(ValueError, match="gamma must be >= 0, got nan"):
+            evolve_qubit(rho, math.nan)
+        assert evolve_qubit(rho, math.inf).rho[0, 1] == 0.0
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_state_rejects_non_finite_entries(self, entry):
+        # Hermiticity, trace and eigenvalue tests all compare False on nan
+        m = np.full((2, 2), 0.5, dtype=complex)
+        m[0, 1] = m[1, 0] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            QubitState(m)
+
+
+class TestCoth:
+    def test_matches_mpmath_down_to_tiny_arguments(self):
+        # 1/tanh(x) has no cancellation near 0: tanh x ~ x is computed to full precision
+        mpmath = pytest.importorskip("mpmath")
+        xs = np.concatenate([np.geomspace(1e-300, 1e-4, 1000), np.linspace(1e-4, 30.0, 1000)])
+        got = coth(xs)
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.coth(mpmath.mpf(x))) for x in xs])
+        assert np.max(np.abs(got - ref) / ref) < 5e-16
+        assert all(coth(float(x)) == g for x, g in zip(xs[::97], got[::97]))
+        assert isinstance(coth(0.5), float)
 
 
 class TestModesFile:

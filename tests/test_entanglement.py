@@ -33,6 +33,12 @@ class TestTwoQubitState:
         with pytest.raises(ValueError):
             TwoQubitState(np.eye(4) / 2)
 
+    def test_rejects_non_finite_entries(self):
+        m = np.eye(4) / 4
+        m[0, 3] = m[3, 0] = math.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            TwoQubitState(m)
+
     def test_negative_eigenvalue_tolerance(self):
         # the two-qubit bound is 1e-10, looser than the single-qubit 1e-12
         TwoQubitState(np.diag([0.5 + 1e-11, 0.5, 0.0, -1e-11]))
@@ -110,6 +116,12 @@ class TestDephasedBell:
     def test_rejects_negative_gamma(self):
         with pytest.raises(ValueError):
             dephased_bell(-1.0)
+
+    def test_rejects_nan_gamma(self):
+        # nan used to reach eigvalsh and raise numpy.linalg.LinAlgError
+        with pytest.raises(ValueError, match="gamma must be >= 0, got nan"):
+            dephased_bell(math.nan)
+        assert dephased_bell(math.inf).rho[0, 3] == 0.0
 
 
 class TestEntanglementOfFormation:

@@ -11,15 +11,17 @@ side that runs first alternates from pair to pair: 10 pairs of figures,
 where a throughput gain is claimed, and 5 of every other workload.  The
 n-th workload of BENCHMARK.json takes seeds 100 n + 1, 100 n + 2, ...
 (figures 101, ...); a traced run per side of figures takes the next seed.
-Each side also counts, in one process, the integrand values (nodes x
-outputs) of one figures pass: the six presets as `ptbench/workloads.py`
-runs them, through a wrapper of every integrand that
-`continuum.integrate_adaptive` is given.  The count does not depend on the
-hardware and repeats run to run.
+Each side also runs one figures pass in one process: the six presets as
+`ptbench/workloads.py` runs them, through a wrapper of every integrand that
+`continuum.integrate_adaptive` is given.  It counts the integrand values
+(nodes x outputs), which do not depend on the hardware and repeat run to
+run, and keeps each preset's CSV, to compare the printed rows of the sides.
 
 Writes BENCH_<label>.json at the repository root: every run's result line
 (the last line of `ptbench/run.py`'s output), the traced runs, both
-sides' integrand values per figures pass, and per workload and end-to-end
+sides' integrand values per figures pass and SHA-256 of each preset CSV,
+the number of CSV rows per preset that differ between the sides (a row
+only one side has counts too), and per workload and end-to-end
 metric of BENCHMARK.json the number of pairs, the pairs the change wins
 (ties count for neither side) and each side's median and quartiles (linear
 interpolation between closest ranks).
@@ -28,6 +30,8 @@ interpolation between closest ranks).
 from __future__ import annotations
 
 import argparse
+import hashlib
+import itertools
 import json
 import os
 import platform
@@ -42,8 +46,9 @@ FIGURE_PAIRS, OTHER_PAIRS = 10, 5
 TRACED = "figures"
 
 # argv[1] is the checkout; prints the integrand values of one figures pass
-COUNT_VALUES = '''
-import sys, tempfile
+# and each preset's CSV as one JSON line
+FIGURES_PASS = '''
+import json, sys, tempfile
 from pathlib import Path
 import numpy as np
 from ptbath import cli, continuum
@@ -66,11 +71,14 @@ def counting(f, *args, **kwargs):
         depth[0] -= 1
 
 continuum.integrate_adaptive = counting
+csv = {}
 with tempfile.TemporaryDirectory() as tmp:
     for fig in FIGURE_IDS:
-        if cli.main(figure_argv(fig, str(Path(tmp) / (fig + ".csv")))) != 0:
+        out = Path(tmp) / (fig + ".csv")
+        if cli.main(figure_argv(fig, str(out))) != 0:
             sys.exit(f"figure {fig} failed")
-print(values[0])
+        csv[fig] = out.read_bytes().decode()  # as written: no newline translation
+print(json.dumps({"values": values[0], "csv": csv}))
 '''
 
 
@@ -91,12 +99,19 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     return json.loads(out.strip().splitlines()[-1])
 
 
-def count_values(checkout: Path) -> int:
-    """Integrand values of one figures pass of the ptbath in `checkout`."""
+def figures_pass(checkout: Path) -> dict:
+    """Integrand values of one figures pass of the ptbath in `checkout`, and
+    each preset's CSV text."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    out = subprocess.run([sys.executable, "-c", COUNT_VALUES, str(checkout)], cwd=checkout,
+    out = subprocess.run([sys.executable, "-c", FIGURES_PASS, str(checkout)], cwd=checkout,
                          env=env, capture_output=True, text=True, check=True, timeout=600).stdout
-    return int(out.strip().splitlines()[-1])
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def rows_changed(parent: str, change: str) -> int:
+    """CSV rows that differ between two texts, a row only one has included."""
+    return sum(p != c for p, c in itertools.zip_longest(parent.splitlines(),
+                                                         change.splitlines()))
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
@@ -150,8 +165,14 @@ def main() -> int:
         with tarfile.open(archive) as tar:
             tar.extractall(parent_root, filter="data")
         roots = {"parent": parent_root, "change": ROOT}
-        values = {side: count_values(root) for side, root in roots.items()}
-        print(json.dumps({"integrand_values_per_figures_pass": values}), flush=True)
+        passes = {side: figures_pass(root) for side, root in roots.items()}
+        values = {side: p["values"] for side, p in passes.items()}
+        sha256 = {side: {fig: hashlib.sha256(text.encode()).hexdigest()
+                         for fig, text in p["csv"].items()} for side, p in passes.items()}
+        changed = {fig: rows_changed(text, passes["change"]["csv"][fig])
+                   for fig, text in passes["parent"]["csv"].items()}
+        print(json.dumps({"integrand_values_per_figures_pass": values,
+                          "figure_rows_changed": changed}), flush=True)
 
         runs, order = [], 0
         for workload, n in pairs.items():
@@ -189,6 +210,8 @@ def main() -> int:
         "runs": runs,
         "traced": traced,
         "integrand_values_per_figures_pass": values,
+        "figure_csv_sha256": sha256,
+        "figure_rows_changed": changed,
         "summary": summarize(runs, better),
     }
     out = ROOT / f"BENCH_{args.label}.json"
