@@ -167,12 +167,15 @@ def gamma_integrand_nh(omega, spec: OhmicSpectrum, t, thetas=None, tau=None):
     small = w < _LIMIT_BELOW * lam
     any_small = small.any()
     ws = np.where(small, lam, w) if any_small else w  # placeholder, overwritten below
-    j = ws / -lam  # J(w) in place, rounded as spectral_density rounds it
-    np.exp(j, out=j)
-    j *= A * ws
-    t0, t1, t2 = (x.reshape(-1) for x in dephasing_terms(ws, j, tau, t, T))
+    # J(w), rounded as spectral_density rounds it and held by no name here,
+    # so that dephasing_terms frees it once used
+    terms = dephasing_terms(ws, A * ws * np.exp(ws / -lam), tau, t, T)
+    t0, t1, t2 = (x.reshape(-1) for x in terms)
+    del terms
     sc, c2 = _phase_columns([spec.theta] if thetas is None else thetas)
-    out = t0 + sc * t1 + c2 * t2
+    out = sc * t1  # t0 + sc t1 + c2 t2, in place
+    out += t0
+    out += c2 * t2
     if any_small:
         wl, tl = w[small], np.broadcast_to(t, w.shape)[small]
         out[:, small.reshape(-1)] = 2.0 * A * tl * tl * _omega_coth(wl, T) * np.exp(-wl / lam)

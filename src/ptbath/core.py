@@ -249,6 +249,7 @@ def dephasing_terms(w, weight, tau, t, temperature: float):
     u *= u  # sin^2(x/2)
     # v = weight coth / w^2 is p without its factor 2/r^4, which k carries
     v = weight / (w * w)
+    del weight  # a caller's temporary weight is freed before the largest step
     if temperature > 0:
         with np.errstate(over="ignore"):
             cth = np.expm1(w / temperature)
@@ -265,8 +266,8 @@ def dephasing_terms(w, weight, tau, t, temperature: float):
     t0 *= r2
     t0 += v
     t0 *= 4.0 * k
-    t2 = v * k2
-    return t0, t1, t2
+    v *= k2  # T2, in place: k2 broadcasts into v as u does
+    return t0, t1, v
 
 
 def dephasing_bound(w, weight, tau, temperature: float, sin_cos, cos2):
