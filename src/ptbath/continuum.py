@@ -47,9 +47,8 @@ _G7_COL = _WEIGHTS[1::2, 1:]
 # blocks of at most this many values, so the working set stays bounded
 # whatever the number of panels and of outputs.
 _BLOCK_VALUES = 1 << 16
-# Panels x phases of one grouped integral, as counted on its start grid:
-# larger groups of phases are split into several integrals, to bound the
-# engine's open mask (phases x panels) and the values of one integrand call.
+# Panels x phases of one grouped integral, as counted on its start grid: larger
+# groups are split, to bound the open mask and the values of one integrand call.
 _RECORD_VALUES = 1 << 21
 
 # The start grid ends at this multiple of the cutoff, in panels no wider than
@@ -167,14 +166,11 @@ def gamma_integrand_nh(omega, spec: OhmicSpectrum, t, thetas=None, tau=None):
     small = w < _LIMIT_BELOW * lam
     any_small = small.any()
     ws = np.where(small, lam, w) if any_small else w  # placeholder, overwritten below
-    # J(w), rounded as spectral_density rounds it and held by no name here,
-    # so that dephasing_terms frees it once used
+    # J(w) as spectral_density rounds it, unnamed so that dephasing_terms frees it once used
     terms = dephasing_terms(ws, A * ws * np.exp(ws / -lam), tau, t, T)
     t0, t1, t2 = (x.reshape(-1) for x in terms)
-    del terms
     sc, c2 = _phase_columns([spec.theta] if thetas is None else thetas)
-    out = sc * t1  # t0 + sc t1 + c2 t2, in place
-    out += t0
+    out = t0 + sc * t1
     out += c2 * t2
     if any_small:
         wl, tl = w[small], np.broadcast_to(t, w.shape)[small]
