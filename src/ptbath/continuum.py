@@ -171,7 +171,7 @@ def gamma_integrand_nh(omega, spec: OhmicSpectrum, t, thetas=None, tau=None):
     t0, t1, t2 = (x.reshape(-1) for x in terms)
     sc, c2 = _phase_columns([spec.theta] if thetas is None else thetas)
     out = t0 + sc * t1
-    out += c2 * t2
+    out += c2 * t2  # in place: one node-sized array fewer at the peak
     if any_small:
         wl, tl = w[small], np.broadcast_to(t, w.shape)[small]
         out[:, small.reshape(-1)] = 2.0 * A * tl * tl * _omega_coth(wl, T) * np.exp(-wl / lam)
