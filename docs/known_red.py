@@ -99,7 +99,8 @@ def gamma_tau_over_omega(theta, tau, t, eps, quad):
 def tau_over_omega(quad: QuadratureSpec) -> None:
     print("ruled out: tau in frequency units, tau_eff = tau/w for the mode at w")
     w = np.array([1e-3, 0.05, 0.7])
-    ref = [dephasing_kernel(x, 1.0, 2 * PI / 3, 1.0 / x, 120.0, 300.0) for x in w]
+    sc, c2 = math.sin(2 * PI / 3) * math.cos(2 * PI / 3), math.cos(2 * PI / 3) ** 2
+    ref = dephasing_kernel(w, 1.0, 1.0 / w, 120.0, 300.0, sc, c2)
     diff = np.max(np.abs(kernel_tau_over_omega(w, 2 * PI / 3, 1.0, 120.0, 300.0) / ref - 1))
     print(f"  the kernel above equals core.dephasing_kernel at tau/w to {diff:.1e}")
     line = [f"eps={eps:g}: {gamma_tau_over_omega(2 * PI / 3, 1.0, 120.0, eps, quad):.3g}"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_tau, check_time, coth, dephasing_bound, dephasing_terms, require_finite
+from .core import check_tau, check_time, coth, dephasing_bound, dephasing_kernel, require_finite
 
 # QUADPACK QK15 (Piessens et al., QUADPACK, Springer 1983): the 15-point
 # Kronrod abscissae xgk on [0, 1) with weights wgk; xgk[1::2] are the
@@ -149,8 +149,8 @@ def gamma_integrand_nh(omega, spec: OhmicSpectrum, t, thetas=None, tau=None):
     J(w) times the dephasing kernel 2 |xi_w(t)|^2 coth(w/2T) of a
     unit-magnitude coupling of phase theta.
 
-    The theta-free terms of core.dephasing_terms are computed once per
-    node and combined per phase elementwise.  With a sequence of phases
+    One core.dephasing_kernel call serves every phase: its phase
+    coefficients come with a leading phase axis.  With a sequence of phases
     the result has shape (len(thetas),) + omega.shape, one row per phase
     (spec.theta is then ignored); without thetas it is the row of
     [spec.theta], with the shape of omega.  t and tau (default spec.tau)
@@ -166,15 +166,13 @@ def gamma_integrand_nh(omega, spec: OhmicSpectrum, t, thetas=None, tau=None):
     small = w < _LIMIT_BELOW * lam
     any_small = small.any()
     ws = np.where(small, lam, w) if any_small else w  # placeholder, overwritten below
-    # J(w) as spectral_density rounds it, unnamed so that dephasing_terms frees it once used
-    terms = dephasing_terms(ws, A * ws * np.exp(ws / -lam), tau, t, T)
-    t0, t1, t2 = (x.reshape(-1) for x in terms)
-    sc, c2 = _phase_columns([spec.theta] if thetas is None else thetas)
-    out = t0 + sc * t1
-    out += c2 * t2  # in place: one node-sized array fewer at the peak
+    lead = (-1,) + (1,) * w.ndim  # the phase axis ahead of the node axes
+    sc, c2 = (c.reshape(lead) for c in _phase_columns([spec.theta] if thetas is None else thetas))
+    # J(w) as spectral_density rounds it, unnamed so that the kernel frees it once used
+    out = dephasing_kernel(ws, A * ws * np.exp(ws / -lam), tau, t, T, sc, c2)
     if any_small:
         wl, tl = w[small], np.broadcast_to(t, w.shape)[small]
-        out[:, small.reshape(-1)] = 2.0 * A * tl * tl * _omega_coth(wl, T) * np.exp(-wl / lam)
+        out[:, small] = 2.0 * A * tl * tl * _omega_coth(wl, T) * np.exp(-wl / lam)
     shape = np.shape(omega)
     rows = out.reshape(out.shape[:1] + shape)
     if thetas is not None:

@@ -87,7 +87,7 @@ class BathMode:
         require_finite(omega=self.omega)
         if self.omega <= 0:
             raise ValueError(f"mode frequency must be > 0, got {self.omega}")
-        # the dephasing kernel's weight |g|^2 / omega^2, as dephasing_terms
+        # the dephasing kernel's weight |g|^2 / omega^2, as dephasing_kernel
         # rounds it: a subnormal omega^2 or an overflowing quotient would
         # turn Gamma into nan
         w2 = self.omega * self.omega
@@ -117,8 +117,8 @@ class DiscreteBath:
         if self.temperature < 0:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
         check_tau(self.tau)
-        # |g|^2 coth(w/2T) / w^2 as dephasing_terms rounds it: past the float range, Gamma is nan
-        omega, weight, _ = self._mode_arrays
+        # |g|^2 coth(w/2T) / w^2 as dephasing_kernel rounds it: past the float range, Gamma is nan
+        omega, weight, *_ = self._mode_arrays
         with np.errstate(over="ignore", divide="ignore"):
             bad = ~np.isfinite(weight / (omega * omega)
                                * (2.0 / np.expm1(omega / self.temperature) + 1.0))
@@ -127,12 +127,16 @@ class DiscreteBath:
                              "makes |g|^2 coth(omega/2T)/omega^2 overflow")
 
     @cached_property
-    def _mode_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # (omega, |g|^2, phase) per mode, built once per bath
+    def _mode_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        # (omega, |g|^2, sin cos, cos^2) per mode, built once per bath: the
+        # kernel's phase coefficients
+        phase = np.array([m.coupling.phase for m in self.modes])
+        sin_p, cos_p = np.sin(phase), np.cos(phase)
         return (
             np.array([m.omega for m in self.modes]),
             np.array([m.coupling.magnitude**2 for m in self.modes]),
-            np.array([m.coupling.phase for m in self.modes]),
+            sin_p * cos_p,
+            cos_p * cos_p,
         )
 
 
@@ -196,7 +200,7 @@ def xi_non_hermitian(g: Coupling, omega: float, tau: float, t: float) -> complex
 
 def _kernel_constants(tau):
     """(r, r^2, 2/r^4, 32 tau^2 r 2/r^4, 32 tau^2 (1 + 2 tau^2) 2/r^4) with
-    r = sqrt(1 + 4 tau^2): the factors of dephasing_terms, as it rounds them."""
+    r = sqrt(1 + 4 tau^2): the factors of dephasing_kernel, as it rounds them."""
     tau2 = tau * tau
     r2 = 1.0 + 4.0 * tau2
     r = np.sqrt(r2)
@@ -215,17 +219,19 @@ def check_tau(tau: float) -> None:
                          "r 2/r^4 or 32 tau^2 (1 + 2 tau^2) 2/r^4 outside the float range")
 
 
-def dephasing_terms(w, weight, tau, t, temperature: float):
-    """The dephasing kernel split by its coupling phase phi: three arrays
-    (T0, T1, T2), elementwise over w > 0, with
+def dephasing_kernel(w, weight, tau, t, temperature: float, sin_cos, cos2):
+    """weight * 2 |xi_w(t)|^2 coth(w/2T) for a unit coupling of phase phi,
+    given as sin_cos = sin(phi) cos(phi) and cos2 = cos^2(phi), elementwise
+    over w > 0.  tau, t and the coefficients may be arrays that broadcast
+    against w, so one call serves one phase per mode (a discrete bath) or
+    many phases per node (the continuum, with a leading phase axis).
 
-        kernel = T0 + sin(phi) cos(phi) T1 + cos^2(phi) T2.
-
-    With r = sqrt(1+4 tau^2), x = r w t and p = 2 weight coth(w/2T) / (r^4 w^2):
-    T0 = p [r^2 sin^2 x + 4 sin^4(x/2)], T1 = 16 tau^2 r p sin x sin^2(x/2)
-    and T2 = 32 tau^2 (1 + 2 tau^2) p sin^4(x/2).  The phase enters only
-    through the two scalar coefficients, so one evaluation serves every phase.
-    tau and t may be arrays that broadcast against w.
+    The one dephasing formula: weight is |g_k|^2 for a discrete mode and
+    J(w) for the continuum.  With r = sqrt(1+4 tau^2), x = r w t and
+    p = 2 weight coth(w/2T) / (r^4 w^2), the kernel is
+    T0 + sin_cos T1 + cos2 T2 with T0 = p [r^2 sin^2 x + 4 sin^4(x/2)],
+    T1 = 16 tau^2 r p sin x sin^2(x/2) and T2 = 32 tau^2 (1 + 2 tau^2) p
+    sin^4(x/2): the phase enters only through the two coefficients.
 
     Both sines come from one tangent u = tan(x/4): sin(x/2) = 2u/(1+u^2),
     cos(x/2) = (1-u)(1+u)/(1+u^2) and sin x = 2 sin(x/2) cos(x/2).  NumPy's
@@ -263,11 +269,14 @@ def dephasing_terms(w, weight, tau, t, temperature: float):
     t1 *= k1
     v *= u
     v *= u  # v sin^4(x/2)
+    del sc, u  # the sines: freed before the phase combination
     t0 *= r2
     t0 += v
     t0 *= 4.0 * k
     v *= k2  # T2, in place: k2 broadcasts into v as u does
-    return t0, t1, v
+    out = t0 + sin_cos * t1
+    out += cos2 * v  # in place: one output-sized array fewer at the peak
+    return out
 
 
 def dephasing_bound(w, weight, tau, temperature: float, sin_cos, cos2):
@@ -275,9 +284,9 @@ def dephasing_bound(w, weight, tau, temperature: float, sin_cos, cos2):
     sin_cos = sin(phi) cos(phi) and cos2 = cos^2(phi), elementwise over
     w > 0 (and an array tau) and broadcast over the coefficients.
 
-    Every sine in dephasing_terms is at most 1 in magnitude, so with p as
-    there T0 <= p (r^2 + 4), |T1| <= 16 tau^2 r p and 0 <= T2 <= 32 tau^2
-    (1 + 2 tau^2) p, and the kernel is at most p K with
+    Every sine in dephasing_kernel is at most 1 in magnitude, so with p
+    and the terms as there T0 <= p (r^2 + 4), |T1| <= 16 tau^2 r p and
+    0 <= T2 <= 32 tau^2 (1 + 2 tau^2) p, and the kernel is at most p K with
     K = r^2 + 4 + |sin_cos| 16 tau^2 r + cos2 32 tau^2 (1 + 2 tau^2).
     Since e^{2y} - 1 >= 2y, coth y <= 1 + 1/y, so the bound is
     2 K weight (1 + 2T/w) / (r^4 w^2); T = 0 gives coth = 1 exactly.
@@ -289,44 +298,27 @@ def dephasing_bound(w, weight, tau, temperature: float, sin_cos, cos2):
     return k * ((2.0 / (r2 * r2)) * weight * (1.0 + 2.0 * temperature / w) / (w * w))
 
 
-def dephasing_kernel(w, weight, phase, tau: float, t: float, temperature: float):
-    """weight * 2 |xi_w(t)|^2 coth(w/2T) for a unit coupling of phase
-    `phase`, elementwise over w > 0 (and over array weights and phases).
-
-    The one dephasing formula: weight is |g_k|^2 for a discrete mode and
-    J(w) for the continuum.  It is the phase combination of
-    dephasing_terms, which the continuum evaluates once for many phases.
-    With Omega = w sqrt(1+4 tau^2),
-    |xi|^2 = [Omega^2 sin^2(Omega t) + 16 tau^2 w Omega sin(phase) cos(phase)
-    sin(Omega t) sin^2(Omega t/2) + 4 w^2 sin^4(Omega t/2)
-    (1 + 8 tau^2 (1 + 2 tau^2) cos^2(phase))] / Omega^4.
-    """
-    t0, t1, t2 = dephasing_terms(w, weight, tau, t, temperature)
-    sin_p, cos_p = np.sin(phase), np.cos(phase)
-    return t0 + sin_p * cos_p * t1 + cos_p * cos_p * t2
-
-
 def gamma_discrete(bath: DiscreteBath, t: float) -> float:
     """Decoherence exponent Gamma(t) for a discrete bath: the dephasing
     kernel summed over the modes with weights |g_k|^2 (fast path).
 
-    The kernel is linear in the weight, but dephasing_terms can overflow
+    The kernel is linear in the weight, but dephasing_kernel can overflow
     in a product (|g|^2/w^2 times r^2) whose end value is finite.  A mode
     whose kernel is not finite is evaluated again with its weight scaled
     by an exact power of two, and its kernel scaled back; every other mode
     keeps its bits.  Raises ValueError when Gamma itself overflows."""
     check_time(t)
-    omega, weight, phase = bath._mode_arrays
+    omega, weight, sin_cos, cos2 = bath._mode_arrays
     args = (bath.tau, t, bath.temperature)
     with np.errstate(over="ignore", invalid="ignore"):
-        kernel = dephasing_kernel(omega, weight, phase, *args)
+        kernel = dephasing_kernel(omega, weight, *args, sin_cos, cos2)
     bad = ~np.isfinite(kernel)
     with np.errstate(over="ignore"):
         if bad.any():
             w = omega[bad]
             _, e = np.frexp(weight[bad] / (w * w))  # |g|^2/w^2 scaled into [1/2, 1)
-            kernel[bad] = np.ldexp(dephasing_kernel(w, np.ldexp(weight[bad], -e), phase[bad],
-                                                    *args), e)
+            kernel[bad] = np.ldexp(dephasing_kernel(w, np.ldexp(weight[bad], -e), *args,
+                                                    sin_cos[bad], cos2[bad]), e)
         total = float(kernel.sum())
     if math.isinf(total):
         raise ValueError(f"the couplings (--modes-file) make Gamma({t:g}) overflow a float")

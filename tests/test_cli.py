@@ -217,7 +217,9 @@ class TestGammaCommand:
 
         def kernel_everywhere(w, spec, t, thetas):
             j = spectral_density(w, spec.amplitude, spec.cutoff)
-            return np.array([dephasing_kernel(w, j, theta, spec.tau, t, spec.temperature)
+            return np.array([dephasing_kernel(w, j, spec.tau, t, spec.temperature,
+                                              math.sin(theta) * math.cos(theta),
+                                              math.cos(theta) ** 2)
                              for theta in thetas])
 
         monkeypatch.setattr(continuum, "gamma_integrand_nh", kernel_everywhere)

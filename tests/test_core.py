@@ -13,7 +13,6 @@ from ptbath.core import (
     coherence_factor,
     coth,
     dephasing_kernel,
-    dephasing_terms,
     evolve_qubit,
     gamma_discrete,
     gamma_discrete_amplitude,
@@ -74,7 +73,7 @@ class TestTypes:
         assert DiscreteBath((BathMode(1.49e-102, Coupling(1.0, 0.5)),)).temperature == 0.0
 
     def test_intermediate_overflow_in_the_kernel(self):
-        # |g|^2/omega^2 = 1e306 times r^2 = 4e4 overflows in dephasing_terms;
+        # |g|^2/omega^2 = 1e306 times r^2 = 4e4 overflows in dephasing_kernel;
         # that mode is evaluated again at a smaller weight, the other one is not
         big, small = BathMode(1.0, Coupling(1e153, 0.5)), BathMode(2.0, Coupling(0.3, 1.0))
         for modes in ((big,), (big, small)):
@@ -272,27 +271,38 @@ class TestDephasingTerms:
             tau = rng.uniform(-3.0, 3.0)
             t = rng.uniform(0.0, 30.0)
             temp = float(rng.choice([0.0, 0.5, 300.0]))
-            t0, t1, t2 = dephasing_terms(np.array([w]), weight, tau, t, temp)
             for phase in rng.uniform(0.0, 2 * math.pi, size=5):
                 xi = xi_non_hermitian(Coupling(math.sqrt(weight), phase), w, tau, t)
                 ref = 2.0 * abs(xi) ** 2 * thermal_coth(w, temp)
-                val = t0 + math.sin(phase) * math.cos(phase) * t1 + math.cos(phase) ** 2 * t2
+                val = dephasing_kernel(np.array([w]), weight, tau, t, temp, *coefficients(phase))
                 assert val[0] == pytest.approx(ref, rel=1e-12, abs=1e-300)
 
-    def test_phase_terms_vanish_without_non_hermiticity(self):
-        w = np.linspace(0.1, 3.0, 50)
-        _, t1, t2 = dephasing_terms(w, 1.0, 0.0, 7.0, 1.0)
-        assert np.all(t1 == 0.0) and np.all(t2 == 0.0)
+    @pytest.mark.parametrize("temp", [0.0, 0.5])
+    def test_continuum_call_layout(self, temp):
+        # the continuum's call: nodes (15, m), a tau and a t per panel (m,)
+        # and one coefficient pair per phase along a leading axis (k, 1, 1)
+        rng = np.random.default_rng(32)
+        m = 40
+        w = rng.uniform(0.05, 3.0, size=(15, m))
+        weight = rng.uniform(0.1, 2.0, size=(15, m))
+        tau, t = rng.uniform(-3.0, 3.0, size=m), rng.uniform(0.0, 30.0, size=m)
+        phases = (0.0, 0.4, math.pi / 2, 2 * math.pi / 3, 5.1)
+        sc, c2 = (np.array(c).reshape(-1, 1, 1) for c in zip(*map(coefficients, phases)))
+        rows = dephasing_kernel(w, weight, tau, t, temp, sc, c2)
+        assert rows.shape == (len(phases), 15, m)
+        for row, phase in zip(rows, phases):
+            alone = dephasing_kernel(w, weight, tau, t, temp, *coefficients(phase))
+            assert row.tobytes() == alone.tobytes()
+        # without non-Hermiticity the phase terms vanish: no coefficient matters
+        rows = dephasing_kernel(w, weight, np.zeros(m), t, temp, sc, c2)
+        ref = dephasing_kernel(w, weight, np.zeros(m), t, temp, 0.0, 0.0)
+        for row in rows:
+            assert row.tobytes() == ref.tobytes()
 
-    def test_kernel_is_the_combination_of_the_terms(self):
-        rng = np.random.default_rng(31)
-        w = rng.uniform(0.1, 3.0, size=20)
-        weight = rng.uniform(0.1, 2.0, size=20)
-        phase = rng.uniform(0.0, 2 * math.pi, size=20)
-        t0, t1, t2 = dephasing_terms(w, weight, 1.3, 4.0, 0.5)
-        expected = t0 + np.sin(phase) * np.cos(phase) * t1 + np.cos(phase) ** 2 * t2
-        np.testing.assert_allclose(dephasing_kernel(w, weight, phase, 1.3, 4.0, 0.5),
-                                   expected, rtol=1e-15, atol=0.0)
+
+def coefficients(phase):
+    """The kernel's phase coefficients (sin cos, cos^2) of one phase."""
+    return math.sin(phase) * math.cos(phase), math.cos(phase) ** 2
 
 
 def amplitude_kernel(w, weight, phase, tau, t, temp):
@@ -314,7 +324,7 @@ def ulp_neighbours(w, n=3):
 
 @pytest.mark.filterwarnings("error")
 class TestTangentKernel:
-    """dephasing_terms takes both sines from tan(x/4); the amplitude route
+    """dephasing_kernel takes both sines from tan(x/4); the amplitude route
     (math.sin) checks it where that tangent or its formulas are delicate."""
 
     PHASES = (0.0, 0.4, math.pi / 2, 2 * math.pi / 3, 5.1)
@@ -323,7 +333,7 @@ class TestTangentKernel:
         ws = np.asarray(ws, dtype=float)
         weight = np.linspace(0.5, 1.5, ws.size)
         for phase in self.PHASES:
-            got = dephasing_kernel(ws, weight, phase, tau, t, temp)
+            got = dephasing_kernel(ws, weight, tau, t, temp, *coefficients(phase))
             for w, wt, g in zip(ws, weight, got):
                 ref = amplitude_kernel(float(w), float(wt), phase, tau, t, temp)
                 assert g == pytest.approx(ref, rel=1e-12, abs=1e-300), (w, phase)
@@ -358,13 +368,10 @@ class TestTangentKernel:
     @pytest.mark.parametrize("w", [1.3, np.float64(1.3), np.array(1.3)])
     @pytest.mark.parametrize("temp", [0.0, 0.5])
     def test_scalar_w(self, w, temp):
-        terms = dephasing_terms(w, 0.7, 1.1, 3.0, temp)
-        ref = dephasing_terms(np.array([1.3]), 0.7, 1.1, 3.0, temp)
-        for got, want in zip(terms, ref):
-            assert np.shape(got) == ()
-            assert got == pytest.approx(want[0], rel=1e-15)
-        k = dephasing_kernel(w, 0.7, 0.4, 1.1, 3.0, temp)
+        k = dephasing_kernel(w, 0.7, 1.1, 3.0, temp, *coefficients(0.4))
+        ref = dephasing_kernel(np.array([1.3]), 0.7, 1.1, 3.0, temp, *coefficients(0.4))
         assert np.shape(k) == ()
+        assert k == pytest.approx(ref[0], rel=1e-15)
         assert k == pytest.approx(amplitude_kernel(1.3, 0.7, 0.4, 1.1, 3.0, temp), rel=1e-12)
 
     @pytest.mark.parametrize("w_shape, weight_shape, shape", [
@@ -376,7 +383,7 @@ class TestTangentKernel:
         w = np.full(w_shape, 1.3)
         weight = np.full(weight_shape, 0.7)
         for temp in (0.0, 0.5):
-            assert [np.shape(a) for a in dephasing_terms(w, weight, 1.1, 3.0, temp)] == [shape] * 3
+            assert np.shape(dephasing_kernel(w, weight, 1.1, 3.0, temp, 0.2, 0.8)) == shape
 
 
 class TestCoherenceFactor:
