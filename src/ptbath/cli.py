@@ -104,20 +104,28 @@ def _write_table(columns, rows, out, fmt):
 # subcommands
 
 
+def _given_or_default(args, flags, unused, why: str) -> dict:
+    """Each of `flags` as given, or else its _FLAGS default; each is None
+    in args unless given (see build_parser).  A given flag among `unused`
+    raises ValueError, naming it with `why`."""
+    values = {}
+    for flag in flags:
+        value = getattr(args, flag.replace("-", "_"))
+        if value is not None and flag in unused:
+            raise ValueError(f"--{flag} {why}")
+        values[flag] = _FLAGS[flag].get("default") if value is None else value
+    return values
+
+
 def _cmd_gamma(args) -> int:
     times = [float(t) for t in args.t]
-    # each None unless given (see build_parser)
-    ohmic = {flag: getattr(args, flag.replace("-", "_")) for flag in _OHMIC_ONLY}
+    ohmic = _given_or_default(args, _OHMIC_ONLY, _OHMIC_ONLY if args.modes_file else (),
+                              "applies to the Ohmic continuum, not to --modes-file")
     if args.modes_file:
-        given = [flag for flag, value in ohmic.items() if value is not None]
-        if given:
-            raise ValueError(f"--{given[0]} applies to the Ohmic continuum, not to --modes-file")
         bath = load_bath_csv(args.modes_file, temperature=args.temp, tau=args.tau)
         gammas = [gamma_discrete(bath, t) for t in times]
     else:
-        amp, cutoff, theta = (_FLAGS[f]["default"] if ohmic[f] is None else ohmic[f]
-                              for f in ("A", "cutoff", "theta"))
-        spec = OhmicSpectrum(amp, cutoff, theta, args.temp, args.tau)
+        spec = OhmicSpectrum(ohmic["A"], ohmic["cutoff"], ohmic["theta"], args.temp, args.tau)
         quad = _quad_from_args(args)
         taus = [spec.tau] * len(times)
         gammas = gamma_continuum_batch(spec, taus, times, [spec.theta], quad)[:, 0]
@@ -127,10 +135,9 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    fixed = {
-        "amplitude": args.A, "cutoff": args.cutoff, "theta": args.theta,
-        "temp": args.temp, "tau": args.tau, "t": args.t,
-    }
+    fixed = _given_or_default(args, ("tau", "theta", "t"), [name for name, _ in args.sweep],
+                              "would be ignored: --sweep varies it")
+    fixed.update(amplitude=args.A, cutoff=args.cutoff, temp=args.temp)
     columns, rows = run_sweep(fixed, args.sweep, _quad_from_args(args), jobs=args.jobs)
     _write_table(columns, rows, args.out, args.format)
     return EXIT_OK
@@ -151,10 +158,16 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    fixed = OhmicSpectrum(args.A, args.cutoff, args.theta, args.temp, args.tau)
-    bounds = {name: getattr(args, f"{name}_bounds") for name in args.free}
-    argmin, g_min = optimize(fixed, list(args.free), args.t, bounds, _quad_from_args(args),
-                             grid_points=args.grid_points)
+    at = _given_or_default(args, ("tau", "theta"), args.free,
+                           "would be ignored: --free scans its parameter")
+    bounds = _given_or_default(args, ("tau-bounds", "theta-bounds"),
+                               [f"{name}-bounds" for name in ("tau", "theta")
+                                if name not in args.free],
+                               "would be ignored: its parameter is not --free")
+    fixed = OhmicSpectrum(args.A, args.cutoff, at["theta"], args.temp, at["tau"])
+    argmin, g_min = optimize(fixed, list(args.free), args.t,
+                             {name: bounds[f"{name}-bounds"] for name in args.free},
+                             _quad_from_args(args), grid_points=args.grid_points)
     _emit_json({"argmin": {k: float(_fmt(v)) for k, v in argmin.items()},
                 "gamma_min": float(_fmt(g_min))}, args.out)
     return EXIT_OK
@@ -212,8 +225,9 @@ def _positive_int(text: str) -> int:
     return n
 
 
-# The flags that several subcommands share, with their built-in defaults.
-# Each subcommand declares only the flags its handler reads.
+# The flags that several subcommands share or that a handler may find
+# given or not (_given_or_default), with their built-in defaults.  Each
+# subcommand declares only the flags its handler reads.
 _FLAGS = {
     "tau": dict(type=float, default=0.0),
     "theta": dict(type=float, default=0.0),
@@ -226,6 +240,8 @@ _FLAGS = {
     "max-subdivisions": dict(type=_positive_int),
     "format": dict(choices=("csv", "json"), default="csv"),
     "jobs": dict(type=_positive_int, default=1),
+    "tau-bounds": dict(type=_bounds, default=(0.0, 20.0), metavar="LO:HI"),
+    "theta-bounds": dict(type=_bounds, default=(0.0, PI), metavar="LO:HI"),
 }
 _SPECTRUM = ("tau", "theta", "A", "cutoff", "temp")
 _QUAD = ("rel-tol", "abs-tol", "max-subdivisions")
@@ -260,8 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes-file", type=str, default=None,
                    help="CSV of discrete modes (omega,g_abs,theta)")
 
+    # _cmd_sweep and _cmd_optimize fill in the defaults of the flags that a
+    # sweep or a search could leave unused, so that they can reject given ones
     p = _subcommand(sub, "sweep", _cmd_sweep, _SPECTRUM + _QUAD + ("t", "format", "jobs"),
-                    "Cartesian parameter sweep")
+                    "Cartesian parameter sweep", tau=None, theta=None, t=None)
     p.add_argument("--sweep", type=_sweep_axis, action="append", required=True,
                    metavar="PARAM=START:STOP:COUNT")
 
@@ -275,11 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
     axis.add_argument("--points", type=_positive_int,
                       help="override the preset axis sample count")
 
-    p = _subcommand(sub, "optimize", _cmd_optimize, _SPECTRUM + _QUAD + ("t",),
-                    "minimize Gamma over tau and/or theta")
+    p = _subcommand(sub, "optimize", _cmd_optimize,
+                    _SPECTRUM + _QUAD + ("t", "tau-bounds", "theta-bounds"),
+                    "minimize Gamma over tau and/or theta",
+                    tau=None, theta=None, tau_bounds=None, theta_bounds=None)
     p.add_argument("--free", action="append", choices=("tau", "theta"), required=True)
-    p.add_argument("--tau-bounds", type=_bounds, default="0:20", metavar="LO:HI")
-    p.add_argument("--theta-bounds", type=_bounds, default=f"0:{PI}", metavar="LO:HI")
     p.add_argument("--grid-points", type=_positive_int, default=64)
 
     p = _subcommand(sub, "crossover", _cmd_crossover, _SPECTRUM[1:] + _QUAD + ("t",),

@@ -204,6 +204,8 @@ def optimize(fixed: OhmicSpectrum, free: list[str], t: float, bounds: dict,
     """
     if not free:
         raise ValueError("free parameter set must be nonempty")
+    if len(set(free)) != len(free):
+        raise ValueError(f"free parameters must be distinct, got {free}")
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     for name in free:

@@ -729,6 +729,49 @@ class TestFlagsPerSubcommand:
         assert exit_code(*argv) == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        (("sweep", "--sweep", "tau=0:1:2", "--t", "5"), "tau", "3"),
+        (("sweep", "--sweep", "theta=0:1:2", "--t", "5"), "theta", "3"),
+        (("sweep", "--sweep", "t=0:1:2"), "t", "5"),
+        (("optimize", "--free", "tau"), "tau", "3"),
+        (("optimize", "--free", "theta"), "theta", "1"),
+        (("optimize", "--free", "tau"), "theta-bounds", "0:0.1"),
+        (("optimize", "--free", "theta"), "tau-bounds", "5:6"),
+    ])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_sweep_and_optimize_reject_flags_they_would_drop(self, argv, flag, value, via,
+                                                             tmp_path, capsys):
+        # a swept or free parameter's value, or a fixed one's bounds
+        if via == "flag":
+            argv += (f"--{flag}", value)
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag: value}))
+            argv += ("--config", str(cfg))
+        assert exit_code(*argv) == 2
+        assert f"--{flag}" in capsys.readouterr().err
+
+    def test_sweep_and_optimize_keep_the_flags_they_use(self, tmp_path):
+        assert exit_code("sweep", "--sweep", "tau=0:1:2", "--theta", "1", "--t", "2") == 0
+        assert exit_code("optimize", "--free", "theta", "--tau", "1", "--theta-bounds", "0:1",
+                         "--t", "2", "--grid-points", "4") == 0
+        assert exit_code("optimize", "--free", "tau", "--theta", "1", "--tau-bounds", "0:1",
+                         "--t", "2", "--grid-points", "4") == 0
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_optimize_rejects_a_repeated_free_parameter(self, via, tmp_path, capsys):
+        if via == "flag":
+            argv = ("optimize", "--free", "tau", "--free", "tau")
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"free": ["tau", "tau"]}))
+            argv = ("optimize", "--config", str(cfg))
+        assert exit_code(*argv) == 2
+        assert "free parameters must be distinct" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="distinct"):
+            optimize(OhmicSpectrum(1.0, 0.1), ["theta", "theta"], 1.0,
+                     {"theta": (0.0, 1.0)}, QuadratureSpec())
+
     @pytest.mark.parametrize("argv, name", [
         (("figure", "fig3b", "--points", "0"), "--points"),
         (("optimize", "--free", "tau", "--grid-points", "0"), "--grid-points"),
