@@ -269,7 +269,7 @@ def dephasing_kernel(w, weight, tau, t, temperature: float, sin_cos, cos2):
     t1 *= k1
     v *= u
     v *= u  # v sin^4(x/2)
-    del sc, u  # the sines: freed before the phase combination
+    del u, sc  # the sines: freed before the phase combination
     t0 *= r2
     t0 += v
     t0 *= 4.0 * k

@@ -15,12 +15,15 @@ Each side also runs one figures pass in one process: the six presets as
 `ptbench/workloads.py` runs them, through a wrapper of every integrand that
 `continuum.integrate_adaptive` is given.  It counts the integrand values
 (nodes x outputs), which do not depend on the hardware and repeat run to
-run, and keeps each preset's CSV, to compare the printed rows of the sides.
+run, keeps each preset's CSV, to compare the printed rows of the sides,
+and reads the process's minor page faults (getrusage ru_minflt) around
+each preset: a working set that outgrows the heap top the allocator keeps
+shows there as thousands of faults.
 
 Writes BENCH_<label>.json at the repository root: every run's result line
 (the last line of `ptbench/run.py`'s output), the traced runs, both
-sides' integrand values per figures pass and SHA-256 of each preset CSV,
-the number of CSV rows per preset that differ between the sides (a row
+sides' integrand values per figures pass, SHA-256 of each preset CSV and
+minor page faults per preset, the number of CSV rows per preset that differ between the sides (a row
 only one side has counts too), and per workload and end-to-end
 metric of BENCHMARK.json the number of pairs, the pairs the change wins
 (ties count for neither side) and each side's median and quartiles (linear
@@ -45,10 +48,10 @@ ROOT = Path(__file__).resolve().parents[1]
 FIGURE_PAIRS, OTHER_PAIRS = 10, 5
 TRACED = "figures"
 
-# argv[1] is the checkout; prints the integrand values of one figures pass
-# and each preset's CSV as one JSON line
+# argv[1] is the checkout; prints the integrand values of one figures pass,
+# each preset's CSV and its minor page faults as one JSON line
 FIGURES_PASS = '''
-import json, sys, tempfile
+import json, resource, sys, tempfile
 from pathlib import Path
 import numpy as np
 from ptbath import cli, continuum
@@ -71,14 +74,16 @@ def counting(f, *args, **kwargs):
         depth[0] -= 1
 
 continuum.integrate_adaptive = counting
-csv = {}
+csv, faults = {}, {}
 with tempfile.TemporaryDirectory() as tmp:
     for fig in FIGURE_IDS:
         out = Path(tmp) / (fig + ".csv")
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         if cli.main(figure_argv(fig, str(out))) != 0:
             sys.exit(f"figure {fig} failed")
+        faults[fig] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         csv[fig] = out.read_bytes().decode()  # as written: no newline translation
-print(json.dumps({"values": values[0], "csv": csv}))
+print(json.dumps({"values": values[0], "csv": csv, "minor_faults": faults}))
 '''
 
 
@@ -101,7 +106,7 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float, trace: in
 
 def figures_pass(checkout: Path) -> dict:
     """Integrand values of one figures pass of the ptbath in `checkout`, and
-    each preset's CSV text."""
+    each preset's CSV text and minor page faults."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     out = subprocess.run([sys.executable, "-c", FIGURES_PASS, str(checkout)], cwd=checkout,
                          env=env, capture_output=True, text=True, check=True, timeout=600).stdout
@@ -171,8 +176,10 @@ def main() -> int:
                          for fig, text in p["csv"].items()} for side, p in passes.items()}
         changed = {fig: rows_changed(text, passes["change"]["csv"][fig])
                    for fig, text in passes["parent"]["csv"].items()}
+        faults = {side: p["minor_faults"] for side, p in passes.items()}
         print(json.dumps({"integrand_values_per_figures_pass": values,
-                          "figure_rows_changed": changed}), flush=True)
+                          "figure_rows_changed": changed, "figure_minor_faults": faults}),
+              flush=True)
 
         runs, order = [], 0
         for workload, n in pairs.items():
@@ -212,6 +219,7 @@ def main() -> int:
         "integrand_values_per_figures_pass": values,
         "figure_csv_sha256": sha256,
         "figure_rows_changed": changed,
+        "figure_minor_faults": faults,
         "summary": summarize(runs, better),
     }
     out = ROOT / f"BENCH_{args.label}.json"
