@@ -160,9 +160,8 @@ def _cmd_figure(args) -> int:
 def _cmd_optimize(args) -> int:
     at = _given_or_default(args, ("tau", "theta"), args.free,
                            "would be ignored: --free scans its parameter")
-    bounds = _given_or_default(args, ("tau-bounds", "theta-bounds"),
-                               [f"{name}-bounds" for name in ("tau", "theta")
-                                if name not in args.free],
+    fixed_bounds = [f"{name}-bounds" for name in ("tau", "theta") if name not in args.free]
+    bounds = _given_or_default(args, ("tau-bounds", "theta-bounds"), fixed_bounds,
                                "would be ignored: its parameter is not --free")
     fixed = OhmicSpectrum(args.A, args.cutoff, at["theta"], args.temp, at["tau"])
     argmin, g_min = optimize(fixed, list(args.free), args.t,
@@ -225,9 +224,9 @@ def _positive_int(text: str) -> int:
     return n
 
 
-# The flags that several subcommands share or that a handler may find
-# given or not (_given_or_default), with their built-in defaults.  Each
-# subcommand declares only the flags its handler reads.
+# The shared flags, and those a handler checks for being given
+# (_given_or_default), with their built-in defaults.  Each subcommand
+# declares only the flags its handler reads.
 _FLAGS = {
     "tau": dict(type=float, default=0.0),
     "theta": dict(type=float, default=0.0),
@@ -268,16 +267,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # _cmd_gamma fills in the built-in defaults of the Ohmic-only flags, so
-    # that it can tell a given flag from a default one under --modes-file
+    # gamma, sweep and optimize default to None the flags that an input could
+    # leave unused (gamma --modes-file, the swept or free parameters); their
+    # handlers fill in the built-in defaults, to tell a given flag from these
     p = _subcommand(sub, "gamma", _cmd_gamma, _SPECTRUM + _QUAD + ("format",),
                     "decoherence exponent Gamma(t)", A=None, cutoff=None, theta=None)
     p.add_argument("--t", type=_parse_range, default="1", help="scalar or start:stop:count")
     p.add_argument("--modes-file", type=str, default=None,
                    help="CSV of discrete modes (omega,g_abs,theta)")
 
-    # _cmd_sweep and _cmd_optimize fill in the defaults of the flags that a
-    # sweep or a search could leave unused, so that they can reject given ones
     p = _subcommand(sub, "sweep", _cmd_sweep, _SPECTRUM + _QUAD + ("t", "format", "jobs"),
                     "Cartesian parameter sweep", tau=None, theta=None, t=None)
     p.add_argument("--sweep", type=_sweep_axis, action="append", required=True,

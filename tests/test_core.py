@@ -263,7 +263,7 @@ class TestGammaDiscrete:
 
 class TestDephasingTerms:
     def test_phase_combination_is_the_amplitude_route(self):
-        # one set of phase-free terms gives 2 |g|^2 |xi|^2 coth at every phase
+        # at every phase, the kernel at its coefficients is 2 |g|^2 |xi|^2 coth
         rng = np.random.default_rng(30)
         for _ in range(200):
             w = rng.uniform(0.05, 3.0)
