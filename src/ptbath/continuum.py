@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,17 +39,13 @@ _NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
 _G7_ON_K15 = [0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3]]
 _WEIGHTS = np.array([_WGK[:-1] + _WGK[::-1],
                      _G7_ON_K15[:-1] + _G7_ON_K15[::-1]]).T  # (15, 2): K15, G7
-# the same weights as columns over the node axis; the G7 ones over the
-# 7 Gauss nodes _NODES[1::2] only
-_K15_COL = _WEIGHTS[:, :1]
-_G7_COL = _WEIGHTS[1::2, 1:]
 
-# Nodes x outputs of one integrand call.  A round evaluates its panels in
-# blocks of at most this many values, so the working set stays bounded
-# whatever the number of panels and of outputs.
-_BLOCK_VALUES = 1 << 16
+# Nodes x max(integrand rows, outputs) of one block: a round evaluates its
+# panels in blocks of at most this many values, so the working set stays
+# bounded whatever the number of panels and of outputs (3 terms x 65,536).
+_BLOCK_VALUES = 3 << 16
 # Panels x phases of one grouped integral, as counted on its start grid: larger
-# groups are split, to bound the open mask and the values of one integrand call.
+# groups are split, to bound the engine's open flags, one per panel and phase.
 _RECORD_VALUES = 1 << 21
 
 # The start grid ends at this multiple of the cutoff, in panels no wider than
@@ -144,20 +141,35 @@ def _phase_columns(thetas) -> tuple[np.ndarray, np.ndarray]:
     return sin * cos, cos * cos
 
 
-def gamma_integrand_nh(omega, spec: OhmicSpectrum, t, thetas=None, tau=None):
+# Block values, kept per thread across blocks, rounds and engine calls: a
+# fresh array per block would fault its pages in again each time.
+_WORKSPACE = threading.local()
+
+
+def _buffer(name: str, shape) -> np.ndarray:
+    """A view of this shape of the named workspace array, grown as needed."""
+    size = math.prod(shape)
+    if getattr(_WORKSPACE, name, np.empty(0)).size < size:
+        setattr(_WORKSPACE, name, np.empty(size))
+    return getattr(_WORKSPACE, name)[:size].reshape(shape)
+
+
+def gamma_integrand_nh(omega, spec: OhmicSpectrum, t, thetas=None, tau=None, *,
+                       terms=False, out=None):
     """Integrand of the non-Hermitian continuum decoherence factor:
     J(w) times the dephasing kernel 2 |xi_w(t)|^2 coth(w/2T) of a
     unit-magnitude coupling of phase theta.
 
-    One core.dephasing_kernel call serves every phase: its phase
-    coefficients come with a leading phase axis.  With a sequence of phases
-    the result has shape (len(thetas),) + omega.shape, one row per phase
-    (spec.theta is then ignored); without thetas it is the row of
-    [spec.theta], with the shape of omega.  t and tau (default spec.tau)
-    may be arrays broadcasting against omega.  The removable 0*inf form at
-    w -> 0 is replaced on every row by its analytic limit
-    2 A t^2 * w coth(w/2T) only where the kernel's w^2 would underflow, so
-    the two never meet at a resolvable frequency.
+    With terms=True the result is J(w) times the kernel's phase-free terms
+    T0, T1, T2, of shape (3,) + omega.shape (in out if given), which the
+    engine integrates once for all phases.  Otherwise they are combined per
+    node: into one row per phase of a sequence thetas, of shape
+    (len(thetas),) + omega.shape, or else into the row of spec.theta, with
+    the shape of omega.  t and tau (default spec.tau) may be arrays
+    broadcasting against omega.  The removable 0*inf form at w -> 0 is
+    replaced by its analytic limit 2 A t^2 * w coth(w/2T) (in T0; T1 = T2 =
+    0) only where the kernel's w^2 would underflow, so the two never meet at
+    a resolvable frequency.
     """
     if not isinstance(t, np.ndarray):
         check_time(t)
@@ -166,18 +178,26 @@ def gamma_integrand_nh(omega, spec: OhmicSpectrum, t, thetas=None, tau=None):
     small = w < _LIMIT_BELOW * lam
     any_small = small.any()
     ws = np.where(small, lam, w) if any_small else w  # placeholder, overwritten below
-    lead = (-1,) + (1,) * w.ndim  # the phase axis ahead of the node axes
-    sc, c2 = (c.reshape(lead) for c in _phase_columns([spec.theta] if thetas is None else thetas))
-    # J(w) as spectral_density rounds it, unnamed so that the kernel frees it once used
-    out = dephasing_kernel(ws, A * ws * np.exp(ws / -lam), tau, t, T, sc, c2)
-    if any_small:
+    out = np.empty((3,) + w.shape) if out is None else out
+    # J(w) = (A w) e^{-w/cutoff} as spectral_density rounds it, in the row
+    # that the kernel divides in place
+    weight = np.exp(np.divide(ws, -lam, out=out[2]), out=out[2])
+    weight *= ws if A == 1.0 else A * ws
+    dephasing_kernel(ws, weight, tau, t, T, out=out)
+    if any_small:  # the limit does not depend on the phase
         wl, tl = w[small], np.broadcast_to(t, w.shape)[small]
-        out[:, small] = 2.0 * A * tl * tl * _omega_coth(wl, T) * np.exp(-wl / lam)
-    shape = np.shape(omega)
-    rows = out.reshape(out.shape[:1] + shape)
+        out[0][small] = 2.0 * A * tl * tl * _omega_coth(wl, T) * np.exp(-wl / lam)
+        out[1:, small] = 0.0
+    out = out.reshape((3,) + np.shape(omega))
+    if terms:
+        return out
+    sc, c2 = (c.reshape((-1,) + (1,) * (out.ndim - 1))  # a phase axis ahead of the nodes
+              for c in _phase_columns([spec.theta] if thetas is None else thetas))
+    rows = out[0] + sc * out[1]  # as dephasing_kernel combines its terms
+    rows += c2 * out[2]
     if thetas is not None:
         return rows
-    return float(rows[0]) if not shape else rows[0]
+    return float(rows[0]) if rows.ndim == 1 else rows[0]
 
 
 def gamma_integrand_hermitian(omega, amplitude: float, cutoff: float, temperature: float, t: float):
@@ -223,20 +243,23 @@ def _node_sum(terms: np.ndarray) -> np.ndarray:
 
 
 def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_width,
-                       params=None, outputs: int | None = None, bound=None):
+                       params=None, outputs: int | None = None, bound=None, mix=None):
     """Globally adaptive nested Gauss-Kronrod G7/K15 quadrature of one
     integrand, or of several over one shared subdivision, or of a batch.
 
     f maps a 1-D array of n nodes to n values, and the result is a float.
     With outputs=k it maps them to a (k, n) array, k integrands at the same
-    nodes, and the result is an array of the k integrals.  A batch has one
+    nodes, and the result is an array of the k integrals.  Given a (k, r)
+    array mix, f gives r rows instead, and output j's K15 and G7 on a panel
+    are mix[j, 0] K(row 0) + mix[j, 1] K(row 1) + ....  A batch has one
     panel width and one params entry per integral, and one result row per
     integral; f(x, ids) and bound(a, ids) then take the (15, m) nodes or
-    left edges of m panels with their integrals' indices.
+    left edges of m panels with their integrals' indices.  f's result is
+    overwritten, and x is reused.
 
     Panels of panel_width anchored at lo.  Each round evaluates the 15
-    Kronrod nodes of every open panel, in integrand calls of at most
-    _BLOCK_VALUES nodes x outputs; the 7-point Gauss estimate reuses 7 of
+    Kronrod nodes of every open panel, in blocks of at most _BLOCK_VALUES
+    nodes x max(rows, outputs); the 7-point Gauss estimate reuses 7 of
     them.  A panel is accepted for an output when |K15 - G7| <= rel_tol
     |K15| + abs_tol * width and contributes K15 to it; it is bisected for
     the outputs it failed for only.  An output's total adds its accepted
@@ -260,7 +283,7 @@ def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_widt
     """
     if not np.iterable(panel_width):  # the batch of one
         total = integrate_adaptive(lambda x, ids: f(x.ravel()), lo, hi, quad, [panel_width],
-                                   [params], outputs, bound and (lambda a, ids: bound(a)))[0]
+                                   [params], outputs, bound and (lambda a, ids: bound(a)), mix)[0]
         return float(total) if outputs is None else total
     for i, width in enumerate(panel_width):
         n_panels = (hi - lo) / width if width > 0.0 else math.inf
@@ -269,7 +292,8 @@ def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_widt
             raise QuadratureError(f"the start grid needs {needed} panels, more than the "
                                   f"{quad.max_subdivisions} subdivisions allowed", params[i])
     n, k = len(panel_width), 1 if outputs is None else outputs
-    block = max(1, _BLOCK_VALUES // (_NODES.size * k))
+    rows = k if mix is None else len(mix[0])
+    block = max(1, _BLOCK_VALUES // (_NODES.size * max(rows, k)))
     grids = [_initial_edges(lo, hi, width) for width in panel_width]
     a, b = np.concatenate([e[:-1] for e in grids]), np.concatenate([e[1:] for e in grids])
     ids = np.arange(n).repeat([e.size - 1 for e in grids])  # each panel's integral
@@ -287,9 +311,18 @@ def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_widt
             pa, pb, pi = a[s:s + block], b[s:s + block], ids[s:s + block]
             mid = 0.5 * (pa + pb)
             half = 0.5 * (pb - pa)
-            fx = f(mid + half * _NODES[:, None], pi).reshape(k, _NODES.size, -1)
-            g7 = _node_sum(fx[:, 1::2] * _G7_COL) * half
-            k15 = _node_sum(fx * _K15_COL) * half
+            x = np.multiply(half, _NODES[:, None], out=_buffer("nodes", (_NODES.size, pa.size)))
+            x += mid
+            fx = f(x, pi).reshape(rows, _NODES.size, -1)
+            rule = np.empty((2, rows, pa.size))  # each row's K15 and G7
+            rule[1] = _node_sum(fx[:, 1::2] * _WEIGHTS[1::2, 1:])
+            fx *= _WEIGHTS[:, :1]  # in place: the values are not needed again
+            rule[0] = _node_sum(fx)
+            if mix is not None:  # output j: mix[j, 0] K(row 0) + mix[j, 1] K(row 1) + ...
+                rule, terms = rule[:, :1] * mix[:, :1], rule
+                for i in range(1, rows):
+                    rule += terms[:, i:i + 1] * mix[:, i:i + 1]
+            k15, g7 = rule * half
             ok = np.abs(k15 - g7) <= quad.rel_tol * np.abs(k15) + quad.abs_tol * 2.0 * half
             ok &= open_[:, s:s + block]
             failed = open_[:, s:s + block] ^ ok  # open and not accepted
@@ -360,13 +393,14 @@ def batches(cutoff: float, taus, times, n_phases: int) -> list[tuple[slice, list
     """The (tau, t) slices that gamma_continuum_batch integrates in one engine
     pass each, with their start-panel widths (one panel at t = 0, where the
     integrand is 0): a batch closes once its start panels x phases would
-    exceed _BLOCK_VALUES // 15, so that its start grid is one integrand call."""
+    exceed _BLOCK_VALUES // 45, so that the start grid of a one-phase batch
+    is one integrand call of three terms per node."""
     hi = _OMEGA_MAX_CUTOFFS * cutoff
     widths = [_panel_width(cutoff, t, tau) if t > 0.0 else hi for tau, t in zip(taus, times)]
     cuts, used = [], math.inf
     for i, width in enumerate(widths):
         size = n_phases * (hi / width if width > 0.0 else math.inf)
-        if used + size > _BLOCK_VALUES // _NODES.size:
+        if used + size > _BLOCK_VALUES // (3 * _NODES.size):
             cuts.append(i)
             used = 0.0
         used += size
@@ -403,20 +437,18 @@ def gamma_continuum_batch(spec: OhmicSpectrum, taus, times, thetas,
     for cut, widths in cuts:
         # at A = 1, and at the tau of a lone integral, which runs on floats
         unit = OhmicSpectrum(1.0, spec.cutoff, 0.0, spec.temperature, taus[cut.start])
-        # the engine keeps an open flag per panel and phase, so a large
-        # group is split to keep those bounded too
+        us, ts = np.array(taus[cut], dtype=float), np.array(times[cut], dtype=float)
+        lone = len(widths) == 1
+        f = lambda w, ids: gamma_integrand_nh(  # noqa: E731  (the terms serve every phase)
+            w, unit, times[cut.start] if lone else ts[ids], tau=None if lone else us[ids],
+            terms=True, out=_buffer("terms", (3,) + w.shape))
         step = max(1, int(_RECORD_VALUES * min(widths) / hi))
         for i in range(0, len(thetas), step):
             part = thetas[i:i + step]
-            if len(widths) == 1:
-                f = lambda w, ids: gamma_integrand_nh(w, unit, times[cut.start], part)  # noqa: E731
-                bound = _tail_bound(unit, part)
-            else:
-                us, ts = np.array(taus[cut], dtype=float), np.array(times[cut], dtype=float)
-                f = lambda w, ids: gamma_integrand_nh(w, unit, ts[ids], part, us[ids])  # noqa: E731
-                bound = _tail_bound(unit, part, us)
             gammas[cut, i:i + step] = integrate_adaptive(
-                f, 0.0, hi, unit_quad, widths, outputs=len(part), bound=bound,
+                f, 0.0, hi, unit_quad, widths, outputs=len(part),
+                bound=_tail_bound(unit, part, None if lone else us),
+                mix=np.hstack([np.ones((len(part), 1)), *_phase_columns(part)]),
                 params=[{"spec": spec, "tau": tau, "t": t, "thetas": part}
                         for tau, t in zip(taus[cut], times[cut])])
     with np.errstate(over="ignore"):

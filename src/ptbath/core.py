@@ -219,12 +219,14 @@ def check_tau(tau: float) -> None:
                          "r 2/r^4 or 32 tau^2 (1 + 2 tau^2) 2/r^4 outside the float range")
 
 
-def dephasing_kernel(w, weight, tau, t, temperature: float, sin_cos, cos2):
+def dephasing_kernel(w, weight, tau, t, temperature: float, sin_cos=None, cos2=None,
+                     out=None):
     """weight * 2 |xi_w(t)|^2 coth(w/2T) for a unit coupling of phase phi,
     given as sin_cos = sin(phi) cos(phi) and cos2 = cos^2(phi), elementwise
     over w > 0.  tau, t and the coefficients may be arrays that broadcast
     against w, so one call serves one phase per mode (a discrete bath) or
-    many phases per node (the continuum, with a leading phase axis).
+    many phases per node (with a leading phase axis).  Without them it
+    returns the terms T0, T1, T2 below on a new leading axis (in out if given).
 
     The one dephasing formula: weight is |g_k|^2 for a discrete mode and
     J(w) for the continuum.  With r = sqrt(1+4 tau^2), x = r w t and
@@ -241,42 +243,44 @@ def dephasing_kernel(w, weight, tau, t, temperature: float, sin_cos, cos2):
     1 + 2/expm1(w/T), exactly 1 once expm1 overflows (w/T > 709.78).
     """
     r, r2, k, k1, k2 = _kernel_constants(tau)
+    out = np.empty((3,) + np.broadcast(w, weight, r, t).shape) if out is None else out
+    # views, 0-d for a scalar w; the sines are formed in them, beside u
+    t0, t1, v = out[0, ...], out[1, ...], out[2, ...]
     # x = (w r) t, the rounding of Omega t in xi_non_hermitian; x/4 is exact
-    u = np.tan(w * r * t * 0.25)
-    den = u * u
-    den += 1.0
-    sc = 1.0 - u
-    sc *= 1.0 + u
-    sc /= den  # cos(x/2)
+    u = np.multiply(w, r, out=np.empty_like(t0))
+    u *= t * 0.25
+    np.tan(u, out=u)
+    np.subtract(1.0, u, out=t0)
+    t0 *= np.add(1.0, u, out=t1)
+    den = np.add(np.multiply(u, u, out=t1), 1.0, out=t1)
+    t0 /= den  # cos(x/2)
     u += u
     u /= den  # sin(x/2)
-    del den
-    sc *= u  # sin(x)/2
+    t0 *= u  # sin(x)/2
     u *= u  # sin^2(x/2)
-    # v = weight coth / w^2 is p without its factor 2/r^4, which k carries
-    v = weight / (w * w)
-    del weight  # a caller's temporary weight is freed before the largest step
+    # v = weight coth / w^2 is p without its factor 2/r^4, which k carries;
+    # weight may be the row v itself
+    np.divide(weight, np.multiply(w, w, out=t1), out=v)
     if temperature > 0:
         with np.errstate(over="ignore"):
-            cth = np.expm1(w / temperature)
-        cth = 2.0 / cth
-        cth += 1.0
-        v *= cth
-        del cth
-    t1 = v * sc
-    t0 = t1 * sc
+            cth = np.expm1(np.divide(w, temperature, out=t1), out=t1)
+        v *= np.add(np.divide(2.0, cth, out=cth), 1.0, out=cth)
+    np.multiply(v, t0, out=t1)
+    t0 *= t1  # (v sin(x)/2) sin(x)/2
     t1 *= u
     t1 *= k1
     v *= u
     v *= u  # v sin^4(x/2)
-    del u, sc  # the sines: freed before the phase combination
+    del u  # freed before the phase combination
     t0 *= r2
     t0 += v
     t0 *= 4.0 * k
-    v *= k2  # T2, in place: k2 broadcasts into v as u does
-    out = t0 + sin_cos * t1
-    out += cos2 * v  # in place: one output-sized array fewer at the peak
-    return out
+    v *= k2  # T2
+    if sin_cos is None:
+        return out
+    kernel = t0 + sin_cos * t1
+    kernel += cos2 * v  # in place: one output-sized array fewer at the peak
+    return kernel
 
 
 def dephasing_bound(w, weight, tau, temperature: float, sin_cos, cos2):

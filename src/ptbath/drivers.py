@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,6 +54,7 @@ def _gamma_rows(spec: OhmicSpectrum, points: list[dict], columns: list[str],
             tasks.append((spec, taus[cut], times[cut], thetas, quad))
             owners.extend(i for point_ids in members[cut] for i in point_ids)
     if jobs > 1 and tasks:
+        from concurrent.futures import ProcessPoolExecutor  # imported only where a pool runs
         # about eight chunks per worker, so that no worker idles long at the end
         chunksize = max(1, len(tasks) // (8 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:

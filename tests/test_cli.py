@@ -59,6 +59,23 @@ def test_every_traced_name_resolves():
             assert callable(getattr(module, name, None)), f"ptbath.{layer}.{name}"
 
 
+def test_cli_import_loads_every_layer_and_no_process_pool():
+    # the tracer looks every layer up in sys.modules after `import ptbath.cli`;
+    # the process pool is imported by a run that uses it (--jobs > 1) only
+    src = str(Path(ptbath.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import json, sys, ptbath.cli\n"
+            "print(json.dumps([sorted(m for m in sys.modules if m.startswith('ptbath')),"
+            " 'concurrent.futures' in sys.modules]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    modules, pool = json.loads(out)
+    layers = ["cli", "continuum", "core", "drivers", "entanglement", "oracle"]
+    assert modules == ["ptbath"] + [f"ptbath.{layer}" for layer in layers]
+    assert pool is False
+
+
 def count_integrals(monkeypatch):
     """Count the integrals of every continuum.integrate_adaptive call, one
     per panel width of a batch; returns a one-item list."""
@@ -215,12 +232,11 @@ class TestGammaCommand:
         assert code == 0
         g = float(text.strip().split("\n")[1].split(",")[1])
 
-        def kernel_everywhere(w, spec, t, thetas):
+        def kernel_everywhere(w, spec, t, tau=None, *, terms, out):
+            # the engine's call: the kernel's three terms at every node
             j = spectral_density(w, spec.amplitude, spec.cutoff)
-            return np.array([dephasing_kernel(w, j, spec.tau, t, spec.temperature,
-                                              math.sin(theta) * math.cos(theta),
-                                              math.cos(theta) ** 2)
-                             for theta in thetas])
+            return dephasing_kernel(w, j, spec.tau if tau is None else tau, t,
+                                    spec.temperature, out=out)
 
         monkeypatch.setattr(continuum, "gamma_integrand_nh", kernel_everywhere)
         ref = gamma_continuum_nh(OhmicSpectrum(1.0, 0.7, 4.9, 0.05, -19.3), 300.0)

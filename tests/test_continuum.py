@@ -289,15 +289,22 @@ class TestGammaContinuum:
             gamma_hermitian(1.0, 0.1, 0.0, t)
 
 
+def phase_mix(thetas):
+    """The engine's weights (1, sin cos, cos^2) of the terms T0, T1, T2, one
+    row per phase."""
+    return np.array([[1.0, math.sin(th) * math.cos(th), math.cos(th) * math.cos(th)]
+                     for th in thetas])
+
+
 def count_integrand_points(monkeypatch):
     """Route continuum.gamma_integrand_nh through a wrapper that records the
     size of every call; returns the list of sizes."""
     sizes = []
     real = continuum.gamma_integrand_nh
 
-    def counting(w, *args):
+    def counting(w, *args, **kwargs):
         sizes.append(np.size(w))
-        return real(w, *args)
+        return real(w, *args, **kwargs)
 
     monkeypatch.setattr(continuum, "gamma_integrand_nh", counting)
     return sizes
@@ -535,6 +542,144 @@ class TestBatch:
             gamma_continuum_batch(OhmicSpectrum(1.0, 0.1), [0.0, -5e76, 1e76], [1.0] * 3, [0.0])
 
 
+class TestTermRoute:
+    """The engine integrates the three phase-free terms T0, T1, T2 of the
+    kernel once per node and forms each phase's K15 and G7 per panel as
+    K(T0) + sin cos K(T1) + cos^2 K(T2)."""
+
+    @staticmethod
+    def node_level(spec, t, thetas, quad, hi=None, width=None):
+        # the same engine on the per-phase rows of gamma_integrand_nh, as the
+        # production route runs it: at A = 1, with its tail bound
+        hi = 60.0 * spec.cutoff if hi is None else hi
+        if width is None:
+            width = _panel_width(spec.cutoff, t, spec.tau) if t > 0.0 else hi
+        rows = continuum.integrate_adaptive(
+            lambda w: gamma_integrand_nh(w, spec, t, thetas), 0.0, hi, quad, width,
+            outputs=len(thetas), bound=_tail_bound(spec, thetas))
+        return np.maximum(rows, 0.0)
+
+    def test_terms_combine_into_the_phase_rows(self):
+        thetas = [0.0, 0.4, math.pi / 2, 2 * math.pi / 3, 5.1]
+        for temperature, tau in [(0.0, 1.5), (2.0, 1.5), (300.0, 0.0)]:
+            spec = OhmicSpectrum(1.3, 0.2, 0.0, temperature, tau)
+            w = np.array([[0.0, 1e-70, 1e-3, 0.5], [1.0, 2.0, 7.5, 11.0]])
+            terms = gamma_integrand_nh(w, spec, 3.0, terms=True)
+            assert terms.shape == (3, 2, 4)
+            mix = phase_mix(thetas)
+            rows = gamma_integrand_nh(w, spec, 3.0, thetas)
+            for row, (_, sc, c2) in zip(rows, mix):
+                assert np.array_equal(row, terms[0] + sc * terms[1] + c2 * terms[2])
+            # the w -> 0 limit is phase-free: T0 carries it
+            assert np.all(terms[1:, 0, :2] == 0.0)
+            assert np.all(terms[0, 0, :2] == rows[:, 0, :2])
+            if tau == 0.0:  # no non-Hermiticity: the phase terms vanish
+                assert np.all(terms[1:] == 0.0)
+
+    @pytest.mark.parametrize("n_phases", [1, 3, 721])
+    def test_production_agrees_with_the_node_level_rows(self, n_phases):
+        rng = np.random.default_rng(40 + n_phases)
+        quad = QuadratureSpec()
+        cases = [(0.0, 2.0, 5.0), (300.0, 2.0, 5.0), (1.0, 0.0, 7.0), (0.0, 1.3, 0.0)]
+        cases += [(float(rng.choice([0.0, 1.0, 300.0])), rng.uniform(-4, 4), rng.uniform(0.1, 20))
+                  for _ in range(3 if n_phases < 721 else 1)]
+        for temperature, tau, t in cases:
+            spec = OhmicSpectrum(1.0, rng.uniform(0.05, 0.5), 0.0, temperature, tau)
+            thetas = list(rng.uniform(-7.0, 7.0, n_phases))
+            got = gamma_continuum_thetas(spec, t, thetas, quad)
+            ref = self.node_level(spec, t, thetas, quad)
+            assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), (temperature, tau, t)
+
+    @pytest.mark.parametrize("temperature", [0.0, 3.0])
+    def test_limit_panel_agrees_with_the_node_level_rows(self, temperature):
+        # one panel whose every node lies below _LIMIT_BELOW * cutoff
+        spec = OhmicSpectrum(1.0, 0.2, 0.0, temperature, 1.5)
+        thetas = [0.0, 0.4, 2.0]
+        hi = 0.5 * continuum._LIMIT_BELOW * spec.cutoff
+        got = continuum.integrate_adaptive(
+            lambda w: gamma_integrand_nh(w, spec, 4.0, terms=True), 0.0, hi, QuadratureSpec(),
+            hi, outputs=3, mix=phase_mix(thetas))
+        ref = self.node_level(spec, 4.0, thetas, QuadratureSpec(), hi=hi, width=hi)
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+        assert np.all(ref > 0.0)
+
+    def test_work_does_not_grow_with_the_phases(self, monkeypatch):
+        # 3 term values per node for a group of any size, and at most
+        # _BLOCK_VALUES node x term values in one integrand call
+        calls = []
+        real = continuum.gamma_integrand_nh
+
+        def recording(w, *args, **kwargs):
+            values = real(w, *args, **kwargs)
+            calls.append((np.size(w), np.size(values)))
+            return values
+
+        monkeypatch.setattr(continuum, "gamma_integrand_nh", recording)
+        spec = OhmicSpectrum(1.0, 0.1, 0.0, 300.0, 4.0)
+        for n_phases in (1, 3, 25, 721):
+            calls.clear()
+            gamma_continuum_thetas(spec, 20.0, list(np.linspace(0.0, math.pi, n_phases)))
+            assert calls
+            assert all(values == 3 * nodes for nodes, values in calls)
+            assert max(values for _, values in calls) <= continuum._BLOCK_VALUES
+
+    def test_per_panel_phase_arrays_stay_within_the_block(self, monkeypatch):
+        # a block's phase arrays hold panels x phases values: with 721 phases
+        # it takes a few panels, at most _BLOCK_VALUES // 15 values, where
+        # the hundreds of open panels would fit one block of three terms
+        sizes = count_integrand_points(monkeypatch)
+        thetas = list(np.linspace(0.0, 2.0 * math.pi, 721))
+        gamma_continuum_thetas(OhmicSpectrum(1.0, 0.1, 0.0, 300.0, 4.0), 120.0, thetas)
+        assert sum(sizes) // 15 * len(thetas) > 5 * continuum._BLOCK_VALUES
+        assert max(sizes) // 15 * len(thetas) <= continuum._BLOCK_VALUES // 15
+
+    def test_threads_keep_their_own_workspace(self):
+        # the block buffers are per thread: integrals that run concurrently
+        # give the values each gives alone
+        from concurrent.futures import ThreadPoolExecutor
+
+        specs = [OhmicSpectrum(1.0, 0.1, 0.0, 300.0, tau) for tau in (0.5, 2.0, 4.0, 7.0)]
+
+        def gammas(spec):
+            return gamma_continuum_thetas(spec, 40.0, [0.0, 1.0, 2.0])
+
+        alone = [gammas(spec) for spec in specs]
+        with ThreadPoolExecutor(4) as pool:
+            for _ in range(3):
+                for got, ref in zip(pool.map(gammas, specs, timeout=60), alone):
+                    assert np.array_equal(got, ref)
+
+    def test_one_output_integrands_keep_their_sums(self):
+        # a one-output integrand (gamma_hermitian, test_vector_integrand) is
+        # summed as before the term route: weight times value, node after
+        # node, times the half-width; a cubic keeps libm out of the check
+        def f(x):
+            return x * x * x - 0.3 * x
+
+        for lo, hi in [(0.0, 0.37), (1.25, 1.5), (-2.0, 3.0)]:
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            nodes = [float(n) * half + mid for n in _NODES]
+            ref = 0.0
+            for x, weight in zip(nodes, _WEIGHTS[:, 0]):
+                ref += f(x) * float(weight)
+            assert continuum.integrate_adaptive(f, lo, hi, QuadratureSpec(), hi - lo) == ref * half
+
+    def test_mixed_outputs_are_the_row_combinations(self):
+        def f(x):
+            return np.stack([np.sin(x), x * x, np.exp(-x)])
+
+        mix = np.array([[1.0, 0.0, 0.0], [0.5, 0.25, 0.0], [0.0, 1.0, -2.0]])
+        exact = np.array([1.0 - math.cos(3.0), 9.0, 1.0 - math.exp(-3.0)])
+        vals = continuum.integrate_adaptive(f, 0.0, 3.0, QuadratureSpec(), 0.5, outputs=3,
+                                            mix=mix)
+        np.testing.assert_allclose(vals, mix @ exact, rtol=1e-13)
+        # each output alone, in any group: bit for bit
+        for j in range(3):
+            alone = continuum.integrate_adaptive(f, 0.0, 3.0, QuadratureSpec(), 0.5,
+                                                 mix=mix[j:j + 1])
+            assert alone == vals[j]
+
+
 class TestTailBound:
     """Start panels that core.dephasing_bound puts below abs_tol/2 are
     accepted as 0 without being evaluated."""
@@ -619,11 +764,13 @@ class TestTailBound:
             assert skipped.size
             cut = skipped.min()
 
-            def f(w):
-                return gamma_integrand_nh(w, spec, t)
+            def f(w):  # the engine's form: three terms per node, mixed per panel
+                return gamma_integrand_nh(w, spec, t, terms=True)
 
-            with_bound = continuum.integrate_adaptive(f, 0.0, hi, quad, width, bound=bound)
-            without = continuum.integrate_adaptive(f, 0.0, hi, quad, width)
+            mix = phase_mix([spec.theta])
+            with_bound = continuum.integrate_adaptive(f, 0.0, hi, quad, width, bound=bound,
+                                                      mix=mix)
+            without = continuum.integrate_adaptive(f, 0.0, hi, quad, width, mix=mix)
             assert gamma_continuum_nh(spec, t, quad) == max(with_bound, 0.0)
             assert abs(with_bound - without) <= (quad.abs_tol * (hi - cut) / 2.0
                                                  + 8 * np.spacing(without))
@@ -633,22 +780,23 @@ class TestTailBound:
         for spec, t in [(OhmicSpectrum(1.0, 0.1, 0.4, 300.0, 2.0), 20.0),
                         (OhmicSpectrum(1.0, 0.3, 2.0, 0.0, -1.0), 3.0)]:
             width = _panel_width(spec.cutoff, t, spec.tau)
-            plain = continuum.integrate_adaptive(lambda w: gamma_integrand_nh(w, spec, t),
-                                                 0.0, 60.0 * spec.cutoff, quad, width)
+            plain = continuum.integrate_adaptive(
+                lambda w: gamma_integrand_nh(w, spec, t, terms=True), 0.0, 60.0 * spec.cutoff,
+                quad, width, mix=phase_mix([spec.theta]))
             assert gamma_continuum_nh(spec, t, quad) == plain
 
     def test_large_t_integral_skips_more_than_half(self, monkeypatch):
         # fig4's tau = 20, t = 120 point: 275,070 values on the full start grid
         sizes = count_integrand_points(monkeypatch)
         gamma_continuum_nh(OhmicSpectrum(1.0, 0.1, math.pi / 2, 300.0, 20.0), 120.0)
-        assert sum(sizes) <= 275_070 // 2
+        assert 0 < sum(sizes) <= 275_070 // 2
 
     def test_large_t_integral_on_lobes_skips_three_quarters(self, monkeypatch):
         # the same point on start panels of one lobe of sin(r w t) each:
         # at most a quarter of the 275,070 values of the four-per-oscillation grid
         sizes = count_integrand_points(monkeypatch)
         gamma_continuum_nh(OhmicSpectrum(1.0, 0.1, math.pi / 2, 300.0, 20.0), 120.0)
-        assert sum(sizes) <= 275_070 // 4
+        assert 0 < sum(sizes) <= 275_070 // 4
 
 
 class TestAmplitude:

@@ -2,10 +2,12 @@
 
     python3 tools/bench_pairs.py --parent COMMIT --label NAME [--note TEXT]
 
-Run from anywhere inside the repository.  The change side is this working
-tree; the parent side is the committed tree of COMMIT, unpacked with
-`git archive` into a temporary directory that is removed at the end.  The
-workloads and the run length are those of BENCHMARK.json.  Each pair runs
+Run from anywhere inside the repository.  Both sides run from archives
+unpacked into a temporary directory that is removed at the end: the parent
+side from `git archive` of COMMIT, the change side from a tar of this
+working tree's files (tracked and untracked, less what .gitignore
+excludes), so that neither side runs among the other files of a checkout.
+The workloads and the run length are those of BENCHMARK.json.  Each pair runs
 `ptbench/run.py` once per side with the same workload and seed, and the
 side that runs first alternates from pair to pair: 10 pairs of figures,
 where a throughput gain is claimed, and 5 of every other workload.  The
@@ -13,21 +15,23 @@ n-th workload of BENCHMARK.json takes seeds 100 n + 1, 100 n + 2, ...
 (figures 101, ...); a traced run per side of figures takes the next seed.
 Each side also runs one figures pass in one process: the six presets as
 `ptbench/workloads.py` runs them, through a wrapper of every integrand that
-`continuum.integrate_adaptive` is given.  It counts the integrand values
-(nodes x outputs), which do not depend on the hardware and repeat run to
-run, keeps each preset's CSV, to compare the printed rows of the sides,
-and reads the process's minor page faults (getrusage ru_minflt) around
-each preset: a working set that outgrows the heap top the allocator keeps
-shows there as thousands of faults.
+`continuum.integrate_adaptive` is given.  It counts, per preset, the nodes
+handed to the integrand and the values it returns (nodes x rows), which do
+not depend on the hardware and repeat run to run: equal nodes show that
+both sides evaluated the same panels, whatever rows each integrand gives
+per node.  It keeps each preset's CSV, to compare the printed rows of the
+sides, and reads the process's minor page faults (getrusage ru_minflt)
+around each preset: a working set that outgrows the heap top the allocator
+keeps shows there as thousands of faults.
 
 Writes BENCH_<label>.json at the repository root: every run's result line
-(the last line of `ptbench/run.py`'s output), the traced runs, both
-sides' integrand values per figures pass, SHA-256 of each preset CSV and
-minor page faults per preset, the number of CSV rows per preset that differ between the sides (a row
-only one side has counts too), and per workload and end-to-end
-metric of BENCHMARK.json the number of pairs, the pairs the change wins
-(ties count for neither side) and each side's median and quartiles (linear
-interpolation between closest ranks).
+(the last line of `ptbench/run.py`'s output), the traced runs, both sides'
+integrand nodes and values per figures pass and per preset, SHA-256 of
+each preset CSV and minor page faults per preset, the number of CSV rows
+per preset that differ between the sides (a row only one side has counts
+too), and per workload and end-to-end metric of BENCHMARK.json the number
+of pairs, the pairs the change wins (ties count for neither side) and each
+side's median and quartiles (linear interpolation between closest ranks).
 """
 
 from __future__ import annotations
@@ -48,8 +52,8 @@ ROOT = Path(__file__).resolve().parents[1]
 FIGURE_PAIRS, OTHER_PAIRS = 10, 5
 TRACED = "figures"
 
-# argv[1] is the checkout; prints the integrand values of one figures pass,
-# each preset's CSV and its minor page faults as one JSON line
+# argv[1] is the checkout; prints the integrand nodes and values of each
+# preset of one figures pass, its CSV and its minor page faults as one JSON line
 FIGURES_PASS = '''
 import json, resource, sys, tempfile
 from pathlib import Path
@@ -58,10 +62,11 @@ from ptbath import cli, continuum
 sys.path.insert(0, str(Path(sys.argv[1]) / "ptbench"))
 from workloads import FIGURE_IDS, figure_argv
 
-real, depth, values = continuum.integrate_adaptive, [0], [0]
+real, depth, count = continuum.integrate_adaptive, [0], {"nodes": 0, "values": 0}
 
-def tally(out):
-    values[0] += np.size(out)
+def tally(x, out):
+    count["nodes"] += np.size(x)
+    count["values"] += np.size(out)
     return out
 
 def counting(f, *args, **kwargs):
@@ -69,21 +74,23 @@ def counting(f, *args, **kwargs):
         return real(f, *args, **kwargs)
     depth[0] += 1
     try:
-        return real(lambda *a: tally(f(*a)), *args, **kwargs)
+        return real(lambda x, *a: tally(x, f(x, *a)), *args, **kwargs)
     finally:
         depth[0] -= 1
 
 continuum.integrate_adaptive = counting
-csv, faults = {}, {}
+csv, faults, nodes, values = {}, {}, {}, {}
 with tempfile.TemporaryDirectory() as tmp:
     for fig in FIGURE_IDS:
         out = Path(tmp) / (fig + ".csv")
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        count.update(nodes=0, values=0)
         if cli.main(figure_argv(fig, str(out))) != 0:
             sys.exit(f"figure {fig} failed")
         faults[fig] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        nodes[fig], values[fig] = count["nodes"], count["values"]
         csv[fig] = out.read_bytes().decode()  # as written: no newline translation
-print(json.dumps({"values": values[0], "csv": csv, "minor_faults": faults}))
+print(json.dumps({"nodes": nodes, "values": values, "csv": csv, "minor_faults": faults}))
 '''
 
 
@@ -105,12 +112,31 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float, trace: in
 
 
 def figures_pass(checkout: Path) -> dict:
-    """Integrand values of one figures pass of the ptbath in `checkout`, and
-    each preset's CSV text and minor page faults."""
+    """Integrand nodes and values of each preset of one figures pass of the
+    ptbath in `checkout`, and each preset's CSV text and minor page faults."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     out = subprocess.run([sys.executable, "-c", FIGURES_PASS, str(checkout)], cwd=checkout,
                          env=env, capture_output=True, text=True, check=True, timeout=600).stdout
     return json.loads(out.strip().splitlines()[-1])
+
+
+def working_tree_tar(out: Path) -> None:
+    """A tar of the working tree's files: tracked and untracked, less what
+    .gitignore excludes, as they are on disk."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], cwd=ROOT, capture_output=True,
+                            check=True).stdout.decode()
+    with tarfile.open(out, "w") as tar:
+        for name in sorted(set(filter(None, listed.split("\0")))):
+            if (ROOT / name).is_file():  # a tracked file deleted from the tree is left out
+                tar.add(ROOT / name, arcname=name, recursive=False)
+
+
+def unpack(archive: Path, root: Path) -> Path:
+    root.mkdir()
+    with tarfile.open(archive) as tar:
+        tar.extractall(root, filter="data")
+    return root
 
 
 def rows_changed(parent: str, change: str) -> int:
@@ -162,22 +188,23 @@ def main() -> int:
     command = "python3 ptbench/run.py --workload W --seed N --seconds {:g} --trace 0"
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        parent_root = Path(tmp) / "parent"
-        parent_root.mkdir()
-        archive = Path(tmp) / "parent.tar"
-        subprocess.run(["git", "archive", "--format=tar", "-o", str(archive), commit],
-                       cwd=ROOT, check=True)
-        with tarfile.open(archive) as tar:
-            tar.extractall(parent_root, filter="data")
-        roots = {"parent": parent_root, "change": ROOT}
+        subprocess.run(["git", "archive", "--format=tar", "-o", str(Path(tmp) / "parent.tar"),
+                        commit], cwd=ROOT, check=True)
+        working_tree_tar(Path(tmp) / "change.tar")
+        roots = {side: unpack(Path(tmp) / f"{side}.tar", Path(tmp) / side)
+                 for side in ("parent", "change")}
         passes = {side: figures_pass(root) for side, root in roots.items()}
-        values = {side: p["values"] for side, p in passes.items()}
+        nodes = {side: {"total": sum(p["nodes"].values()), **p["nodes"]}
+                 for side, p in passes.items()}
+        values = {side: {"total": sum(p["values"].values()), **p["values"]}
+                  for side, p in passes.items()}
         sha256 = {side: {fig: hashlib.sha256(text.encode()).hexdigest()
                          for fig, text in p["csv"].items()} for side, p in passes.items()}
         changed = {fig: rows_changed(text, passes["change"]["csv"][fig])
                    for fig, text in passes["parent"]["csv"].items()}
         faults = {side: p["minor_faults"] for side, p in passes.items()}
-        print(json.dumps({"integrand_values_per_figures_pass": values,
+        print(json.dumps({"integrand_nodes_per_figures_pass": nodes,
+                          "integrand_values_per_figures_pass": values,
                           "figure_rows_changed": changed, "figure_minor_faults": faults}),
               flush=True)
 
@@ -205,8 +232,8 @@ def main() -> int:
         "label": args.label,
         "what": "ptbench/run.py result lines (the last line of its output) of every run made "
                 "by tools/bench_pairs.py: alternating parent/change pairs, the side that runs "
-                "first alternating per pair, each side from its own checkout; then the traced "
-                "runs, one per side",
+                "first alternating per pair, each side from its own unpacked archive; then the "
+                "traced runs, one per side",
         "parent_commit": commit,
         "command": command.format(seconds),
         "host": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
@@ -216,6 +243,7 @@ def main() -> int:
                  "note": args.note},
         "runs": runs,
         "traced": traced,
+        "integrand_nodes_per_figures_pass": nodes,
         "integrand_values_per_figures_pass": values,
         "figure_csv_sha256": sha256,
         "figure_rows_changed": changed,
