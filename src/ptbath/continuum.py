@@ -40,9 +40,12 @@ _G7_ON_K15 = [0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3]]
 _WEIGHTS = np.array([_WGK[:-1] + _WGK[::-1],
                      _G7_ON_K15[:-1] + _G7_ON_K15[::-1]]).T  # (15, 2): K15, G7
 
-# Nodes x max(integrand rows, outputs) of one block: a round evaluates its
-# panels in blocks of at most this many values, so the working set stays
-# bounded whatever the number of panels and of outputs (3 terms x 65,536).
+# A round evaluates its panels in blocks of at most _BLOCK_NODES nodes and
+# _BLOCK_VALUES nodes x max(integrand rows, outputs) values, so the working
+# set stays bounded whatever the number of panels and of outputs: the
+# integrand's temporaries grow with the nodes, its rows and their sums with
+# the values.
+_BLOCK_NODES = 1 << 16
 _BLOCK_VALUES = 3 << 16
 # Panels x phases of one grouped integral, as counted on its start grid: larger
 # groups are split, to bound the engine's open flags, one per panel and phase.
@@ -141,17 +144,17 @@ def _phase_columns(thetas) -> tuple[np.ndarray, np.ndarray]:
     return sin * cos, cos * cos
 
 
-# Block values, kept per thread across blocks, rounds and engine calls: a
-# fresh array per block would fault its pages in again each time.
+# A block's term values, kept per thread across blocks, rounds and engine
+# calls: a fresh array per block would fault its pages in again each time.
 _WORKSPACE = threading.local()
 
 
-def _buffer(name: str, shape) -> np.ndarray:
-    """A view of this shape of the named workspace array, grown as needed."""
+def _terms_buffer(shape) -> np.ndarray:
+    """A view of this shape of this thread's term workspace, grown as needed."""
     size = math.prod(shape)
-    if getattr(_WORKSPACE, name, np.empty(0)).size < size:
-        setattr(_WORKSPACE, name, np.empty(size))
-    return getattr(_WORKSPACE, name)[:size].reshape(shape)
+    if getattr(_WORKSPACE, "terms", np.empty(0)).size < size:
+        _WORKSPACE.terms = np.empty(size)
+    return _WORKSPACE.terms[:size].reshape(shape)
 
 
 def gamma_integrand_nh(omega, spec: OhmicSpectrum, t, thetas=None, tau=None, *,
@@ -178,26 +181,24 @@ def gamma_integrand_nh(omega, spec: OhmicSpectrum, t, thetas=None, tau=None, *,
     small = w < _LIMIT_BELOW * lam
     any_small = small.any()
     ws = np.where(small, lam, w) if any_small else w  # placeholder, overwritten below
-    out = np.empty((3,) + w.shape) if out is None else out
+    buf = np.empty((3,) + w.shape) if out is None else out
     # J(w) = (A w) e^{-w/cutoff} as spectral_density rounds it, in the row
     # that the kernel divides in place
-    weight = np.exp(np.divide(ws, -lam, out=out[2]), out=out[2])
+    weight = np.exp(np.divide(ws, -lam, out=buf[2]), out=buf[2])
     weight *= ws if A == 1.0 else A * ws
-    dephasing_kernel(ws, weight, tau, t, T, out=out)
-    if any_small:  # the limit does not depend on the phase
+    # the coefficients with a phase axis ahead of the nodes, or none for the terms
+    coeffs = () if terms else (c.reshape((-1,) + (1,) * w.ndim) for c in
+                               _phase_columns([spec.theta] if thetas is None else thetas))
+    out = dephasing_kernel(ws, weight, tau, t, T, *coeffs, out=buf)
+    if any_small:  # the limit does not depend on the phase: T0 carries it
         wl, tl = w[small], np.broadcast_to(t, w.shape)[small]
-        out[0][small] = 2.0 * A * tl * tl * _omega_coth(wl, T) * np.exp(-wl / lam)
-        out[1:, small] = 0.0
-    out = out.reshape((3,) + np.shape(omega))
-    if terms:
+        out[:, small] = 2.0 * A * tl * tl * _omega_coth(wl, T) * np.exp(-wl / lam)
+        if terms:
+            out[1:, small] = 0.0
+    out = out.reshape(out.shape[:1] + np.shape(omega))
+    if terms or thetas is not None:
         return out
-    sc, c2 = (c.reshape((-1,) + (1,) * (out.ndim - 1))  # a phase axis ahead of the nodes
-              for c in _phase_columns([spec.theta] if thetas is None else thetas))
-    rows = out[0] + sc * out[1]  # as dephasing_kernel combines its terms
-    rows += c2 * out[2]
-    if thetas is not None:
-        return rows
-    return float(rows[0]) if rows.ndim == 1 else rows[0]
+    return float(out[0]) if out.ndim == 1 else out[0]
 
 
 def gamma_integrand_hermitian(omega, amplitude: float, cutoff: float, temperature: float, t: float):
@@ -254,19 +255,21 @@ def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_widt
     are mix[j, 0] K(row 0) + mix[j, 1] K(row 1) + ....  A batch has one
     panel width and one params entry per integral, and one result row per
     integral; f(x, ids) and bound(a, ids) then take the (15, m) nodes or
-    left edges of m panels with their integrals' indices.  f's result is
-    overwritten, and x is reused.
+    left edges of m panels with their integrals' indices.  Given mix, f's
+    rows are scaled in place once used, so f must return a writable float
+    array that it does not keep.
 
     Panels of panel_width anchored at lo.  Each round evaluates the 15
-    Kronrod nodes of every open panel, in blocks of at most _BLOCK_VALUES
-    nodes x max(rows, outputs); the 7-point Gauss estimate reuses 7 of
-    them.  A panel is accepted for an output when |K15 - G7| <= rel_tol
-    |K15| + abs_tol * width and contributes K15 to it; it is bisected for
-    the outputs it failed for only.  An output's total adds its accepted
-    values one by one in evaluation order.  A panel's K15 and G7 are
-    elementwise functions of its own nodes and an integral's panels keep
-    their order among others', so an output's integral is bit for bit the
-    same alone, in any group or batch and at any block size.
+    Kronrod nodes of every open panel, in blocks of at most _BLOCK_NODES
+    nodes and _BLOCK_VALUES nodes x max(rows, outputs); the 7-point Gauss
+    estimate reuses 7 of them.  A panel is accepted for an output when
+    |K15 - G7| <= rel_tol |K15| + abs_tol * width and contributes K15 to
+    it; it is bisected for the outputs it failed for only.  An output's
+    total adds its accepted values one by one in evaluation order.  A
+    panel's K15 and G7 are elementwise functions of its own nodes and an
+    integral's panels keep their order among others', so an output's
+    integral is bit for bit the same alone, in any group or batch and at
+    any block size.
 
     bound, if given, maps the left edges of the n start panels to an
     (outputs, n) array (n values without outputs) that bounds |f| over
@@ -293,7 +296,7 @@ def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_widt
                                   f"{quad.max_subdivisions} subdivisions allowed", params[i])
     n, k = len(panel_width), 1 if outputs is None else outputs
     rows = k if mix is None else len(mix[0])
-    block = max(1, _BLOCK_VALUES // (_NODES.size * max(rows, k)))
+    block = max(1, min(_BLOCK_NODES, _BLOCK_VALUES // max(rows, k)) // _NODES.size)
     grids = [_initial_edges(lo, hi, width) for width in panel_width]
     a, b = np.concatenate([e[:-1] for e in grids]), np.concatenate([e[1:] for e in grids])
     ids = np.arange(n).repeat([e.size - 1 for e in grids])  # each panel's integral
@@ -311,13 +314,10 @@ def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_widt
             pa, pb, pi = a[s:s + block], b[s:s + block], ids[s:s + block]
             mid = 0.5 * (pa + pb)
             half = 0.5 * (pb - pa)
-            x = np.multiply(half, _NODES[:, None], out=_buffer("nodes", (_NODES.size, pa.size)))
-            x += mid
-            fx = f(x, pi).reshape(rows, _NODES.size, -1)
+            fx = f(mid + half * _NODES[:, None], pi).reshape(rows, _NODES.size, -1)
             rule = np.empty((2, rows, pa.size))  # each row's K15 and G7
             rule[1] = _node_sum(fx[:, 1::2] * _WEIGHTS[1::2, 1:])
-            fx *= _WEIGHTS[:, :1]  # in place: the values are not needed again
-            rule[0] = _node_sum(fx)
+            rule[0] = _node_sum(np.multiply(fx, _WEIGHTS[:, :1], out=None if mix is None else fx))
             if mix is not None:  # output j: mix[j, 0] K(row 0) + mix[j, 1] K(row 1) + ...
                 rule, terms = rule[:, :1] * mix[:, :1], rule
                 for i in range(1, rows):
@@ -393,8 +393,7 @@ def batches(cutoff: float, taus, times, n_phases: int) -> list[tuple[slice, list
     """The (tau, t) slices that gamma_continuum_batch integrates in one engine
     pass each, with their start-panel widths (one panel at t = 0, where the
     integrand is 0): a batch closes once its start panels x phases would
-    exceed _BLOCK_VALUES // 45, so that the start grid of a one-phase batch
-    is one integrand call of three terms per node."""
+    exceed _BLOCK_VALUES // 45, so that its start grid is one block."""
     hi = _OMEGA_MAX_CUTOFFS * cutoff
     widths = [_panel_width(cutoff, t, tau) if t > 0.0 else hi for tau, t in zip(taus, times)]
     cuts, used = [], math.inf
@@ -441,7 +440,7 @@ def gamma_continuum_batch(spec: OhmicSpectrum, taus, times, thetas,
         lone = len(widths) == 1
         f = lambda w, ids: gamma_integrand_nh(  # noqa: E731  (the terms serve every phase)
             w, unit, times[cut.start] if lone else ts[ids], tau=None if lone else us[ids],
-            terms=True, out=_buffer("terms", (3,) + w.shape))
+            terms=True, out=_terms_buffer((3,) + w.shape))
         step = max(1, int(_RECORD_VALUES * min(widths) / hi))
         for i in range(0, len(thetas), step):
             part = thetas[i:i + step]

@@ -226,7 +226,8 @@ def dephasing_kernel(w, weight, tau, t, temperature: float, sin_cos=None, cos2=N
     over w > 0.  tau, t and the coefficients may be arrays that broadcast
     against w, so one call serves one phase per mode (a discrete bath) or
     many phases per node (with a leading phase axis).  Without them it
-    returns the terms T0, T1, T2 below on a new leading axis (in out if given).
+    returns the terms T0, T1, T2 below on a new leading axis, in out if
+    given; with them, out (if given) holds the terms it combines.
 
     The one dephasing formula: weight is |g_k|^2 for a discrete mode and
     J(w) for the continuum.  With r = sqrt(1+4 tau^2), x = r w t and

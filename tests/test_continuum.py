@@ -393,7 +393,8 @@ class TestGroupedThetas:
         assert max(sizes) * len(thetas) <= continuum._BLOCK_VALUES
         sizes.clear()
         gamma_continuum_nh(OhmicSpectrum(1.0, 0.7, 4.9, 0.05, -19.3), 40.0)
-        assert len(sizes) > 1 and max(sizes) <= continuum._BLOCK_VALUES
+        # one phase: three term values per node
+        assert len(sizes) > 1 and 3 * max(sizes) <= continuum._BLOCK_VALUES
 
     def test_zero_time_zero_amplitude_and_no_phases(self):
         spec = OhmicSpectrum(1.0, 0.1, 0.0, 300.0, 2.0)
@@ -491,7 +492,7 @@ class TestBatch:
         for cut, widths in cuts:
             assert len(widths) == cut.stop - cut.start
             panels = sum(hi / w for w in widths) * 5
-            assert panels <= continuum._BLOCK_VALUES // 15 or len(widths) == 1
+            assert panels <= continuum._BLOCK_VALUES // 45 or len(widths) == 1
         # an integral larger than the cap runs alone
         assert [len(w) for _, w in batches(0.1, [20.0, 0.0, 0.0], [120.0, 1.0, 1.0], 1)] == [1, 2]
 
@@ -502,7 +503,7 @@ class TestBatch:
         gamma_continuum_batch(spec, [0.0] * 30, times, [0.0, 1.0])
         # 120 start panels each: the whole batch's start grid is one call
         assert sizes[0] > 15 * 120
-        assert max(sizes) * 2 <= continuum._BLOCK_VALUES
+        assert max(sizes) * 3 <= continuum._BLOCK_VALUES  # three terms, two phases
         assert len(sizes) < 30
 
     def test_start_grid_over_budget_names_the_integral(self):
@@ -663,6 +664,20 @@ class TestTermRoute:
             for x, weight in zip(nodes, _WEIGHTS[:, 0]):
                 ref += f(x) * float(weight)
             assert continuum.integrate_adaptive(f, lo, hi, QuadratureSpec(), hi - lo) == ref * half
+
+    def test_one_output_blocks_keep_their_node_cap(self, monkeypatch):
+        # a one-output integrand's block holds _BLOCK_NODES nodes, not
+        # _BLOCK_VALUES: 38,198 start panels here, in blocks of 4,369
+        sizes = []
+        real = continuum.gamma_integrand_hermitian
+
+        def counting(w, *args):
+            sizes.append(np.size(w))
+            return real(w, *args)
+
+        monkeypatch.setattr(continuum, "gamma_integrand_hermitian", counting)
+        gamma_hermitian(0.1, 1.0, 300.0, 2000.0)
+        assert max(sizes) == continuum._BLOCK_NODES // 15 * 15
 
     def test_mixed_outputs_are_the_row_combinations(self):
         def f(x):
