@@ -392,17 +392,19 @@ def _check_range(spec: OhmicSpectrum, width: float) -> None:
 def batches(cutoff: float, taus, times, n_phases: int) -> list[tuple[slice, list[float]]]:
     """The (tau, t) slices that gamma_continuum_batch integrates in one engine
     pass each, with their start-panel widths (one panel at t = 0, where the
-    integrand is 0): a batch closes once its start panels x phases would
-    exceed _BLOCK_VALUES // 45, so that its start grid is one block."""
+    integrand is 0).  A batch closes once its start panels would exceed
+    _BLOCK_VALUES // 45 (its start grid is one block of 15 nodes x 3 terms a
+    panel) or _BLOCK_VALUES / n_phases (its open flags and sums per phase)."""
     hi = _OMEGA_MAX_CUTOFFS * cutoff
     widths = [_panel_width(cutoff, t, tau) if t > 0.0 else hi for tau, t in zip(taus, times)]
-    cuts, used = [], math.inf
+    cuts, panels = [], math.inf
     for i, width in enumerate(widths):
-        size = n_phases * (hi / width if width > 0.0 else math.inf)
-        if used + size > _BLOCK_VALUES // (3 * _NODES.size):
+        size = hi / width if width > 0.0 else math.inf
+        if (panels + size > _BLOCK_VALUES // (3 * _NODES.size)
+                or (panels + size) * n_phases > _BLOCK_VALUES):
             cuts.append(i)
-            used = 0.0
-        used += size
+            panels = 0.0
+        panels += size
     return [(slice(s, e), widths[s:e]) for s, e in zip(cuts, cuts[1:] + [len(widths)])]
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .continuum import (OhmicSpectrum, QuadratureSpec, batches, gamma_continuum_batch,
-                        gamma_continuum_nh, gamma_continuum_thetas)
+from .continuum import (_OMEGA_MAX_CUTOFFS, OhmicSpectrum, QuadratureSpec, batches,
+                        gamma_continuum_batch, gamma_continuum_nh, gamma_continuum_thetas)
 
 PI = math.pi
 
@@ -25,6 +25,14 @@ PI = math.pi
 _GOLDEN_TOL = 1e-4
 _CROSSOVER_SCAN_POINTS = 41
 _CROSSOVER_TOL = 1e-3
+
+# Start panels per worker above which a run pays for the process pool.  Median
+# wall, in-process, at jobs=1 -> jobs=2 (2 vCPU): fig4 (949k start panels)
+# 313 -> 195 ms, fig2 (217k) 94 -> 77, fig3a (194k) 111 -> 101, fig1a (98k)
+# 98 -> 96, fig3b (24k) 20 -> 40, fig1b (0.7k) 36 -> 39; the README sweep
+# (7.4k) loses too.  Forking, mapping and shutting the pool down cost about
+# 20 ms, and a fresh worker runs a batch at half speed until its heap is warm.
+_POOL_PANELS = 50_000
 
 
 def _gamma_rows(spec: OhmicSpectrum, points: list[dict], columns: list[str],
@@ -36,7 +44,8 @@ def _gamma_rows(spec: OhmicSpectrum, points: list[dict], columns: list[str],
 
     Points that differ only in theta are one integral; the (tau, t)
     integrals of one phase list go to gamma_continuum_batch in the
-    engine's batches, which the process pool maps with jobs > 1."""
+    engine's batches.  jobs is an upper bound: min(jobs, batches) workers
+    map them only when their start panels pass jobs x _POOL_PANELS."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     points = [{"tau": 0.0, "theta": 0.0, **p} for p in points]
@@ -47,17 +56,20 @@ def _gamma_rows(spec: OhmicSpectrum, points: list[dict], columns: list[str],
     for (tau, t), members in integrals.items():
         thetas = tuple(points[i]["theta"] for i in members)
         families.setdefault(thetas, []).append((tau, t, members))
-    tasks, owners = [], []
+    tasks, owners, panels = [], [], 0.0
     for thetas, family in families.items():
         taus, times, members = zip(*family)
-        for cut, _ in batches(spec.cutoff, taus, times, len(thetas)):
+        for cut, widths in batches(spec.cutoff, taus, times, len(thetas)):
             tasks.append((spec, taus[cut], times[cut], thetas, quad))
             owners.extend(i for point_ids in members[cut] for i in point_ids)
-    if jobs > 1 and tasks:
+            # a zero width is a tau that gamma_continuum_batch rejects
+            panels += sum(_OMEGA_MAX_CUTOFFS * spec.cutoff / w for w in widths if w > 0.0)
+    if jobs > 1 and panels > jobs * _POOL_PANELS:
         from concurrent.futures import ProcessPoolExecutor  # imported only where a pool runs
+        workers = min(jobs, len(tasks))
         # about eight chunks per worker, so that no worker idles long at the end
-        chunksize = max(1, len(tasks) // (8 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunksize = max(1, len(tasks) // (8 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(gamma_continuum_batch, *zip(*tasks), chunksize=chunksize))
     else:
         results = [gamma_continuum_batch(*task) for task in tasks]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import importlib
 import importlib.util
 import json
@@ -87,6 +88,28 @@ def count_integrals(monkeypatch):
 
     monkeypatch.setattr(continuum, "integrate_adaptive", counting)
     return calls
+
+
+def count_pools(monkeypatch):
+    """Route concurrent.futures.ProcessPoolExecutor, which the drivers import
+    where they start a pool, through a subclass that records the workers of
+    every pool built; returns the list."""
+    workers = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            workers.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return workers
+
+
+def force_pools(monkeypatch):
+    """Make every run with jobs > 1 start the process pool, however small;
+    returns the workers of every pool built, as count_pools does."""
+    monkeypatch.setattr(drivers, "_POOL_PANELS", 0)
+    return count_pools(monkeypatch)
 
 
 def exit_code(*argv):
@@ -307,11 +330,22 @@ class TestSweep:
         m2 = {(tau, th): g for th, tau, g, _ in rows2}
         assert m1 == m2
 
-    def test_worker_pool_preserves_bytes(self, tmp_path):
+    def test_worker_pool_preserves_bytes(self, tmp_path, monkeypatch):
+        pools = force_pools(monkeypatch)
         args = ("sweep", "--sweep", "tau=0:2:3", "--theta", "1.0", "--t", "5")
         _, serial = run_cli(tmp_path, *args, "--jobs", "1")
+        assert pools == []
         _, parallel = run_cli(tmp_path, *args, "--jobs", "2")
-        assert serial == parallel
+        assert serial == parallel and len(pools) == 1
+
+    def test_readme_sweep_runs_in_one_process(self, tmp_path, monkeypatch):
+        # 7.4k start panels: less than a pool of two workers pays for
+        pools = count_pools(monkeypatch)
+        args = ("sweep", "--sweep", "tau=0:4:41", "--sweep", "theta=0:3.1416:25", "--t", "20")
+        _, serial = run_cli(tmp_path, *args, "--jobs", "1")
+        _, parallel = run_cli(tmp_path, *args, "--jobs", "2")
+        assert serial == parallel and len(serial.splitlines()) == 1 + 41 * 25
+        assert pools == []
 
     def test_rejects_unknown_parameter(self, tmp_path):
         code, _ = run_cli(tmp_path, "sweep", "--sweep", "cutoff=0.1:0.2:2")
@@ -330,11 +364,13 @@ class TestFigure:
         assert FIGURE_PRESETS["fig3b"].fixed["t"] == 2.0
         assert {c["t"] for c in FIGURE_PRESETS["fig4"].curves} == {2.0, 120.0}
 
-    def test_batched_pool_preserves_bytes(self, tmp_path):
+    def test_batched_pool_preserves_bytes(self, tmp_path, monkeypatch):
         # with --jobs 2 the pool maps the engine's batches of (tau, t)
+        pools = force_pools(monkeypatch)
         _, serial = run_cli(tmp_path, "figure", "fig3b", "--jobs", "1")
         _, parallel = run_cli(tmp_path, "figure", "fig3b", "--jobs", "2")
         assert serial == parallel and len(serial.splitlines()) == 1 + 5 * 201
+        assert pools == [2]
 
     def test_curves_start_fully_coherent(self):
         quad = QuadratureSpec()
@@ -361,11 +397,40 @@ class TestFigure:
         ("fig1b", np.linspace(0.0, 2.0 * math.pi, 9)),
         ("fig3b", np.linspace(0.0, 4.0, 5)),
     ])
-    def test_worker_pool_gives_identical_rows(self, fig, values):
+    def test_worker_pool_gives_identical_rows(self, fig, values, monkeypatch):
+        pools = force_pools(monkeypatch)
         quad = QuadratureSpec()
         serial = run_figure(FIGURE_PRESETS[fig], quad, jobs=1, axis_values=values)
         parallel = run_figure(FIGURE_PRESETS[fig], quad, jobs=2, axis_values=values)
-        assert serial == parallel
+        assert serial == parallel and len(pools) == 1
+
+    def test_no_more_workers_than_batches(self, monkeypatch):
+        # a stand-in pool that records its workers and maps in this process:
+        # no test starts as many processes as jobs asks for
+        workers = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(drivers, "_POOL_PANELS", 0)
+        quad, fig1b = QuadratureSpec(), FIGURE_PRESETS["fig1b"]
+        serial = run_figure(fig1b, quad)
+        # fig1b's four tau at 721 phases run in three batches
+        for jobs, expected in ((2, 2), (3, 3), (100_000, 3)):
+            assert run_figure(fig1b, quad, jobs=jobs) == serial
+            assert workers == [expected]
+            workers.clear()
 
     def test_cli_figure_with_reduced_axis(self, tmp_path):
         code, text = run_cli(tmp_path, "figure", "fig2", "--t", "0:2:3")
