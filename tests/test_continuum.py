@@ -438,18 +438,33 @@ class TestGroupedThetas:
             assert np.array_equal(_node_sum(terms[:, :, j:j + 1])[:, 0], loop[:, j])
 
 
-def count_batches(monkeypatch):
+def record_batches(monkeypatch):
     """Route continuum.integrate_adaptive through a wrapper that records the
-    number of integrals of every call; returns the list of counts."""
-    counts = []
+    start-panel widths of every call, one per integral; returns the list."""
+    batch_widths = []
     real = continuum.integrate_adaptive
 
     def recording(f, lo, hi, quad, panel_width, *args, **kwargs):
-        counts.append(np.size(panel_width))
+        batch_widths.append(list(np.atleast_1d(panel_width)))
         return real(f, lo, hi, quad, panel_width, *args, **kwargs)
 
     monkeypatch.setattr(continuum, "integrate_adaptive", recording)
-    return counts
+    return batch_widths
+
+
+def assert_batches_fill_their_caps(cutoff, batch_widths, n_phases):
+    """Each batch keeps its start panels within _BLOCK_VALUES // 45 (its
+    start grid is one block of three term rows) and its start panels x
+    phases within _BLOCK_VALUES, unless it is one integral, and closes only
+    where the next integral would pass one of the two."""
+    node_cap, value_cap = continuum._BLOCK_VALUES // 45, continuum._BLOCK_VALUES
+    panels = [[continuum._OMEGA_MAX_CUTOFFS * cutoff / w for w in widths]
+              for widths in batch_widths]
+    for batch in panels:
+        assert len(batch) == 1 or (sum(batch) <= node_cap and sum(batch) * n_phases <= value_cap)
+    for batch, following in zip(panels, panels[1:]):
+        more = sum(batch) + following[0]
+        assert more > node_cap or more * n_phases > value_cap
 
 
 class TestBatch:
@@ -475,25 +490,35 @@ class TestBatch:
             with monkeypatch.context() as m:
                 if block is not None:
                     m.setattr(continuum, "_BLOCK_VALUES", block)
-                counts = count_batches(m)
+                batch_widths = record_batches(m)
                 batch = gamma_continuum_batch(spec, taus, times, thetas, quad)
+                assert_batches_fill_their_caps(spec.cutoff, batch_widths, len(thetas))
+            counts = [len(widths) for widths in batch_widths]
             assert np.array_equal(batch, singles)
             assert sum(counts) == n
             if block is None:
-                # the batches close at the size cap: several, each of several integrals
-                assert 1 < len(counts) < n
+                # batches of several integrals, closed at the caps
+                assert len(counts) < n
 
-    def test_batches_close_at_the_block(self):
-        cuts = batches(0.1, [2.0] * 41, np.linspace(0.0, 20.0, 41), 5)
+    @pytest.mark.parametrize("taus, times, n_phases, sizes", [
+        # the start panels close these batches
+        ([2.0] * 41, np.linspace(0.0, 20.0, 41), 5, [36, 5]),
+        (np.linspace(0.0, 4.0, 41), [20.0] * 41, 25, [29, 12]),  # the README sweep
+        ([2.0] * 41, np.linspace(0.0, 120.0, 41), 1, [19, 8, 6, 5, 3]),
+        # the start panels x phases close these: at most 272 panels a batch
+        ([2.0] * 41, np.linspace(0.0, 20.0, 41), 721, [3] + [2] * 16 + [1] * 6),
+    ], ids=["5-phases", "readme-sweep", "1-phase", "721-phases"])
+    def test_batches_close_at_the_block(self, taus, times, n_phases, sizes):
+        cuts = batches(0.1, taus, times, n_phases)
         # consecutive slices that cover every pair, in order
-        assert cuts[0][0].start == 0 and cuts[-1][0].stop == 41 and len(cuts) > 1
+        assert cuts[0][0].start == 0 and cuts[-1][0].stop == 41
         assert all(a.stop == b.start for (a, _), (b, _) in zip(cuts, cuts[1:]))
-        hi = 60.0 * 0.1
         for cut, widths in cuts:
             assert len(widths) == cut.stop - cut.start
-            panels = sum(hi / w for w in widths) * 5
-            assert panels <= continuum._BLOCK_VALUES // 45 or len(widths) == 1
-        # an integral larger than the cap runs alone
+        assert [len(widths) for _, widths in cuts] == sizes
+        assert_batches_fill_their_caps(0.1, [widths for _, widths in cuts], n_phases)
+
+    def test_an_integral_past_the_cap_runs_alone(self):
         assert [len(w) for _, w in batches(0.1, [20.0, 0.0, 0.0], [120.0, 1.0, 1.0], 1)] == [1, 2]
 
     def test_start_grid_and_calls_stay_within_one_block(self, monkeypatch):
