@@ -1,6 +1,6 @@
 """Alternating parent/change pairs of the ptbath benchmark.
 
-    python3 tools/bench_pairs.py --parent COMMIT --label NAME [--note TEXT]
+    python3 tools/bench_pairs.py --parent COMMIT --label NAME [--claim WORKLOAD] [--note TEXT]
 
 Run from anywhere inside the repository.  Both sides run from archives
 unpacked into a temporary directory that is removed at the end: the parent
@@ -9,10 +9,11 @@ working tree's files (tracked and untracked, less what .gitignore
 excludes), so that neither side runs among the other files of a checkout.
 The workloads and the run length are those of BENCHMARK.json.  Each pair runs
 `ptbench/run.py` once per side with the same workload and seed, and the
-side that runs first alternates from pair to pair: 10 pairs of figures,
-where a throughput gain is claimed, and 5 of every other workload.  The
-n-th workload of BENCHMARK.json takes seeds 100 n + 1, 100 n + 2, ...
-(figures 101, ...); a traced run per side of figures takes the next seed.
+side that runs first alternates from pair to pair: 10 pairs of the workload
+where a gain is claimed (--claim, figures by default) and 5 of every other
+workload.  The n-th workload of BENCHMARK.json takes seeds 100 n + 1,
+100 n + 2, ... (figures 101, ...); a traced run per side of figures takes
+the next seed.
 Each side also runs one figures pass in one process: the six presets as
 `ptbench/workloads.py` runs them, through a wrapper of every integrand that
 `continuum.integrate_adaptive` is given.  It counts, per preset, the nodes
@@ -49,7 +50,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-FIGURE_PAIRS, OTHER_PAIRS = 10, 5
+CLAIM_PAIRS, OTHER_PAIRS = 10, 5
 TRACED = "figures"
 
 # argv[1] is the checkout; prints the integrand nodes and values of each
@@ -173,18 +174,21 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
 
 
 def main() -> int:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="commit of the parent side")
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
+    parser.add_argument("--claim", default="figures",
+                        choices=[w["name"] for w in benchmark["workloads"]],
+                        help="the workload of the claimed gain, which runs 10 pairs")
     parser.add_argument("--note", default="", help="a description of the host")
     args = parser.parse_args()
     commit = subprocess.run(["git", "rev-parse", "--verify", args.parent + "^{commit}"],
                             cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
     seed_base = {w["name"]: 100 * n + 1 for n, w in enumerate(benchmark["workloads"], 1)}
-    pairs = {w: FIGURE_PAIRS if w == "figures" else OTHER_PAIRS for w in seed_base}
+    pairs = {w: CLAIM_PAIRS if w == args.claim else OTHER_PAIRS for w in seed_base}
     command = "python3 ptbench/run.py --workload W --seed N --seconds {:g} --trace 0"
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -235,6 +239,7 @@ def main() -> int:
                 "first alternating per pair, each side from its own unpacked archive; then the "
                 "traced runs, one per side",
         "parent_commit": commit,
+        "claim": args.claim,
         "command": command.format(seconds),
         "host": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
                  "numpy": subprocess.run([sys.executable, "-c",
