@@ -26,12 +26,11 @@ _GOLDEN_TOL = 1e-4
 _CROSSOVER_SCAN_POINTS = 41
 _CROSSOVER_TOL = 1e-3
 
-# Start panels per worker above which a run pays for the process pool.  Median
-# wall, in-process, at jobs=1 -> jobs=2 (2 vCPU): fig4 (949k start panels)
-# 313 -> 195 ms, fig2 (217k) 94 -> 77, fig3a (194k) 111 -> 101, fig1a (98k)
-# 98 -> 96, fig3b (24k) 20 -> 40, fig1b (0.7k) 36 -> 39; the README sweep
-# (7.4k) loses too.  Forking, mapping and shutting the pool down cost about
-# 20 ms, and a fresh worker runs a batch at half speed until its heap is warm.
+# Start panels per worker above which a run pays for the process pool, whose
+# start and cold workers cost 15-20 ms.  Wall ms at jobs=1 -> jobs=2 with a pool
+# (2 vCPU, medians of 7): fig4 (949k start panels) 371 -> 250, fig2 (217k)
+# 149 -> 137, fig3a (194k) 142 -> 133, fig1a (98k) 93 -> 126, fig3b (24k)
+# 24 -> 42, the README sweep (7.4k) 24 -> 40, fig1b (0.7k) 46 -> 64.
 _POOL_PANELS = 50_000
 
 
