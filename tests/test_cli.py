@@ -62,7 +62,7 @@ def test_every_traced_name_resolves():
 
 def test_cli_import_loads_every_layer_and_no_process_pool():
     # the tracer looks every layer up in sys.modules after `import ptbath.cli`;
-    # the process pool is imported by a run that uses it (--jobs > 1) only
+    # the process pool is imported only by a run that starts one
     src = str(Path(ptbath.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
