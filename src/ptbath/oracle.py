@@ -1,8 +1,9 @@
 """Exact truncated-Fock-space checks for the non-Hermitian bath.
 
 Builds the non-Hermitian single-mode Hamiltonian, its metric and Hermitian
-equivalent, and runs exact dephasing by evolving the two spin-conditioned
-bath branches with Hermitian eigendecompositions.  Unit convention
+equivalent from their ladder bands, and runs exact dephasing by evolving the
+two spin-conditioned bath branches, parity images of each other, with one
+Hermitian eigendecomposition.  Unit convention
 m = hbar = 1, so the spring constant is omega^2 and the non-Hermiticity
 scale is tau/omega.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +28,7 @@ class TruncatedMode:
     fock_dim: int = 40
 
     def __post_init__(self):
+        require_finite(omega=self.omega, tau=self.tau)
         if self.omega <= 0:
             raise ValueError(f"omega must be > 0, got {self.omega}")
         if self.fock_dim < 2:
@@ -56,41 +59,64 @@ class OracleReport:
         return json.dumps(asdict(self), indent=2)
 
 
-def annihilation(dim: int) -> np.ndarray:
-    """Truncated ladder operator with <n-1|a|n> = sqrt(n)."""
-    return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
+def _ladder_bands(dim: int):
+    """Bands of the truncated ladder products over the levels n = 0..dim-1:
+    n (the diagonal of a'a), sqrt(n+1) (the superdiagonal of a),
+    sqrt((n+1)(n+2)) (the second superdiagonal of a^2), and the diagonal of
+    (a - a')^2, which is -(2n+1) except -(dim-1) in the last row, where the
+    truncation cuts a a' short."""
+    n = np.arange(dim, dtype=float)
+    s1 = np.sqrt(n[1:])
+    q2 = -(2.0 * n + 1.0)
+    q2[-1] = 1.0 - dim
+    return n, s1, s1[:-1] * s1[1:], q2
+
+
+def _assemble(mode_bands, dtype=complex) -> np.ndarray:
+    """Dense sum over modes of I x B x I on their tensor product space, mode 0
+    outermost.  Each B is given as {k: its k-th diagonal} (np.diag's
+    convention), and its 0th sets the mode's dimension.  The k-th diagonal
+    lands at offset k times the mode's stride, so no identity is formed."""
+    dims = [len(bands[0]) for bands in mode_bands]
+    total = math.prod(dims)
+    h = np.zeros((total, total), dtype)
+    stride = total
+    for dim, bands in zip(dims, mode_bands):
+        stride //= dim
+        level = np.arange(total) // stride % dim  # this mode's level in each basis state
+        for k, band in bands.items():
+            rows = np.flatnonzero((0 <= level + k) & (level + k < dim))
+            h[rows, rows + k * stride] += band[level[rows] + min(k, 0)]
+    return h
+
+
+def _hermitian_bands(mode: TruncatedMode, g: complex = 0j) -> dict:
+    """Bands of w [a'a + 1/2 + tau - tau^2 (a - a')^2] + g a' + conj(g) a."""
+    n, s1, s2, q2 = _ladder_bands(mode.fock_dim)
+    w, tau = mode.omega, mode.tau
+    return {0: w * (n + (0.5 + tau) - tau**2 * q2), 2: -w * tau**2 * s2, -2: -w * tau**2 * s2,
+            1: np.conj(g) * s1, -1: g * s1}
 
 
 def bath_hamiltonian_nh(mode: TruncatedMode) -> np.ndarray:
     """Non-Hermitian bath Hamiltonian in ladder form:
     w (a'a + 1/2) + tau w (a^2 - a'^2 + 1)."""
-    n = mode.fock_dim
-    a = annihilation(n)
-    ad = a.T
-    ident = np.eye(n)
-    h = mode.omega * (ad @ a + 0.5 * ident) + mode.tau * mode.omega * (a @ a - ad @ ad + ident)
-    return h.astype(complex)
+    n, _, s2, _ = _ladder_bands(mode.fock_dim)
+    tw = mode.tau * mode.omega
+    return _assemble([{0: mode.omega * (n + 0.5) + tw, 2: tw * s2, -2: -tw * s2}])
 
 
 def bath_hamiltonian_h(mode: TruncatedMode) -> np.ndarray:
     """Hermitian equivalent: w [a'a + 1/2 + tau - tau^2 (a - a')^2]."""
-    n = mode.fock_dim
-    a = annihilation(n)
-    ad = a.T
-    q = a - ad
-    h = mode.omega * (ad @ a + (0.5 + mode.tau) * np.eye(n) - mode.tau**2 * (q @ q))
-    return h.astype(complex)
+    return _assemble([_hermitian_bands(mode)])
 
 
 def metric(mode: TruncatedMode, inverse: bool = False) -> np.ndarray:
     """Similarity metric exp[-(tau/2)(a - a')^2], Hermitian positive
     definite; identity at tau = 0."""
-    a = annihilation(mode.fock_dim)
-    q = a - a.T
-    expo = -0.5 * mode.tau * (q @ q)  # real symmetric
-    if inverse:
-        expo = -expo
-    vals, vecs = np.linalg.eigh(expo)
+    _, _, s2, q2 = _ladder_bands(mode.fock_dim)
+    c = 0.5 * mode.tau if inverse else -0.5 * mode.tau
+    vals, vecs = np.linalg.eigh(_assemble([{0: c * q2, 2: c * s2, -2: c * s2}], float))
     return (vecs * np.exp(vals)) @ vecs.T
 
 
@@ -115,20 +141,20 @@ def similarity_residual(mode: TruncatedMode, interior_dim: int) -> float | None:
     return float(np.max(np.abs(diff[:k, :k])))
 
 
-def thermal_state(mode: TruncatedMode, temperature: float) -> np.ndarray:
-    """Thermal state of the bare oscillator number operator, renormalized
-    on the truncated space; T = 0 gives the Fock vacuum projector."""
+def _thermal_populations(mode: TruncatedMode, temperature: float) -> np.ndarray:
+    """Level populations of the bare oscillator's thermal state, renormalized
+    on the truncated space; T = 0 puts all weight on the Fock vacuum."""
     if temperature < 0:
         raise ValueError(f"temperature must be >= 0, got {temperature}")
-    n = mode.fock_dim
-    p = np.zeros(n)
     if temperature == 0.0:
-        p[0] = 1.0
-    else:
-        x = math.exp(-mode.omega / temperature)
-        p = x ** np.arange(n)
-        p /= p.sum()
-    return np.diag(p).astype(complex)
+        return np.eye(1, mode.fock_dim)[0]
+    p = math.exp(-mode.omega / temperature) ** np.arange(mode.fock_dim)
+    return p / p.sum()
+
+
+def thermal_state(mode: TruncatedMode, temperature: float) -> np.ndarray:
+    """Thermal state of the bare oscillator, as a diagonal matrix."""
+    return np.diag(_thermal_populations(mode, temperature)).astype(complex)
 
 
 def thermal_tail_weight(mode: TruncatedMode, temperature: float) -> float:
@@ -151,24 +177,6 @@ def unreachable_fock_dim(mode: TruncatedMode, temperature: float, dim_budget: in
     return math.ceil(math.log(1.0 / TAIL_TOL) * temperature / mode.omega)
 
 
-def _branch_hamiltonians(modes: Sequence[tuple[TruncatedMode, Coupling]]):
-    """Hermitian bath Hamiltonian and coupling operator on the tensor
-    product space, then the two spin-conditioned branches H +/- V."""
-    dims = [m.fock_dim for m, _ in modes]
-    total = int(np.prod(dims))
-    h = np.zeros((total, total), dtype=complex)
-    v = np.zeros((total, total), dtype=complex)
-    for i, (mode, g) in enumerate(modes):
-        a = annihilation(mode.fock_dim).astype(complex)
-        hb = bath_hamiltonian_h(mode)
-        vb = g.as_complex * a.conj().T + np.conj(g.as_complex) * a
-        left = int(np.prod(dims[:i])) if i else 1
-        right = int(np.prod(dims[i + 1:])) if i + 1 < len(dims) else 1
-        h += np.kron(np.kron(np.eye(left), hb), np.eye(right))
-        v += np.kron(np.kron(np.eye(left), vb), np.eye(right))
-    return h + v, h - v
-
-
 def exact_dephasing(
     modes: Sequence[tuple[TruncatedMode, Coupling]],
     temperature: float,
@@ -177,28 +185,31 @@ def exact_dephasing(
 ) -> np.ndarray:
     """Exact coherence ratio |rho01(t)| / |rho01(0)|.
 
-    The dephasing Hamiltonian is block diagonal in the spin basis, so the
-    two bath branches are evolved with Hermitian eigendecompositions and
-    the ratio is |Tr(exp(-i H_minus t) rho_B exp(+i H_plus t))|.  The free
-    spin splitting only contributes a phase and drops out of the modulus.
+    The ratio is |Tr(exp(-i H_minus t) rho_B exp(+i H_plus t))| for the
+    spin-conditioned bath branches H_plus/minus = H +/- V (the free spin
+    splitting drops out of the modulus).  H is even in the ladder operators
+    and V odd, so H_minus = P H_plus P for the total parity P, exactly in the
+    truncated space, and one eigendecomposition H_plus = U diag(e) U' serves
+    both: with rho_B = diag(p) the ratio is |exp(-i e t) C exp(i e t)| for
+    C = (U' diag(P p) U) o conj(U' P U).
     """
-    total = int(np.prod([m.fock_dim for m, _ in modes]))
+    times = np.asarray(times, dtype=float)
+    # checked before any Fock work: NaN ratios would keep
+    # exact_dephasing_converged doubling the Fock dimension to its budget
+    require_finite(temperature=temperature, times=float(np.max(np.abs(times), initial=0.0)))
+    total = math.prod(m.fock_dim for m, _ in modes)
     if total > dim_budget:
         raise ValueError(f"total Fock dimension {total} exceeds budget {dim_budget}")
-    h_plus, h_minus = _branch_hamiltonians(modes)
-    e_p, v_p = np.linalg.eigh(h_plus)
-    e_m, v_m = np.linalg.eigh(h_minus)
-    rho = thermal_state(modes[0][0], temperature)
-    for mode, _ in modes[1:]:
-        rho = np.kron(rho, thermal_state(mode, temperature))
-    amp = v_m.conj().T @ rho @ v_p      # <m-|rho|n+>
-    ovl = (v_p.conj().T @ v_m).T        # <n+|m->, transposed to [m, n]
-    c = amp * ovl
-    times = np.asarray(times, dtype=float)
-    out = np.empty(times.shape)
-    for i, t in enumerate(times):
-        out[i] = abs(np.exp(-1j * e_m * t) @ c @ np.exp(1j * e_p * t))
-    return out
+    pop = reduce(np.kron, [_thermal_populations(m, temperature) for m, _ in modes])
+    parity = reduce(np.kron, [(-1.0) ** np.arange(m.fock_dim) for m, _ in modes])
+    e, u = np.linalg.eigh(_assemble([_hermitian_bands(m, g.as_complex) for m, g in modes]))
+    uc = u.conj()
+    c = u.T @ (uc * (parity * pop)[:, None])  # conj(U' diag(P p) U)
+    np.conjugate(c, out=c)
+    uc *= parity[:, None]
+    c *= u.T @ uc  # conj(U' P U)
+    phase = np.exp(1j * np.multiply.outer(times, e))
+    return np.abs(np.sum((phase.conj() @ c) * phase, axis=1))
 
 
 def exact_dephasing_converged(
@@ -212,10 +223,8 @@ def exact_dephasing_converged(
     current = list(modes)
     ratios = exact_dephasing(current, temperature, times, dim_budget)
     while True:
-        doubled = [
-            (TruncatedMode(m.omega, m.tau, 2 * m.fock_dim), g) for m, g in current
-        ]
-        if int(np.prod([m.fock_dim for m, _ in doubled])) > dim_budget:
+        doubled = [(TruncatedMode(m.omega, m.tau, 2 * m.fock_dim), g) for m, g in current]
+        if math.prod(m.fock_dim for m, _ in doubled) > dim_budget:
             return ratios, max(m.fock_dim for m, _ in current), False
         ratios2 = exact_dephasing(doubled, temperature, times, dim_budget)
         if np.max(np.abs(ratios2 - ratios)) < DOUBLING_TOL:
@@ -284,10 +293,4 @@ def certify(
     max_err = float(np.max(np.abs(ratios - closed)))
     if thermal_tail_weight(TruncatedMode(omega, tau, dim_used), temperature) > TAIL_TOL:
         converged = False
-    return OracleReport(
-        spectrum_residuals=residuals,
-        similarity_residual=sim,
-        dephasing_max_error=max_err,
-        fock_dim_used=int(dim_used),
-        converged=bool(converged),
-    )
+    return OracleReport(residuals, sim, max_err, int(dim_used), bool(converged))

@@ -8,7 +8,6 @@ from ptbath import oracle
 from ptbath.core import BathMode, Coupling, DiscreteBath, gamma_discrete
 from ptbath.oracle import (
     TruncatedMode,
-    annihilation,
     bath_hamiltonian_h,
     bath_hamiltonian_nh,
     certify,
@@ -23,6 +22,85 @@ from ptbath.oracle import (
 )
 
 OMEGA_SHIFTED = math.sqrt(1.36)  # omega=1, tau=0.3
+TWO_MODES = [(TruncatedMode(1.0, 0.1, 24), Coupling(0.08, 0.4)),
+             (TruncatedMode(1.7, 0.1, 24), Coupling(0.05, 2.0))]
+# a two-level mode in the middle: its empty +/-2 band sits at the offset of
+# the first mode's +/-1 band
+THREE_MODES = [(TruncatedMode(1.0, 0.3, 5), Coupling(0.1, 1.0)),
+               (TruncatedMode(2.0, -0.2, 2), Coupling(0.3, 4.0)),
+               (TruncatedMode(0.5, 0.1, 3), Coupling(0.2, 0.5))]
+
+
+# Dense reference: the ladder operator as a matrix, the Hamiltonians as
+# products of it, tensor products by np.kron, and the dephasing ratio from one
+# eigendecomposition per spin branch.  The library builds the same operators
+# from their bands and evolves both branches from one eigendecomposition.
+
+def annihilation(dim: int) -> np.ndarray:
+    """Truncated ladder operator with <n-1|a|n> = sqrt(n)."""
+    return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
+
+
+def dense_hamiltonian_nh(mode):
+    a = annihilation(mode.fock_dim)
+    ad, ident = a.T, np.eye(mode.fock_dim)
+    return (mode.omega * (ad @ a + 0.5 * ident)
+            + mode.tau * mode.omega * (a @ a - ad @ ad + ident)).astype(complex)
+
+
+def dense_hamiltonian_h(mode):
+    a = annihilation(mode.fock_dim)
+    q = a - a.T
+    return mode.omega * (a.T @ a + (0.5 + mode.tau) * np.eye(mode.fock_dim)
+                         - mode.tau**2 * (q @ q)).astype(complex)
+
+
+def dense_metric(mode, inverse=False):
+    a = annihilation(mode.fock_dim)
+    q = a - a.T
+    vals, vecs = np.linalg.eigh((0.5 if inverse else -0.5) * mode.tau * (q @ q))
+    return (vecs * np.exp(vals)) @ vecs.T
+
+
+def dense_branches(modes):
+    """H + V and H - V on the tensor product space, each mode's operator
+    tensored with identities."""
+    dims = [m.fock_dim for m, _ in modes]
+    total = math.prod(dims)
+    h = np.zeros((total, total), dtype=complex)
+    v = np.zeros((total, total), dtype=complex)
+    for i, (mode, g) in enumerate(modes):
+        a = annihilation(mode.fock_dim).astype(complex)
+        vb = g.as_complex * a.conj().T + np.conj(g.as_complex) * a
+        left, right = np.eye(math.prod(dims[:i])), np.eye(math.prod(dims[i + 1:]))
+        h += np.kron(np.kron(left, dense_hamiltonian_h(mode)), right)
+        v += np.kron(np.kron(left, vb), right)
+    return h + v, h - v
+
+
+def dense_exact_dephasing(modes, temperature, times):
+    """|Tr(exp(-i H_minus t) rho exp(+i H_plus t))| with an eigendecomposition
+    of each branch and a dense thermal state."""
+    h_plus, h_minus = dense_branches(modes)
+    e_p, v_p = np.linalg.eigh(h_plus)
+    e_m, v_m = np.linalg.eigh(h_minus)
+    rho = thermal_state(modes[0][0], temperature)
+    for mode, _ in modes[1:]:
+        rho = np.kron(rho, thermal_state(mode, temperature))
+    c = (v_m.conj().T @ rho @ v_p) * (v_p.conj().T @ v_m).T
+    return np.array([abs(np.exp(-1j * e_m * t) @ c @ np.exp(1j * e_p * t)) for t in times])
+
+
+def assembled_branch(modes, sign=1.0):
+    """H + sign V built from the bands, as exact_dephasing builds H + V."""
+    return oracle._assemble([oracle._hermitian_bands(m, sign * g.as_complex) for m, g in modes])
+
+
+def total_parity(modes):
+    parity = np.ones(1)
+    for mode, _ in modes:
+        parity = np.kron(parity, (-1.0) ** np.arange(mode.fock_dim))
+    return parity
 
 
 class TestLadder:
@@ -71,6 +149,39 @@ class TestBathHamiltonians:
         vals = np.sort(np.linalg.eigvalsh(h))
         target = OMEGA_SHIFTED * (np.arange(5) + 0.5) + 0.3
         assert np.max(np.abs(vals[:5] - target)) <= 1e-6
+
+
+class TestBandAssembly:
+    @pytest.mark.parametrize("omega, tau, dim", [(1.0, 0.0, 8), (1.3, 0.25, 40),
+                                                 (0.7, -0.4, 81), (2.0, 1.5, 3), (1.0, 0.3, 2)])
+    def test_single_mode_operators_match_dense_products(self, omega, tau, dim):
+        mode = TruncatedMode(omega, tau, dim)
+        for built, dense in ((bath_hamiltonian_h(mode), dense_hamiltonian_h(mode)),
+                             (bath_hamiltonian_nh(mode), dense_hamiltonian_nh(mode))):
+            assert built.dtype == complex
+            assert np.max(np.abs(built - dense)) <= 1e-12 * np.max(np.abs(dense))
+        for inverse in (False, True):
+            dense = dense_metric(mode, inverse)
+            assert np.max(np.abs(metric(mode, inverse) - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("modes", [[(TruncatedMode(1.3, 0.25, 40), Coupling(0.2, 2.1))],
+                                       TWO_MODES, THREE_MODES],
+                             ids=["one_mode", "two_modes", "three_modes"])
+    def test_branches_match_kron_reference(self, modes):
+        h_plus, h_minus = dense_branches(modes)
+        for sign, dense in ((1.0, h_plus), (-1.0, h_minus)):
+            built = assembled_branch(modes, sign)
+            assert np.max(np.abs(built - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("modes", [[(TruncatedMode(1.3, 0.25, 40), Coupling(0.2, 2.1))],
+                                       TWO_MODES, THREE_MODES],
+                             ids=["one_mode", "two_modes", "three_modes"])
+    def test_parity_maps_plus_branch_onto_minus_bit_for_bit(self, modes):
+        # H is even in the ladder operators and V odd: P (H + V) P = H - V,
+        # in the truncated space too, and only the signs of V's entries flip
+        p = total_parity(modes)
+        assert np.array_equal(p[:, None] * assembled_branch(modes) * p,
+                              assembled_branch(modes, -1.0))
 
 
 class TestMetric:
@@ -188,6 +299,55 @@ class TestExactDephasing:
                             1.0, [1.0], dim_budget=50)
 
 
+class TestParityRoute:
+    def test_matches_two_eigh_reference(self):
+        rng = np.random.default_rng(18)
+        times = np.linspace(0.0, 20.0, 11)
+        for case in range(32):
+            mode = TruncatedMode(rng.uniform(0.3, 3.0), rng.uniform(-1.0, 1.0),
+                                 int(rng.integers(2, 161)))
+            g = Coupling(rng.uniform(0.0, 0.4), rng.uniform(0.0, 2 * math.pi))
+            temperature = 0.0 if case % 2 else rng.uniform(0.05, 3.0)
+            ratios = exact_dephasing([(mode, g)], temperature, times)
+            reference = dense_exact_dephasing([(mode, g)], temperature, times)
+            assert np.max(np.abs(ratios - reference)) <= 1e-12, (mode, g, temperature)
+        times = np.linspace(0.0, 10.0, 21)
+        for temperature in (0.0, 0.5):
+            ratios = exact_dephasing(TWO_MODES, temperature, times)
+            assert np.max(np.abs(ratios - dense_exact_dephasing(TWO_MODES, temperature, times))) <= 1e-12
+
+    def test_one_eigendecomposition_per_call(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(h):
+            calls.append(h.shape)
+            return eigh(h)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        exact_dephasing([(TruncatedMode(1.0, 0.2, 40), Coupling(0.1, 1.0))], 1.0, [0.0, 1.0])
+        assert calls == [(40, 40)]
+        calls.clear()
+        exact_dephasing(TWO_MODES, 0.5, [0.0, 1.0])
+        assert calls == [(576, 576)]
+
+    def test_peak_traced_memory_at_dim_320(self):
+        # tracemalloc sees numpy's arrays but not LAPACK's workspace inside
+        # eigh, so this bounds the matrices the route keeps, not the RSS;
+        # the two-eigh reference with its dense rho peaks at about 8 of them
+        import tracemalloc
+
+        dim = 320
+        mode = TruncatedMode(1.0, 0.2, dim)
+        tracemalloc.start()
+        try:
+            exact_dephasing([(mode, Coupling(0.1, 1.0))], 10.0, np.linspace(0.0, 20.0, 101))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 16 * dim**2
+
+
 class TestCertify:
     def test_default_report_converges(self):
         report = certify()
@@ -247,4 +407,41 @@ class TestCertify:
         start = time.perf_counter()
         with pytest.raises(ValueError, match=name):
             certify(**kwargs)
+        assert time.perf_counter() - start < 1.0
+
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("omega, tau, name", [
+        (math.nan, 0.2, "omega"),
+        (math.inf, 0.2, "omega"),
+        (1.0, math.nan, "tau"),
+        (1.0, -math.inf, "tau"),
+    ])
+    def test_truncated_mode_rejects_before_any_work(self, omega, tau, name):
+        # TruncatedMode(nan, 0.2, 40) used to run: exact_dephasing_converged
+        # then doubled on NaN ratios up to its budget
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=name):
+            TruncatedMode(omega, tau, 40)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("temperature, times, name", [
+        (1.0, [0.0, math.nan], "times"),
+        (1.0, [math.inf], "times"),
+        (1.0, [-math.inf, 1.0], "times"),
+        (math.nan, [1.0], "temperature"),
+        (math.inf, [1.0], "temperature"),
+    ])
+    @pytest.mark.parametrize("run", [exact_dephasing, exact_dephasing_converged])
+    def test_exact_dephasing_rejects_before_any_work(self, run, temperature, times, name,
+                                                     monkeypatch):
+        def no_fock(*args):
+            raise AssertionError("Fock work ran")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_fock)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=name):
+            run([(TruncatedMode(1.0, 0.2, 40), Coupling(0.1))], temperature, times,
+                dim_budget=160)
         assert time.perf_counter() - start < 1.0

@@ -24,13 +24,18 @@ per node.  It keeps each preset's CSV, to compare the printed rows of the
 sides, and reads the process's minor page faults (getrusage ru_minflt)
 around each preset: a working set that outgrows the heap top the allocator
 keeps shows there as thousands of faults.
+Each side also runs `python -m ptbath.cli oracle --temp 10` three times, each
+in a fresh interpreter, the sides alternating: the command that sets the
+peak RSS of the commands workload (its Fock dimension reaches 640).  Each
+run's peak RSS (the child's ru_maxrss, from wait4) and wall time are kept.
 
 Writes BENCH_<label>.json at the repository root: every run's result line
 (the last line of `ptbench/run.py`'s output), the traced runs, both sides'
 integrand nodes and values per figures pass and per preset, SHA-256 of
-each preset CSV and minor page faults per preset, the number of CSV rows
-per preset that differ between the sides (a row only one side has counts
-too), and per workload and end-to-end metric of BENCHMARK.json the number
+each preset CSV and minor page faults per preset, the oracle runs
+(`oracle_t10`: exit code, peak RSS in MB and wall seconds per run and side),
+the number of CSV rows per preset that differ between the sides (a row only
+one side has counts too), and per workload and end-to-end metric of BENCHMARK.json the number
 of pairs, the pairs the change wins (ties count for neither side) and each
 side's median and quartiles (linear interpolation between closest ranks).
 """
@@ -47,11 +52,14 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CLAIM_PAIRS, OTHER_PAIRS = 10, 5
 TRACED = "figures"
+ORACLE_RUNS = 3
+ORACLE_ARGV = ["-m", "ptbath.cli", "oracle", "--temp", "10"]
 
 # argv[1] is the checkout; prints the integrand nodes and values of each
 # preset of one figures pass, its CSV and its minor page faults as one JSON line
@@ -119,6 +127,19 @@ def figures_pass(checkout: Path) -> dict:
     out = subprocess.run([sys.executable, "-c", FIGURES_PASS, str(checkout)], cwd=checkout,
                          env=env, capture_output=True, text=True, check=True, timeout=600).stdout
     return json.loads(out.strip().splitlines()[-1])
+
+
+def oracle_run(checkout: Path) -> dict:
+    """Exit code, peak RSS (MB) and wall seconds of one oracle command run
+    in a fresh interpreter on the ptbath in `checkout`."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, *ORACLE_ARGV], cwd=checkout, env=env,
+                            stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)  # the rusage of this child alone
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return {"exit": proc.returncode, "maxrss_mb": usage.ru_maxrss / 1024, "wall_s": wall}
 
 
 def working_tree_tar(out: Path) -> None:
@@ -207,9 +228,14 @@ def main() -> int:
         changed = {fig: rows_changed(text, passes["change"]["csv"][fig])
                    for fig, text in passes["parent"]["csv"].items()}
         faults = {side: p["minor_faults"] for side, p in passes.items()}
+        oracle = {"parent": [], "change": []}
+        for i in range(ORACLE_RUNS):
+            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                oracle[side].append(oracle_run(roots[side]))
         print(json.dumps({"integrand_nodes_per_figures_pass": nodes,
                           "integrand_values_per_figures_pass": values,
-                          "figure_rows_changed": changed, "figure_minor_faults": faults}),
+                          "figure_rows_changed": changed, "figure_minor_faults": faults,
+                          "oracle_t10": oracle}),
               flush=True)
 
         runs, order = [], 0
@@ -253,6 +279,7 @@ def main() -> int:
         "figure_csv_sha256": sha256,
         "figure_rows_changed": changed,
         "figure_minor_faults": faults,
+        "oracle_t10": {"command": "python " + " ".join(ORACLE_ARGV), **oracle},
         "summary": summarize(runs, better),
     }
     out = ROOT / f"BENCH_{args.label}.json"
