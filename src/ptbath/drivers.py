@@ -218,7 +218,7 @@ def optimize(fixed: OhmicSpectrum, free: list[str], t: float, bounds: dict,
     if len(set(free)) != len(free):
         raise ValueError(f"free parameters must be distinct, got {free}")
     if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
+        raise ValueError(f"grid_points (--grid-points) must be >= 2, got {grid_points}")
     for name in free:
         if name not in ("tau", "theta"):
             raise ValueError(f"cannot optimize over {name!r}")
@@ -272,7 +272,7 @@ def crossover(fixed: OhmicSpectrum, t: float, quad: QuadratureSpec,
     """Smallest tau* > 0 with Gamma(tau*) = Gamma(0), by scan + bisection;
     None when Gamma(tau) - Gamma(0) never changes sign on (0, tau_max]."""
     if not 0.0 < tau_max < math.inf:
-        raise ValueError(f"tau_max must be finite and > 0, got {tau_max}")
+        raise ValueError(f"tau_max (--tau-max) must be finite and > 0, got {tau_max}")
 
     def g(tau):
         return gamma_continuum_nh(replace(fixed, tau=tau), t, quad)

@@ -32,7 +32,7 @@ class TruncatedMode:
         if self.omega <= 0:
             raise ValueError(f"omega must be > 0, got {self.omega}")
         if self.fock_dim < 2:
-            raise ValueError(f"fock_dim must be >= 2, got {self.fock_dim}")
+            raise ValueError(f"fock_dim (--fock-dim) must be >= 2, got {self.fock_dim}")
 
 
 # thermal weight beyond the truncation that still counts as converged
@@ -199,7 +199,7 @@ def exact_dephasing(
     require_finite(temperature=temperature, times=float(np.max(np.abs(times), initial=0.0)))
     total = math.prod(m.fock_dim for m, _ in modes)
     if total > dim_budget:
-        raise ValueError(f"total Fock dimension {total} exceeds budget {dim_budget}")
+        raise ValueError(f"total Fock dimension {total} exceeds budget {dim_budget} (--dim-budget)")
     pop = reduce(np.kron, [_thermal_populations(m, temperature) for m, _ in modes])
     parity = reduce(np.kron, [(-1.0) ** np.arange(m.fock_dim) for m, _ in modes])
     e, u = np.linalg.eigh(_assemble([_hermitian_bands(m, g.as_complex) for m, g in modes]))

@@ -892,6 +892,20 @@ class TestFlagsPerSubcommand:
         assert exit_code(*argv) == 2
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("optimize", "--free", "tau", "--grid-points", "1"), "--grid-points"),
+        (("crossover", "--tau-max", "nan"), "--tau-max"),
+        (("crossover", "--tau-max", "-4"), "--tau-max"),
+        (("oracle", "--fock-dim", "0"), "--fock-dim"),
+        (("oracle", "--fock-dim", "1"), "--fock-dim"),
+        (("oracle", "--dim-budget", "0"), "--dim-budget"),
+        (("oracle", "--fock-dim", "80", "--dim-budget", "60"), "--dim-budget"),
+    ])
+    def test_library_checks_name_the_flag(self, argv, flag, capsys):
+        # values that argparse passes and the library rejects
+        assert exit_code(*argv) == 2
+        assert flag in capsys.readouterr().err
+
     def test_drivers_reject_what_they_used_to_clamp(self):
         quad, spec = QuadratureSpec(), OhmicSpectrum(1.0, 0.1)
         with pytest.raises(ValueError, match="grid_points"):
