@@ -2,8 +2,8 @@
 
 The bath is described by the spectral density J(w) = A w exp(-w/cutoff)
 with a coupling phase theta and non-Hermiticity tau.  Gamma(t) is an
-oscillatory frequency integral; the nested Gauss-Kronrod G7/K15 engine
-lays down panels narrow enough to resolve the oscillation at rate
+oscillatory frequency integral; the nested Gauss-Kronrod G15/K31 engine
+lays down panels of two periods of the oscillation at rate
 t*sqrt(1+4 tau^2) and bisects adaptively from there.  Failure to
 converge raises, never returns a best-effort number.
 """
@@ -19,26 +19,36 @@ import numpy as np
 
 from .core import check_tau, check_time, coth, dephasing_bound, dephasing_kernel, require_finite
 
-# QUADPACK QK15 (Piessens et al., QUADPACK, Springer 1983): the 15-point
+# QUADPACK QK31 (Piessens et al., QUADPACK, Springer 1983): the 31-point
 # Kronrod abscissae xgk on [0, 1) with weights wgk; xgk[1::2] are the
-# 7-point Gauss nodes, with Gauss weights wg.
-_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
-        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
-        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
-        0.207784955007898467600689403773245, 0.000000000000000000000000000000000)
-_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
-_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
-       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+# 15-point Gauss nodes, with Gauss weights wg.
+_XGK = (0.998002298693397060285172840152271, 0.987992518020485428489565718586613,
+        0.967739075679139134257347978784337, 0.937273392400705904307758947710209,
+        0.897264532344081900882509656454496, 0.848206583410427216200648320774217,
+        0.790418501442465932967649294817947, 0.724417731360170047416186054613938,
+        0.650996741297416970533735895313275, 0.570972172608538847537226737253911,
+        0.485081863640239680693655740232351, 0.394151347077563369897207370981045,
+        0.299180007153168812166780024266389, 0.201194093997434522300628303394596,
+        0.101142066918717499027074231447392, 0.000000000000000000000000000000000)
+_WGK = (0.005377479872923348987792051430128, 0.015007947329316122538374763075807,
+        0.025460847326715320186874001019653, 0.035346360791375846222037948478360,
+        0.044589751324764876608227299373280, 0.053481524690928087265343147239430,
+        0.062009567800670640285139230960803, 0.069854121318728258709520077099147,
+        0.076849680757720378894432777482659, 0.083080502823133021038289247286104,
+        0.088564443056211770647275443693774, 0.093126598170825321225486872747346,
+        0.096642726983623678505179907627589, 0.099173598721791959332393173484603,
+        0.100769845523875595044946662617570, 0.101330007014791549017374792767493)
+_WG = (0.030753241996117268354628393577204, 0.070366047488108124709267416450667,
+       0.107159220467171935011869546685869, 0.139570677926154314447804794511028,
+       0.166269205816993933553200860481209, 0.186161000015562211026800561866423,
+       0.198431485327111576456118326443839, 0.202578241925561272880620199967519)
 
-# the 15 nodes on [-1, 1] in ascending order, and the K15 and G7 weights
-# over them (G7 is zero at the Kronrod-only nodes)
+# the 31 nodes on [-1, 1] in ascending order, and the K31 and G15 weights
+# over them (G15 is zero at the Kronrod-only nodes)
 _NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
-_G7_ON_K15 = [0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3]]
+_G15_ON_K31 = [w for wg in _WG for w in (0.0, wg)]
 _WEIGHTS = np.array([_WGK[:-1] + _WGK[::-1],
-                     _G7_ON_K15[:-1] + _G7_ON_K15[::-1]]).T  # (15, 2): K15, G7
+                     _G15_ON_K31[:-1] + _G15_ON_K31[::-1]]).T  # (31, 2): K31, G15
 
 # A round evaluates its panels in blocks of at most _BLOCK_NODES nodes and
 # _BLOCK_VALUES nodes x max(integrand rows, outputs) values, so the working
@@ -52,9 +62,10 @@ _BLOCK_VALUES = 3 << 16
 _RECORD_VALUES = 1 << 21
 
 # The start grid ends at this multiple of the cutoff, in panels no wider than
-# half the integrand's fastest period: for t >= 1, the lobes of sin(r w t).
+# two of the integrand's fastest periods (at most 2 x cutoff): for t >= 1,
+# four lobes of sin(r w t).
 _OMEGA_MAX_CUTOFFS = 60.0
-_PANELS_PER_OSCILLATION = 2
+_PANELS_PER_OSCILLATION = 0.5
 
 # The kernel divides by w^2, which underflows below w ~ 1e-154; under
 # this multiple of the cutoff the integrands take their analytic w -> 0
@@ -245,28 +256,28 @@ def _node_sum(terms: np.ndarray) -> np.ndarray:
 
 def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_width,
                        params=None, outputs: int | None = None, bound=None, mix=None):
-    """Globally adaptive nested Gauss-Kronrod G7/K15 quadrature of one
+    """Globally adaptive nested Gauss-Kronrod G15/K31 quadrature of one
     integrand, or of several over one shared subdivision, or of a batch.
 
     f maps a 1-D array of n nodes to n values, and the result is a float.
     With outputs=k it maps them to a (k, n) array, k integrands at the same
     nodes, and the result is an array of the k integrals.  Given a (k, r)
-    array mix, f gives r rows instead, and output j's K15 and G7 on a panel
+    array mix, f gives r rows instead, and output j's K31 and G15 on a panel
     are mix[j, 0] K(row 0) + mix[j, 1] K(row 1) + ....  A batch has one
     panel width and one params entry per integral, and one result row per
-    integral; f(x, ids) and bound(a, ids) then take the (15, m) nodes or
+    integral; f(x, ids) and bound(a, ids) then take the (31, m) nodes or
     left edges of m panels with their integrals' indices.  Given mix, f's
     rows are scaled in place once used, so f must return a writable float
     array that it does not keep.
 
-    Panels of panel_width anchored at lo.  Each round evaluates the 15
+    Panels of panel_width anchored at lo.  Each round evaluates the 31
     Kronrod nodes of every open panel, in blocks of at most _BLOCK_NODES
-    nodes and _BLOCK_VALUES nodes x max(rows, outputs); the 7-point Gauss
-    estimate reuses 7 of them.  A panel is accepted for an output when
-    |K15 - G7| <= rel_tol |K15| + abs_tol * width and contributes K15 to
+    nodes and _BLOCK_VALUES nodes x max(rows, outputs); the 15-point Gauss
+    estimate reuses 15 of them.  A panel is accepted for an output when
+    |K31 - G15| <= rel_tol |K31| + abs_tol * width and contributes K31 to
     it; it is bisected for the outputs it failed for only.  An output's
     total adds its accepted values one by one in evaluation order.  A
-    panel's K15 and G7 are elementwise functions of its own nodes and an
+    panel's K31 and G15 are elementwise functions of its own nodes and an
     integral's panels keep their order among others', so an output's
     integral is bit for bit the same alone, in any group or batch and at
     any block size.
@@ -274,7 +285,7 @@ def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_widt
     bound, if given, maps the left edges of the n start panels to an
     (outputs, n) array (n values without outputs) that bounds |f| over
     each panel.  A start panel whose bound is <= abs_tol/2 is accepted for
-    that output with value 0 without being evaluated: its K15 and G7 lie
+    that output with value 0 without being evaluated: its K31 and G15 lie
     within abs_tol * width / 2 of 0, so it would pass the test above, and
     the value left out is below abs_tol * width / 2.  A panel no output
     needs is never evaluated; a NaN bound keeps the panel open.  The
@@ -315,19 +326,19 @@ def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_widt
             mid = 0.5 * (pa + pb)
             half = 0.5 * (pb - pa)
             fx = f(mid + half * _NODES[:, None], pi).reshape(rows, _NODES.size, -1)
-            rule = np.empty((2, rows, pa.size))  # each row's K15 and G7
+            rule = np.empty((2, rows, pa.size))  # each row's K31 and G15
             rule[1] = _node_sum(fx[:, 1::2] * _WEIGHTS[1::2, 1:])
             rule[0] = _node_sum(np.multiply(fx, _WEIGHTS[:, :1], out=None if mix is None else fx))
             if mix is not None:  # output j: mix[j, 0] K(row 0) + mix[j, 1] K(row 1) + ...
                 rule, terms = rule[:, :1] * mix[:, :1], rule
                 for i in range(1, rows):
                     rule += terms[:, i:i + 1] * mix[:, i:i + 1]
-            k15, g7 = rule * half
-            ok = np.abs(k15 - g7) <= quad.rel_tol * np.abs(k15) + quad.abs_tol * 2.0 * half
+            k31, g15 = rule * half
+            ok = np.abs(k31 - g15) <= quad.rel_tol * np.abs(k31) + quad.abs_tol * 2.0 * half
             ok &= open_[:, s:s + block]
             failed = open_[:, s:s + block] ^ ok  # open and not accepted
             # unbuffered: each total adds its accepted values one by one, in panel order
-            np.add.at(totals, (pi * k + outs).ravel(), np.where(ok, k15, 0.0).ravel())
+            np.add.at(totals, (pi * k + outs).ravel(), np.where(ok, k31, 0.0).ravel())
             if failed.any():
                 split = failed.any(axis=0)
                 splits.append((pa[split], pb[split], pi[split], failed[:, split]))
@@ -348,7 +359,7 @@ def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_widt
 
 def _panel_width(cutoff: float, t: float, tau: float) -> float:
     rate = max(t, 1.0) * math.sqrt(1.0 + 4.0 * tau * tau)
-    return min(cutoff / 2.0, 2.0 * math.pi / (_PANELS_PER_OSCILLATION * rate))
+    return min(2.0 * cutoff, 2.0 * math.pi / (_PANELS_PER_OSCILLATION * rate))
 
 
 def _tail_bound(spec: OhmicSpectrum, thetas, taus=None):
@@ -393,7 +404,7 @@ def batches(cutoff: float, taus, times, n_phases: int) -> list[tuple[slice, list
     """The (tau, t) slices that gamma_continuum_batch integrates in one engine
     pass each, with their start-panel widths (one panel at t = 0, where the
     integrand is 0).  A batch closes once its start panels would exceed
-    _BLOCK_VALUES // 45 (its start grid is one block of 15 nodes x 3 terms a
+    _BLOCK_VALUES // 93 (its start grid is one block of 31 nodes x 3 terms a
     panel) or _BLOCK_VALUES / n_phases (its open flags and sums per phase)."""
     hi = _OMEGA_MAX_CUTOFFS * cutoff
     widths = [_panel_width(cutoff, t, tau) if t > 0.0 else hi for tau, t in zip(taus, times)]

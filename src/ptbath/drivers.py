@@ -28,9 +28,9 @@ _CROSSOVER_TOL = 1e-3
 
 # Start panels per worker above which a run pays for the process pool, whose
 # start and cold workers cost 15-20 ms.  Wall ms at jobs=1 -> jobs=2 with a pool
-# (2 vCPU, medians of 7): fig4 (949k start panels) 371 -> 250, fig2 (217k)
-# 149 -> 137, fig3a (194k) 142 -> 133, fig1a (98k) 93 -> 126, fig3b (24k)
-# 24 -> 42, the README sweep (7.4k) 24 -> 40, fig1b (0.7k) 46 -> 64.
+# (2 vCPU, means of two medians of 7): fig4 (237k start panels) 196 -> 132,
+# fig2 (54k) 61 -> 68, fig3a (48k) 55 -> 60, fig1a (25k) 36 -> 46, fig3b (6k)
+# 14 -> 29, the README sweep (1.8k) 12 -> 25, fig1b (0.2k) 13 -> 26.
 _POOL_PANELS = 50_000
 
 

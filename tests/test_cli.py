@@ -269,8 +269,8 @@ class TestGammaCommand:
     @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                         reason="peak memory is read from /proc/self/status")
     def test_large_t_peak_memory_is_bounded(self):
-        # 3.1e5 panels (4.6e6 nodes): evaluated in blocks, the run stays far
-        # below the 380 MB that one integrand call over every panel needed
+        # 3.9e4 start panels (4.9e5 nodes evaluated): in blocks, the run stays
+        # far below the 380 MB that one integrand call over every panel needed
         code = (
             "from ptbath.cli import main\n"
             "main(['gamma', '--A', '1', '--cutoff', '0.7', '--temp', '0.05', '--theta', '4.9',"
@@ -283,7 +283,7 @@ class TestGammaCommand:
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60).stdout.split()
-        assert out[-2] == "3.00000000000e+02,1.13793417600e+02,3.80317806372e-50"
+        assert out[-2] == "3.00000000000e+02,1.13793417600e+02,3.80317806370e-50"
         assert int(out[-1]) <= 150 * 1024  # VmHWM in kB
 
 
@@ -424,9 +424,11 @@ class TestFigure:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(drivers, "_POOL_PANELS", 0)
-        quad, fig1b = QuadratureSpec(), FIGURE_PRESETS["fig1b"]
+        # fig1b's four tau at 721 phases, at t = 80, run in three batches
+        fig1b = FIGURE_PRESETS["fig1b"]
+        fig1b, quad = replace(fig1b, fixed={**fig1b.fixed, "t": 80.0}), QuadratureSpec()
+        assert len(continuum.batches(0.1, [0.5, 1.0, 2.0, 4.0], [80.0] * 4, 721)) == 3
         serial = run_figure(fig1b, quad)
-        # fig1b's four tau at 721 phases run in three batches
         for jobs, expected in ((2, 2), (3, 3), (100_000, 3)):
             assert run_figure(fig1b, quad, jobs=jobs) == serial
             assert workers == [expected]

@@ -36,21 +36,26 @@ RIEMANN_HERMITIAN_T20 = 33829.88368261289  # t=20
 
 
 class TestKronrodRule:
-    def test_gauss_subset_is_gauss_legendre_7(self):
-        nodes, weights = np.polynomial.legendre.leggauss(7)
+    def test_gauss_subset_is_gauss_legendre_15(self):
+        nodes, weights = np.polynomial.legendre.leggauss(15)
         gauss = _WEIGHTS[:, 1] != 0.0
-        assert np.count_nonzero(gauss) == 7
+        assert np.count_nonzero(gauss) == 15
+        assert np.array_equal(np.flatnonzero(gauss), np.arange(1, 31, 2))
         assert np.max(np.abs(_NODES[gauss] - nodes)) <= 1e-15
         assert np.max(np.abs(_WEIGHTS[gauss, 1] - weights)) <= 1e-15
 
-    @pytest.mark.parametrize("column, degree", [(0, 22), (1, 13)])
+    @pytest.mark.parametrize("column, degree", [(0, 46), (1, 29)])
     def test_polynomial_exactness(self, column, degree):
-        # K15 is exact through degree 3*7+1 = 22, G7 through 2*7-1 = 13
+        # K31 is exact through degree 3*15+1 = 46, G15 through 2*15-1 = 29
         for k in range(degree + 1):
             exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
             assert _WEIGHTS[:, column] @ _NODES**k == pytest.approx(exact, rel=1e-14, abs=1e-15)
-        k = degree + 1 if degree % 2 else degree + 2  # first even degree beyond
-        assert abs(_WEIGHTS[:, column] @ _NODES**k - 2.0 / (k + 1)) > 1e-12
+        # the first even degree beyond, as the Legendre polynomial P_k, whose
+        # integral is 0: the monomial x^48 is too flat for a float to show
+        # K31's error, which is 5e-17
+        k = degree + 1 if degree % 2 else degree + 2
+        p_k = np.polynomial.legendre.legval(_NODES, [0.0] * k + [1.0])
+        assert abs(_WEIGHTS[:, column] @ p_k) > 1e-3
 
     def test_weights_sum_to_two(self):
         assert _WEIGHTS.sum(axis=0) == pytest.approx([2.0, 2.0], rel=1e-15)
@@ -220,7 +225,7 @@ class TestGammaContinuum:
                                               max_subdivisions=10))
 
     def test_bisection_exhausts_its_budget(self):
-        # the start grid (158 panels for tau=2, t=20) fits the budget, so
+        # the start grid (40 panels for tau=2, t=20) fits the budget, so
         # the failure comes from bisection, not from the start-grid bound
         spec = OhmicSpectrum(theta=0.3, tau=2.0, **FIG_SETTINGS)
         with pytest.raises(QuadratureError, match="did not converge within 400 subdivisions"):
@@ -234,12 +239,12 @@ class TestGammaContinuum:
 
         monkeypatch.setattr(continuum, "_initial_edges", no_grid)
         spec = OhmicSpectrum(1.0, 0.1, tau=20.0)
-        # about 7.6e10 panels at the default budget of 2e6
-        with pytest.raises(QuadratureError, match=r"start grid needs 764\d{8} panels"):
+        # about 1.9e10 panels at the default budget of 2e6
+        with pytest.raises(QuadratureError, match=r"start grid needs 191\d{8} panels"):
             gamma_continuum_nh(spec, 1e9)
-        with pytest.raises(QuadratureError, match="start grid needs 158 panels"):
+        with pytest.raises(QuadratureError, match="start grid needs 40 panels"):
             gamma_continuum_nh(OhmicSpectrum(theta=0.3, tau=2.0, **FIG_SETTINGS), 20.0,
-                               QuadratureSpec(max_subdivisions=157))
+                               QuadratureSpec(max_subdivisions=39))
         # a width that underflows to 0 is over any budget
         with pytest.raises(QuadratureError, match="start grid needs inf panels"):
             gamma_continuum_nh(spec, 1e308)
@@ -247,10 +252,13 @@ class TestGammaContinuum:
     @pytest.mark.parametrize("t", [1.0, 1.5, 20.0, 120.0, 1e5, 3.7e8])
     @pytest.mark.parametrize("tau", [0.0, 1e-5, 2.0, -3.3, 20.0])
     def test_start_panels_are_lobes_of_the_oscillation(self, t, tau):
-        # for t >= 1 a start panel spans x = r w t from k pi to (k + 1) pi,
-        # between zeros of sin x (a cutoff above 2 pi leaves the width uncapped)
+        # for t >= 1 a start panel spans x = r w t from 4 k pi to 4 (k + 1) pi,
+        # four lobes of sin x between its zeros (a cutoff above 2 pi leaves the
+        # width uncapped); a cutoff below a quarter of that width caps it at 2 cutoff
         r = math.sqrt(1.0 + 4.0 * tau * tau)
-        assert _panel_width(10.0, t, tau) * r * t == pytest.approx(math.pi, rel=4e-16)
+        assert _panel_width(10.0, t, tau) * r * t == pytest.approx(4.0 * math.pi, rel=4e-16)
+        cutoff = math.pi / (r * t)
+        assert _panel_width(cutoff, t, tau) == 2.0 * cutoff
 
     def test_default_start_is_accurate_over_a_wide_range(self, monkeypatch):
         # the default (2 panels per oscillation, rel_tol 1e-8) against a
@@ -276,6 +284,31 @@ class TestGammaContinuum:
                 assert hermitian == pytest.approx(
                     gamma_hermitian(1.0, lam, T, t, ref), rel=1e-9)
             cases += 1
+
+    @pytest.mark.parametrize("lam, T, tau, t", [
+        # t < 1, where the start panel is capped at 2 cutoff
+        (1.0, 300.0, 0.5, 0.05),
+        (1.0, 0.0, 2.0, 0.5),
+        (0.1, 1.0, -3.0, 0.9),
+        # T << cutoff
+        (1.0, 0.05, 0.0, 3.0),
+        (1.0, 0.05, 2.0, 30.0),
+        (1.0, 0.05, -7.0, 100.0),
+        # tau = 20 at t = 1e5: 1.9e4 start panels, 6.1e5 in the reference
+        (1e-3, 1.0, 20.0, 1e5),
+    ])
+    def test_default_start_is_accurate_where_the_grid_moved(self, monkeypatch, lam, T, tau, t):
+        # the default against the 16-per-oscillation start at rel_tol 1e-11,
+        # as in test_default_start_is_accurate_over_a_wide_range
+        if t < 1.0:
+            assert _panel_width(lam, t, tau) == _panel_width(lam, t, 0.0) == 2.0 * lam
+        ref = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-14)
+        spec = OhmicSpectrum(1.0, lam, 2.0 * math.pi / 3.0, T, tau)
+        nh, hermitian = gamma_continuum_nh(spec, t), gamma_hermitian(1.0, lam, T, t)
+        with monkeypatch.context() as m:
+            m.setattr(continuum, "_PANELS_PER_OSCILLATION", 16)
+            assert nh == pytest.approx(gamma_continuum_nh(spec, t, ref), rel=1e-9)
+            assert hermitian == pytest.approx(gamma_hermitian(1.0, lam, T, t, ref), rel=1e-9)
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
@@ -329,14 +362,14 @@ class TestGroupedThetas:
         # the group's subdivision is the union of different ones
         sizes = count_integrand_points(monkeypatch)
         quad = QuadratureSpec(rel_tol=1e-13)
-        spec = OhmicSpectrum(0.1, 0.1, 0.0, 300.0, 2.0)
+        spec = OhmicSpectrum(10.0, 0.5, 0.0, 0.0, 2.0)
         thetas = [2.0, 0.3, 1.0, 0.3, 3.0, -5.0]
-        grouped = gamma_continuum_thetas(spec, 20.0, thetas, quad)
+        grouped = gamma_continuum_thetas(spec, 5.0, thetas, quad)
         grouped_points = sum(sizes)
         single_points = []
         for theta, g in zip(thetas, grouped):
             sizes.clear()
-            alone = gamma_continuum_nh(OhmicSpectrum(0.1, 0.1, theta, 300.0, 2.0), 20.0, quad)
+            alone = gamma_continuum_nh(replace(spec, theta=theta), 5.0, quad)
             single_points.append(sum(sizes))
             assert g == alone
         assert len(set(single_points)) > 1
@@ -368,11 +401,11 @@ class TestGroupedThetas:
             assert np.array_equal(gamma_continuum_thetas(spec, 5.0, thetas, quad), default)
 
     def test_large_groups_are_split(self, monkeypatch):
-        # 120 start panels here: four phases per integral at this record bound
+        # 30 start panels here: four phases per integral at this record bound
         spec = OhmicSpectrum(1.0, 0.1, 0.0, 300.0, 0.5)
         thetas = [0.1 * i for i in range(10)]
         whole = gamma_continuum_thetas(spec, 2.0, thetas)
-        monkeypatch.setattr(continuum, "_RECORD_VALUES", 4 * 120)
+        monkeypatch.setattr(continuum, "_RECORD_VALUES", 4 * 30)
         outputs = []
         real = continuum.integrate_adaptive
 
@@ -388,11 +421,11 @@ class TestGroupedThetas:
         sizes = count_integrand_points(monkeypatch)
         spec = OhmicSpectrum(1.0, 0.7, 0.0, 0.05, -19.3)
         thetas = [0.0, 1.0, 4.9]
-        gamma_continuum_thetas(spec, 40.0, thetas)
+        gamma_continuum_thetas(spec, 80.0, thetas)
         assert len(sizes) > 1
         assert max(sizes) * len(thetas) <= continuum._BLOCK_VALUES
         sizes.clear()
-        gamma_continuum_nh(OhmicSpectrum(1.0, 0.7, 4.9, 0.05, -19.3), 40.0)
+        gamma_continuum_nh(OhmicSpectrum(1.0, 0.7, 4.9, 0.05, -19.3), 80.0)
         # one phase: three term values per node
         assert len(sizes) > 1 and 3 * max(sizes) <= continuum._BLOCK_VALUES
 
@@ -453,11 +486,11 @@ def record_batches(monkeypatch):
 
 
 def assert_batches_fill_their_caps(cutoff, batch_widths, n_phases):
-    """Each batch keeps its start panels within _BLOCK_VALUES // 45 (its
+    """Each batch keeps its start panels within _BLOCK_VALUES // 93 (its
     start grid is one block of three term rows) and its start panels x
     phases within _BLOCK_VALUES, unless it is one integral, and closes only
     where the next integral would pass one of the two."""
-    node_cap, value_cap = continuum._BLOCK_VALUES // 45, continuum._BLOCK_VALUES
+    node_cap, value_cap = continuum._BLOCK_VALUES // (3 * _NODES.size), continuum._BLOCK_VALUES
     panels = [[continuum._OMEGA_MAX_CUTOFFS * cutoff / w for w in widths]
               for widths in batch_widths]
     for batch in panels:
@@ -502,12 +535,13 @@ class TestBatch:
 
     @pytest.mark.parametrize("taus, times, n_phases, sizes", [
         # the start panels close these batches
-        ([2.0] * 41, np.linspace(0.0, 20.0, 41), 5, [36, 5]),
-        (np.linspace(0.0, 4.0, 41), [20.0] * 41, 25, [29, 12]),  # the README sweep
-        ([2.0] * 41, np.linspace(0.0, 120.0, 41), 1, [19, 8, 6, 5, 3]),
+        ([2.0] * 41, np.linspace(0.0, 80.0, 41), 5, [32, 9]),
+        ([2.0] * 41, np.linspace(0.0, 120.0, 41), 1, [26, 11, 4]),
+        # the README sweep's 1,840 start panels fit one batch
+        (np.linspace(0.0, 4.0, 41), [20.0] * 41, 25, [41]),
         # the start panels x phases close these: at most 272 panels a batch
-        ([2.0] * 41, np.linspace(0.0, 20.0, 41), 721, [3] + [2] * 16 + [1] * 6),
-    ], ids=["5-phases", "readme-sweep", "1-phase", "721-phases"])
+        ([2.0] * 41, np.linspace(0.0, 20.0, 41), 721, [10, 9, 9, 8, 5]),
+    ], ids=["5-phases", "1-phase", "readme-sweep", "721-phases"])
     def test_batches_close_at_the_block(self, taus, times, n_phases, sizes):
         cuts = batches(0.1, taus, times, n_phases)
         # consecutive slices that cover every pair, in order
@@ -533,9 +567,9 @@ class TestBatch:
 
     def test_start_grid_over_budget_names_the_integral(self):
         spec = OhmicSpectrum(1.0, 0.1, 0.0, 300.0)
-        quad = QuadratureSpec(max_subdivisions=140)
-        # 120 start panels at t = 0.5 and 158 at tau = 2, t = 20
-        with pytest.raises(QuadratureError, match="start grid needs 158 panels") as exc:
+        quad = QuadratureSpec(max_subdivisions=35)
+        # 30 start panels at t = 0.5 and 40 at tau = 2, t = 20
+        with pytest.raises(QuadratureError, match="start grid needs 40 panels") as exc:
             gamma_continuum_batch(spec, [0.0, 2.0, 0.0], [0.5, 20.0, 0.7], [0.3, 1.0], quad)
         assert exc.value.params["tau"] == 2.0 and exc.value.params["t"] == 20.0
         assert exc.value.params["thetas"] == [0.3, 1.0] and exc.value.params["spec"] is spec
@@ -651,13 +685,15 @@ class TestTermRoute:
 
     def test_per_panel_phase_arrays_stay_within_the_block(self, monkeypatch):
         # a block's phase arrays hold panels x phases values: with 721 phases
-        # it takes a few panels, at most _BLOCK_VALUES // 15 values, where
-        # the hundreds of open panels would fit one block of three terms
+        # it takes a few panels, at most _BLOCK_VALUES // 31 values, where
+        # the 1,500 open panels would fit one block of three terms (2,675
+        # start panels here keep the 721 phases in one integral)
         sizes = count_integrand_points(monkeypatch)
         thetas = list(np.linspace(0.0, 2.0 * math.pi, 721))
-        gamma_continuum_thetas(OhmicSpectrum(1.0, 0.1, 0.0, 300.0, 4.0), 120.0, thetas)
-        assert sum(sizes) // 15 * len(thetas) > 5 * continuum._BLOCK_VALUES
-        assert max(sizes) // 15 * len(thetas) <= continuum._BLOCK_VALUES // 15
+        gamma_continuum_thetas(OhmicSpectrum(1.0, 0.1, 0.0, 300.0, 20.0), 140.0, thetas)
+        n = _NODES.size
+        assert sum(sizes) // n * len(thetas) > 5 * continuum._BLOCK_VALUES
+        assert max(sizes) // n * len(thetas) <= continuum._BLOCK_VALUES // n
 
     def test_threads_keep_their_own_workspace(self):
         # the block buffers are per thread: integrals that run concurrently
@@ -692,7 +728,7 @@ class TestTermRoute:
 
     def test_one_output_blocks_keep_their_node_cap(self, monkeypatch):
         # a one-output integrand's block holds _BLOCK_NODES nodes, not
-        # _BLOCK_VALUES: 38,198 start panels here, in blocks of 4,369
+        # _BLOCK_VALUES: 9,550 start panels here, in blocks of 2,114
         sizes = []
         real = continuum.gamma_integrand_hermitian
 
@@ -702,7 +738,7 @@ class TestTermRoute:
 
         monkeypatch.setattr(continuum, "gamma_integrand_hermitian", counting)
         gamma_hermitian(0.1, 1.0, 300.0, 2000.0)
-        assert max(sizes) == continuum._BLOCK_NODES // 15 * 15
+        assert max(sizes) == continuum._BLOCK_NODES // _NODES.size * _NODES.size
 
     def test_mixed_outputs_are_the_row_combinations(self):
         def f(x):
@@ -763,8 +799,10 @@ class TestTailBound:
             return np.where(a == 0.0, np.nan, 0.0)
 
         quad = QuadratureSpec()
-        assert continuum.integrate_adaptive(f, 0.0, 1.0, quad, 0.25, bound=bound) == 0.25
+        bounded = continuum.integrate_adaptive(f, 0.0, 1.0, quad, 0.25, bound=bound)
         assert len(calls) == 1 and calls[0].max() < 0.25
+        # the first panel's K31 of 1, as the engine forms it without a bound
+        assert bounded == continuum.integrate_adaptive(f, 0.0, 0.25, quad, 0.25)
 
     def test_all_panels_under_the_bound(self):
         def f(x):
