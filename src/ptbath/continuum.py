@@ -61,9 +61,8 @@ _BLOCK_VALUES = 3 << 16
 # groups are split, to bound the engine's open flags, one per panel and phase.
 _RECORD_VALUES = 1 << 21
 
-# The start grid ends at this multiple of the cutoff, in panels no wider than
-# two of the integrand's fastest periods (at most 2 x cutoff): for t >= 1,
-# four lobes of sin(r w t).
+# The start grid ends at this multiple of the cutoff, in panels of two of the
+# fastest periods (four lobes of sin(r w max(t, 1))), at most 2 x cutoff wide.
 _OMEGA_MAX_CUTOFFS = 60.0
 _PANELS_PER_OSCILLATION = 0.5
 
