@@ -254,7 +254,7 @@ class TestGammaContinuum:
     def test_start_panels_are_lobes_of_the_oscillation(self, t, tau):
         # for t >= 1 a start panel spans x = r w t from 4 k pi to 4 (k + 1) pi,
         # four lobes of sin x between its zeros (a cutoff above 2 pi leaves the
-        # width uncapped); a cutoff below a quarter of that width caps it at 2 cutoff
+        # width uncapped); a cutoff of a quarter of that width caps it at 2 cutoff
         r = math.sqrt(1.0 + 4.0 * tau * tau)
         assert _panel_width(10.0, t, tau) * r * t == pytest.approx(4.0 * math.pi, rel=4e-16)
         cutoff = math.pi / (r * t)
@@ -870,8 +870,8 @@ class TestTailBound:
         assert 0 < sum(sizes) <= 275_070 // 2
 
     def test_large_t_integral_on_lobes_skips_three_quarters(self, monkeypatch):
-        # the same point on start panels of one lobe of sin(r w t) each:
-        # at most a quarter of the 275,070 values of the four-per-oscillation grid
+        # the same point on the default start panels (four lobes of sin(r w t)
+        # each): at most a quarter of the 275,070 values of the four-per-oscillation grid
         sizes = count_integrand_points(monkeypatch)
         gamma_continuum_nh(OhmicSpectrum(1.0, 0.1, math.pi / 2, 300.0, 20.0), 120.0)
         assert 0 < sum(sizes) <= 275_070 // 4
