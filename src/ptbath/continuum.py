@@ -231,6 +231,11 @@ def gamma_integrand_hermitian(omega, amplitude: float, cutoff: float, temperatur
     return float(out[0]) if scalar else out
 
 
+def _count(n: float) -> str:
+    """A panel count: an integer up to 1e15, three digits beyond."""
+    return f"{math.ceil(n)}" if n <= 1e15 else f"{n:.3g}"
+
+
 def _initial_edges(lo: float, hi: float, width: float) -> np.ndarray:
     # edges anchored at lo in steps of width, clamped to hi: extending hi
     # never moves the shared edges
@@ -292,22 +297,29 @@ def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_widt
     for bit.
     Raises QuadratureError with the integral's params, before allocating
     anything, when its start grid alone needs more than max_subdivisions
-    panels, and when bisection for any one of its outputs exceeds them.
+    panels; when its start grid cannot be allocated; and when bisection
+    for any one of its outputs exceeds them.
     """
     if not np.iterable(panel_width):  # the batch of one
         total = integrate_adaptive(lambda x, ids: f(x.ravel()), lo, hi, quad, [panel_width],
                                    [params], outputs, bound and (lambda a, ids: bound(a)), mix)[0]
         return float(total) if outputs is None else total
+    grids = []
     for i, width in enumerate(panel_width):
         n_panels = (hi - lo) / width if width > 0.0 else math.inf
         if n_panels > quad.max_subdivisions:
-            needed = math.ceil(n_panels) if math.isfinite(n_panels) else n_panels
-            raise QuadratureError(f"the start grid needs {needed} panels, more than the "
-                                  f"{quad.max_subdivisions} subdivisions allowed", params[i])
+            raise QuadratureError(f"the start grid needs {_count(n_panels)} panels, more than "
+                                  f"the {_count(quad.max_subdivisions)} subdivisions allowed",
+                                  params[i])
+        try:  # numpy refuses an array past its index range with a ValueError
+            grids.append(_initial_edges(lo, hi, width))
+        except (MemoryError, ValueError):
+            raise QuadratureError(f"the start grid needs {_count(n_panels)} panels, more than "
+                                  "fit in memory under --max-subdivisions "
+                                  f"{_count(quad.max_subdivisions)}", params[i]) from None
     n, k = len(panel_width), 1 if outputs is None else outputs
     rows = k if mix is None else len(mix[0])
     block = max(1, min(_BLOCK_NODES, _BLOCK_VALUES // max(rows, k)) // _NODES.size)
-    grids = [_initial_edges(lo, hi, width) for width in panel_width]
     a, b = np.concatenate([e[:-1] for e in grids]), np.concatenate([e[1:] for e in grids])
     ids = np.arange(n).repeat([e.size - 1 for e in grids])  # each panel's integral
     if bound is None:
@@ -468,12 +480,6 @@ def gamma_continuum_batch(spec: OhmicSpectrum, taus, times, thetas,
         t = times[np.flatnonzero(~np.isfinite(gammas).all(axis=1))[0]]
         raise ValueError(f"amplitude {amp:g} (--A) makes Gamma({t:g}) overflow a float")
     return gammas
-
-
-def gamma_continuum_thetas(spec: OhmicSpectrum, t: float, thetas,
-                           quad: QuadratureSpec | None = None) -> np.ndarray:
-    """Gamma(t) at each phase in thetas: gamma_continuum_batch at spec.tau."""
-    return gamma_continuum_batch(spec, [spec.tau], [t], thetas, quad)[0]
 
 
 def gamma_continuum_nh(spec: OhmicSpectrum, t: float, quad: QuadratureSpec | None = None) -> float:

@@ -208,14 +208,15 @@ def _kernel_constants(tau):
     return r, r2, k, 32.0 * tau2 * r * k, 32.0 * tau2 * (1.0 + 2.0 * tau2) * k
 
 
-def check_tau(tau: float) -> None:
-    """Raise ValueError, naming --tau, past |tau| ~ 4.09e76, where the kernel
-    constants leave the float range and Gamma is nan or loses its tau-free
-    term.  Near tau = 0 the tau^2 constants may be subnormal: they pass."""
+def check_tau(tau: float, flag: str = "--tau") -> None:
+    """Raise ValueError, naming the flag that gave tau, past |tau| ~ 4.09e76,
+    where the kernel constants leave the float range and Gamma is nan or
+    loses its tau-free term.  Near tau = 0 the tau^2 constants may be
+    subnormal: they pass."""
     with np.errstate(over="ignore", invalid="ignore"):
         _, _, k, k1, k2 = _kernel_constants(tau)
     if not (k >= sys.float_info.min and math.isfinite(k1) and math.isfinite(k2)):
-        raise ValueError(f"tau {tau:g} (--tau) puts the kernel constants 2/r^4, 32 tau^2 "
+        raise ValueError(f"tau {tau:g} ({flag}) puts the kernel constants 2/r^4, 32 tau^2 "
                          "r 2/r^4 or 32 tau^2 (1 + 2 tau^2) 2/r^4 outside the float range")
 
 

@@ -3,9 +3,9 @@ parameter sweeps, the (tau, theta) optimizer and the crossover finder.
 
 A figure or a sweep fixes one amplitude, cutoff and temperature and reduces
 to gamma_continuum_batch calls, one per engine batch (continuum.batches)
-of integrals with the same phase list; the optimizer and the crossover
-finder call gamma_continuum_thetas and gamma_continuum_nh per tau.  Rows
-come back in a fixed order whatever the number of worker processes.
+of integrals with the same phase list, as does the optimizer's grid; its
+golden refinement and the crossover finder call gamma_continuum_nh per
+tau.  Rows come back in a fixed order whatever the number of worker processes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .continuum import (_OMEGA_MAX_CUTOFFS, OhmicSpectrum, QuadratureSpec, batches,
-                        gamma_continuum_batch, gamma_continuum_nh, gamma_continuum_thetas)
+                        gamma_continuum_batch, gamma_continuum_nh)
+from .core import check_tau
 
 PI = math.pi
 
@@ -161,6 +162,8 @@ def run_sweep(fixed: dict, grids: list[tuple[str, np.ndarray]], quad: Quadrature
         values = np.asarray(values)
         if values.size == 0 or np.any(np.diff(values) <= 0) and values.size > 1:
             raise ValueError(f"grid for {name!r} must be nonempty and strictly increasing")
+        if name == "tau":
+            check_tau(max(values.tolist(), key=abs), "--sweep tau=")
     mesh = [np.asarray(v, dtype=float) for _, v in grids]
     points = [{**fixed, **{n: float(v) for n, v in zip(names, combo)}}
               for combo in itertools.product(*mesh)]
@@ -225,6 +228,8 @@ def optimize(fixed: OhmicSpectrum, free: list[str], t: float, bounds: dict,
         lo, hi = bounds[name]
         if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
             raise ValueError(f"bad bounds for {name!r}: {bounds[name]}")
+        if name == "tau":
+            check_tau(max(lo, hi, key=abs), "--tau-bounds")
 
     log = []
 
@@ -233,19 +238,18 @@ def optimize(fixed: OhmicSpectrum, free: list[str], t: float, bounds: dict,
         log.append((dict(p), g))
         return g
 
-    # joint coarse scan: one gamma_continuum_thetas call per tau serves the
-    # theta axis; the points are then logged in the order of the free axes
+    # joint coarse scan: one gamma_continuum_batch call, one integral per tau
+    # serving the theta axis; the points are logged in the order of the free axes
     axes = {name: np.linspace(bounds[name][0], bounds[name][1],
                               grid_points if bounds[name][0] != bounds[name][1] else 1)
             for name in free}
     scan = {"tau": [fixed.tau], "theta": [fixed.theta]}
     scan.update({name: [float(v) for v in axes[name]] for name in free})
-    grid = [gamma_continuum_thetas(replace(fixed, tau=tau), t, scan["theta"], quad)
-            for tau in scan["tau"]]
+    grid = gamma_continuum_batch(fixed, scan["tau"], [t] * len(scan["tau"]), scan["theta"], quad)
     for combo in itertools.product(*(range(len(scan[n])) for n in free)):
         at = {"tau": 0, "theta": 0, **dict(zip(free, combo))}
         p = {n: scan[n][at[n]] for n in ("tau", "theta")}
-        log.append((p, float(grid[at["tau"]][at["theta"]])))
+        log.append((p, float(grid[at["tau"], at["theta"]])))
     best_p = min(log, key=lambda e: e[1])[0]
 
     # per-axis golden refinement around the best grid point
@@ -273,6 +277,7 @@ def crossover(fixed: OhmicSpectrum, t: float, quad: QuadratureSpec,
     None when Gamma(tau) - Gamma(0) never changes sign on (0, tau_max]."""
     if not 0.0 < tau_max < math.inf:
         raise ValueError(f"tau_max (--tau-max) must be finite and > 0, got {tau_max}")
+    check_tau(tau_max, "--tau-max")
 
     def g(tau):
         return gamma_continuum_nh(replace(fixed, tau=tau), t, quad)

@@ -1,0 +1,70 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+METRICS = {"gamma_per_s": {"better": "higher", "bound": 0.25},
+           "cmd_p50_ms": {"better": "lower", "bound": 0.25}}
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def runs(parent: dict, change: dict) -> list[dict]:
+    """Synthetic paired runs of one workload: each side's values per metric,
+    one per seed."""
+    out = []
+    for side, values in (("parent", parent), ("change", change)):
+        for seed in range(len(next(iter(values.values())))):
+            out.append({"side": side, "workload": "w", "seed": seed, "result": {
+                "correct": True, "failed": 0,
+                "metrics": {name: {"value": v[seed]} for name, v in values.items()}}})
+    return out
+
+
+STEADY = [100.0, 101.0, 99.0, 100.0, 100.0]
+WIDE = [50.0, 100.0, 150.0, 100.0, 200.0]  # q3 - q1 = 50, above 0.25 x 100
+
+
+@pytest.mark.parametrize("parent, change, better, expected", [
+    (STEADY, [70.0, 71.0, 69.0, 70.0, 70.0], "higher", "worse"),
+    (STEADY, [100.5, 100.0, 99.5, 101.0, 99.0], "higher", "unchanged"),
+    (STEADY, [110.0, 111.0, 109.0, 110.0, 110.0], "higher", "better"),
+    (WIDE, [100.0] * 5, "higher", "unresolved"),
+    # every change run beats every parent run: the spread does not matter
+    (WIDE, [300.0] * 5, "higher", "better"),
+    # a wide spread does not hide a median past the bound
+    (WIDE, [60.0] * 5, "higher", "worse"),
+    (STEADY, [130.0] * 5, "lower", "worse"),
+    (STEADY, [90.0, 91.0, 89.0, 90.0, 90.0], "lower", "better"),
+    (WIDE, [100.0] * 5, "lower", "unresolved"),
+    (WIDE, [40.0] * 5, "lower", "better"),
+    # wins in fewer than nine tenths of the pairs are not a gain
+    (STEADY, [110.0, 110.0, 110.0, 110.0, 90.0], "higher", "unchanged"),
+])
+def test_verdict_of_each_metric(parent, change, better, expected):
+    bench_pairs = load_bench_pairs()
+    name = "gamma_per_s" if better == "higher" else "cmd_p50_ms"
+    other = "cmd_p50_ms" if better == "higher" else "gamma_per_s"
+    summary = bench_pairs.summarize(runs({name: parent, other: STEADY},
+                                         {name: change, other: STEADY}), METRICS)
+    entry = summary["w"]
+    assert entry[name]["verdict"] == expected
+    assert entry[other]["verdict"] == "unchanged"
+    assert entry[name]["pairs"] == 5
+    assert entry[name]["parent_median"] == sorted(parent)[2]
+    assert entry["all_correct"] is True
+    assert entry["failed_operations"] == {"parent": 0, "change": 0}
+
+
+def test_verdict_scales_the_bound_by_the_parent_median():
+    # the bound is a share of the parent's median: 20 % worse passes 0.25, not 0.1
+    bench_pairs = load_bench_pairs()
+    assert bench_pairs.verdict(STEADY, [80.0] * 5, "higher", 0.25) == "unchanged"
+    assert bench_pairs.verdict(STEADY, [80.0] * 5, "higher", 0.1) == "worse"
+    assert bench_pairs.verdict(STEADY, [80.0] * 5, "lower", 0.1) == "better"

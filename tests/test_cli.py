@@ -26,7 +26,8 @@ from ptbath.cli import (
     run_figure,
     run_sweep,
 )
-from ptbath.continuum import OhmicSpectrum, QuadratureSpec, gamma_continuum_nh, spectral_density
+from ptbath.continuum import (OhmicSpectrum, QuadratureSpec, gamma_continuum_batch,
+                              gamma_continuum_nh, spectral_density)
 from ptbath.continuum import integrate_adaptive
 from ptbath.core import dephasing_kernel, load_bath_csv
 
@@ -519,16 +520,39 @@ class TestOptimize:
         assert code == 0
         grouped_calls = calls[0]
 
-        def per_point(spec, t, thetas, quad=None):
-            return np.array([gamma_continuum_nh(replace(spec, theta=th), t, quad)
-                             for th in thetas])
+        def per_point(spec, taus, times, thetas, quad=None):
+            return np.array([[gamma_continuum_nh(replace(spec, tau=tau, theta=th), t, quad)
+                              for th in thetas] for tau, t in zip(taus, times)])
 
-        monkeypatch.setattr(drivers, "gamma_continuum_thetas", per_point)
+        monkeypatch.setattr(drivers, "gamma_continuum_batch", per_point)
         calls[0] = 0
         code, single = run_cli(tmp_path, *argv)
         assert code == 0
         assert grouped == single
         assert grouped_calls == calls[0] - 6 * 6 + 6
+
+    def test_grid_runs_in_engine_batches(self, tmp_path, monkeypatch):
+        # the 64-point tau grid is one gamma_continuum_batch call, which takes
+        # one engine pass per batch; the golden refinement runs outside it
+        passes, in_grid = [0], [False]
+
+        def counting(*args, **kwargs):
+            passes[0] += in_grid[0]
+            return integrate_adaptive(*args, **kwargs)
+
+        def grid(*args, **kwargs):
+            in_grid[0] = True
+            try:
+                return gamma_continuum_batch(*args, **kwargs)
+            finally:
+                in_grid[0] = False
+
+        monkeypatch.setattr(continuum, "integrate_adaptive", counting)
+        monkeypatch.setattr(drivers, "gamma_continuum_batch", grid)
+        code, _ = run_cli(tmp_path, "optimize", "--free", "tau", "--t", "20")
+        assert code == 0
+        taus = np.linspace(0.0, 20.0, 64)
+        assert passes[0] == len(continuum.batches(0.1, taus, [20.0] * 64, 1)) < 64
 
     def test_rejects_empty_free_set(self):
         with pytest.raises(ValueError):
@@ -648,6 +672,26 @@ class TestExitCodesAndConfig:
         # inside the kernel constants' range a huge tau is a start grid over budget
         assert exit_code("gamma", "--t", "1", "--tau", "1e76") == 3
         assert "start grid needs" in capsys.readouterr().err
+        # a count past 1e15 prints in three digits
+        assert exit_code("crossover", "--t", "1e300") == 3
+        assert "start grid needs 4.77e+299 panels" in capsys.readouterr().err
+
+    def test_start_grid_past_memory_exits_3(self, monkeypatch, capsys):
+        # 4.77e59 start panels within a budget of 1e70: numpy refuses the
+        # array before allocating anything
+        assert exit_code("gamma", "--t", "1e60", "--max-subdivisions", "1" + "0" * 70) == 3
+        err = capsys.readouterr().err
+        assert "4.77e+59 panels, more than fit in memory under --max-subdivisions 1e+70" in err
+        assert "'t': 1e+60" in err
+
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(continuum, "_initial_edges", no_memory)
+        assert exit_code("gamma", "--t", "20") == 3
+        err = capsys.readouterr().err
+        assert "more than fit in memory under --max-subdivisions 2000000" in err
+        assert "'t': 20.0" in err
 
     def test_large_amplitude_is_scaled_not_overflowed(self, tmp_path, capsys):
         # Gamma is linear in A: 3.38e4 per unit amplitude at these defaults
@@ -902,11 +946,17 @@ class TestFlagsPerSubcommand:
         (("oracle", "--fock-dim", "1"), "--fock-dim"),
         (("oracle", "--dim-budget", "0"), "--dim-budget"),
         (("oracle", "--fock-dim", "80", "--dim-budget", "60"), "--dim-budget"),
+        # a tau past the kernel constants, named by the flag that scans it
+        (("crossover", "--tau-max", "1e100"), "(--tau-max)"),
+        (("optimize", "--free", "tau", "--tau-bounds", "0:1e100"), "(--tau-bounds)"),
+        (("sweep", "--sweep", "tau=0:1e100:2"), "(--sweep tau=)"),
     ])
-    def test_library_checks_name_the_flag(self, argv, flag, capsys):
-        # values that argparse passes and the library rejects
+    def test_library_checks_name_the_flag(self, argv, flag, capsys, monkeypatch):
+        # values that argparse passes and the library rejects before any integral
+        calls = count_integrals(monkeypatch)
         assert exit_code(*argv) == 2
         assert flag in capsys.readouterr().err
+        assert calls[0] == 0
 
     def test_drivers_reject_what_they_used_to_clamp(self):
         quad, spec = QuadratureSpec(), OhmicSpectrum(1.0, 0.1)

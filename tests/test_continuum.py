@@ -17,7 +17,6 @@ from ptbath.continuum import (
     batches,
     gamma_continuum_batch,
     gamma_continuum_nh,
-    gamma_continuum_thetas,
     gamma_hermitian,
     gamma_integrand_hermitian,
     gamma_integrand_nh,
@@ -364,7 +363,7 @@ class TestGroupedThetas:
         quad = QuadratureSpec(rel_tol=1e-13)
         spec = OhmicSpectrum(10.0, 0.5, 0.0, 0.0, 2.0)
         thetas = [2.0, 0.3, 1.0, 0.3, 3.0, -5.0]
-        grouped = gamma_continuum_thetas(spec, 5.0, thetas, quad)
+        grouped = gamma_continuum_batch(spec, [spec.tau], [5.0], thetas, quad)[0]
         grouped_points = sum(sizes)
         single_points = []
         for theta, g in zip(thetas, grouped):
@@ -385,7 +384,7 @@ class TestGroupedThetas:
                 t = rng.uniform(0.1, 30.0)
                 thetas = list(rng.uniform(-7.0, 7.0, size=5))
                 thetas += thetas[:2]
-                grouped = gamma_continuum_thetas(spec, t, thetas, quad)
+                grouped = gamma_continuum_batch(spec, [spec.tau], [t], thetas, quad)[0]
                 for theta, g in zip(thetas, grouped):
                     assert g == gamma_continuum_nh(
                         OhmicSpectrum(spec.amplitude, spec.cutoff, theta, spec.temperature,
@@ -395,16 +394,17 @@ class TestGroupedThetas:
         spec = OhmicSpectrum(1.0, 0.1, 0.0, 300.0, 1.0)
         thetas = [0.0, 0.7, 2.1]
         quad = QuadratureSpec(rel_tol=1e-13)
-        default = gamma_continuum_thetas(spec, 5.0, thetas, quad)
+        default = gamma_continuum_batch(spec, [spec.tau], [5.0], thetas, quad)[0]
         for block in (1, 45, 15 * 3 * 7):
             monkeypatch.setattr(continuum, "_BLOCK_VALUES", block)
-            assert np.array_equal(gamma_continuum_thetas(spec, 5.0, thetas, quad), default)
+            again = gamma_continuum_batch(spec, [spec.tau], [5.0], thetas, quad)[0]
+            assert np.array_equal(again, default)
 
     def test_large_groups_are_split(self, monkeypatch):
         # 30 start panels here: four phases per integral at this record bound
         spec = OhmicSpectrum(1.0, 0.1, 0.0, 300.0, 0.5)
         thetas = [0.1 * i for i in range(10)]
-        whole = gamma_continuum_thetas(spec, 2.0, thetas)
+        whole = gamma_continuum_batch(spec, [spec.tau], [2.0], thetas)[0]
         monkeypatch.setattr(continuum, "_RECORD_VALUES", 4 * 30)
         outputs = []
         real = continuum.integrate_adaptive
@@ -414,14 +414,14 @@ class TestGroupedThetas:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(continuum, "integrate_adaptive", recording)
-        assert np.array_equal(gamma_continuum_thetas(spec, 2.0, thetas), whole)
+        assert np.array_equal(gamma_continuum_batch(spec, [spec.tau], [2.0], thetas)[0], whole)
         assert outputs == [4, 4, 2]
 
     def test_integrand_calls_stay_within_the_block(self, monkeypatch):
         sizes = count_integrand_points(monkeypatch)
         spec = OhmicSpectrum(1.0, 0.7, 0.0, 0.05, -19.3)
         thetas = [0.0, 1.0, 4.9]
-        gamma_continuum_thetas(spec, 80.0, thetas)
+        gamma_continuum_batch(spec, [spec.tau], [80.0], thetas)[0]
         assert len(sizes) > 1
         assert max(sizes) * len(thetas) <= continuum._BLOCK_VALUES
         sizes.clear()
@@ -431,18 +431,19 @@ class TestGroupedThetas:
 
     def test_zero_time_zero_amplitude_and_no_phases(self):
         spec = OhmicSpectrum(1.0, 0.1, 0.0, 300.0, 2.0)
-        assert np.array_equal(gamma_continuum_thetas(spec, 0.0, [0.1, 0.2]), [0.0, 0.0])
+        assert np.array_equal(gamma_continuum_batch(spec, [spec.tau], [0.0], [0.1, 0.2])[0],
+                              [0.0, 0.0])
         assert np.array_equal(
-            gamma_continuum_thetas(OhmicSpectrum(0.0, 0.1, tau=2.0), 5.0, [0.1, 0.2, 0.3]),
+            gamma_continuum_batch(OhmicSpectrum(0.0, 0.1), [2.0], [5.0], [0.1, 0.2, 0.3])[0],
             [0.0, 0.0, 0.0])
-        assert gamma_continuum_thetas(spec, 5.0, []).shape == (0,)
+        assert gamma_continuum_batch(spec, [spec.tau], [5.0], [])[0].shape == (0,)
 
     def test_engine_routes_through_the_module_integrand(self, monkeypatch):
         # every node of a grouped integral goes through the module-level
         # gamma_integrand_nh, once for all phases
         sizes = count_integrand_points(monkeypatch)
         spec = OhmicSpectrum(1.0, 0.1, 0.0, 300.0, 2.0)
-        gamma_continuum_thetas(spec, 2.0, [0.0, 1.0, 2.0])
+        gamma_continuum_batch(spec, [spec.tau], [2.0], [0.0, 1.0, 2.0])[0]
         grouped = sum(sizes)
         sizes.clear()
         gamma_continuum_nh(spec, 2.0)
@@ -646,7 +647,7 @@ class TestTermRoute:
         for temperature, tau, t in cases:
             spec = OhmicSpectrum(1.0, rng.uniform(0.05, 0.5), 0.0, temperature, tau)
             thetas = list(rng.uniform(-7.0, 7.0, n_phases))
-            got = gamma_continuum_thetas(spec, t, thetas, quad)
+            got = gamma_continuum_batch(spec, [spec.tau], [t], thetas, quad)[0]
             ref = self.node_level(spec, t, thetas, quad)
             assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), (temperature, tau, t)
 
@@ -678,7 +679,7 @@ class TestTermRoute:
         spec = OhmicSpectrum(1.0, 0.1, 0.0, 300.0, 4.0)
         for n_phases in (1, 3, 25, 721):
             calls.clear()
-            gamma_continuum_thetas(spec, 20.0, list(np.linspace(0.0, math.pi, n_phases)))
+            gamma_continuum_batch(spec, [4.0], [20.0], list(np.linspace(0.0, math.pi, n_phases)))
             assert calls
             assert all(values == 3 * nodes for nodes, values in calls)
             assert max(values for _, values in calls) <= continuum._BLOCK_VALUES
@@ -690,7 +691,7 @@ class TestTermRoute:
         # start panels here keep the 721 phases in one integral)
         sizes = count_integrand_points(monkeypatch)
         thetas = list(np.linspace(0.0, 2.0 * math.pi, 721))
-        gamma_continuum_thetas(OhmicSpectrum(1.0, 0.1, 0.0, 300.0, 20.0), 140.0, thetas)
+        gamma_continuum_batch(OhmicSpectrum(1.0, 0.1, 0.0, 300.0), [20.0], [140.0], thetas)
         n = _NODES.size
         assert sum(sizes) // n * len(thetas) > 5 * continuum._BLOCK_VALUES
         assert max(sizes) // n * len(thetas) <= continuum._BLOCK_VALUES // n
@@ -703,7 +704,7 @@ class TestTermRoute:
         specs = [OhmicSpectrum(1.0, 0.1, 0.0, 300.0, tau) for tau in (0.5, 2.0, 4.0, 7.0)]
 
         def gammas(spec):
-            return gamma_continuum_thetas(spec, 40.0, [0.0, 1.0, 2.0])
+            return gamma_continuum_batch(spec, [spec.tau], [40.0], [0.0, 1.0, 2.0])[0]
 
         alone = [gammas(spec) for spec in specs]
         with ThreadPoolExecutor(4) as pool:
@@ -819,7 +820,7 @@ class TestTailBound:
         sizes = count_integrand_points(monkeypatch)
         thetas = [0.0, math.pi / 2, 2 * math.pi / 3]
         spec = OhmicSpectrum(1.0, 0.1, 0.0, 300.0, 20.0)
-        grouped = gamma_continuum_thetas(spec, 120.0, thetas)
+        grouped = gamma_continuum_batch(spec, [spec.tau], [120.0], thetas)[0]
         single_points = []
         for theta, g in zip(thetas, grouped):
             sizes.clear()
@@ -884,7 +885,8 @@ class TestAmplitude:
         for amp in (1e-6, 0.1, 7.0, 1e299, 1e300):
             g = gamma_continuum_nh(replace(spec, amplitude=amp), 20.0)
             assert g == pytest.approx(amp * unit, rel=1e-12)
-        grouped = gamma_continuum_thetas(replace(spec, amplitude=1e300), 20.0, [0.3, 1.0])
+        grouped = gamma_continuum_batch(replace(spec, amplitude=1e300), [spec.tau], [20.0],
+                                        [0.3, 1.0])[0]
         assert grouped[0] == pytest.approx(1e300 * unit, rel=1e-12)
 
     def test_empty_batch(self):
@@ -896,7 +898,7 @@ class TestAmplitude:
         with pytest.raises(ValueError, match="amplitude"):
             gamma_continuum_nh(spec, 20.0)
         with pytest.raises(ValueError, match="amplitude"):
-            gamma_continuum_thetas(spec, 20.0, [0.3, 1.0])
+            gamma_continuum_batch(spec, [spec.tau], [20.0], [0.3, 1.0])[0]
 
 
 class TestQuadratureSpec:

@@ -36,8 +36,10 @@ each preset CSV and minor page faults per preset, the oracle runs
 (`oracle_t10`: exit code, peak RSS in MB and wall seconds per run and side),
 the number of CSV rows per preset that differ between the sides (a row only
 one side has counts too), and per workload and end-to-end metric of BENCHMARK.json the number
-of pairs, the pairs the change wins (ties count for neither side) and each
-side's median and quartiles (linear interpolation between closest ranks).
+of pairs, the pairs the change wins (ties count for neither side), each
+side's median and quartiles (linear interpolation between closest ranks)
+and a verdict against the metric's bound: worse, unresolved, better or
+unchanged (see `verdict`).
 """
 
 from __future__ import annotations
@@ -167,7 +169,31 @@ def rows_changed(parent: str, change: str) -> int:
                                                          change.splitlines()))
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """One metric's verdict over paired runs, `better` being "higher" or
+    "lower".  worse: the change's median trails the parent's by more than
+    bound x |parent median|.  unresolved: the parent's q3 - q1 exceeds that
+    amount, unless every change run beats every parent run.  better: the
+    change wins nine tenths of the pairs and its median leads by more than
+    the parent's q3 - q1.  unchanged: every other case."""
+    sign = 1.0 if better == "higher" else -1.0
+    parent, change = [sign * v for v in parent], [sign * v for v in change]  # higher is better
+    allowed = bound * abs(quantile(parent, 0.5))
+    lead = quantile(change, 0.5) - quantile(parent, 0.5)
+    spread = quantile(parent, 0.75) - quantile(parent, 0.25)
+    if lead < -allowed:
+        return "worse"
+    if spread > allowed and not min(change) > max(parent):
+        return "unresolved"
+    if sum(c > p for p, c in zip(parent, change)) >= 0.9 * len(parent) and lead > spread:
+        return "better"
+    return "unchanged"
+
+
+def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per workload and end-to-end metric (metrics: BENCHMARK.json's entries
+    by name, with their `better` and `bound`), the pairs, the change's wins,
+    each side's median and quartiles and the verdict."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         sides = {side: {r["seed"]: r["result"] for r in runs
@@ -175,16 +201,17 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                  for side in ("parent", "change")}
         seeds = sorted(set(sides["parent"]) & set(sides["change"]))
         entry = {}
-        for name, direction in better.items():
+        for name, metric in metrics.items():
             parent = [sides["parent"][s]["metrics"][name]["value"] for s in seeds]
             change = [sides["change"][s]["metrics"][name]["value"] for s in seeds]
-            sign = 1.0 if direction == "higher" else -1.0
+            sign = 1.0 if metric["better"] == "higher" else -1.0
             entry[name] = {
                 "pairs": len(seeds),
                 "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
                 **{f"{side}_{stat}": quantile(values, q)
                    for side, values in (("parent", parent), ("change", change))
                    for stat, q in (("median", 0.5), ("q1", 0.25), ("q3", 0.75))},
+                "verdict": verdict(parent, change, metric["better"], metric["bound"]),
             }
         entry["all_correct"] = all(res["correct"] for side in sides.values()
                                    for res in side.values())
@@ -206,7 +233,7 @@ def main() -> int:
     args = parser.parse_args()
     commit = subprocess.run(["git", "rev-parse", "--verify", args.parent + "^{commit}"],
                             cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    metrics = {m["name"]: m for m in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
     seed_base = {w["name"]: 100 * n + 1 for n, w in enumerate(benchmark["workloads"], 1)}
     pairs = {w: CLAIM_PAIRS if w == args.claim else OTHER_PAIRS for w in seed_base}
@@ -280,7 +307,7 @@ def main() -> int:
         "figure_rows_changed": changed,
         "figure_minor_faults": faults,
         "oracle_t10": {"command": "python " + " ".join(ORACLE_ARGV), **oracle},
-        "summary": summarize(runs, better),
+        "summary": summarize(runs, metrics),
     }
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
