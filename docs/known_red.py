@@ -86,14 +86,15 @@ def gamma_tau_over_omega(theta, tau, t, eps, quad):
     """The Ohmic integral from eps to 60 cutoff of that kernel, over u = ln w."""
     lam, T = FIG["cutoff"], FIG["temperature"]
 
-    def f(u):
+    def f(u, ids):
         w = np.exp(u)
         return w * spectral_density(w, FIG["amplitude"], lam) * kernel_tau_over_omega(
             w, theta, tau, t, T)
 
     # the phase t sqrt(w^2 + 4 tau^2) turns at most t * 60 cutoff per unit u
     width = 2.0 * math.pi / (8.0 * max(t, 1.0) * 60.0 * lam)
-    return integrate_adaptive(f, math.log(eps), math.log(60.0 * lam), quad, width)
+    return integrate_adaptive(f, math.log(eps), math.log(60.0 * lam), quad, [width], [None],
+                              [[1.0]])[0, 0]
 
 
 def tau_over_omega(quad: QuadratureSpec) -> None:

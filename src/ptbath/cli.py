@@ -368,6 +368,18 @@ def _with_config(parser, argv: list[str]) -> list[str]:
     return argv[:1] + flags + argv[1:]
 
 
+def _failed_integral(params: dict) -> dict:
+    """The params of gamma_continuum_batch's QuadratureError, as printed: A,
+    cutoff and temperature of its spectrum (whose tau and theta are not the
+    integral's), the integral's tau and t, and more than three phases as
+    their count and range."""
+    spec, thetas = params["spec"], params["thetas"]
+    if len(thetas) > 3:
+        thetas = f"{len(thetas)} phases in [{min(thetas):g}, {max(thetas):g}]"
+    return {"A": spec.amplitude, "cutoff": spec.cutoff, "temp": spec.temperature,
+            "tau": params["tau"], "t": params["t"], "thetas": thetas}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
@@ -375,7 +387,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(_with_config(parser, argv))
         return args.func(args)
     except QuadratureError as exc:
-        print(f"error: {exc} (params: {exc.params})", file=sys.stderr)
+        print(f"error: {exc} (params: {_failed_integral(exc.params)})", file=sys.stderr)
         return EXIT_QUADRATURE
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

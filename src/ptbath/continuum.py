@@ -167,22 +167,18 @@ def _terms_buffer(shape) -> np.ndarray:
     return _WORKSPACE.terms[:size].reshape(shape)
 
 
-def gamma_integrand_nh(omega, spec: OhmicSpectrum, t, thetas=None, tau=None, *,
-                       terms=False, out=None):
-    """Integrand of the non-Hermitian continuum decoherence factor:
-    J(w) times the dephasing kernel 2 |xi_w(t)|^2 coth(w/2T) of a
-    unit-magnitude coupling of phase theta.
-
-    With terms=True the result is J(w) times the kernel's phase-free terms
-    T0, T1, T2, of shape (3,) + omega.shape (in out if given), which the
-    engine integrates once for all phases.  Otherwise they are combined per
-    node: into one row per phase of a sequence thetas, of shape
-    (len(thetas),) + omega.shape, or else into the row of spec.theta, with
-    the shape of omega.  t and tau (default spec.tau) may be arrays
-    broadcasting against omega.  The removable 0*inf form at w -> 0 is
-    replaced by its analytic limit 2 A t^2 * w coth(w/2T) (in T0; T1 = T2 =
-    0) only where the kernel's w^2 would underflow, so the two never meet at
-    a resolvable frequency.
+def gamma_integrand_nh(omega, spec: OhmicSpectrum, t, tau=None, *, out=None):
+    """Integrand of the non-Hermitian continuum decoherence factor, as J(w)
+    times the phase-free terms T0, T1, T2 of the dephasing kernel
+    2 |xi_w(t)|^2 coth(w/2T) of a unit-magnitude coupling: an array of
+    shape (3,) + omega.shape, in out if given.  A coupling of phase theta
+    has the integrand T0 + sin(theta) cos(theta) T1 + cos^2(theta) T2
+    (core.dephasing_kernel), which the engine forms per panel for every
+    phase from one integral of the terms; spec.theta is not used.  t and
+    tau (default spec.tau) may be arrays broadcasting against omega.  The
+    removable 0*inf form at w -> 0 is replaced by its analytic limit
+    2 A t^2 * w coth(w/2T) (in T0; T1 = T2 = 0) only where the kernel's w^2
+    would underflow, so the two never meet at a resolvable frequency.
     """
     if not isinstance(t, np.ndarray):
         check_time(t)
@@ -196,19 +192,12 @@ def gamma_integrand_nh(omega, spec: OhmicSpectrum, t, thetas=None, tau=None, *,
     # that the kernel divides in place
     weight = np.exp(np.divide(ws, -lam, out=buf[2]), out=buf[2])
     weight *= ws if A == 1.0 else A * ws
-    # the coefficients with a phase axis ahead of the nodes, or none for the terms
-    coeffs = () if terms else (c.reshape((-1,) + (1,) * w.ndim) for c in
-                               _phase_columns([spec.theta] if thetas is None else thetas))
-    out = dephasing_kernel(ws, weight, tau, t, T, *coeffs, out=buf)
+    out = dephasing_kernel(ws, weight, tau, t, T, out=buf)
     if any_small:  # the limit does not depend on the phase: T0 carries it
         wl, tl = w[small], np.broadcast_to(t, w.shape)[small]
-        out[:, small] = 2.0 * A * tl * tl * _omega_coth(wl, T) * np.exp(-wl / lam)
-        if terms:
-            out[1:, small] = 0.0
-    out = out.reshape(out.shape[:1] + np.shape(omega))
-    if terms or thetas is not None:
-        return out
-    return float(out[0]) if out.ndim == 1 else out[0]
+        out[0, small] = 2.0 * A * tl * tl * _omega_coth(wl, T) * np.exp(-wl / lam)
+        out[1:, small] = 0.0
+    return out.reshape((3,) + np.shape(omega))
 
 
 def gamma_integrand_hermitian(omega, amplitude: float, cutoff: float, temperature: float, t: float):
@@ -258,26 +247,23 @@ def _node_sum(terms: np.ndarray) -> np.ndarray:
     return np.add.reduce(terms, axis=1)
 
 
-def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_width,
-                       params=None, outputs: int | None = None, bound=None, mix=None):
-    """Globally adaptive nested Gauss-Kronrod G15/K31 quadrature of one
-    integrand, or of several over one shared subdivision, or of a batch.
+def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_width, params,
+                       mix, bound=None):
+    """Globally adaptive nested Gauss-Kronrod G15/K31 quadrature of a batch
+    of integrals, each of several outputs over one shared subdivision.
 
-    f maps a 1-D array of n nodes to n values, and the result is a float.
-    With outputs=k it maps them to a (k, n) array, k integrands at the same
-    nodes, and the result is an array of the k integrals.  Given a (k, r)
-    array mix, f gives r rows instead, and output j's K31 and G15 on a panel
-    are mix[j, 0] K(row 0) + mix[j, 1] K(row 1) + ....  A batch has one
-    panel width and one params entry per integral, and one result row per
-    integral; f(x, ids) and bound(a, ids) then take the (31, m) nodes or
-    left edges of m panels with their integrals' indices.  Given mix, f's
-    rows are scaled in place once used, so f must return a writable float
-    array that it does not keep.
+    The batch has one panel width and one params entry per integral.
+    f(x, ids) maps the (31, m) nodes of m panels, with their integrals'
+    indices ids, to r rows of values at those nodes, and the (k, r) array
+    mix makes k outputs of them: output j's K31 and G15 on a panel are
+    mix[j, 0] K(row 0) + mix[j, 1] K(row 1) + ....  f's rows are scaled in
+    place once used, so f must return a writable float array that it does
+    not keep.  The result is an (integrals, k) array.
 
     Panels of panel_width anchored at lo.  Each round evaluates the 31
     Kronrod nodes of every open panel, in blocks of at most _BLOCK_NODES
-    nodes and _BLOCK_VALUES nodes x max(rows, outputs); the 15-point Gauss
-    estimate reuses 15 of them.  A panel is accepted for an output when
+    nodes and _BLOCK_VALUES nodes x max(r, k); the 15-point Gauss estimate
+    reuses 15 of them.  A panel is accepted for an output when
     |K31 - G15| <= rel_tol |K31| + abs_tol * width and contributes K31 to
     it; it is bisected for the outputs it failed for only.  An output's
     total adds its accepted values one by one in evaluation order.  A
@@ -286,8 +272,8 @@ def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_widt
     integral is bit for bit the same alone, in any group or batch and at
     any block size.
 
-    bound, if given, maps the left edges of the n start panels to an
-    (outputs, n) array (n values without outputs) that bounds |f| over
+    bound, if given, maps the left edges a of the start panels, with their
+    integrals' indices, to a (k, a.size) array that bounds |output| over
     each panel.  A start panel whose bound is <= abs_tol/2 is accepted for
     that output with value 0 without being evaluated: its K31 and G15 lie
     within abs_tol * width / 2 of 0, so it would pass the test above, and
@@ -300,10 +286,6 @@ def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_widt
     panels; when its start grid cannot be allocated; and when bisection
     for any one of its outputs exceeds them.
     """
-    if not np.iterable(panel_width):  # the batch of one
-        total = integrate_adaptive(lambda x, ids: f(x.ravel()), lo, hi, quad, [panel_width],
-                                   [params], outputs, bound and (lambda a, ids: bound(a)), mix)[0]
-        return float(total) if outputs is None else total
     grids = []
     for i, width in enumerate(panel_width):
         n_panels = (hi - lo) / width if width > 0.0 else math.inf
@@ -317,8 +299,8 @@ def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_widt
             raise QuadratureError(f"the start grid needs {_count(n_panels)} panels, more than "
                                   "fit in memory under --max-subdivisions "
                                   f"{_count(quad.max_subdivisions)}", params[i]) from None
-    n, k = len(panel_width), 1 if outputs is None else outputs
-    rows = k if mix is None else len(mix[0])
+    mix = np.asarray(mix, dtype=float)
+    (k, rows), n = mix.shape, len(panel_width)
     block = max(1, min(_BLOCK_NODES, _BLOCK_VALUES // max(rows, k)) // _NODES.size)
     a, b = np.concatenate([e[:-1] for e in grids]), np.concatenate([e[1:] for e in grids])
     ids = np.arange(n).repeat([e.size - 1 for e in grids])  # each panel's integral
@@ -339,11 +321,10 @@ def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_widt
             fx = f(mid + half * _NODES[:, None], pi).reshape(rows, _NODES.size, -1)
             rule = np.empty((2, rows, pa.size))  # each row's K31 and G15
             rule[1] = _node_sum(fx[:, 1::2] * _WEIGHTS[1::2, 1:])
-            rule[0] = _node_sum(np.multiply(fx, _WEIGHTS[:, :1], out=None if mix is None else fx))
-            if mix is not None:  # output j: mix[j, 0] K(row 0) + mix[j, 1] K(row 1) + ...
-                rule, terms = rule[:, :1] * mix[:, :1], rule
-                for i in range(1, rows):
-                    rule += terms[:, i:i + 1] * mix[:, i:i + 1]
+            rule[0] = _node_sum(np.multiply(fx, _WEIGHTS[:, :1], out=fx))
+            rule, terms = rule[:, :1] * mix[:, :1], rule
+            for i in range(1, rows):
+                rule += terms[:, i:i + 1] * mix[:, i:i + 1]
             k31, g15 = rule * half
             ok = np.abs(k31 - g15) <= quad.rel_tol * np.abs(k31) + quad.abs_tol * 2.0 * half
             ok &= open_[:, s:s + block]
@@ -364,8 +345,7 @@ def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_widt
         m = 0.5 * (sa + sb)
         a, b = np.concatenate([sa, m]), np.concatenate([m, sb])
         ids, open_ = np.concatenate([si, si]), np.concatenate([so, so], axis=1)
-    totals = totals.reshape(n, k)
-    return totals[:, 0] if outputs is None else totals
+    return totals.reshape(n, k)
 
 
 def _panel_width(cutoff: float, t: float, tau: float) -> float:
@@ -464,16 +444,16 @@ def gamma_continuum_batch(spec: OhmicSpectrum, taus, times, thetas,
         lone = len(widths) == 1
         f = lambda w, ids: gamma_integrand_nh(  # noqa: E731  (the terms serve every phase)
             w, unit, times[cut.start] if lone else ts[ids], tau=None if lone else us[ids],
-            terms=True, out=_terms_buffer((3,) + w.shape))
+            out=_terms_buffer((3,) + w.shape))
         step = max(1, int(_RECORD_VALUES * min(widths) / hi))
         for i in range(0, len(thetas), step):
             part = thetas[i:i + step]
             gammas[cut, i:i + step] = integrate_adaptive(
-                f, 0.0, hi, unit_quad, widths, outputs=len(part),
-                bound=_tail_bound(unit, part, None if lone else us),
-                mix=np.hstack([np.ones((len(part), 1)), *_phase_columns(part)]),
-                params=[{"spec": spec, "tau": tau, "t": t, "thetas": part}
-                        for tau, t in zip(taus[cut], times[cut])])
+                f, 0.0, hi, unit_quad, widths,
+                [{"spec": spec, "tau": tau, "t": t, "thetas": part}
+                 for tau, t in zip(taus[cut], times[cut])],
+                np.hstack([np.ones((len(part), 1)), *_phase_columns(part)]),
+                _tail_bound(unit, part, None if lone else us))
     with np.errstate(over="ignore"):
         gammas = amp * np.maximum(gammas, 0.0)
     if not np.isfinite(gammas).all():
@@ -498,8 +478,8 @@ def gamma_hermitian(amplitude: float, cutoff: float, temperature: float, t: floa
     hi = _OMEGA_MAX_CUTOFFS * cutoff
     width = _panel_width(cutoff, t, 0.0)
     total = integrate_adaptive(
-        lambda w: gamma_integrand_hermitian(w, amplitude, cutoff, temperature, t),
-        0.0, hi, quad, width,
-        params={"amplitude": amplitude, "cutoff": cutoff, "temperature": temperature, "t": t},
-    )
-    return max(total, 0.0)
+        lambda w, ids: gamma_integrand_hermitian(w, amplitude, cutoff, temperature, t),
+        0.0, hi, quad, [width],
+        [{"amplitude": amplitude, "cutoff": cutoff, "temperature": temperature, "t": t}],
+        [[1.0]])[0, 0]
+    return max(float(total), 0.0)

@@ -225,10 +225,10 @@ def dephasing_kernel(w, weight, tau, t, temperature: float, sin_cos=None, cos2=N
     """weight * 2 |xi_w(t)|^2 coth(w/2T) for a unit coupling of phase phi,
     given as sin_cos = sin(phi) cos(phi) and cos2 = cos^2(phi), elementwise
     over w > 0.  tau, t and the coefficients may be arrays that broadcast
-    against w, so one call serves one phase per mode (a discrete bath) or
-    many phases per node (with a leading phase axis).  Without them it
-    returns the terms T0, T1, T2 below on a new leading axis, in out if
-    given; with them, out (if given) holds the terms it combines.
+    against w, so one call serves one phase per mode (gamma_discrete).
+    Without them it returns the terms T0, T1, T2 below on a new leading
+    axis, in out if given (continuum.gamma_integrand_nh); with them, out
+    (if given) holds the terms it combines.
 
     The one dephasing formula: weight is |g_k|^2 for a discrete mode and
     J(w) for the continuum.  With r = sqrt(1+4 tau^2), x = r w t and

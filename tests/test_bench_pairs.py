@@ -68,3 +68,19 @@ def test_verdict_scales_the_bound_by_the_parent_median():
     assert bench_pairs.verdict(STEADY, [80.0] * 5, "higher", 0.25) == "unchanged"
     assert bench_pairs.verdict(STEADY, [80.0] * 5, "higher", 0.1) == "worse"
     assert bench_pairs.verdict(STEADY, [80.0] * 5, "lower", 0.1) == "better"
+
+
+def test_src_lines_counts_the_library_modules(tmp_path):
+    # the modules directly under src/ptbath, not other files or packages
+    bench_pairs = load_bench_pairs()
+    package = tmp_path / "src" / "ptbath"
+    (package / "sub").mkdir(parents=True)
+    (package / "__init__.py").write_text("a = 1\n\nb = 2\n")
+    (package / "core.py").write_text('"""doc\n\nstring"""\nx = 1\n')
+    (package / "notes.txt").write_text("not code\n")
+    (package / "sub" / "deep.py").write_text("c = 3\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_x.py").write_text("d = 4\n")
+    assert bench_pairs.src_lines(tmp_path) == 3 + 4
+    assert bench_pairs.src_lines(ROOT) == sum(
+        path.read_text().count("\n") for path in (ROOT / "src" / "ptbath").glob("*.py"))

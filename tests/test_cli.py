@@ -256,7 +256,7 @@ class TestGammaCommand:
         assert code == 0
         g = float(text.strip().split("\n")[1].split(",")[1])
 
-        def kernel_everywhere(w, spec, t, tau=None, *, terms, out):
+        def kernel_everywhere(w, spec, t, tau=None, *, out):
             # the engine's call: the kernel's three terms at every node
             j = spectral_density(w, spec.amplitude, spec.cutoff)
             return dephasing_kernel(w, j, spec.tau if tau is None else tau, t,
@@ -662,6 +662,13 @@ class TestExitCodesAndConfig:
                          "--max-subdivisions", "400") == 3
         err = capsys.readouterr().err
         assert "did not converge within 400" in err and "'t': 20.0" in err
+
+    def test_quadrature_failure_over_many_phases_is_one_short_line(self, capsys):
+        # fig1b's 721 phases at tau = 0.5, t = 20 need 30 start panels
+        assert exit_code("figure", "fig1b", "--max-subdivisions", "10") == 3
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 300 and err.count("\n") == 1
+        assert "'tau': 0.5, 't': 20.0" in err and "721 phases" in err
 
     def test_start_grid_over_budget_exits_fast(self, capsys):
         # about 1.5e11 start panels: refused before anything is allocated

@@ -22,9 +22,9 @@ from ptbath.continuum import (
     gamma_integrand_nh,
     spectral_density,
 )
-from ptbath.core import Coupling, thermal_coth, xi_non_hermitian
+from ptbath.core import Coupling, dephasing_kernel, thermal_coth, xi_non_hermitian
 
-from riemann_oracle import riemann_gamma_hermitian, riemann_gamma_nh
+from riemann_oracle import phase_rows, riemann_gamma_hermitian, riemann_gamma_nh
 
 FIG_SETTINGS = dict(amplitude=1.0, cutoff=0.1, temperature=300.0)
 
@@ -32,6 +32,11 @@ FIG_SETTINGS = dict(amplitude=1.0, cutoff=0.1, temperature=300.0)
 # to ~2e-12 relative (checked by doubling to 2e7 points)
 RIEMANN_NH_TAU2 = 369.42515216568825      # tau=2, theta=pi/2, t=2
 RIEMANN_HERMITIAN_T20 = 33829.88368261289  # t=20
+
+
+def at_phase(w, spec, t):
+    """The integrand at spec.theta, from gamma_integrand_nh's terms."""
+    return phase_rows(w, spec, t, [spec.theta])[0]
 
 
 class TestKronrodRule:
@@ -81,7 +86,7 @@ class TestIntegrand:
     def test_vanishes_at_zero_time(self):
         spec = OhmicSpectrum(1.0, 0.1, 0.4, 300.0, 2.0)
         w = np.linspace(1e-4, 5.0, 100)
-        assert np.all(gamma_integrand_nh(w, spec, 0.0) == 0.0)
+        assert np.all(at_phase(w, spec, 0.0) == 0.0)
 
     def test_pointwise_identity_with_amplitude_route(self):
         # 2 J(w) |xi|^2 coth with a unit-magnitude coupling of phase theta
@@ -96,7 +101,7 @@ class TestIntegrand:
             xi = xi_non_hermitian(Coupling(1.0, spec.theta), w, spec.tau, t)
             ref = (2.0 * spectral_density(w, spec.amplitude, spec.cutoff)
                    * abs(xi) ** 2 * thermal_coth(w, spec.temperature))
-            val = gamma_integrand_nh(w, spec, t)
+            val = at_phase(w, spec, t)
             assert val == pytest.approx(ref, rel=1e-12, abs=1e-300)
 
     def test_tau_zero_reduces_to_hermitian_integrand(self):
@@ -106,24 +111,24 @@ class TestIntegrand:
             A, lam, T = rng.uniform(0.1, 2), rng.uniform(0.05, 0.3), 300.0
             t = rng.uniform(0.1, 30.0)
             spec = OhmicSpectrum(A, lam, rng.uniform(0, 2 * math.pi), T, 0.0)
-            assert gamma_integrand_nh(w, spec, t) == pytest.approx(
+            assert at_phase(w, spec, t) == pytest.approx(
                 gamma_integrand_hermitian(w, A, lam, T, t), rel=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(22)
         spec = OhmicSpectrum(1.0, 0.1, 1.1, 300.0, 2.5)
         w = rng.uniform(1e-8, 6.0, size=5000)
-        assert np.all(gamma_integrand_nh(w, spec, 17.3) >= 0.0)
+        assert np.all(at_phase(w, spec, 17.3) >= 0.0)
 
     def test_small_frequency_limit_is_finite_and_smooth(self):
         spec = OhmicSpectrum(1.0, 0.1, 0.7, 300.0, 1.0)
         t = 5.0
-        below = gamma_integrand_nh(0.99e-7, spec, t)
-        above = gamma_integrand_nh(1.01e-7, spec, t)
+        below = at_phase(0.99e-7, spec, t)
+        above = at_phase(1.01e-7, spec, t)
         assert math.isfinite(below)
         assert below == pytest.approx(above, rel=1e-4)
         # leading order 4 A T t^2 at w -> 0
-        assert gamma_integrand_nh(1e-12, spec, t) == pytest.approx(
+        assert at_phase(1e-12, spec, t) == pytest.approx(
             4.0 * spec.amplitude * spec.temperature * t * t, rel=1e-4)
 
     def test_continuous_where_the_limit_used_to_start(self):
@@ -132,8 +137,8 @@ class TestIntegrand:
         spec = OhmicSpectrum(1.0, 0.7, 4.9, 0.05, -19.3)
         w = 1e-6 * spec.cutoff
         for t in (1.0, 174.0):
-            below = gamma_integrand_nh(np.nextafter(w, 0.0), spec, t)
-            assert below == pytest.approx(gamma_integrand_nh(w, spec, t), rel=1e-10)
+            below = at_phase(np.nextafter(w, 0.0), spec, t)
+            assert below == pytest.approx(at_phase(w, spec, t), rel=1e-10)
             below = gamma_integrand_hermitian(np.nextafter(w, 0.0), 1.0, 0.7, 0.05, t)
             assert below == pytest.approx(
                 gamma_integrand_hermitian(w, 1.0, 0.7, 0.05, t), rel=1e-10)
@@ -145,9 +150,9 @@ class TestIntegrand:
         # 2 A t^2 * lim w coth(w/2T): 0 at T = 0, 2T otherwise
         limit = 2.0 * spec.amplitude * t * t * 2.0 * temperature
         w = np.array([0.0, 1e-3])
-        val = gamma_integrand_nh(w, spec, t)
+        val = at_phase(w, spec, t)
         assert val[0] == pytest.approx(limit, rel=1e-15, abs=0.0)
-        assert val[1] == pytest.approx(gamma_integrand_nh(1e-3, spec, t), rel=1e-15)
+        assert val[1] == pytest.approx(at_phase(1e-3, spec, t), rel=1e-15)
         assert gamma_integrand_hermitian(0.0, 1.3, 0.2, temperature, t) == pytest.approx(
             limit, rel=1e-15, abs=0.0)
 
@@ -343,19 +348,6 @@ def count_integrand_points(monkeypatch):
 
 
 class TestGroupedThetas:
-    def test_integrand_rows_equal_single_phase_integrands(self):
-        spec = OhmicSpectrum(1.3, 0.2, 0.0, 2.0, 1.5)
-        w = np.array([[0.0, 1e-3, 0.5], [1.0, 2.0, 7.5]])
-        thetas = [2.0, -0.4, 2.0, 9.1]
-        rows = gamma_integrand_nh(w, spec, 3.0, thetas)
-        assert rows.shape == (4, 2, 3)
-        for theta, row in zip(thetas, rows):
-            single = gamma_integrand_nh(w, OhmicSpectrum(1.3, 0.2, theta, 2.0, 1.5), 3.0)
-            assert np.array_equal(row, single)
-        # the w -> 0 limit is on every row
-        assert np.all(rows[:, 0, 0] == 2.0 * 1.3 * 9.0 * 2.0 * 2.0)
-        assert gamma_integrand_nh(0.5, spec, 3.0, [0.1, 0.2]).shape == (2,)
-
     def test_grouped_equals_single_bit_for_bit(self, monkeypatch):
         # at rel_tol 1e-13 some phases bisect panels that others accept, so
         # the group's subdivision is the union of different ones
@@ -409,9 +401,9 @@ class TestGroupedThetas:
         outputs = []
         real = continuum.integrate_adaptive
 
-        def recording(*args, **kwargs):
-            outputs.append(kwargs["outputs"])
-            return real(*args, **kwargs)
+        def recording(f, lo, hi, quad, panel_width, params, mix, bound=None):
+            outputs.append(len(mix))
+            return real(f, lo, hi, quad, panel_width, params, mix, bound)
 
         monkeypatch.setattr(continuum, "integrate_adaptive", recording)
         assert np.array_equal(gamma_continuum_batch(spec, [spec.tau], [2.0], thetas)[0], whole)
@@ -455,11 +447,13 @@ class TestGroupedThetas:
         def f(x):
             return np.stack([np.sin(x), x * x, np.exp(-x)])
 
-        vals = continuum.integrate_adaptive(f, 0.0, 3.0, quad, 0.5, outputs=3)
+        vals = continuum.integrate_adaptive(lambda x, ids: f(x), 0.0, 3.0, quad, [0.5], [None],
+                                            np.eye(3))[0]
         np.testing.assert_allclose(vals, [1.0 - math.cos(3.0), 9.0, 1.0 - math.exp(-3.0)],
                                    rtol=1e-13)
         for i, v in enumerate(vals):
-            assert v == continuum.integrate_adaptive(lambda x: f(x)[i], 0.0, 3.0, quad, 0.5)
+            assert v == continuum.integrate_adaptive(lambda x, ids: f(x)[i], 0.0, 3.0, quad,
+                                                     [0.5], [None], [[1.0]])[0, 0]
 
     def test_node_sum_adds_node_after_node_at_any_panel_count(self):
         rng = np.random.default_rng(28)
@@ -610,14 +604,15 @@ class TestTermRoute:
 
     @staticmethod
     def node_level(spec, t, thetas, quad, hi=None, width=None):
-        # the same engine on the per-phase rows of gamma_integrand_nh, as the
-        # production route runs it: at A = 1, with its tail bound
+        # the same engine on the per-phase rows combined at every node from
+        # gamma_integrand_nh's terms, as the production route runs it: at
+        # A = 1, with its tail bound
         hi = 60.0 * spec.cutoff if hi is None else hi
         if width is None:
             width = _panel_width(spec.cutoff, t, spec.tau) if t > 0.0 else hi
         rows = continuum.integrate_adaptive(
-            lambda w: gamma_integrand_nh(w, spec, t, thetas), 0.0, hi, quad, width,
-            outputs=len(thetas), bound=_tail_bound(spec, thetas))
+            lambda w, ids: phase_rows(w, spec, t, thetas), 0.0, hi, quad, [width], [None],
+            np.eye(len(thetas)), _tail_bound(spec, thetas))[0]
         return np.maximum(rows, 0.0)
 
     def test_terms_combine_into_the_phase_rows(self):
@@ -625,15 +620,17 @@ class TestTermRoute:
         for temperature, tau in [(0.0, 1.5), (2.0, 1.5), (300.0, 0.0)]:
             spec = OhmicSpectrum(1.3, 0.2, 0.0, temperature, tau)
             w = np.array([[0.0, 1e-70, 1e-3, 0.5], [1.0, 2.0, 7.5, 11.0]])
-            terms = gamma_integrand_nh(w, spec, 3.0, terms=True)
+            terms = gamma_integrand_nh(w, spec, 3.0)
             assert terms.shape == (3, 2, 4)
-            mix = phase_mix(thetas)
-            rows = gamma_integrand_nh(w, spec, 3.0, thetas)
-            for row, (_, sc, c2) in zip(rows, mix):
-                assert np.array_equal(row, terms[0] + sc * terms[1] + c2 * terms[2])
+            # the kernel's combined mode, where its w^2 does not underflow
+            kernel = w >= continuum._LIMIT_BELOW * spec.cutoff
+            j = spectral_density(w[kernel], spec.amplitude, spec.cutoff)
+            for _, sc, c2 in phase_mix(thetas):
+                row = dephasing_kernel(w[kernel], j, tau, 3.0, temperature, sc, c2)
+                assert np.array_equal(row, (terms[0] + sc * terms[1] + c2 * terms[2])[kernel])
             # the w -> 0 limit is phase-free: T0 carries it
             assert np.all(terms[1:, 0, :2] == 0.0)
-            assert np.all(terms[0, 0, :2] == rows[:, 0, :2])
+            assert np.all(terms[0, 0, :2] == phase_rows(w, spec, 3.0, thetas)[:, 0, :2])
             if tau == 0.0:  # no non-Hermiticity: the phase terms vanish
                 assert np.all(terms[1:] == 0.0)
 
@@ -658,8 +655,8 @@ class TestTermRoute:
         thetas = [0.0, 0.4, 2.0]
         hi = 0.5 * continuum._LIMIT_BELOW * spec.cutoff
         got = continuum.integrate_adaptive(
-            lambda w: gamma_integrand_nh(w, spec, 4.0, terms=True), 0.0, hi, QuadratureSpec(),
-            hi, outputs=3, mix=phase_mix(thetas))
+            lambda w, ids: gamma_integrand_nh(w, spec, 4.0), 0.0, hi, QuadratureSpec(), [hi],
+            [None], phase_mix(thetas))[0]
         ref = self.node_level(spec, 4.0, thetas, QuadratureSpec(), hi=hi, width=hi)
         assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
         assert np.all(ref > 0.0)
@@ -725,7 +722,9 @@ class TestTermRoute:
             ref = 0.0
             for x, weight in zip(nodes, _WEIGHTS[:, 0]):
                 ref += f(x) * float(weight)
-            assert continuum.integrate_adaptive(f, lo, hi, QuadratureSpec(), hi - lo) == ref * half
+            got = continuum.integrate_adaptive(lambda x, ids: f(x), lo, hi, QuadratureSpec(),
+                                               [hi - lo], [None], [[1.0]])[0, 0]
+            assert got == ref * half
 
     def test_one_output_blocks_keep_their_node_cap(self, monkeypatch):
         # a one-output integrand's block holds _BLOCK_NODES nodes, not
@@ -741,20 +740,28 @@ class TestTermRoute:
         gamma_hermitian(0.1, 1.0, 300.0, 2000.0)
         assert max(sizes) == continuum._BLOCK_NODES // _NODES.size * _NODES.size
 
+    def test_hermitian_is_one_engine_call(self, monkeypatch):
+        # a batch of one integral with one output, which the engine runs
+        # without calling itself
+        batch_widths = record_batches(monkeypatch)
+        g = gamma_hermitian(1.0, 0.1, 300.0, 20.0)
+        assert batch_widths == [[_panel_width(0.1, 20.0, 0.0)]]
+        assert g == pytest.approx(RIEMANN_HERMITIAN_T20, rel=1e-6)
+
     def test_mixed_outputs_are_the_row_combinations(self):
         def f(x):
             return np.stack([np.sin(x), x * x, np.exp(-x)])
 
         mix = np.array([[1.0, 0.0, 0.0], [0.5, 0.25, 0.0], [0.0, 1.0, -2.0]])
         exact = np.array([1.0 - math.cos(3.0), 9.0, 1.0 - math.exp(-3.0)])
-        vals = continuum.integrate_adaptive(f, 0.0, 3.0, QuadratureSpec(), 0.5, outputs=3,
-                                            mix=mix)
+        vals = continuum.integrate_adaptive(lambda x, ids: f(x), 0.0, 3.0, QuadratureSpec(),
+                                            [0.5], [None], mix)[0]
         np.testing.assert_allclose(vals, mix @ exact, rtol=1e-13)
         # each output alone, in any group: bit for bit
         for j in range(3):
-            alone = continuum.integrate_adaptive(f, 0.0, 3.0, QuadratureSpec(), 0.5,
-                                                 mix=mix[j:j + 1])
-            assert alone == vals[j]
+            alone = continuum.integrate_adaptive(lambda x, ids: f(x), 0.0, 3.0, QuadratureSpec(),
+                                                 [0.5], [None], mix[j:j + 1])
+            assert alone[0, 0] == vals[j]
 
 
 class TestTailBound:
@@ -772,7 +779,7 @@ class TestTailBound:
             w = np.concatenate([np.geomspace(1e-8, lam, 2000),
                                 np.linspace(lam, 60.0 * lam, 20000)])
             bound = _tail_bound(spec, thetas)(w)
-            values = gamma_integrand_nh(w, spec, t, thetas)
+            values = phase_rows(w, spec, t, thetas)
             assert np.all(values <= bound * (1.0 + 1e-13))
             # falling in w, so a panel's left edge bounds the whole panel
             assert np.all(np.diff(bound, axis=1) <= 0.0)
@@ -784,37 +791,38 @@ class TestTailBound:
         # the first panel holds most of Gamma at t = 120: were it accepted as
         # 0, the result would be off by far more than abs_tol * 60 cutoff / 2
         loose = QuadratureSpec(abs_tol=1e-3)
-        ref = continuum.integrate_adaptive(lambda w: gamma_integrand_nh(w, spec, 120.0),
+        ref = continuum.integrate_adaptive(lambda w, ids: at_phase(w, spec, 120.0),
                                            0.0, 6.0, QuadratureSpec(rel_tol=1e-11),
-                                           _panel_width(0.1, 120.0, 2.0))
+                                           [_panel_width(0.1, 120.0, 2.0)], [None], [[1.0]])[0, 0]
         assert abs(gamma_continuum_nh(spec, 120.0, loose) - ref) <= 1e-3 * 6.0 / 2.0
 
     def test_nan_bound_keeps_the_panel_open(self):
         calls = []
 
-        def f(x):
+        def f(x, ids):
             calls.append(x.copy())
             return np.ones_like(x)
 
-        def bound(a):
+        def bound(a, ids):
             return np.where(a == 0.0, np.nan, 0.0)
 
         quad = QuadratureSpec()
-        bounded = continuum.integrate_adaptive(f, 0.0, 1.0, quad, 0.25, bound=bound)
+        bounded = continuum.integrate_adaptive(f, 0.0, 1.0, quad, [0.25], [None], [[1.0]], bound)
         assert len(calls) == 1 and calls[0].max() < 0.25
         # the first panel's K31 of 1, as the engine forms it without a bound
-        assert bounded == continuum.integrate_adaptive(f, 0.0, 0.25, quad, 0.25)
+        assert bounded == continuum.integrate_adaptive(f, 0.0, 0.25, quad, [0.25], [None],
+                                                       [[1.0]])
 
     def test_all_panels_under_the_bound(self):
-        def f(x):
+        def f(x, ids):
             raise AssertionError("a panel under the bound was evaluated")
 
         quad = QuadratureSpec()
-        assert continuum.integrate_adaptive(f, 0.0, 1.0, quad, 0.25,
-                                            bound=lambda a: np.zeros_like(a)) == 0.0
-        vals = continuum.integrate_adaptive(f, 0.0, 1.0, quad, 0.25, outputs=2,
-                                            bound=lambda a: np.zeros((2, a.size)))
-        assert np.array_equal(vals, [0.0, 0.0])
+        assert continuum.integrate_adaptive(f, 0.0, 1.0, quad, [0.25], [None], [[1.0]],
+                                            lambda a, ids: np.zeros_like(a)) == 0.0
+        vals = continuum.integrate_adaptive(f, 0.0, 1.0, quad, [0.25], [None], np.eye(2),
+                                            lambda a, ids: np.zeros((2, a.size)))
+        assert np.array_equal(vals, [[0.0, 0.0]])
 
     def test_grouped_equals_single_where_the_cut_offs_differ(self, monkeypatch):
         sizes = count_integrand_points(monkeypatch)
@@ -843,13 +851,13 @@ class TestTailBound:
             assert skipped.size
             cut = skipped.min()
 
-            def f(w):  # the engine's form: three terms per node, mixed per panel
-                return gamma_integrand_nh(w, spec, t, terms=True)
+            def f(w, ids):  # the engine's form: three terms per node, mixed per panel
+                return gamma_integrand_nh(w, spec, t)
 
             mix = phase_mix([spec.theta])
-            with_bound = continuum.integrate_adaptive(f, 0.0, hi, quad, width, bound=bound,
-                                                      mix=mix)
-            without = continuum.integrate_adaptive(f, 0.0, hi, quad, width, mix=mix)
+            with_bound = continuum.integrate_adaptive(f, 0.0, hi, quad, [width], [None], mix,
+                                                      bound)[0, 0]
+            without = continuum.integrate_adaptive(f, 0.0, hi, quad, [width], [None], mix)[0, 0]
             assert gamma_continuum_nh(spec, t, quad) == max(with_bound, 0.0)
             assert abs(with_bound - without) <= (quad.abs_tol * (hi - cut) / 2.0
                                                  + 8 * np.spacing(without))
@@ -860,8 +868,8 @@ class TestTailBound:
                         (OhmicSpectrum(1.0, 0.3, 2.0, 0.0, -1.0), 3.0)]:
             width = _panel_width(spec.cutoff, t, spec.tau)
             plain = continuum.integrate_adaptive(
-                lambda w: gamma_integrand_nh(w, spec, t, terms=True), 0.0, 60.0 * spec.cutoff,
-                quad, width, mix=phase_mix([spec.theta]))
+                lambda w, ids: gamma_integrand_nh(w, spec, t), 0.0, 60.0 * spec.cutoff,
+                quad, [width], [None], phase_mix([spec.theta]))[0, 0]
             assert gamma_continuum_nh(spec, t, quad) == plain
 
     def test_large_t_integral_skips_more_than_half(self, monkeypatch):

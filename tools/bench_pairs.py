@@ -34,6 +34,7 @@ Writes BENCH_<label>.json at the repository root: every run's result line
 integrand nodes and values per figures pass and per preset, SHA-256 of
 each preset CSV and minor page faults per preset, the oracle runs
 (`oracle_t10`: exit code, peak RSS in MB and wall seconds per run and side),
+each side's line count of src/ptbath/*.py (`src_lines`),
 the number of CSV rows per preset that differ between the sides (a row only
 one side has counts too), and per workload and end-to-end metric of BENCHMARK.json the number
 of pairs, the pairs the change wins (ties count for neither side), each
@@ -73,7 +74,7 @@ from ptbath import cli, continuum
 sys.path.insert(0, str(Path(sys.argv[1]) / "ptbench"))
 from workloads import FIGURE_IDS, figure_argv
 
-real, depth, count = continuum.integrate_adaptive, [0], {"nodes": 0, "values": 0}
+real, count = continuum.integrate_adaptive, {"nodes": 0, "values": 0}
 
 def tally(x, out):
     count["nodes"] += np.size(x)
@@ -81,13 +82,7 @@ def tally(x, out):
     return out
 
 def counting(f, *args, **kwargs):
-    if depth[0]:  # the engine calling itself: its integrand is counted already
-        return real(f, *args, **kwargs)
-    depth[0] += 1
-    try:
-        return real(lambda x, *a: tally(x, f(x, *a)), *args, **kwargs)
-    finally:
-        depth[0] -= 1
+    return real(lambda x, *a: tally(x, f(x, *a)), *args, **kwargs)
 
 continuum.integrate_adaptive = counting
 csv, faults, nodes, values = {}, {}, {}, {}
@@ -120,6 +115,12 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True,
                          timeout=seconds * 4 + 600).stdout
     return json.loads(out.strip().splitlines()[-1])
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of the library's modules, src/ptbath/*.py, in `checkout`."""
+    return sum(len(path.read_bytes().splitlines())
+               for path in (checkout / "src" / "ptbath").glob("*.py"))
 
 
 def figures_pass(checkout: Path) -> dict:
@@ -255,6 +256,7 @@ def main() -> int:
         changed = {fig: rows_changed(text, passes["change"]["csv"][fig])
                    for fig, text in passes["parent"]["csv"].items()}
         faults = {side: p["minor_faults"] for side, p in passes.items()}
+        lines = {side: src_lines(root) for side, root in roots.items()}
         oracle = {"parent": [], "change": []}
         for i in range(ORACLE_RUNS):
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
@@ -262,7 +264,7 @@ def main() -> int:
         print(json.dumps({"integrand_nodes_per_figures_pass": nodes,
                           "integrand_values_per_figures_pass": values,
                           "figure_rows_changed": changed, "figure_minor_faults": faults,
-                          "oracle_t10": oracle}),
+                          "src_lines": lines, "oracle_t10": oracle}),
               flush=True)
 
         runs, order = [], 0
@@ -306,6 +308,7 @@ def main() -> int:
         "figure_csv_sha256": sha256,
         "figure_rows_changed": changed,
         "figure_minor_faults": faults,
+        "src_lines": lines,
         "oracle_t10": {"command": "python " + " ".join(ORACLE_ARGV), **oracle},
         "summary": summarize(runs, metrics),
     }
