@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 invalid arguments, 3 quadrature non-convergence,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -95,9 +96,10 @@ def _write_table(columns, rows, out, fmt):
         _emit_json({"columns": list(columns),
                     "rows": [[float(_fmt(v)) for v in row] for row in rows]}, out)
     else:
-        lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        _emit("\n".join(lines) + "\n", out)
+        # one % over the whole table: "%.11e" % x is the text of _fmt(x)
+        row = ",".join(["%.11e"] * len(columns)) + "\n"
+        body = (row * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+        _emit(",".join(columns) + "\n" + body, out)
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +248,16 @@ _SPECTRUM = ("tau", "theta", "A", "cutoff", "temp")
 _QUAD = ("rel-tol", "abs-tol", "max-subdivisions")
 # the gamma flags that a discrete bath (--modes-file) has no use for
 _OHMIC_ONLY = ("A", "cutoff", "theta") + _QUAD
+_COMMANDS = ("gamma", "sweep", "figure", "optimize", "crossover", "concurrence", "oracle")
 
 
-def _subcommand(sub, name, func, flags, help, **defaults):
-    """A subparser with the named shared flags plus --out and --config;
-    `defaults` override the built-in defaults."""
+def _subcommand(sub, command, name, func, flags, help, **defaults):
+    """Register subcommand `name`.  Unless `command` is another subcommand,
+    return its parser with the named shared flags plus --out and --config,
+    `defaults` overriding the built-in defaults; else None."""
     p = sub.add_parser(name, help=help, allow_abbrev=False)
+    if command != name and command in _COMMANDS:
+        return None
     for flag in flags:
         p.add_argument(f"--{flag}", **_FLAGS[flag])
     p.add_argument("--out", type=str)
@@ -260,7 +266,10 @@ def _subcommand(sub, name, func, flags, help, **defaults):
     return p
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ptbath parser.  Every subcommand is registered, so that usage,
+    choices and errors do not depend on `command`, but when `command` names
+    one, only that one gets its flags: all that parsing its argv needs."""
     parser = argparse.ArgumentParser(
         prog="ptbath",
         description="Qubit dephasing under a PT-symmetric non-Hermitian bosonic bath",
@@ -270,53 +279,54 @@ def build_parser() -> argparse.ArgumentParser:
     # gamma, sweep and optimize default to None the flags that an input could
     # leave unused (gamma --modes-file, the swept or free parameters); their
     # handlers fill in the built-in defaults, to tell a given flag from these
-    p = _subcommand(sub, "gamma", _cmd_gamma, _SPECTRUM + _QUAD + ("format",),
-                    "decoherence exponent Gamma(t)", A=None, cutoff=None, theta=None)
-    p.add_argument("--t", type=_parse_range, default="1", help="scalar or start:stop:count")
-    p.add_argument("--modes-file", type=str, default=None,
-                   help="CSV of discrete modes (omega,g_abs,theta)")
+    if p := _subcommand(sub, command, "gamma", _cmd_gamma, _SPECTRUM + _QUAD + ("format",),
+                        "decoherence exponent Gamma(t)", A=None, cutoff=None, theta=None):
+        p.add_argument("--t", type=_parse_range, default="1", help="scalar or start:stop:count")
+        p.add_argument("--modes-file", type=str, default=None,
+                       help="CSV of discrete modes (omega,g_abs,theta)")
 
-    p = _subcommand(sub, "sweep", _cmd_sweep, _SPECTRUM + _QUAD + ("t", "format", "jobs"),
-                    "Cartesian parameter sweep", tau=None, theta=None, t=None)
-    p.add_argument("--sweep", type=_sweep_axis, action="append", required=True,
-                   metavar="PARAM=START:STOP:COUNT")
+    if p := _subcommand(sub, command, "sweep", _cmd_sweep,
+                        _SPECTRUM + _QUAD + ("t", "format", "jobs"),
+                        "Cartesian parameter sweep", tau=None, theta=None, t=None):
+        p.add_argument("--sweep", type=_sweep_axis, action="append", required=True,
+                       metavar="PARAM=START:STOP:COUNT")
 
     # a preset fixes its spectrum; without --t or --points it keeps its own axis
-    p = _subcommand(sub, "figure", _cmd_figure, _QUAD + ("format", "jobs"),
-                    "figure-preset data generation")
-    p.add_argument("id", choices=sorted(FIGURE_PRESETS))
-    axis = p.add_mutually_exclusive_group()
-    axis.add_argument("--t", type=_parse_range,
-                      help="scalar or start:stop:count; fig1a, fig2 only")
-    axis.add_argument("--points", type=_positive_int,
-                      help="override the preset axis sample count")
+    if p := _subcommand(sub, command, "figure", _cmd_figure, _QUAD + ("format", "jobs"),
+                        "figure-preset data generation"):
+        p.add_argument("id", choices=sorted(FIGURE_PRESETS))
+        axis = p.add_mutually_exclusive_group()
+        axis.add_argument("--t", type=_parse_range,
+                          help="scalar or start:stop:count; fig1a, fig2 only")
+        axis.add_argument("--points", type=_positive_int,
+                          help="override the preset axis sample count")
 
-    p = _subcommand(sub, "optimize", _cmd_optimize,
-                    _SPECTRUM + _QUAD + ("t", "tau-bounds", "theta-bounds"),
-                    "minimize Gamma over tau and/or theta",
-                    tau=None, theta=None, tau_bounds=None, theta_bounds=None)
-    p.add_argument("--free", action="append", choices=("tau", "theta"), required=True)
-    p.add_argument("--grid-points", type=_positive_int, default=64)
+    if p := _subcommand(sub, command, "optimize", _cmd_optimize,
+                        _SPECTRUM + _QUAD + ("t", "tau-bounds", "theta-bounds"),
+                        "minimize Gamma over tau and/or theta",
+                        tau=None, theta=None, tau_bounds=None, theta_bounds=None):
+        p.add_argument("--free", action="append", choices=("tau", "theta"), required=True)
+        p.add_argument("--grid-points", type=_positive_int, default=64)
 
-    p = _subcommand(sub, "crossover", _cmd_crossover, _SPECTRUM[1:] + _QUAD + ("t",),
-                    "tau* with Gamma(tau*) = Gamma(0)")
-    p.add_argument("--tau-max", type=float, default=4.0)
+    if p := _subcommand(sub, command, "crossover", _cmd_crossover,
+                        _SPECTRUM[1:] + _QUAD + ("t",), "tau* with Gamma(tau*) = Gamma(0)"):
+        p.add_argument("--tau-max", type=float, default=4.0)
 
-    p = _subcommand(sub, "concurrence", _cmd_concurrence, ("format",),
-                    "concurrence and EoF from gamma")
-    p.add_argument("--gamma", type=float, required=True)
+    if p := _subcommand(sub, command, "concurrence", _cmd_concurrence, ("format",),
+                        "concurrence and EoF from gamma"):
+        p.add_argument("--gamma", type=float, required=True)
 
     # a high-temperature continuum default would need astronomically large
     # Fock truncations, so the validation command has its own defaults
-    p = _subcommand(sub, "oracle", _cmd_oracle, ("tau", "theta", "temp"),
-                    "exact truncated-Fock validation report",
-                    tau=0.2, theta=PI / 2, temp=1.0)
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--g-abs", type=float, default=0.1)
-    p.add_argument("--t-max", type=float, default=20.0)
-    p.add_argument("--num-times", type=_positive_int, default=101)
-    p.add_argument("--fock-dim", type=int, default=40)
-    p.add_argument("--dim-budget", type=int, default=6400)
+    if p := _subcommand(sub, command, "oracle", _cmd_oracle, ("tau", "theta", "temp"),
+                        "exact truncated-Fock validation report",
+                        tau=0.2, theta=PI / 2, temp=1.0):
+        p.add_argument("--omega", type=float, default=1.0)
+        p.add_argument("--g-abs", type=float, default=0.1)
+        p.add_argument("--t-max", type=float, default=20.0)
+        p.add_argument("--num-times", type=_positive_int, default=101)
+        p.add_argument("--fock-dim", type=int, default=40)
+        p.add_argument("--dim-budget", type=int, default=6400)
 
     return parser
 
@@ -382,7 +392,7 @@ def _failed_integral(params: dict) -> dict:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(_with_config(parser, argv))
         return args.func(args)

@@ -3,9 +3,10 @@ parameter sweeps, the (tau, theta) optimizer and the crossover finder.
 
 A figure or a sweep fixes one amplitude, cutoff and temperature and reduces
 to gamma_continuum_batch calls, one per engine batch (continuum.batches)
-of integrals with the same phase list, as does the optimizer's grid; its
-golden refinement and the crossover finder call gamma_continuum_nh per
-tau.  Rows come back in a fixed order whatever the number of worker processes.
+of integrals with the same phase list, as do the optimizer's grid and the
+crossover finder's scan, a chunk of taus per call; the golden refinement and
+the bisection call gamma_continuum_nh per tau.  Rows come back in a fixed
+order whatever the number of worker processes.
 """
 
 from __future__ import annotations
@@ -22,9 +23,12 @@ from .core import check_tau
 
 PI = math.pi
 
-# optimize's golden-section width; crossover's tau scan and bisection width
+# optimize's golden-section width; crossover's tau scan, its taus per engine
+# pass (few integrals past an early crossing, few passes without one) and
+# bisection width
 _GOLDEN_TOL = 1e-4
 _CROSSOVER_SCAN_POINTS = 41
+_CROSSOVER_CHUNK = 8
 _CROSSOVER_TOL = 1e-3
 
 # Start panels per worker above which a run pays for the process pool, whose
@@ -35,12 +39,12 @@ _CROSSOVER_TOL = 1e-3
 _POOL_PANELS = 50_000
 
 
-def _gamma_rows(spec: OhmicSpectrum, points: list[dict], columns: list[str],
+def _gamma_rows(spec: OhmicSpectrum, inputs: dict[str, list], columns: list[str],
                 quad: QuadratureSpec, jobs: int):
     """Gamma of the spectrum's amplitude, cutoff and temperature at every
-    parameter dict (key t and optionally tau, theta; both default to 0),
+    point of the input columns (inputs' lists of floats tau, theta and t),
     in input order.  Returns (columns, rows), each row the point's
-    `columns`, Gamma and exp(-Gamma).
+    `columns` of the inputs, Gamma and exp(-Gamma).
 
     Points that differ only in theta are one integral; the (tau, t)
     integrals of one phase list go to gamma_continuum_batch in the
@@ -48,14 +52,13 @@ def _gamma_rows(spec: OhmicSpectrum, points: list[dict], columns: list[str],
     map them only when their start panels pass jobs x _POOL_PANELS."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    points = [{"tau": 0.0, "theta": 0.0, **p} for p in points]
     integrals: dict[tuple, list[int]] = {}  # point indices by (tau, t)
     families: dict[tuple, list] = {}  # (tau, t, point indices) by phase list
-    for i, p in enumerate(points):
-        integrals.setdefault((p["tau"], p["t"]), []).append(i)
-    for (tau, t), members in integrals.items():
-        thetas = tuple(points[i]["theta"] for i in members)
-        families.setdefault(thetas, []).append((tau, t, members))
+    theta = inputs["theta"]
+    for i, key in enumerate(zip(inputs["tau"], inputs["t"])):
+        integrals.setdefault(key, []).append(i)
+    for key, members in integrals.items():
+        families.setdefault(tuple(theta[i] for i in members), []).append((*key, members))
     tasks, owners, panels = [], [], 0.0
     for thetas, family in families.items():
         taus, times, members = zip(*family)
@@ -73,10 +76,13 @@ def _gamma_rows(spec: OhmicSpectrum, points: list[dict], columns: list[str],
             results = list(pool.map(gamma_continuum_batch, *zip(*tasks), chunksize=chunksize))
     else:
         results = [gamma_continuum_batch(*task) for task in tasks]
-    gammas = np.zeros(len(points))
+    gammas = np.zeros(len(theta))
     gammas[owners] = np.concatenate([np.empty(0)] + [r.ravel() for r in results])
-    rows = [[p[c] for c in columns] + [g, math.exp(-g)] for p, g in zip(points, gammas.tolist())]
-    return columns + ["gamma", "coherence"], rows
+    gammas = gammas.tolist()
+    # math.exp, not np.exp, which may differ in the last place
+    coherences = [math.exp(-g) for g in gammas]
+    printed = [inputs[c] for c in columns]
+    return columns + ["gamma", "coherence"], list(map(list, zip(*printed, gammas, coherences)))
 
 
 # ---------------------------------------------------------------------------
@@ -136,13 +142,15 @@ def run_figure(preset: FigurePreset, quad: QuadratureSpec, jobs: int = 1,
                axis_values=None):
     """Evaluate every curve of a preset; returns (columns, rows)."""
     axis_name, values = preset.axis
-    if axis_values is not None:
-        values = np.asarray(axis_values, dtype=float)
-    points = [{**preset.fixed, **curve, axis_name: float(v)}
-              for curve in preset.curves for v in values]
+    values = np.asarray(values if axis_values is None else axis_values, dtype=float).tolist()
+    inputs = {"tau": [], "theta": [], "t": []}
+    for curve in preset.curves:
+        at = {"tau": 0.0, "theta": 0.0, **preset.fixed, **curve}
+        for name, column in inputs.items():
+            column.extend(values if name == axis_name else [at[name]] * len(values))
     f = preset.fixed
     spec = OhmicSpectrum(f["amplitude"], f["cutoff"], 0.0, f["temp"])
-    return _gamma_rows(spec, points, ["tau", "theta", "t"], quad, jobs)
+    return _gamma_rows(spec, inputs, ["tau", "theta", "t"], quad, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +172,15 @@ def run_sweep(fixed: dict, grids: list[tuple[str, np.ndarray]], quad: Quadrature
             raise ValueError(f"grid for {name!r} must be nonempty and strictly increasing")
         if name == "tau":
             check_tau(max(values.tolist(), key=abs), "--sweep tau=")
-    mesh = [np.asarray(v, dtype=float) for _, v in grids]
-    points = [{**fixed, **{n: float(v) for n, v in zip(names, combo)}}
-              for combo in itertools.product(*mesh)]
+    # the grids' Cartesian product in lexicographic order, with a one-value
+    # axis for each parameter that is not swept
+    at = {"tau": 0.0, "theta": 0.0, **fixed}
+    axes = {name: np.asarray(v, dtype=float) for name, v in grids}
+    axes.update((name, [at[name]]) for name in ("tau", "theta", "t") if name not in axes)
+    mesh = np.meshgrid(*axes.values(), indexing="ij")
+    inputs = {name: axis.ravel().tolist() for name, axis in zip(axes, mesh)}
     spec = OhmicSpectrum(fixed["amplitude"], fixed["cutoff"], 0.0, fixed["temp"])
-    return _gamma_rows(spec, points, names, quad, jobs)
+    return _gamma_rows(spec, inputs, names, quad, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -283,19 +295,22 @@ def crossover(fixed: OhmicSpectrum, t: float, quad: QuadratureSpec,
         return gamma_continuum_nh(replace(fixed, tau=tau), t, quad)
 
     g0 = g(0.0)
-    taus = np.linspace(0.0, tau_max, _CROSSOVER_SCAN_POINTS)[1:]
+    taus = np.linspace(0.0, tau_max, _CROSSOVER_SCAN_POINTS)[1:].tolist()
     f_prev, tau_prev = None, None
-    for tau in taus:
-        f = g(float(tau)) - g0
-        if f_prev is not None and f_prev * f < 0:
-            a, b, fa = tau_prev, float(tau), f_prev
-            while b - a > _CROSSOVER_TOL:
-                m = 0.5 * (a + b)
-                fm = g(m) - g0
-                if fa * fm <= 0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            return 0.5 * (a + b)
-        f_prev, tau_prev = f, float(tau)
+    for start in range(0, len(taus), _CROSSOVER_CHUNK):
+        chunk = taus[start:start + _CROSSOVER_CHUNK]
+        gammas = gamma_continuum_batch(fixed, chunk, [t] * len(chunk), [fixed.theta], quad)
+        for tau, g_tau in zip(chunk, gammas[:, 0].tolist()):
+            f = g_tau - g0
+            if f_prev is not None and f_prev * f < 0:
+                a, b, fa = tau_prev, tau, f_prev
+                while b - a > _CROSSOVER_TOL:
+                    m = 0.5 * (a + b)
+                    fm = g(m) - g0
+                    if fa * fm <= 0:
+                        b = m
+                    else:
+                        a, fa = m, fm
+                return 0.5 * (a + b)
+            f_prev, tau_prev = f, tau
     return None

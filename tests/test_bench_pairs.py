@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -84,3 +85,31 @@ def test_src_lines_counts_the_library_modules(tmp_path):
     assert bench_pairs.src_lines(tmp_path) == 3 + 4
     assert bench_pairs.src_lines(ROOT) == sum(
         path.read_text().count("\n") for path in (ROOT / "src" / "ptbath").glob("*.py"))
+
+
+def test_csv_digest_covers_the_presets_and_the_sweep():
+    bench_pairs = load_bench_pairs()
+    header = "tau,theta,gamma,coherence\n"
+    sweep = header + "0.0,0.0,0.0,1.0\n1.0,0.0,0.5,0.6\n"
+    passes = {
+        "parent": {"csv": {"fig1a": "a\n1\n", "fig2": "b\n2\n"}, "sweep_csv": sweep},
+        "change": {"csv": {"fig1a": "a\n1\n", "fig2": "b\n3\n4\n"},
+                   "sweep_csv": sweep.replace("0.5,0.6", "0.5,0.7")},
+    }
+    digest = bench_pairs.csv_digest(passes)
+    assert digest["figure_rows_changed"] == {"fig1a": 0, "fig2": 2}
+    assert digest["sweep_rows_changed"] == 1
+    sha = digest["figure_csv_sha256"]
+    assert sha["parent"]["fig1a"] == sha["change"]["fig1a"] != sha["change"]["fig2"]
+    assert digest["sweep_csv_sha256"]["parent"] == hashlib.sha256(sweep.encode()).hexdigest()
+    assert digest["sweep_csv_sha256"]["parent"] != digest["sweep_csv_sha256"]["change"]
+
+
+def test_figures_pass_keeps_the_readme_sweep_csv():
+    # one pass over this checkout (about a second): the six presets, then the
+    # sweep of the sweep-jobs2 workload in the same process
+    bench_pairs = load_bench_pairs()
+    result = bench_pairs.figures_pass(ROOT)
+    assert set(result["csv"]) == {"fig1a", "fig1b", "fig2", "fig3a", "fig3b", "fig4"}
+    lines = result["sweep_csv"].splitlines()
+    assert lines[0] == "tau,theta,gamma,coherence" and len(lines) == 1 + 41 * 25

@@ -578,6 +578,46 @@ class TestCrossover:
             OhmicSpectrum(1.0, 0.1, 2 * math.pi / 3, 300.0, tau_star), 2.0, quad)
         assert abs(g_star - g0) / g0 <= 1e-2  # within the 1e-3 tau bracket
 
+    @pytest.mark.parametrize("theta, t, change", [
+        (3.0, 20.0, None),  # no crossing
+        (math.pi / 4, 120.0, 7),  # between scan taus 0.7 and 0.8, in the first chunk
+        (0.8, 120.0, 8),  # between 0.8 and 0.9, where the first two chunks meet
+        (1.0, 120.0, 18),  # in the third chunk
+    ])
+    def test_chunked_scan_matches_a_sequential_scan(self, theta, t, change, monkeypatch):
+        quad, fixed = QuadratureSpec(), OhmicSpectrum(1.0, 0.1, theta, 300.0)
+
+        def g(tau):
+            return gamma_continuum_nh(replace(fixed, tau=tau), t, quad)
+
+        # the scan one gamma_continuum_nh call per tau, and the same bisection
+        g0, expected = g(0.0), None
+        taus = np.linspace(0.0, 4.0, 41)[1:].tolist()
+        f = [g(tau) - g0 for tau in taus]
+        k = next((k for k in range(1, len(taus)) if f[k - 1] * f[k] < 0), None)
+        assert k == change
+        if k is not None:
+            a, b, fa = taus[k - 1], taus[k], f[k - 1]
+            while b - a > 1e-3:
+                m = 0.5 * (a + b)
+                fm = g(m) - g0
+                if fa * fm <= 0:
+                    b = m
+                else:
+                    a, fa = m, fm
+            expected = 0.5 * (a + b)
+
+        passes = [0]
+
+        def counting(*args, **kwargs):
+            passes[0] += 1
+            return integrate_adaptive(*args, **kwargs)
+
+        monkeypatch.setattr(continuum, "integrate_adaptive", counting)
+        assert crossover(fixed, t, quad, tau_max=4.0) == expected
+        if change is None:
+            assert passes[0] == 6  # g0 and five chunks of eight, not 1 + 40 passes
+
 
 class TestConcurrenceCommand:
     def test_values(self, tmp_path):
@@ -993,6 +1033,62 @@ class TestFlagsPerSubcommand:
         parser = cli.build_parser()
         for line in lines:
             parser.parse_args(shlex.split(line)[1:])
+
+
+class TestParserPerSubcommand:
+    """build_parser(name) gives subcommand `name` the flags build_parser()
+    gives it, and the others none."""
+
+    ARGV = {
+        "gamma": ("gamma", "--t", "0:5:3", "--tau", "1", "--format", "json"),
+        "sweep": ("sweep", "--sweep", "theta=0:1:3", "--jobs", "2"),
+        "figure": ("figure", "fig2", "--points", "5", "--rel-tol", "1e-9"),
+        "optimize": ("optimize", "--free", "tau", "--tau-bounds", "0:4", "--t", "2"),
+        "crossover": ("crossover", "--theta", "1", "--tau-max", "3"),
+        "concurrence": ("concurrence", "--gamma", "0.5"),
+        "oracle": ("oracle", "--temp", "2", "--fock-dim", "20"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ARGV))
+    def test_help_and_namespaces_match_the_full_parser(self, name, tmp_path):
+        full, own = cli.build_parser(), cli.build_parser(name)
+        assert own.format_help() == full.format_help()
+        assert (cli._subparser(own, name).format_help()
+                == cli._subparser(full, name).format_help())
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": "x.csv"}))
+        for argv in (list(self.ARGV[name]), [*self.ARGV[name], "--config", str(cfg)]):
+            parsed = [vars(p.parse_args(cli._with_config(p, argv))) for p in (full, own)]
+            # repr: the gamma and sweep axes are arrays, which == does not compare
+            assert repr(parsed[0]) == repr(parsed[1])
+            assert parsed[0]["out"] == (None if len(argv) == len(self.ARGV[name]) else "x.csv")
+
+    def test_only_the_named_subcommand_gets_flags(self):
+        def flags(parser):
+            return {name: [a.dest for a in cli._subparser(parser, name)._actions]
+                    for name in self.ARGV}
+
+        full, sweep = flags(cli.build_parser()), flags(cli.build_parser("sweep"))
+        assert sweep == {**{name: ["help"] for name in self.ARGV}, "sweep": full["sweep"]}
+        assert all(len(dests) > 2 for dests in full.values())
+        # a name that is no subcommand builds every subcommand's flags
+        assert flags(cli.build_parser("frob")) == full
+
+
+class TestTableWriter:
+    @pytest.mark.parametrize("rows", [
+        [],
+        [[-0.0, 5e-324, 1e308], [math.nan, math.inf, -math.inf], [0.0, -1e-308, 1.0]],
+        [[np.float64(0.1), np.float64(-2.5e-300), np.float64(math.nan)]],
+        # random bit patterns: every exponent, subnormals, nan payloads and signs
+        np.random.default_rng(22).integers(0, 2**64, 3000, dtype=np.uint64, endpoint=False)
+        .view(np.float64).reshape(-1, 3).tolist(),
+    ])
+    def test_csv_is_the_per_value_text(self, rows, tmp_path):
+        out = tmp_path / "table.csv"
+        cli._write_table(["a", "b", "c"], rows, str(out), "csv")
+        per_value = ["a,b,c"] + [",".join(cli._fmt(v) for v in row) for row in rows]
+        assert out.read_bytes().decode() == "\n".join(per_value) + "\n"
 
 
 def test_known_red_script_runs():

@@ -265,10 +265,11 @@ class TestGammaContinuum:
         assert _panel_width(cutoff, t, tau) == 2.0 * cutoff
 
     def test_default_start_is_accurate_over_a_wide_range(self, monkeypatch):
-        # the default (2 panels per oscillation, rel_tol 1e-8) against a
-        # 16-per-oscillation start at rel_tol 1e-11; cases whose reference
-        # start grid exceeds 2e5 panels (large cutoff * t * |tau|, about 3 %
-        # of draws) are redrawn to keep the test's time and memory small
+        # the default (0.5 panels per oscillation: two periods a panel;
+        # rel_tol 1e-8) against a 16-per-oscillation start at rel_tol 1e-11;
+        # cases whose reference start grid exceeds 2e5 panels (large
+        # cutoff * t * |tau|, about 3 % of draws) are redrawn to keep the
+        # test's time and memory small
         rng = np.random.default_rng(26)
         ref = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-14)
         cases = 0

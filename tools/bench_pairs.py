@@ -23,7 +23,9 @@ both sides evaluated the same panels, whatever rows each integrand gives
 per node.  It keeps each preset's CSV, to compare the printed rows of the
 sides, and reads the process's minor page faults (getrusage ru_minflt)
 around each preset: a working set that outgrows the heap top the allocator
-keeps shows there as thousands of faults.
+keeps shows there as thousands of faults.  After the presets, the same
+process runs the README sweep as `sweep-jobs2` does (`sweep_argv(out, 2)` of
+`ptbench/workloads.py`) and keeps its CSV.
 Each side also runs `python -m ptbath.cli oracle --temp 10` three times, each
 in a fresh interpreter, the sides alternating: the command that sets the
 peak RSS of the commands workload (its Fock dimension reaches 640).  Each
@@ -32,11 +34,11 @@ run's peak RSS (the child's ru_maxrss, from wait4) and wall time are kept.
 Writes BENCH_<label>.json at the repository root: every run's result line
 (the last line of `ptbench/run.py`'s output), the traced runs, both sides'
 integrand nodes and values per figures pass and per preset, SHA-256 of
-each preset CSV and minor page faults per preset, the oracle runs
+each preset CSV and of the sweep CSV, minor page faults per preset, the oracle runs
 (`oracle_t10`: exit code, peak RSS in MB and wall seconds per run and side),
 each side's line count of src/ptbath/*.py (`src_lines`),
-the number of CSV rows per preset that differ between the sides (a row only
-one side has counts too), and per workload and end-to-end metric of BENCHMARK.json the number
+the number of CSV rows per preset and of the sweep that differ between the
+sides (a row only one side has counts too), and per workload and end-to-end metric of BENCHMARK.json the number
 of pairs, the pairs the change wins (ties count for neither side), each
 side's median and quartiles (linear interpolation between closest ranks)
 and a verdict against the metric's bound: worse, unresolved, better or
@@ -65,14 +67,15 @@ ORACLE_RUNS = 3
 ORACLE_ARGV = ["-m", "ptbath.cli", "oracle", "--temp", "10"]
 
 # argv[1] is the checkout; prints the integrand nodes and values of each
-# preset of one figures pass, its CSV and its minor page faults as one JSON line
+# preset of one figures pass, its CSV and its minor page faults, and the
+# README sweep's CSV, as one JSON line
 FIGURES_PASS = '''
 import json, resource, sys, tempfile
 from pathlib import Path
 import numpy as np
 from ptbath import cli, continuum
 sys.path.insert(0, str(Path(sys.argv[1]) / "ptbench"))
-from workloads import FIGURE_IDS, figure_argv
+from workloads import FIGURE_IDS, figure_argv, sweep_argv
 
 real, count = continuum.integrate_adaptive, {"nodes": 0, "values": 0}
 
@@ -96,7 +99,12 @@ with tempfile.TemporaryDirectory() as tmp:
         faults[fig] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         nodes[fig], values[fig] = count["nodes"], count["values"]
         csv[fig] = out.read_bytes().decode()  # as written: no newline translation
-print(json.dumps({"nodes": nodes, "values": values, "csv": csv, "minor_faults": faults}))
+    out = Path(tmp) / "sweep.csv"
+    if cli.main(sweep_argv(str(out), 2)) != 0:
+        sys.exit("sweep failed")
+    sweep_csv = out.read_bytes().decode()
+print(json.dumps({"nodes": nodes, "values": values, "csv": csv, "minor_faults": faults,
+                  "sweep_csv": sweep_csv}))
 '''
 
 
@@ -125,7 +133,8 @@ def src_lines(checkout: Path) -> int:
 
 def figures_pass(checkout: Path) -> dict:
     """Integrand nodes and values of each preset of one figures pass of the
-    ptbath in `checkout`, and each preset's CSV text and minor page faults."""
+    ptbath in `checkout`, each preset's CSV text and minor page faults, and
+    the CSV text of the README sweep run after them in the same process."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     out = subprocess.run([sys.executable, "-c", FIGURES_PASS, str(checkout)], cwd=checkout,
                          env=env, capture_output=True, text=True, check=True, timeout=600).stdout
@@ -168,6 +177,23 @@ def rows_changed(parent: str, change: str) -> int:
     """CSV rows that differ between two texts, a row only one has included."""
     return sum(p != c for p, c in itertools.zip_longest(parent.splitlines(),
                                                          change.splitlines()))
+
+
+def csv_digest(passes: dict) -> dict:
+    """SHA-256 of each side's preset CSVs and README sweep CSV, and the rows
+    that differ between the sides' CSVs, from both sides' figures passes."""
+    def sha256(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    parent, change = passes["parent"], passes["change"]
+    return {
+        "figure_csv_sha256": {side: {fig: sha256(text) for fig, text in p["csv"].items()}
+                              for side, p in passes.items()},
+        "figure_rows_changed": {fig: rows_changed(text, change["csv"][fig])
+                                for fig, text in parent["csv"].items()},
+        "sweep_csv_sha256": {side: sha256(p["sweep_csv"]) for side, p in passes.items()},
+        "sweep_rows_changed": rows_changed(parent["sweep_csv"], change["sweep_csv"]),
+    }
 
 
 def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
@@ -251,10 +277,7 @@ def main() -> int:
                  for side, p in passes.items()}
         values = {side: {"total": sum(p["values"].values()), **p["values"]}
                   for side, p in passes.items()}
-        sha256 = {side: {fig: hashlib.sha256(text.encode()).hexdigest()
-                         for fig, text in p["csv"].items()} for side, p in passes.items()}
-        changed = {fig: rows_changed(text, passes["change"]["csv"][fig])
-                   for fig, text in passes["parent"]["csv"].items()}
+        digest = csv_digest(passes)
         faults = {side: p["minor_faults"] for side, p in passes.items()}
         lines = {side: src_lines(root) for side, root in roots.items()}
         oracle = {"parent": [], "change": []}
@@ -263,7 +286,9 @@ def main() -> int:
                 oracle[side].append(oracle_run(roots[side]))
         print(json.dumps({"integrand_nodes_per_figures_pass": nodes,
                           "integrand_values_per_figures_pass": values,
-                          "figure_rows_changed": changed, "figure_minor_faults": faults,
+                          "figure_rows_changed": digest["figure_rows_changed"],
+                          "sweep_rows_changed": digest["sweep_rows_changed"],
+                          "figure_minor_faults": faults,
                           "src_lines": lines, "oracle_t10": oracle}),
               flush=True)
 
@@ -305,8 +330,7 @@ def main() -> int:
         "traced": traced,
         "integrand_nodes_per_figures_pass": nodes,
         "integrand_values_per_figures_pass": values,
-        "figure_csv_sha256": sha256,
-        "figure_rows_changed": changed,
+        **digest,
         "figure_minor_faults": faults,
         "src_lines": lines,
         "oracle_t10": {"command": "python " + " ".join(ORACLE_ARGV), **oracle},
