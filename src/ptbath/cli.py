@@ -51,7 +51,14 @@ def _parse_range(text: str) -> np.ndarray:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 1:
             raise argparse.ArgumentTypeError(f"count must be >= 1, got {text!r}")
-        return np.linspace(start, stop, count)
+        try:  # a non-finite start, stop or stop - start is rejected below, not warned of
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = np.linspace(start, stop, count)
+        except MemoryError:
+            raise argparse.ArgumentTypeError(f"count too large, got {text!r}") from None
+        if not np.isfinite(values).all():
+            raise argparse.ArgumentTypeError(f"values must be finite, got {text!r}")
+        return values
     return np.array([float(text)])
 
 
@@ -399,8 +406,8 @@ def main(argv=None) -> int:
     except QuadratureError as exc:
         print(f"error: {exc} (params: {_failed_integral(exc.params)})", file=sys.stderr)
         return EXIT_QUADRATURE
-    except (ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, KeyError, MemoryError) as exc:  # MemoryError: a huge count
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

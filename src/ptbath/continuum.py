@@ -66,6 +66,13 @@ _RECORD_VALUES = 1 << 21
 _OMEGA_MAX_CUTOFFS = 60.0
 _PANELS_PER_OSCILLATION = 0.5
 
+# Start panels per worker above which a run pays for the process pool, whose
+# start and cold workers cost 15-20 ms.  Wall ms at jobs=1 -> jobs=2 with a pool
+# (2 vCPU, means of two medians of 7): fig4 (237k start panels) 196 -> 132,
+# fig2 (54k) 61 -> 68, fig3a (48k) 55 -> 60, fig1a (25k) 36 -> 46, fig3b (6k)
+# 14 -> 29, the README sweep (1.8k) 12 -> 25, fig1b (0.2k) 13 -> 26.
+_POOL_PANELS = 50_000
+
 # The kernel divides by w^2, which underflows below w ~ 1e-154; under
 # this multiple of the cutoff the integrands take their analytic w -> 0
 # limit instead.  No quadrature node comes near it; w = 0 is the case it
@@ -411,13 +418,19 @@ def batches(cutoff: float, taus, times, n_phases: int) -> list[tuple[slice, list
 
 
 def gamma_continuum_batch(spec: OhmicSpectrum, taus, times, thetas,
-                          quad: QuadratureSpec | None = None) -> np.ndarray:
+                          quad: QuadratureSpec | None = None, jobs: int = 1) -> np.ndarray:
     """Gamma at each (tau, t) of zip(taus, times) and each coupling phase in
     thetas, as a (len(taus), len(thetas)) array (spec.tau and spec.theta
     are ignored).  The phases of one (tau, t) share one integral (split in
     several when too large for _RECORD_VALUES), and the integrals run in
     batches (see batches), one integrate_adaptive pass each.  Every value
-    is bit for bit the one gamma_continuum_nh gives alone."""
+    is bit for bit the one gamma_continuum_nh gives alone.
+
+    jobs is an upper bound: min(jobs, batches) worker processes map the
+    batches only when their start panels pass jobs x _POOL_PANELS; the
+    array is the same whatever the number of workers."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     thetas = [float(th) for th in thetas]
     for name, values in (("tau", taus), ("theta", thetas)):
         if not all(map(math.isfinite, values)):
@@ -437,6 +450,16 @@ def gamma_continuum_batch(spec: OhmicSpectrum, taus, times, thetas,
     cuts = batches(spec.cutoff, taus, times, len(thetas))
     if cuts:  # before any integral runs
         _check_range(spec, min(width for _, widths in cuts for width in widths))
+    # a zero width is an integral that integrate_adaptive rejects
+    if jobs > 1 and sum(hi / w for _, ws in cuts for w in ws if w > 0.0) > jobs * _POOL_PANELS:
+        from concurrent.futures import ProcessPoolExecutor  # imported only where a pool runs
+        workers = min(jobs, len(cuts))
+        # about eight chunks per worker, so that no worker idles long at the end;
+        # a batch's slice is one batch again, one engine pass in its worker
+        tasks = [(spec, taus[cut], times[cut], thetas, quad) for cut, _ in cuts]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return np.concatenate(list(pool.map(gamma_continuum_batch, *zip(*tasks),
+                                                chunksize=max(1, len(tasks) // (8 * workers)))))
     for cut, widths in cuts:
         # at A = 1, and at the tau of a lone integral, which runs on floats
         unit = OhmicSpectrum(1.0, spec.cutoff, 0.0, spec.temperature, taus[cut.start])

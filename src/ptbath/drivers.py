@@ -2,11 +2,12 @@
 parameter sweeps, the (tau, theta) optimizer and the crossover finder.
 
 A figure or a sweep fixes one amplitude, cutoff and temperature and reduces
-to gamma_continuum_batch calls, one per engine batch (continuum.batches)
-of integrals with the same phase list, as do the optimizer's grid and the
-crossover finder's scan, a chunk of taus per call; the golden refinement and
-the bisection call gamma_continuum_nh per tau.  Rows come back in a fixed
-order whatever the number of worker processes.
+to one gamma_continuum_batch call over the grid of its distinct (tau, t) by
+its distinct theta, which batches the integrals and maps the batches over
+up to `jobs` worker processes.  The optimizer's grid is one call too, and
+the crossover finder's scan is a chunk of taus per call; the golden
+refinement and the bisection call gamma_continuum_nh per tau.  Rows come
+back in a fixed order whatever the number of worker processes.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .continuum import (_OMEGA_MAX_CUTOFFS, OhmicSpectrum, QuadratureSpec, batches,
-                        gamma_continuum_batch, gamma_continuum_nh)
+from .continuum import OhmicSpectrum, QuadratureSpec, gamma_continuum_batch, gamma_continuum_nh
 from .core import check_tau
 
 PI = math.pi
@@ -31,13 +31,6 @@ _CROSSOVER_SCAN_POINTS = 41
 _CROSSOVER_CHUNK = 8
 _CROSSOVER_TOL = 1e-3
 
-# Start panels per worker above which a run pays for the process pool, whose
-# start and cold workers cost 15-20 ms.  Wall ms at jobs=1 -> jobs=2 with a pool
-# (2 vCPU, means of two medians of 7): fig4 (237k start panels) 196 -> 132,
-# fig2 (54k) 61 -> 68, fig3a (48k) 55 -> 60, fig1a (25k) 36 -> 46, fig3b (6k)
-# 14 -> 29, the README sweep (1.8k) 12 -> 25, fig1b (0.2k) 13 -> 26.
-_POOL_PANELS = 50_000
-
 
 def _gamma_rows(spec: OhmicSpectrum, inputs: dict[str, list], columns: list[str],
                 quad: QuadratureSpec, jobs: int):
@@ -46,39 +39,15 @@ def _gamma_rows(spec: OhmicSpectrum, inputs: dict[str, list], columns: list[str]
     in input order.  Returns (columns, rows), each row the point's
     `columns` of the inputs, Gamma and exp(-Gamma).
 
-    Points that differ only in theta are one integral; the (tau, t)
-    integrals of one phase list go to gamma_continuum_batch in the
-    engine's batches.  jobs is an upper bound: min(jobs, batches) workers
-    map them only when their start panels pass jobs x _POOL_PANELS."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    integrals: dict[tuple, list[int]] = {}  # point indices by (tau, t)
-    families: dict[tuple, list] = {}  # (tau, t, point indices) by phase list
-    theta = inputs["theta"]
-    for i, key in enumerate(zip(inputs["tau"], inputs["t"])):
-        integrals.setdefault(key, []).append(i)
-    for key, members in integrals.items():
-        families.setdefault(tuple(theta[i] for i in members), []).append((*key, members))
-    tasks, owners, panels = [], [], 0.0
-    for thetas, family in families.items():
-        taus, times, members = zip(*family)
-        for cut, widths in batches(spec.cutoff, taus, times, len(thetas)):
-            tasks.append((spec, taus[cut], times[cut], thetas, quad))
-            owners.extend(i for point_ids in members[cut] for i in point_ids)
-            # a zero width is a tau that gamma_continuum_batch rejects
-            panels += sum(_OMEGA_MAX_CUTOFFS * spec.cutoff / w for w in widths if w > 0.0)
-    if jobs > 1 and panels > jobs * _POOL_PANELS:
-        from concurrent.futures import ProcessPoolExecutor  # imported only where a pool runs
-        workers = min(jobs, len(tasks))
-        # about eight chunks per worker, so that no worker idles long at the end
-        chunksize = max(1, len(tasks) // (8 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(gamma_continuum_batch, *zip(*tasks), chunksize=chunksize))
-    else:
-        results = [gamma_continuum_batch(*task) for task in tasks]
-    gammas = np.zeros(len(theta))
-    gammas[owners] = np.concatenate([np.empty(0)] + [r.ravel() for r in results])
-    gammas = gammas.tolist()
+    One gamma_continuum_batch call, with jobs, over their distinct (tau, t)
+    by their distinct theta, each in order of first appearance."""
+    integrals: dict[tuple, int] = {}  # grid rows by (tau, t)
+    phases: dict[float, int] = {}  # grid columns by theta
+    rows = [integrals.setdefault(key, len(integrals)) for key in zip(inputs["tau"], inputs["t"])]
+    cols = [phases.setdefault(theta, len(phases)) for theta in inputs["theta"]]
+    grid = gamma_continuum_batch(spec, [tau for tau, _ in integrals], [t for _, t in integrals],
+                                 list(phases), quad, jobs)
+    gammas = grid[rows, cols].tolist()
     # math.exp, not np.exp, which may differ in the last place
     coherences = [math.exp(-g) for g in gammas]
     printed = [inputs[c] for c in columns]

@@ -105,11 +105,21 @@ def test_csv_digest_covers_the_presets_and_the_sweep():
     assert digest["sweep_csv_sha256"]["parent"] != digest["sweep_csv_sha256"]["change"]
 
 
-def test_figures_pass_keeps_the_readme_sweep_csv():
-    # one pass over this checkout (about a second): the six presets, then the
-    # sweep of the sweep-jobs2 workload in the same process
-    bench_pairs = load_bench_pairs()
-    result = bench_pairs.figures_pass(ROOT)
-    assert set(result["csv"]) == {"fig1a", "fig1b", "fig2", "fig3a", "fig3b", "fig4"}
-    lines = result["sweep_csv"].splitlines()
+@pytest.fixture(scope="module")
+def figures_pass():
+    # one pass over this checkout (about two seconds): the six presets, the
+    # sweep of the sweep-jobs2 workload and fig4 at --jobs 2 in one process
+    return load_bench_pairs().figures_pass(ROOT)
+
+
+def test_figures_pass_keeps_the_readme_sweep_csv(figures_pass):
+    assert set(figures_pass["csv"]) == {"fig1a", "fig1b", "fig2", "fig3a", "fig3b", "fig4"}
+    lines = figures_pass["sweep_csv"].splitlines()
     assert lines[0] == "tau,theta,gamma,coherence" and len(lines) == 1 + 41 * 25
+
+
+def test_figures_pass_counts_engine_passes_and_checks_the_pool(figures_pass):
+    # one integrate_adaptive call per engine batch of a run's grid
+    assert figures_pass["passes"] == {"fig1a": 12, "fig1b": 1, "fig2": 26, "fig3a": 25,
+                                      "fig3b": 3, "fig4": 138, "sweep": 1}
+    assert figures_pass["fig4_jobs2_matches_serial"] is True

@@ -92,9 +92,9 @@ def count_integrals(monkeypatch):
 
 
 def count_pools(monkeypatch):
-    """Route concurrent.futures.ProcessPoolExecutor, which the drivers import
-    where they start a pool, through a subclass that records the workers of
-    every pool built; returns the list."""
+    """Route concurrent.futures.ProcessPoolExecutor, which gamma_continuum_batch
+    imports where it starts a pool, through a subclass that records the
+    workers of every pool built; returns the list."""
     workers = []
 
     class Recording(concurrent.futures.ProcessPoolExecutor):
@@ -109,7 +109,7 @@ def count_pools(monkeypatch):
 def force_pools(monkeypatch):
     """Make every run with jobs > 1 start the process pool, however small;
     returns the workers of every pool built, as count_pools does."""
-    monkeypatch.setattr(drivers, "_POOL_PANELS", 0)
+    monkeypatch.setattr(continuum, "_POOL_PANELS", 0)
     return count_pools(monkeypatch)
 
 
@@ -340,7 +340,7 @@ class TestSweep:
         assert serial == parallel and len(pools) == 1
 
     def test_readme_sweep_runs_in_one_process(self, tmp_path, monkeypatch):
-        # 7.4k start panels: less than a pool of two workers pays for
+        # 1.8k start panels: less than a pool of two workers pays for
         pools = count_pools(monkeypatch)
         args = ("sweep", "--sweep", "tau=0:4:41", "--sweep", "theta=0:3.1416:25", "--t", "20")
         _, serial = run_cli(tmp_path, *args, "--jobs", "1")
@@ -424,7 +424,7 @@ class TestFigure:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(drivers, "_POOL_PANELS", 0)
+        monkeypatch.setattr(continuum, "_POOL_PANELS", 0)
         # fig1b's four tau at 721 phases, at t = 80, run in three batches
         fig1b = FIGURE_PRESETS["fig1b"]
         fig1b, quad = replace(fig1b, fixed={**fig1b.fixed, "t": 80.0}), QuadratureSpec()
@@ -434,6 +434,30 @@ class TestFigure:
             assert run_figure(fig1b, quad, jobs=jobs) == serial
             assert workers == [expected]
             workers.clear()
+
+    @pytest.mark.parametrize("run, shape", [
+        ("fig4", (402, 1)),  # 201 tau at t = 2 and 120
+        ("fig1a", (802, 5)),  # 401 t at tau = 2 and 0: the reference takes all five phases
+        ("readme-sweep", (41, 25)),
+    ])
+    def test_a_run_is_one_grid_call(self, run, shape, monkeypatch):
+        # the driver hands gamma_continuum_batch the whole grid and the jobs;
+        # batches and pool are the engine's
+        calls = []
+
+        def recording(spec, taus, times, thetas, quad, jobs):
+            calls.append(((len(taus), len(thetas)), jobs))
+            return gamma_continuum_batch(spec, taus, times, thetas, quad)
+
+        monkeypatch.setattr(drivers, "gamma_continuum_batch", recording)
+        quad = QuadratureSpec()
+        if run == "readme-sweep":
+            fixed = dict(amplitude=1.0, cutoff=0.1, temp=300.0, t=20.0)
+            grids = [("tau", np.linspace(0.0, 4.0, 41)), ("theta", np.linspace(0.0, 3.1416, 25))]
+            run_sweep(fixed, grids, quad, jobs=2)
+        else:
+            run_figure(FIGURE_PRESETS[run], quad, jobs=2)
+        assert calls == [(shape, 2)]
 
     def test_cli_figure_with_reduced_axis(self, tmp_path):
         code, text = run_cli(tmp_path, "figure", "fig2", "--t", "0:2:3")
@@ -832,9 +856,8 @@ class TestExitCodesAndConfig:
         ("sweep", "--sweep", "tau=0:1:2", "--t", "nan"),
         ("figure", "fig2", "--t", "0:nan:3"),
     ])
-    def test_non_finite_input_is_a_usage_error(self, tmp_path, argv):
-        code, _ = run_cli(tmp_path, *argv)
-        assert code == 2
+    def test_non_finite_input_is_a_usage_error(self, argv):
+        assert exit_code(*argv) == 2  # a non-finite --t range is an argparse error
 
 
 class TestFlagsPerSubcommand:
@@ -980,10 +1003,29 @@ class TestFlagsPerSubcommand:
         # of 1.9e77 or inf panels)
         (("gamma", "--t", "1", "--tau", "5e76"), "(--tau)"),
         (("gamma", "--t", "1", "--tau", "1e160"), "(--tau)"),
+        # a non-finite range, or one whose span overflows, is no numpy warning
+        (("sweep", "--sweep", "t=0:inf:3"), "argument --sweep: values must be finite"),
+        (("sweep", "--sweep", "tau=nan:1:3"), "argument --sweep: values must be finite"),
+        (("sweep", "--sweep", "t=-1e308:1e308:3"), "argument --sweep: values must be finite"),
+        (("gamma", "--t", "0:inf:3"), "argument --t: values must be finite"),
+        # 72.8 TiB of floats: numpy refuses the array before allocating anything
+        (("sweep", "--sweep", "t=0:1:10000000000000"), "argument --sweep: count too large"),
+        (("gamma", "--t", "0:1:10000000000000"), "argument --t: count too large"),
     ])
     def test_emptied_clamped_or_truncated_input_is_a_usage_error(self, argv, name, capsys):
         assert exit_code(*argv) == 2
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("figure", "fig2", "--points", "10000000000000"),
+        ("optimize", "--free", "tau", "--grid-points", "10000000000000"),
+        ("oracle", "--num-times", "10000000000000"),
+    ])
+    def test_a_count_past_memory_is_one_error_line(self, argv, capsys):
+        # 72.8 TiB of floats: numpy refuses the array before allocating anything
+        assert exit_code(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, flag", [
         (("optimize", "--free", "tau", "--grid-points", "1"), "--grid-points"),

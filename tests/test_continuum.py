@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 from dataclasses import replace
 
@@ -587,6 +588,28 @@ class TestBatch:
             gamma_continuum_batch(spec, [0.0], [1.0], [0.0, math.inf])
         with pytest.raises(ValueError, match="t must be finite"):
             gamma_continuum_batch(spec, [0.0], [math.inf], [0.0])
+
+    def test_worker_pool_equals_the_serial_array(self, monkeypatch):
+        # three batches (26, 11 and 4 integrals) at a pool threshold of 0: two
+        # real workers, so that the arguments and results cross processes
+        spec = OhmicSpectrum(1.0, 0.1, 0.0, 300.0)
+        taus, times, thetas = [2.0] * 41, list(np.linspace(0.0, 120.0, 41)), [0.3, 1.0]
+        serial = gamma_continuum_batch(spec, taus, times, thetas)
+        workers = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                workers.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(continuum, "_POOL_PANELS", 0)
+        assert np.array_equal(gamma_continuum_batch(spec, taus, times, thetas, jobs=2), serial)
+        assert workers == [2]
+
+    def test_rejects_fewer_than_one_job(self):
+        with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
+            gamma_continuum_batch(OhmicSpectrum(1.0, 0.1), [0.0], [1.0], [0.0], jobs=0)
 
     def test_rejects_a_tau_past_the_kernel_constants_before_integrating(self, monkeypatch):
         # the largest |tau| is checked, as core.DiscreteBath checks its tau

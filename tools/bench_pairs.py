@@ -25,7 +25,11 @@ sides, and reads the process's minor page faults (getrusage ru_minflt)
 around each preset: a working set that outgrows the heap top the allocator
 keeps shows there as thousands of faults.  After the presets, the same
 process runs the README sweep as `sweep-jobs2` does (`sweep_argv(out, 2)` of
-`ptbench/workloads.py`) and keeps its CSV.
+`ptbench/workloads.py`) and keeps its CSV, and then `figure fig4 --jobs 2`,
+whose start panels start the process pool, and compares its CSV with the
+serial fig4 CSV.  The wrapper also counts the engine passes
+(`integrate_adaptive` calls) of each preset and of the sweep, which repeat
+run to run like the nodes.
 Each side also runs `python -m ptbath.cli oracle --temp 10` three times, each
 in a fresh interpreter, the sides alternating: the command that sets the
 peak RSS of the commands workload (its Fock dimension reaches 640).  Each
@@ -36,6 +40,9 @@ Writes BENCH_<label>.json at the repository root: every run's result line
 integrand nodes and values per figures pass and per preset, SHA-256 of
 each preset CSV and of the sweep CSV, minor page faults per preset, the oracle runs
 (`oracle_t10`: exit code, peak RSS in MB and wall seconds per run and side),
+each side's engine passes per preset and for the sweep
+(`engine_passes_per_figures_pass`) and whether its fig4 at --jobs 2 matched
+its serial fig4 (`fig4_jobs2_matches_serial`),
 each side's line count of src/ptbath/*.py (`src_lines`),
 the number of CSV rows per preset and of the sweep that differ between the
 sides (a row only one side has counts too), and per workload and end-to-end metric of BENCHMARK.json the number
@@ -67,8 +74,9 @@ ORACLE_RUNS = 3
 ORACLE_ARGV = ["-m", "ptbath.cli", "oracle", "--temp", "10"]
 
 # argv[1] is the checkout; prints the integrand nodes and values of each
-# preset of one figures pass, its CSV and its minor page faults, and the
-# README sweep's CSV, as one JSON line
+# preset of one figures pass, its CSV and its minor page faults, the README
+# sweep's CSV, the engine passes of each preset and of the sweep, and whether
+# fig4 at --jobs 2 printed the serial CSV, as one JSON line
 FIGURES_PASS = '''
 import json, resource, sys, tempfile
 from pathlib import Path
@@ -77,7 +85,7 @@ from ptbath import cli, continuum
 sys.path.insert(0, str(Path(sys.argv[1]) / "ptbench"))
 from workloads import FIGURE_IDS, figure_argv, sweep_argv
 
-real, count = continuum.integrate_adaptive, {"nodes": 0, "values": 0}
+real, count = continuum.integrate_adaptive, {"nodes": 0, "values": 0, "passes": 0}
 
 def tally(x, out):
     count["nodes"] += np.size(x)
@@ -85,26 +93,35 @@ def tally(x, out):
     return out
 
 def counting(f, *args, **kwargs):
+    count["passes"] += 1
     return real(lambda x, *a: tally(x, f(x, *a)), *args, **kwargs)
 
 continuum.integrate_adaptive = counting
-csv, faults, nodes, values = {}, {}, {}, {}
+csv, faults, nodes, values, passes = {}, {}, {}, {}, {}
 with tempfile.TemporaryDirectory() as tmp:
     for fig in FIGURE_IDS:
         out = Path(tmp) / (fig + ".csv")
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        count.update(nodes=0, values=0)
+        count.update(nodes=0, values=0, passes=0)
         if cli.main(figure_argv(fig, str(out))) != 0:
             sys.exit(f"figure {fig} failed")
         faults[fig] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-        nodes[fig], values[fig] = count["nodes"], count["values"]
+        nodes[fig], values[fig], passes[fig] = count["nodes"], count["values"], count["passes"]
         csv[fig] = out.read_bytes().decode()  # as written: no newline translation
     out = Path(tmp) / "sweep.csv"
+    count.update(passes=0)
     if cli.main(sweep_argv(str(out), 2)) != 0:
         sys.exit("sweep failed")
+    passes["sweep"] = count["passes"]
     sweep_csv = out.read_bytes().decode()
+    # the one preset whose start panels start the process pool at --jobs 2
+    out = Path(tmp) / "fig4-jobs2.csv"
+    if cli.main(figure_argv("fig4", str(out)) + ["--jobs", "2"]) != 0:
+        sys.exit("figure fig4 --jobs 2 failed")
+    fig4_jobs2 = out.read_bytes().decode() == csv["fig4"]
 print(json.dumps({"nodes": nodes, "values": values, "csv": csv, "minor_faults": faults,
-                  "sweep_csv": sweep_csv}))
+                  "sweep_csv": sweep_csv, "passes": passes,
+                  "fig4_jobs2_matches_serial": fig4_jobs2}))
 '''
 
 
@@ -133,8 +150,11 @@ def src_lines(checkout: Path) -> int:
 
 def figures_pass(checkout: Path) -> dict:
     """Integrand nodes and values of each preset of one figures pass of the
-    ptbath in `checkout`, each preset's CSV text and minor page faults, and
-    the CSV text of the README sweep run after them in the same process."""
+    ptbath in `checkout`, each preset's CSV text and minor page faults, the
+    CSV text of the README sweep run after them in the same process, the
+    engine passes (`integrate_adaptive` calls) of each preset and of the
+    sweep, and whether `figure fig4 --jobs 2`, run last, printed the serial
+    fig4 CSV."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     out = subprocess.run([sys.executable, "-c", FIGURES_PASS, str(checkout)], cwd=checkout,
                          env=env, capture_output=True, text=True, check=True, timeout=600).stdout
@@ -279,6 +299,8 @@ def main() -> int:
                   for side, p in passes.items()}
         digest = csv_digest(passes)
         faults = {side: p["minor_faults"] for side, p in passes.items()}
+        engine_passes = {side: p["passes"] for side, p in passes.items()}
+        fig4_jobs2 = {side: p["fig4_jobs2_matches_serial"] for side, p in passes.items()}
         lines = {side: src_lines(root) for side, root in roots.items()}
         oracle = {"parent": [], "change": []}
         for i in range(ORACLE_RUNS):
@@ -289,6 +311,8 @@ def main() -> int:
                           "figure_rows_changed": digest["figure_rows_changed"],
                           "sweep_rows_changed": digest["sweep_rows_changed"],
                           "figure_minor_faults": faults,
+                          "engine_passes_per_figures_pass": engine_passes,
+                          "fig4_jobs2_matches_serial": fig4_jobs2,
                           "src_lines": lines, "oracle_t10": oracle}),
               flush=True)
 
@@ -332,6 +356,8 @@ def main() -> int:
         "integrand_values_per_figures_pass": values,
         **digest,
         "figure_minor_faults": faults,
+        "engine_passes_per_figures_pass": engine_passes,
+        "fig4_jobs2_matches_serial": fig4_jobs2,
         "src_lines": lines,
         "oracle_t10": {"command": "python " + " ".join(ORACLE_ARGV), **oracle},
         "summary": summarize(runs, metrics),
