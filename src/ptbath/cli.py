@@ -42,6 +42,14 @@ def _fmt(x: float) -> str:
     return f"{x:.11e}"
 
 
+def _finite(text: str) -> float:
+    """argparse type of the shared float flags: a finite float."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return x
+
+
 def _parse_range(text: str) -> np.ndarray:
     """argparse type of a scalar or start:stop:count."""
     if ":" in text:
@@ -59,7 +67,7 @@ def _parse_range(text: str) -> np.ndarray:
         if not np.isfinite(values).all():
             raise argparse.ArgumentTypeError(f"values must be finite, got {text!r}")
         return values
-    return np.array([float(text)])
+    return np.array([_finite(text)])
 
 
 def _sweep_axis(text: str) -> tuple[str, np.ndarray]:
@@ -237,14 +245,14 @@ def _positive_int(text: str) -> int:
 # (_given_or_default), with their built-in defaults.  Each subcommand
 # declares only the flags its handler reads.
 _FLAGS = {
-    "tau": dict(type=float, default=0.0),
-    "theta": dict(type=float, default=0.0),
-    "A": dict(type=float, default=1.0, help="Ohmic amplitude"),
-    "cutoff": dict(type=float, default=0.1),
-    "temp": dict(type=float, default=300.0),
-    "t": dict(type=float, default=1.0),  # gamma and figure take a t axis instead
-    "rel-tol": dict(type=float),
-    "abs-tol": dict(type=float),
+    "tau": dict(type=_finite, default=0.0),
+    "theta": dict(type=_finite, default=0.0),
+    "A": dict(type=_finite, default=1.0, help="Ohmic amplitude"),
+    "cutoff": dict(type=_finite, default=0.1),
+    "temp": dict(type=_finite, default=300.0),
+    "t": dict(type=_finite, default=1.0),  # gamma and figure take a t axis instead
+    "rel-tol": dict(type=_finite),
+    "abs-tol": dict(type=_finite),
     "max-subdivisions": dict(type=_positive_int),
     "format": dict(choices=("csv", "json"), default="csv"),
     "jobs": dict(type=_positive_int, default=1),
@@ -385,18 +393,6 @@ def _with_config(parser, argv: list[str]) -> list[str]:
     return argv[:1] + flags + argv[1:]
 
 
-def _failed_integral(params: dict) -> dict:
-    """The params of gamma_continuum_batch's QuadratureError, as printed: A,
-    cutoff and temperature of its spectrum (whose tau and theta are not the
-    integral's), the integral's tau and t, and more than three phases as
-    their count and range."""
-    spec, thetas = params["spec"], params["thetas"]
-    if len(thetas) > 3:
-        thetas = f"{len(thetas)} phases in [{min(thetas):g}, {max(thetas):g}]"
-    return {"A": spec.amplitude, "cutoff": spec.cutoff, "temp": spec.temperature,
-            "tau": params["tau"], "t": params["t"], "thetas": thetas}
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser(argv[0] if argv else None)
@@ -404,7 +400,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(_with_config(parser, argv))
         return args.func(args)
     except QuadratureError as exc:
-        print(f"error: {exc} (params: {_failed_integral(exc.params)})", file=sys.stderr)
+        print(f"error: {exc} (params: {exc.params})", file=sys.stderr)
         return EXIT_QUADRATURE
     except (ValueError, OSError, KeyError, MemoryError) as exc:  # MemoryError: a huge count
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,31 +160,18 @@ def _phase_columns(thetas) -> tuple[np.ndarray, np.ndarray]:
     return sin * cos, cos * cos
 
 
-# A block's term values, kept per thread across blocks, rounds and engine
-# calls: a fresh array per block would fault its pages in again each time.
-_WORKSPACE = threading.local()
-
-
-def _terms_buffer(shape) -> np.ndarray:
-    """A view of this shape of this thread's term workspace, grown as needed."""
-    size = math.prod(shape)
-    if getattr(_WORKSPACE, "terms", np.empty(0)).size < size:
-        _WORKSPACE.terms = np.empty(size)
-    return _WORKSPACE.terms[:size].reshape(shape)
-
-
-def gamma_integrand_nh(omega, spec: OhmicSpectrum, t, tau=None, *, out=None):
+def gamma_integrand_nh(omega, spec: OhmicSpectrum, t, tau=None):
     """Integrand of the non-Hermitian continuum decoherence factor, as J(w)
     times the phase-free terms T0, T1, T2 of the dephasing kernel
-    2 |xi_w(t)|^2 coth(w/2T) of a unit-magnitude coupling: an array of
-    shape (3,) + omega.shape, in out if given.  A coupling of phase theta
-    has the integrand T0 + sin(theta) cos(theta) T1 + cos^2(theta) T2
-    (core.dephasing_kernel), which the engine forms per panel for every
-    phase from one integral of the terms; spec.theta is not used.  t and
-    tau (default spec.tau) may be arrays broadcasting against omega.  The
-    removable 0*inf form at w -> 0 is replaced by its analytic limit
-    2 A t^2 * w coth(w/2T) (in T0; T1 = T2 = 0) only where the kernel's w^2
-    would underflow, so the two never meet at a resolvable frequency.
+    2 |xi_w(t)|^2 coth(w/2T) of a unit-magnitude coupling: a new array of
+    shape (3,) + omega.shape.  A coupling of phase theta has the integrand
+    T0 + sin(theta) cos(theta) T1 + cos^2(theta) T2 (core.dephasing_kernel),
+    which the engine forms per panel for every phase from one integral of
+    the terms; spec.theta is not used.  t and tau (default spec.tau) may
+    be arrays broadcasting against omega.  The removable 0*inf form at
+    w -> 0 is replaced by its analytic limit 2 A t^2 * w coth(w/2T) (in T0;
+    T1 = T2 = 0) only where the kernel's w^2 would underflow, so the two
+    never meet at a resolvable frequency.
     """
     if not isinstance(t, np.ndarray):
         check_time(t)
@@ -194,12 +180,12 @@ def gamma_integrand_nh(omega, spec: OhmicSpectrum, t, tau=None, *, out=None):
     small = w < _LIMIT_BELOW * lam
     any_small = small.any()
     ws = np.where(small, lam, w) if any_small else w  # placeholder, overwritten below
-    buf = np.empty((3,) + w.shape) if out is None else out
+    out = np.empty((3,) + w.shape)
     # J(w) = (A w) e^{-w/cutoff} as spectral_density rounds it, in the row
     # that the kernel divides in place
-    weight = np.exp(np.divide(ws, -lam, out=buf[2]), out=buf[2])
+    weight = np.exp(np.divide(ws, -lam, out=out[2]), out=out[2])
     weight *= ws if A == 1.0 else A * ws
-    out = dephasing_kernel(ws, weight, tau, t, T, out=buf)
+    dephasing_kernel(ws, weight, tau, t, T, out=out)
     if any_small:  # the limit does not depend on the phase: T0 carries it
         wl, tl = w[small], np.broadcast_to(t, w.shape)[small]
         out[0, small] = 2.0 * A * tl * tl * _omega_coth(wl, T) * np.exp(-wl / lam)
@@ -466,15 +452,17 @@ def gamma_continuum_batch(spec: OhmicSpectrum, taus, times, thetas,
         us, ts = np.array(taus[cut], dtype=float), np.array(times[cut], dtype=float)
         lone = len(widths) == 1
         f = lambda w, ids: gamma_integrand_nh(  # noqa: E731  (the terms serve every phase)
-            w, unit, times[cut.start] if lone else ts[ids], tau=None if lone else us[ids],
-            out=_terms_buffer((3,) + w.shape))
+            w, unit, times[cut.start] if lone else ts[ids], tau=None if lone else us[ids])
         step = max(1, int(_RECORD_VALUES * min(widths) / hi))
         for i in range(0, len(thetas), step):
             part = thetas[i:i + step]
+            # a failing integral's params, as printed: over three phases as count and range
+            phases = (part if len(part) <= 3
+                      else f"{len(part)} phases in [{min(part):g}, {max(part):g}]")
             gammas[cut, i:i + step] = integrate_adaptive(
                 f, 0.0, hi, unit_quad, widths,
-                [{"spec": spec, "tau": tau, "t": t, "thetas": part}
-                 for tau, t in zip(taus[cut], times[cut])],
+                [{"A": amp, "cutoff": spec.cutoff, "temp": spec.temperature, "tau": tau, "t": t,
+                  "thetas": phases} for tau, t in zip(taus[cut], times[cut])],
                 np.hstack([np.ones((len(part), 1)), *_phase_columns(part)]),
                 _tail_bound(unit, part, None if lone else us))
     with np.errstate(over="ignore"):
@@ -503,6 +491,6 @@ def gamma_hermitian(amplitude: float, cutoff: float, temperature: float, t: floa
     total = integrate_adaptive(
         lambda w, ids: gamma_integrand_hermitian(w, amplitude, cutoff, temperature, t),
         0.0, hi, quad, [width],
-        [{"amplitude": amplitude, "cutoff": cutoff, "temperature": temperature, "t": t}],
+        [{"A": amplitude, "cutoff": cutoff, "temp": temperature, "tau": 0.0, "t": t}],
         [[1.0]])[0, 0]
     return max(float(total), 0.0)

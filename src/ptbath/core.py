@@ -295,13 +295,11 @@ def dephasing_bound(w, weight, tau, temperature: float, sin_cos, cos2):
     0 <= T2 <= 32 tau^2 (1 + 2 tau^2) p, and the kernel is at most p K with
     K = r^2 + 4 + |sin_cos| 16 tau^2 r + cos2 32 tau^2 (1 + 2 tau^2).
     Since e^{2y} - 1 >= 2y, coth y <= 1 + 1/y, so the bound is
-    2 K weight (1 + 2T/w) / (r^4 w^2); T = 0 gives coth = 1 exactly.
+    2 K weight (1 + 2T/w) / (r^4 w^2), factors as in _kernel_constants; T = 0 gives coth = 1.
     """
-    tau2 = tau * tau
-    r2 = 1.0 + 4.0 * tau2
-    k = (r2 + 4.0 + np.abs(sin_cos) * (16.0 * tau2 * np.sqrt(r2))
-         + cos2 * (32.0 * tau2 * (1.0 + 2.0 * tau2)))
-    return k * ((2.0 / (r2 * r2)) * weight * (1.0 + 2.0 * temperature / w) / (w * w))
+    _, r2, k, k1, k2 = _kernel_constants(tau)
+    bound = (r2 + 4.0) * k + np.abs(sin_cos) * (0.5 * k1) + cos2 * k2
+    return bound * (weight * (1.0 + 2.0 * temperature / w) / (w * w))
 
 
 def gamma_discrete(bath: DiscreteBath, t: float) -> float:

@@ -118,6 +118,11 @@ def test_figures_pass_keeps_the_readme_sweep_csv(figures_pass):
     assert lines[0] == "tau,theta,gamma,coherence" and len(lines) == 1 + 41 * 25
 
 
+def test_figures_pass_reads_the_peak_rss_of_the_presets(figures_pass):
+    # ru_maxrss after the six presets, before the sweep and the pool run
+    assert 10.0 < figures_pass["peak_rss_mb"] < 1000.0
+
+
 def test_figures_pass_counts_engine_passes_and_checks_the_pool(figures_pass):
     # one integrate_adaptive call per engine batch of a run's grid
     assert figures_pass["passes"] == {"fig1a": 12, "fig1b": 1, "fig2": 26, "fig3a": 25,

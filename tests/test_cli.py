@@ -256,11 +256,10 @@ class TestGammaCommand:
         assert code == 0
         g = float(text.strip().split("\n")[1].split(",")[1])
 
-        def kernel_everywhere(w, spec, t, tau=None, *, out):
+        def kernel_everywhere(w, spec, t, tau=None):
             # the engine's call: the kernel's three terms at every node
             j = spectral_density(w, spec.amplitude, spec.cutoff)
-            return dephasing_kernel(w, j, spec.tau if tau is None else tau, t,
-                                    spec.temperature, out=out)
+            return dephasing_kernel(w, j, spec.tau if tau is None else tau, t, spec.temperature)
 
         monkeypatch.setattr(continuum, "gamma_integrand_nh", kernel_everywhere)
         ref = gamma_continuum_nh(OhmicSpectrum(1.0, 0.7, 4.9, 0.05, -19.3), 300.0)
@@ -1011,6 +1010,12 @@ class TestFlagsPerSubcommand:
         # 72.8 TiB of floats: numpy refuses the array before allocating anything
         (("sweep", "--sweep", "t=0:1:10000000000000"), "argument --sweep: count too large"),
         (("gamma", "--t", "0:1:10000000000000"), "argument --t: count too large"),
+        # a non-finite shared float flag is named by argparse, not by the library
+        (("gamma", "--t", "nan"), "argument --t: must be finite, got 'nan'"),
+        (("sweep", "--sweep", "tau=0:1:2", "--t", "inf"), "argument --t: must be finite"),
+        (("optimize", "--free", "tau", "--t", "nan"), "argument --t: must be finite"),
+        (("crossover", "--t", "inf"), "argument --t: must be finite"),
+        (("gamma", "--A", "inf"), "argument --A: must be finite, got 'inf'"),
     ])
     def test_emptied_clamped_or_truncated_input_is_a_usage_error(self, argv, name, capsys):
         assert exit_code(*argv) == 2

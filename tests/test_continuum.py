@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import math
 from dataclasses import replace
 
@@ -569,7 +570,9 @@ class TestBatch:
         with pytest.raises(QuadratureError, match="start grid needs 40 panels") as exc:
             gamma_continuum_batch(spec, [0.0, 2.0, 0.0], [0.5, 20.0, 0.7], [0.3, 1.0], quad)
         assert exc.value.params["tau"] == 2.0 and exc.value.params["t"] == 20.0
-        assert exc.value.params["thetas"] == [0.3, 1.0] and exc.value.params["spec"] is spec
+        assert exc.value.params["thetas"] == [0.3, 1.0]
+        assert (exc.value.params["A"], exc.value.params["cutoff"], exc.value.params["temp"]) == (
+            spec.amplitude, spec.cutoff, spec.temperature)
 
     def test_bisection_over_budget_names_the_integral(self):
         spec = OhmicSpectrum(1.0, 0.1, 0.0, 300.0)
@@ -578,7 +581,8 @@ class TestBatch:
         with pytest.raises(QuadratureError, match="did not converge within 400") as exc:
             gamma_continuum_batch(spec, [2.0, 2.0], [0.0, 20.0], [0.3], quad)
         assert exc.value.params["t"] == 20.0 and exc.value.params["thetas"] == [0.3]
-        assert exc.value.params["spec"] is spec
+        assert (exc.value.params["A"], exc.value.params["cutoff"], exc.value.params["temp"]) == (
+            spec.amplitude, spec.cutoff, spec.temperature)
 
     def test_rejects_non_finite_tau_and_theta(self):
         spec = OhmicSpectrum(1.0, 0.1)
@@ -687,23 +691,27 @@ class TestTermRoute:
 
     def test_work_does_not_grow_with_the_phases(self, monkeypatch):
         # 3 term values per node for a group of any size, and at most
-        # _BLOCK_VALUES node x term values in one integrand call
-        calls = []
+        # _BLOCK_VALUES node x term values in one integrand call, each call
+        # in rows of its own (721 phases take six calls)
+        calls, outputs = [], []
         real = continuum.gamma_integrand_nh
 
         def recording(w, *args, **kwargs):
             values = real(w, *args, **kwargs)
             calls.append((np.size(w), np.size(values)))
+            outputs.append(values)
             return values
 
         monkeypatch.setattr(continuum, "gamma_integrand_nh", recording)
         spec = OhmicSpectrum(1.0, 0.1, 0.0, 300.0, 4.0)
         for n_phases in (1, 3, 25, 721):
             calls.clear()
+            outputs.clear()
             gamma_continuum_batch(spec, [4.0], [20.0], list(np.linspace(0.0, math.pi, n_phases)))
             assert calls
             assert all(values == 3 * nodes for nodes, values in calls)
             assert max(values for _, values in calls) <= continuum._BLOCK_VALUES
+            assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(outputs, 2))
 
     def test_per_panel_phase_arrays_stay_within_the_block(self, monkeypatch):
         # a block's phase arrays hold panels x phases values: with 721 phases
@@ -718,8 +726,7 @@ class TestTermRoute:
         assert max(sizes) // n * len(thetas) <= continuum._BLOCK_VALUES // n
 
     def test_threads_keep_their_own_workspace(self):
-        # the block buffers are per thread: integrals that run concurrently
-        # give the values each gives alone
+        # integrals that run concurrently give the values each gives alone
         from concurrent.futures import ThreadPoolExecutor
 
         specs = [OhmicSpectrum(1.0, 0.1, 0.0, 300.0, tau) for tau in (0.5, 2.0, 4.0, 7.0)]

@@ -23,13 +23,14 @@ both sides evaluated the same panels, whatever rows each integrand gives
 per node.  It keeps each preset's CSV, to compare the printed rows of the
 sides, and reads the process's minor page faults (getrusage ru_minflt)
 around each preset: a working set that outgrows the heap top the allocator
-keeps shows there as thousands of faults.  After the presets, the same
-process runs the README sweep as `sweep-jobs2` does (`sweep_argv(out, 2)` of
-`ptbench/workloads.py`) and keeps its CSV, and then `figure fig4 --jobs 2`,
-whose start panels start the process pool, and compares its CSV with the
-serial fig4 CSV.  The wrapper also counts the engine passes
-(`integrate_adaptive` calls) of each preset and of the sweep, which repeat
-run to run like the nodes.
+keeps shows there as thousands of faults.  After the presets it reads the
+process's peak RSS (getrusage ru_maxrss, in MB), before the sweep and the
+process pool can raise it.  Then the same process runs the README sweep as
+`sweep-jobs2` does (`sweep_argv(out, 2)` of `ptbench/workloads.py`) and
+keeps its CSV, and then `figure fig4 --jobs 2`, whose start panels start
+the process pool, and compares its CSV with the serial fig4 CSV.  The
+wrapper also counts the engine passes (`integrate_adaptive` calls) of each
+preset and of the sweep, which repeat run to run like the nodes.
 Each side also runs `python -m ptbath.cli oracle --temp 10` three times, each
 in a fresh interpreter, the sides alternating: the command that sets the
 peak RSS of the commands workload (its Fock dimension reaches 640).  Each
@@ -38,7 +39,8 @@ run's peak RSS (the child's ru_maxrss, from wait4) and wall time are kept.
 Writes BENCH_<label>.json at the repository root: every run's result line
 (the last line of `ptbench/run.py`'s output), the traced runs, both sides'
 integrand nodes and values per figures pass and per preset, SHA-256 of
-each preset CSV and of the sweep CSV, minor page faults per preset, the oracle runs
+each preset CSV and of the sweep CSV, minor page faults per preset, the peak
+RSS after the presets (`figures_peak_rss_mb`), the oracle runs
 (`oracle_t10`: exit code, peak RSS in MB and wall seconds per run and side),
 each side's engine passes per preset and for the sweep
 (`engine_passes_per_figures_pass`) and whether its fig4 at --jobs 2 matched
@@ -74,9 +76,10 @@ ORACLE_RUNS = 3
 ORACLE_ARGV = ["-m", "ptbath.cli", "oracle", "--temp", "10"]
 
 # argv[1] is the checkout; prints the integrand nodes and values of each
-# preset of one figures pass, its CSV and its minor page faults, the README
-# sweep's CSV, the engine passes of each preset and of the sweep, and whether
-# fig4 at --jobs 2 printed the serial CSV, as one JSON line
+# preset of one figures pass, its CSV and its minor page faults, the peak RSS
+# after the presets, the README sweep's CSV, the engine passes of each preset
+# and of the sweep, and whether fig4 at --jobs 2 printed the serial CSV, as
+# one JSON line
 FIGURES_PASS = '''
 import json, resource, sys, tempfile
 from pathlib import Path
@@ -108,6 +111,7 @@ with tempfile.TemporaryDirectory() as tmp:
         faults[fig] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         nodes[fig], values[fig], passes[fig] = count["nodes"], count["values"], count["passes"]
         csv[fig] = out.read_bytes().decode()  # as written: no newline translation
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     out = Path(tmp) / "sweep.csv"
     count.update(passes=0)
     if cli.main(sweep_argv(str(out), 2)) != 0:
@@ -120,7 +124,7 @@ with tempfile.TemporaryDirectory() as tmp:
         sys.exit("figure fig4 --jobs 2 failed")
     fig4_jobs2 = out.read_bytes().decode() == csv["fig4"]
 print(json.dumps({"nodes": nodes, "values": values, "csv": csv, "minor_faults": faults,
-                  "sweep_csv": sweep_csv, "passes": passes,
+                  "peak_rss_mb": peak_rss_mb, "sweep_csv": sweep_csv, "passes": passes,
                   "fig4_jobs2_matches_serial": fig4_jobs2}))
 '''
 
@@ -151,10 +155,10 @@ def src_lines(checkout: Path) -> int:
 def figures_pass(checkout: Path) -> dict:
     """Integrand nodes and values of each preset of one figures pass of the
     ptbath in `checkout`, each preset's CSV text and minor page faults, the
-    CSV text of the README sweep run after them in the same process, the
-    engine passes (`integrate_adaptive` calls) of each preset and of the
-    sweep, and whether `figure fig4 --jobs 2`, run last, printed the serial
-    fig4 CSV."""
+    process's peak RSS in MB after the presets, the CSV text of the README
+    sweep run after them in the same process, the engine passes
+    (`integrate_adaptive` calls) of each preset and of the sweep, and
+    whether `figure fig4 --jobs 2`, run last, printed the serial fig4 CSV."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     out = subprocess.run([sys.executable, "-c", FIGURES_PASS, str(checkout)], cwd=checkout,
                          env=env, capture_output=True, text=True, check=True, timeout=600).stdout
@@ -299,6 +303,7 @@ def main() -> int:
                   for side, p in passes.items()}
         digest = csv_digest(passes)
         faults = {side: p["minor_faults"] for side, p in passes.items()}
+        peak_rss = {side: p["peak_rss_mb"] for side, p in passes.items()}
         engine_passes = {side: p["passes"] for side, p in passes.items()}
         fig4_jobs2 = {side: p["fig4_jobs2_matches_serial"] for side, p in passes.items()}
         lines = {side: src_lines(root) for side, root in roots.items()}
@@ -311,6 +316,7 @@ def main() -> int:
                           "figure_rows_changed": digest["figure_rows_changed"],
                           "sweep_rows_changed": digest["sweep_rows_changed"],
                           "figure_minor_faults": faults,
+                          "figures_peak_rss_mb": peak_rss,
                           "engine_passes_per_figures_pass": engine_passes,
                           "fig4_jobs2_matches_serial": fig4_jobs2,
                           "src_lines": lines, "oracle_t10": oracle}),
@@ -356,6 +362,7 @@ def main() -> int:
         "integrand_values_per_figures_pass": values,
         **digest,
         "figure_minor_faults": faults,
+        "figures_peak_rss_mb": peak_rss,
         "engine_passes_per_figures_pass": engine_passes,
         "fig4_jobs2_matches_serial": fig4_jobs2,
         "src_lines": lines,
