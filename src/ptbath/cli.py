@@ -42,9 +42,17 @@ def _fmt(x: float) -> str:
     return f"{x:.11e}"
 
 
+def _number(kind, text: str):
+    """kind(text), failing as argparse's own float or int type does."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+
+
 def _finite(text: str) -> float:
     """argparse type of the shared float flags: a finite float."""
-    x = float(text)
+    x = _number(float, text)
     if not math.isfinite(x):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return x
@@ -56,7 +64,8 @@ def _parse_range(text: str) -> np.ndarray:
         parts = text.split(":")
         if len(parts) != 3:
             raise argparse.ArgumentTypeError(f"expected start:stop:count, got {text!r}")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop = _number(float, parts[0]), _number(float, parts[1])
+        count = _number(int, parts[2])
         if count < 1:
             raise argparse.ArgumentTypeError(f"count must be >= 1, got {text!r}")
         try:  # a non-finite start, stop or stop - start is rejected below, not warned of
@@ -83,7 +92,7 @@ def _bounds(text: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    return _number(float, parts[0]), _number(float, parts[1])
 
 
 def _quad_from_args(args) -> QuadratureSpec:
@@ -235,7 +244,7 @@ def _cmd_oracle(args) -> int:
 
 def _positive_int(text: str) -> int:
     """argparse type of the count flags."""
-    n = int(text)
+    n = _number(int, text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
     return n

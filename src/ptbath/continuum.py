@@ -49,12 +49,11 @@ _G15_ON_K31 = [w for wg in _WG for w in (0.0, wg)]
 _WEIGHTS = np.array([_WGK[:-1] + _WGK[::-1],
                      _G15_ON_K31[:-1] + _G15_ON_K31[::-1]]).T  # (31, 2): K31, G15
 
-# A round evaluates its panels in blocks of at most _BLOCK_NODES nodes and
-# _BLOCK_VALUES nodes x max(integrand rows, outputs) values, so the working
-# set stays bounded whatever the number of panels and of outputs: the
-# integrand's temporaries grow with the nodes, its rows and their sums with
-# the values.
-_BLOCK_NODES = 1 << 16
+# A round evaluates its panels in blocks of at most _BLOCK_VALUES /
+# max(3, integrand rows, outputs) nodes, so the working set stays bounded
+# whatever the number of panels and of outputs: the integrand's temporaries
+# grow with the nodes (at most a third of _BLOCK_VALUES), its rows and their
+# sums with nodes x rows or outputs.
 _BLOCK_VALUES = 3 << 16
 # Panels x phases of one grouped integral, as counted on its start grid: larger
 # groups are split, to bound the engine's open flags, one per panel and phase.
@@ -254,8 +253,8 @@ def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_widt
     not keep.  The result is an (integrals, k) array.
 
     Panels of panel_width anchored at lo.  Each round evaluates the 31
-    Kronrod nodes of every open panel, in blocks of at most _BLOCK_NODES
-    nodes and _BLOCK_VALUES nodes x max(r, k); the 15-point Gauss estimate
+    Kronrod nodes of every open panel, in blocks of at most
+    _BLOCK_VALUES / max(3, r, k) nodes; the 15-point Gauss estimate
     reuses 15 of them.  A panel is accepted for an output when
     |K31 - G15| <= rel_tol |K31| + abs_tol * width and contributes K31 to
     it; it is bisected for the outputs it failed for only.  An output's
@@ -294,7 +293,7 @@ def integrate_adaptive(f, lo: float, hi: float, quad: QuadratureSpec, panel_widt
                                   f"{_count(quad.max_subdivisions)}", params[i]) from None
     mix = np.asarray(mix, dtype=float)
     (k, rows), n = mix.shape, len(panel_width)
-    block = max(1, min(_BLOCK_NODES, _BLOCK_VALUES // max(rows, k)) // _NODES.size)
+    block = max(1, _BLOCK_VALUES // max(3, rows, k) // _NODES.size)
     a, b = np.concatenate([e[:-1] for e in grids]), np.concatenate([e[1:] for e in grids])
     ids = np.arange(n).repeat([e.size - 1 for e in grids])  # each panel's integral
     if bound is None:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Coupling, require_finite
+from .core import BathMode, Coupling, DiscreteBath, gamma_discrete, require_finite
 
 
 @dataclass(frozen=True)
@@ -260,8 +260,6 @@ def certify(
     mode.  When doubling fock_dim within dim_budget cannot truncate the
     thermal state (see unreachable_fock_dim), the report is non-converged
     at once, without exact evolution."""
-    from .core import BathMode, DiscreteBath, gamma_discrete
-
     # checked before any work: a non-finite time or coupling would keep
     # exact_dephasing_converged doubling the Fock dimension to its budget
     require_finite(omega=omega, tau=tau, theta=theta, g_abs=g_abs, temperature=temperature,

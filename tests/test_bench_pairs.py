@@ -82,9 +82,10 @@ def test_src_lines_counts_the_library_modules(tmp_path):
     (package / "sub" / "deep.py").write_text("c = 3\n")
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_x.py").write_text("d = 4\n")
-    assert bench_pairs.src_lines(tmp_path) == 3 + 4
-    assert bench_pairs.src_lines(ROOT) == sum(
-        path.read_text().count("\n") for path in (ROOT / "src" / "ptbath").glob("*.py"))
+    assert bench_pairs.src_lines(tmp_path) == {"__init__.py": 3, "core.py": 4, "total": 7}
+    counts = {path.name: path.read_text().count("\n")
+              for path in (ROOT / "src" / "ptbath").glob("*.py")}
+    assert bench_pairs.src_lines(ROOT) == {**counts, "total": sum(counts.values())}
 
 
 def test_csv_digest_covers_the_presets_and_the_sweep():

@@ -61,21 +61,42 @@ def test_every_traced_name_resolves():
             assert callable(getattr(module, name, None)), f"ptbath.{layer}.{name}"
 
 
-def test_cli_import_loads_every_layer_and_no_process_pool():
-    # the tracer looks every layer up in sys.modules after `import ptbath.cli`;
-    # the process pool is imported only by a run that starts one
+def in_fresh_interpreter(statement, expression):
+    """The JSON value of `expression` after `statement` in a fresh
+    interpreter that finds this checkout's ptbath first."""
     src = str(Path(ptbath.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import json, sys, ptbath.cli\n"
-            "print(json.dumps([sorted(m for m in sys.modules if m.startswith('ptbath')),"
-            " 'concurrent.futures' in sys.modules]))")
+    code = f"import json, sys\n{statement}\nprint(json.dumps({expression}))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
-    modules, pool = json.loads(out)
+    return json.loads(out)
+
+
+LOADED = "sorted(m for m in sys.modules if m.startswith('ptbath'))"
+
+
+def test_cli_import_loads_every_layer_and_no_process_pool():
+    # the tracer looks every layer up in sys.modules after `import ptbath.cli`;
+    # the process pool is imported only by a run that starts one
+    modules, pool = in_fresh_interpreter(
+        "import ptbath.cli", f"[{LOADED}, 'concurrent.futures' in sys.modules]")
     layers = ["cli", "continuum", "core", "drivers", "entanglement", "oracle"]
     assert modules == ["ptbath"] + [f"ptbath.{layer}" for layer in layers]
     assert pool is False
+
+
+def test_core_import_loads_core_alone():
+    # the package imports none of its modules, so one layer loads no other
+    assert in_fresh_interpreter("import ptbath.core", LOADED) == ["ptbath", "ptbath.core"]
+
+
+def test_the_package_exports_only_its_version():
+    # every name is imported from its module: `from ptbath.core import gamma_discrete`
+    public = "sorted(n for n in vars(ptbath) if not n.startswith('_'))"
+    assert in_fresh_interpreter("import ptbath", f"[{public}, ptbath.__version__]") == [
+        [], ptbath.__version__]
+    assert not hasattr(ptbath, "gamma_discrete")
 
 
 def count_integrals(monkeypatch):
@@ -1016,6 +1037,16 @@ class TestFlagsPerSubcommand:
         (("optimize", "--free", "tau", "--t", "nan"), "argument --t: must be finite"),
         (("crossover", "--t", "inf"), "argument --t: must be finite"),
         (("gamma", "--A", "inf"), "argument --A: must be finite, got 'inf'"),
+        # a value that is no number reads as argparse's own float and int types do
+        (("gamma", "--t", "abc"), "argument --t: invalid float value: 'abc'"),
+        (("gamma", "--tau", "abc"), "argument --tau: invalid float value: 'abc'"),
+        (("sweep", "--sweep", "tau=a:1:2"), "argument --sweep: invalid float value: 'a'"),
+        (("sweep", "--sweep", "tau=0:1:2", "--jobs", "x"),
+         "argument --jobs: invalid int value: 'x'"),
+        (("optimize", "--free", "tau", "--tau-bounds", "a:b"),
+         "argument --tau-bounds: invalid float value: 'a'"),
+        (("gamma", "--max-subdivisions", "1.5"),
+         "argument --max-subdivisions: invalid int value: '1.5'"),
     ])
     def test_emptied_clamped_or_truncated_input_is_a_usage_error(self, argv, name, capsys):
         assert exit_code(*argv) == 2

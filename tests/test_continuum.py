@@ -758,8 +758,8 @@ class TestTermRoute:
             assert got == ref * half
 
     def test_one_output_blocks_keep_their_node_cap(self, monkeypatch):
-        # a one-output integrand's block holds _BLOCK_NODES nodes, not
-        # _BLOCK_VALUES: 9,550 start panels here, in blocks of 2,114
+        # a one-output integrand's block holds a third of _BLOCK_VALUES
+        # nodes, not all of it: 9,550 start panels here, in blocks of 2,114
         sizes = []
         real = continuum.gamma_integrand_hermitian
 
@@ -769,7 +769,7 @@ class TestTermRoute:
 
         monkeypatch.setattr(continuum, "gamma_integrand_hermitian", counting)
         gamma_hermitian(0.1, 1.0, 300.0, 2000.0)
-        assert max(sizes) == continuum._BLOCK_NODES // _NODES.size * _NODES.size
+        assert max(sizes) == continuum._BLOCK_VALUES // 3 // _NODES.size * _NODES.size
 
     def test_hermitian_is_one_engine_call(self, monkeypatch):
         # a batch of one integral with one output, which the engine runs

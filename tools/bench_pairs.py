@@ -45,7 +45,7 @@ RSS after the presets (`figures_peak_rss_mb`), the oracle runs
 each side's engine passes per preset and for the sweep
 (`engine_passes_per_figures_pass`) and whether its fig4 at --jobs 2 matched
 its serial fig4 (`fig4_jobs2_matches_serial`),
-each side's line count of src/ptbath/*.py (`src_lines`),
+each side's line count of each src/ptbath/*.py and their total (`src_lines`),
 the number of CSV rows per preset and of the sweep that differ between the
 sides (a row only one side has counts too), and per workload and end-to-end metric of BENCHMARK.json the number
 of pairs, the pairs the change wins (ties count for neither side), each
@@ -146,10 +146,12 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     return json.loads(out.strip().splitlines()[-1])
 
 
-def src_lines(checkout: Path) -> int:
-    """Lines of the library's modules, src/ptbath/*.py, in `checkout`."""
-    return sum(len(path.read_bytes().splitlines())
-               for path in (checkout / "src" / "ptbath").glob("*.py"))
+def src_lines(checkout: Path) -> dict:
+    """Lines of each of the library's modules, src/ptbath/*.py, in
+    `checkout`, by file name in sorted order, and their `total`."""
+    lines = {path.name: len(path.read_bytes().splitlines())
+             for path in sorted((checkout / "src" / "ptbath").glob("*.py"))}
+    return {**lines, "total": sum(lines.values())}
 
 
 def figures_pass(checkout: Path) -> dict:
@@ -355,6 +357,8 @@ def main() -> int:
                  "numpy": subprocess.run([sys.executable, "-c",
                                           "import numpy; print(numpy.__version__)"],
                                          capture_output=True, text=True).stdout.strip(),
+                 # when set, every fresh interpreter of `commands` compiles src/ again
+                 "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
                  "note": args.note},
         "runs": runs,
         "traced": traced,
