@@ -12,7 +12,9 @@ import argparse
 import itertools
 import json
 import math
+import re
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -226,7 +228,7 @@ def _cmd_oracle(args) -> int:
         temperature=args.temp, t_max=args.t_max, num_times=args.num_times,
         fock_dim=args.fock_dim, dim_budget=args.dim_budget,
     )
-    _emit(report.to_json() + "\n", args.out)
+    _emit_json(asdict(report), args.out)
     if report.converged and report.dephasing_max_error <= 1e-6:
         return EXIT_OK
     needed = oracle_mod.unreachable_fock_dim(
@@ -282,6 +284,8 @@ def _subcommand(sub, command, name, func, flags, help, **defaults):
     p = sub.add_parser(name, help=help, allow_abbrev=False)
     if command != name and command in _COMMANDS:
         return None
+    # -1e-3 and -1:1 are values, as in later CPython (gh-123945); no flag looks like a number
+    p._negative_number_matcher = re.compile(r"-\.?\d")
     for flag in flags:
         p.add_argument(f"--{flag}", **_FLAGS[flag])
     p.add_argument("--out", type=str)
@@ -398,6 +402,10 @@ def _with_config(parser, argv: list[str]) -> list[str]:
             values = value if isinstance(value, list) else [value]
         else:
             values = [value]
+        for v in values:  # anything else would reach the flag as its Python text
+            if isinstance(v, bool) or not isinstance(v, (str, int, float)):
+                raise ValueError(f"config key {key!r} ({flag}) needs a string or a number, "
+                                 f"got {json.dumps(v)}")
         flags.extend(f"{flag}={v}" for v in values)
     return argv[:1] + flags + argv[1:]
 

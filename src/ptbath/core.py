@@ -2,9 +2,8 @@
 non-Hermitian) harmonic modes.
 
 Everything here is exact algebra: the displacement amplitude xi per mode,
-the decoherence exponent Gamma(t) for a discrete bath, and the induced map
-on the qubit density matrix.  Units: hbar = k_B = 1, temperatures share
-frequency units.
+the decoherence exponent Gamma(t) for a discrete bath, and the checks of a
+density matrix.  Units: hbar = k_B = 1, temperatures share frequency units.
 """
 
 from __future__ import annotations
@@ -155,16 +154,6 @@ def density_matrix(rho, dim: int, eig_tol: float) -> np.ndarray:
     if np.linalg.eigvalsh(rho).min() < -eig_tol:
         raise ValueError("density matrix has a negative eigenvalue")
     return rho
-
-
-class QubitState:
-    """2x2 density matrix, validated on construction."""
-
-    def __init__(self, rho):
-        self.rho = density_matrix(rho, 2, eig_tol=1e-12)
-
-    def __repr__(self):
-        return f"QubitState({self.rho!r})"
 
 
 def big_omega(omega: float, tau: float) -> float:
@@ -343,22 +332,6 @@ def gamma_discrete_amplitude(bath: DiscreteBath, t: float) -> float:
     return total
 
 
-def coherence_factor(bath: DiscreteBath, t: float) -> float:
-    """exp(-Gamma(t)); 1 at t = 0, underflows to 0 for huge exponents."""
-    return math.exp(-gamma_discrete(bath, t))
-
-
-def evolve_qubit(initial: QubitState, gamma: float) -> QubitState:
-    """Pure-dephasing map: populations fixed, coherences scaled by e^-gamma."""
-    if not gamma >= 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    d = math.exp(-gamma)
-    rho = initial.rho.copy()
-    rho[0, 1] *= d
-    rho[1, 0] *= d
-    return QubitState(rho)
-
-
 def load_bath_csv(
     path: str | Path, temperature: float = 0.0, tau: float = 0.0
 ) -> DiscreteBath:
@@ -372,10 +345,11 @@ def load_bath_csv(
                 f"modes file needs columns {sorted(expected)}, got {reader.fieldnames}"
             )
         for row in reader:
-            modes.append(
-                BathMode(
-                    omega=float(row["omega"]),
-                    coupling=Coupling(float(row["g_abs"]), float(row["theta"])),
-                )
-            )
+            try:  # a missing field is None
+                omega, g_abs, theta = (float(row[k]) for k in ("omega", "g_abs", "theta"))
+            except (TypeError, ValueError):
+                raise ValueError(f"modes file {path} line {reader.line_num}: omega, g_abs and "
+                                 f"theta must be numbers, got {row['omega']!r}, "
+                                 f"{row['g_abs']!r}, {row['theta']!r}") from None
+            modes.append(BathMode(omega, Coupling(g_abs, theta)))
     return DiscreteBath(tuple(modes), temperature=temperature, tau=tau)

@@ -10,9 +10,8 @@ scale is tau/omega.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
@@ -47,16 +46,15 @@ SPECTRUM_FOCK_DIM = 80
 @dataclass
 class OracleReport:
     """dephasing_max_error is None when no exact evolution was run, and
-    similarity_residual when the metric is beyond the float range."""
+    similarity_residual when the metric is beyond the float range.  The
+    oracle command's exit code reads only converged and dephasing_max_error
+    <= 1e-6; no threshold reads spectrum_residuals or similarity_residual."""
 
     spectrum_residuals: list[float]
     similarity_residual: float | None
     dephasing_max_error: float | None
     fock_dim_used: int
     converged: bool
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
 
 
 def _ladder_bands(dim: int):
@@ -150,11 +148,6 @@ def _thermal_populations(mode: TruncatedMode, temperature: float) -> np.ndarray:
         return np.eye(1, mode.fock_dim)[0]
     p = math.exp(-mode.omega / temperature) ** np.arange(mode.fock_dim)
     return p / p.sum()
-
-
-def thermal_state(mode: TruncatedMode, temperature: float) -> np.ndarray:
-    """Thermal state of the bare oscillator, as a diagonal matrix."""
-    return np.diag(_thermal_populations(mode, temperature)).astype(complex)
 
 
 def thermal_tail_weight(mode: TruncatedMode, temperature: float) -> float:

@@ -189,6 +189,21 @@ class TestGammaCommand:
         with pytest.raises(ValueError, match="must be finite"):
             load_bath_csv(modes)
 
+    @pytest.mark.parametrize("row, got", [
+        ("1,0.1", "'1', '0.1', None"),  # csv.DictReader fills a missing field with None
+        ("abc,0.1,0", "'abc', '0.1', '0'"),
+    ])
+    def test_modes_file_row_without_three_numbers_is_a_usage_error(self, tmp_path, capsys,
+                                                                  row, got):
+        # the missing field was a TypeError traceback with exit 1, and the
+        # non-number named neither the file nor the line
+        modes = tmp_path / "modes.csv"
+        modes.write_text("omega,g_abs,theta\n1,0.1,0\n" + row + "\n")
+        code, text = run_cli(tmp_path, "gamma", "--modes-file", str(modes))
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == (f"error: modes file {modes} line 3: omega, g_abs "
+                                           f"and theta must be numbers, got {got}\n")
+
     @pytest.mark.parametrize("row, message", [
         ("1e-170,1.0,0.5", "omega must be >= 1.49e-154"),
         ("1e-160,0.0,0.5", "omega must be >= 1.49e-154"),
@@ -843,6 +858,25 @@ class TestExitCodesAndConfig:
         assert exit_code("gamma", "--config", str(cfg)) == 2
         assert "--tau" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, message", [
+        ({"out": None}, "config key 'out' (--out) needs a string or a number, got null"),
+        ({"out": ["a.csv"]}, "(--out) needs a string or a number, got [\"a.csv\"]"),
+        ({"out": {"x": 1}}, "(--out) needs a string or a number, got {\"x\": 1}"),
+        ({"tau": None}, "config key 'tau' (--tau) needs a string or a number, got null"),
+        ({"tau": True}, "(--tau) needs a string or a number, got true"),
+        ({"sweep": ["tau=0:1:2", None]}, "(--sweep) needs a string or a number, got null"),
+    ])
+    def test_config_value_that_is_no_string_or_number_is_a_usage_error(
+            self, tmp_path, monkeypatch, capsys, config, message):
+        # each once reached its flag as Python text: {"out": null} wrote a file named None
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        command = "sweep" if "sweep" in config else "gamma"
+        assert exit_code(command, "--config", str(cfg)) == 2
+        assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_config_must_be_an_object(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps([["tau", 1.0]]))
@@ -975,6 +1009,18 @@ class TestFlagsPerSubcommand:
         assert exit_code("optimize", "--free", "tau", "--theta", "1", "--tau-bounds", "0:1",
                          "--t", "2", "--grid-points", "4") == 0
 
+    @pytest.mark.parametrize("argv, spaced, joined", [
+        (("gamma",), ("--tau", "-1e-3"), ("--tau=-1e-3",)),
+        (("gamma",), ("--theta", "-1E-3"), ("--theta=-1E-3",)),
+        (("optimize", "--free", "theta", "--t", "2", "--grid-points", "4"),
+         ("--theta-bounds", "-1:1"), ("--theta-bounds=-1:1",)),
+    ])
+    def test_a_negative_value_may_follow_its_flag(self, argv, spaced, joined, tmp_path):
+        # argparse before gh-123945 took -1e-3 and -1:1 for flags and exited 2
+        # with "expected one argument"
+        result = run_cli(tmp_path, *argv, *spaced)
+        assert result[0] == 0 and result == run_cli(tmp_path, *argv, *joined)
+
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_optimize_rejects_a_repeated_free_parameter(self, via, tmp_path, capsys):
         if via == "flag":
@@ -1047,6 +1093,7 @@ class TestFlagsPerSubcommand:
          "argument --tau-bounds: invalid float value: 'a'"),
         (("gamma", "--max-subdivisions", "1.5"),
          "argument --max-subdivisions: invalid int value: '1.5'"),
+        (("crossover", "--tau-max", "-1e3"), "tau_max (--tau-max)"),
     ])
     def test_emptied_clamped_or_truncated_input_is_a_usage_error(self, argv, name, capsys):
         assert exit_code(*argv) == 2

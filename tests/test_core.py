@@ -8,12 +8,10 @@ from ptbath.core import (
     BathMode,
     Coupling,
     DiscreteBath,
-    QubitState,
     big_omega,
-    coherence_factor,
     coth,
+    density_matrix,
     dephasing_kernel,
-    evolve_qubit,
     gamma_discrete,
     gamma_discrete_amplitude,
     load_bath_csv,
@@ -141,14 +139,22 @@ class TestTypes:
             with pytest.raises(ValueError, match="finite"):
                 gamma(bath, t)
 
-    def test_qubit_state_validation(self):
-        QubitState(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        with pytest.raises(ValueError):
-            QubitState(np.array([[0.5, 0.4], [0.5, 0.5]]))  # not Hermitian
-        with pytest.raises(ValueError):
-            QubitState(np.array([[0.9, 0.0], [0.0, 0.9]]))  # trace != 1
-        with pytest.raises(ValueError):
-            QubitState(np.array([[1.2, 0.0], [0.0, -0.2]]))  # negative eigenvalue
+    def test_density_matrix_validation(self):
+        density_matrix(np.array([[0.5, 0.5], [0.5, 0.5]]), 2, eig_tol=1e-12)
+        with pytest.raises(ValueError):  # not Hermitian
+            density_matrix(np.array([[0.5, 0.4], [0.5, 0.5]]), 2, eig_tol=1e-12)
+        with pytest.raises(ValueError):  # trace != 1
+            density_matrix(np.array([[0.9, 0.0], [0.0, 0.9]]), 2, eig_tol=1e-12)
+        with pytest.raises(ValueError):  # negative eigenvalue
+            density_matrix(np.array([[1.2, 0.0], [0.0, -0.2]]), 2, eig_tol=1e-12)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_density_matrix_rejects_non_finite_entries(self, entry):
+        # Hermiticity, trace and eigenvalue tests all compare False on nan
+        m = np.full((2, 2), 0.5, dtype=complex)
+        m[0, 1] = m[1, 0] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            density_matrix(m, 2, eig_tol=1e-12)
 
 
 class TestBigOmega:
@@ -240,6 +246,25 @@ class TestGammaDiscrete:
     def test_nonnegative(self):
         rng = np.random.default_rng(6)
         for _ in range(200):
+            assert gamma_discrete(random_bath(rng), rng.uniform(0, 50)) >= 0.0
+
+    def test_zero_time_single_draw(self):
+        rng = np.random.default_rng(9)
+        assert gamma_discrete(random_bath(rng), 0.0) == 0.0
+
+    def test_exponent_two_at_the_known_point(self):
+        bath = DiscreteBath((BathMode(1.0, Coupling(1.0, math.pi / 2)),), 0.0, 0.5)
+        t = math.pi / math.sqrt(2)
+        assert gamma_discrete(bath, t) == pytest.approx(2.0, rel=1e-12)
+
+    def test_zero_coupling_never_decoheres(self):
+        bath = DiscreteBath((BathMode(1.0, Coupling(0.0)),), 10.0, 1.5)
+        for t in (0.0, 1.0, 42.0):
+            assert gamma_discrete(bath, t) == 0.0
+
+    def test_nonnegative_at_random_times(self):
+        rng = np.random.default_rng(10)
+        for _ in range(100):
             assert gamma_discrete(random_bath(rng), rng.uniform(0, 50)) >= 0.0
 
     def test_even_in_tau(self):
@@ -384,77 +409,6 @@ class TestTangentKernel:
         weight = np.full(weight_shape, 0.7)
         for temp in (0.0, 0.5):
             assert np.shape(dephasing_kernel(w, weight, 1.1, 3.0, temp, 0.2, 0.8)) == shape
-
-
-class TestCoherenceFactor:
-    def test_unity_at_zero_time(self):
-        rng = np.random.default_rng(9)
-        assert coherence_factor(random_bath(rng), 0.0) == 1.0
-
-    def test_exponentiates_gamma(self):
-        bath = DiscreteBath((BathMode(1.0, Coupling(1.0, math.pi / 2)),), 0.0, 0.5)
-        t = math.pi / math.sqrt(2)
-        assert coherence_factor(bath, t) == pytest.approx(math.exp(-2.0), rel=1e-12)
-
-    def test_zero_coupling_never_decoheres(self):
-        bath = DiscreteBath((BathMode(1.0, Coupling(0.0)),), 10.0, 1.5)
-        for t in (0.0, 1.0, 42.0):
-            assert coherence_factor(bath, t) == 1.0
-
-    def test_bounded(self):
-        rng = np.random.default_rng(10)
-        for _ in range(100):
-            c = coherence_factor(random_bath(rng), rng.uniform(0, 50))
-            assert 0.0 <= c <= 1.0
-
-
-class TestEvolveQubit:
-    def test_identity_at_zero_gamma(self):
-        rho = QubitState(np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]]))
-        out = evolve_qubit(rho, 0.0)
-        assert np.allclose(out.rho, rho.rho, atol=0)
-
-    def test_full_dephasing(self):
-        rho = QubitState(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        out = evolve_qubit(rho, 1e6)
-        assert abs(out.rho[0, 1]) < 1e-300
-        assert out.rho[0, 0] == 0.5 and out.rho[1, 1] == 0.5
-
-    def test_half_coherence(self):
-        rho = QubitState(np.full((2, 2), 0.5))
-        out = evolve_qubit(rho, math.log(2.0))
-        assert out.rho[0, 1] == pytest.approx(0.25, rel=1e-14)
-        assert out.rho[0, 0] == 0.5
-
-    def test_preserves_trace_and_positivity(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            v = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            m = v @ v.conj().T
-            rho = QubitState(m / np.trace(m).real)
-            out = evolve_qubit(rho, rng.uniform(0, 10))
-            assert np.trace(out.rho) == np.trace(rho.rho)
-            assert np.linalg.eigvalsh(out.rho).min() >= -1e-12
-
-    def test_rejects_negative_gamma(self):
-        rho = QubitState(np.eye(2) / 2)
-        with pytest.raises(ValueError):
-            evolve_qubit(rho, -0.1)
-
-    def test_rejects_nan_gamma(self):
-        # nan used to pass every test and give a "validated" state with nan coherences
-        rho = QubitState(np.full((2, 2), 0.5))
-        with pytest.raises(ValueError, match="gamma must be >= 0, got nan"):
-            evolve_qubit(rho, math.nan)
-        assert evolve_qubit(rho, math.inf).rho[0, 1] == 0.0
-
-    @pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, math.nan)])
-    def test_state_rejects_non_finite_entries(self, entry):
-        # Hermiticity, trace and eigenvalue tests all compare False on nan
-        m = np.full((2, 2), 0.5, dtype=complex)
-        m[0, 1] = m[1, 0] = entry
-        with pytest.raises(ValueError, match="non-finite"):
-            QubitState(m)
 
 
 class TestCoth:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ptbath.core import QubitState
+from ptbath.core import density_matrix
 from ptbath.entanglement import (
     TwoQubitState,
     concurrence,
@@ -45,7 +45,7 @@ class TestTwoQubitState:
         with pytest.raises(ValueError):
             TwoQubitState(np.diag([0.5 + 1e-9, 0.5, 0.0, -1e-9]))
         with pytest.raises(ValueError):
-            QubitState(np.diag([1.0 + 1e-11, -1e-11]))
+            density_matrix(np.diag([1.0 + 1e-11, -1e-11]), 2, eig_tol=1e-12)
 
 
 class TestConcurrence:
