@@ -91,11 +91,11 @@ class OhmicSpectrum:
         require_finite(amplitude=self.amplitude, cutoff=self.cutoff, theta=self.theta,
                        temperature=self.temperature, tau=self.tau)
         if self.amplitude < 0:
-            raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
+            raise ValueError(f"amplitude must be >= 0, got {self.amplitude} (--A)")
         if self.cutoff <= 0:
-            raise ValueError(f"cutoff must be > 0, got {self.cutoff}")
+            raise ValueError(f"cutoff must be > 0, got {self.cutoff} (--cutoff)")
         if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+            raise ValueError(f"temperature must be >= 0, got {self.temperature} (--temp)")
 
 
 @dataclass(frozen=True)

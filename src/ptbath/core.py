@@ -28,10 +28,10 @@ def require_finite(**values) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-def check_time(t: float) -> None:
-    """Raise ValueError unless t is finite and >= 0."""
+def check_time(t: float, flag: str = "--t") -> None:
+    """Raise ValueError, naming the flag that gave t, unless 0 <= t < inf."""
     if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be finite and >= 0, got {t}")
+        raise ValueError(f"t must be finite and >= 0, got {t} ({flag})")
 
 
 def coth(x):
@@ -114,7 +114,7 @@ class DiscreteBath:
             raise ValueError("bath needs at least one mode")
         require_finite(temperature=self.temperature, tau=self.tau)
         if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+            raise ValueError(f"temperature must be >= 0, got {self.temperature} (--temp)")
         check_tau(self.tau)
         # |g|^2 coth(w/2T) / w^2 as dephasing_kernel rounds it: past the float range, Gamma is nan
         omega, weight, *_ = self._mode_arrays

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .continuum import OhmicSpectrum, QuadratureSpec, gamma_continuum_batch, gamma_continuum_nh
-from .core import check_tau
+from .core import check_tau, check_time
 
 PI = math.pi
 
@@ -141,6 +141,8 @@ def run_sweep(fixed: dict, grids: list[tuple[str, np.ndarray]], quad: Quadrature
             raise ValueError(f"grid for {name!r} must be nonempty and strictly increasing")
         if name == "tau":
             check_tau(max(values.tolist(), key=abs), "--sweep tau=")
+        if name == "t":
+            check_time(float(values[0]), "--sweep t=")
     # the grids' Cartesian product in lexicographic order, with a one-value
     # axis for each parameter that is not swept
     at = {"tau": 0.0, "theta": 0.0, **fixed}

@@ -29,7 +29,7 @@ class TruncatedMode:
     def __post_init__(self):
         require_finite(omega=self.omega, tau=self.tau)
         if self.omega <= 0:
-            raise ValueError(f"omega must be > 0, got {self.omega}")
+            raise ValueError(f"omega must be > 0, got {self.omega} (--omega)")
         if self.fock_dim < 2:
             raise ValueError(f"fock_dim (--fock-dim) must be >= 2, got {self.fock_dim}")
 
@@ -70,14 +70,17 @@ def _ladder_bands(dim: int):
     return n, s1, s1[:-1] * s1[1:], q2
 
 
-def _assemble(mode_bands, dtype=complex) -> np.ndarray:
-    """Dense sum over modes of I x B x I on their tensor product space, mode 0
-    outermost.  Each B is given as {k: its k-th diagonal} (np.diag's
-    convention), and its 0th sets the mode's dimension.  The k-th diagonal
-    lands at offset k times the mode's stride, so no identity is formed."""
-    dims = [len(bands[0]) for bands in mode_bands]
+def _assemble(mode_bands, dtype=complex, dims=None) -> np.ndarray:
+    """Dense sum over modes of I x B x I, mode 0 outermost, each B given as {k: its k-th
+    diagonal} (np.diag's convention), put at offset k times the mode's stride.  Given
+    the modes' `dims` (else the 0th diagonals' lengths), it allocates before it iterates."""
+    dims = dims or [len(bands[0]) for bands in mode_bands]
     total = math.prod(dims)
-    h = np.zeros((total, total), dtype)
+    try:
+        h = np.zeros((total, total), dtype)
+    except MemoryError:
+        raise ValueError(f"a dense matrix of Fock dimension {total} does not fit in memory; "
+                         "lower --fock-dim or --dim-budget") from None
     stride = total
     for dim, bands in zip(dims, mode_bands):
         stride //= dim
@@ -88,12 +91,13 @@ def _assemble(mode_bands, dtype=complex) -> np.ndarray:
     return h
 
 
-def _hermitian_bands(mode: TruncatedMode, g: complex = 0j) -> dict:
-    """Bands of w [a'a + 1/2 + tau - tau^2 (a - a')^2] + g a' + conj(g) a."""
+def _hermitian_bands(mode: TruncatedMode, g: complex = 0j, squeeze: float = 1.0) -> dict:
+    """Bands of w [a'a + 1/2 + tau - tau^2 (a - a')^2] + g a' + conj(g) a,
+    its a^2 and a'^2 terms times a real `squeeze`."""
     n, s1, s2, q2 = _ladder_bands(mode.fock_dim)
     w, tau = mode.omega, mode.tau
-    return {0: w * (n + (0.5 + tau) - tau**2 * q2), 2: -w * tau**2 * s2, -2: -w * tau**2 * s2,
-            1: np.conj(g) * s1, -1: g * s1}
+    sq = -w * tau**2 * squeeze * s2
+    return {0: w * (n + (0.5 + tau) - tau**2 * q2), 2: sq, -2: sq, 1: np.conj(g) * s1, -1: g * s1}
 
 
 def bath_hamiltonian_nh(mode: TruncatedMode) -> np.ndarray:
@@ -185,6 +189,11 @@ def exact_dephasing(
     truncated space, and one eigendecomposition H_plus = U diag(e) U' serves
     both: with rho_B = diag(p) the ratio is |exp(-i e t) C exp(i e t)| for
     C = (U' diag(P p) U) o conj(U' P U).
+
+    In the gauge D = diag(exp(i n phi)) of each coupling phase phi, D'H_plus D has
+    coupling |g| and exp(+/-2i phi) on a^2 (a'^2); D commutes with P and rho_B, so D'U
+    gives the same C.  Where each mode has tau = 0 or theta a multiple of pi/2 it is real:
+    float64 (`oracle --temp 10`, Fock dimension 640: 51 MB peak RSS, not 72); else complex128.
     """
     times = np.asarray(times, dtype=float)
     # checked before any Fock work: NaN ratios would keep
@@ -193,16 +202,23 @@ def exact_dephasing(
     total = math.prod(m.fock_dim for m, _ in modes)
     if total > dim_budget:
         raise ValueError(f"total Fock dimension {total} exceeds budget {dim_budget} (--dim-budget)")
+    # exp(2i phi) is cos(2 phi) = +/-1 exactly where 2 phi is a float multiple of pi
+    real = all(m.tau == 0.0 or math.remainder(2 * g.phase, math.pi) == 0.0 for m, g in modes)
+    bands = (_hermitian_bands(m, g.magnitude, math.cos(2 * g.phase)) if real
+             else _hermitian_bands(m, g.as_complex) for m, g in modes)
+    e, u = np.linalg.eigh(_assemble(bands, float if real else complex,
+                                    [m.fock_dim for m, _ in modes]))
     pop = reduce(np.kron, [_thermal_populations(m, temperature) for m, _ in modes])
     parity = reduce(np.kron, [(-1.0) ** np.arange(m.fock_dim) for m, _ in modes])
-    e, u = np.linalg.eigh(_assemble([_hermitian_bands(m, g.as_complex) for m, g in modes]))
-    uc = u.conj()
-    c = u.T @ (uc * (parity * pop)[:, None])  # conj(U' diag(P p) U)
+    pu = parity[:, None] * u.conj()  # P conj(U): a new array, also when u.conj() is u
+    c = u.T @ (pu * pop[:, None])  # conj(U' diag(P p) U)
     np.conjugate(c, out=c)
-    uc *= parity[:, None]
-    c *= u.T @ uc  # conj(U' P U)
-    phase = np.exp(1j * np.multiply.outer(times, e))
-    return np.abs(np.sum((phase.conj() @ c) * phase, axis=1))
+    c *= u.T @ pu  # conj(U' P U)
+    del u  # not held through the time stage
+    # exp(-i e t) C exp(i e t) from products with C, real ones when C is real
+    x = np.multiply.outer(times, e)
+    cos, sin = np.cos(x), np.sin(x)
+    return np.abs(np.sum((cos @ c - 1j * (sin @ c)) * (cos + 1j * sin), axis=1))
 
 
 def exact_dephasing_converged(
@@ -258,12 +274,15 @@ def certify(
     require_finite(omega=omega, tau=tau, theta=theta, g_abs=g_abs, temperature=temperature,
                    t_max=t_max)
     if temperature < 0:
-        raise ValueError(f"temperature must be >= 0, got {temperature}")
+        raise ValueError(f"temperature must be >= 0, got {temperature} (--temp)")
     if t_max < 0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
+        raise ValueError(f"t_max must be >= 0, got {t_max} (--t-max)")
+    if g_abs < 0:
+        raise ValueError(f"coupling magnitude must be >= 0, got {g_abs} (--g-abs)")
     if num_times < 1:
         raise ValueError(f"num_times must be >= 1, got {num_times}")
 
+    mode = TruncatedMode(omega, tau, fock_dim)  # before BathMode: names --omega
     # the closed form's bath too: a mode it rejects (|g|^2/omega^2 beyond a
     # float) fails here, not after the Fock work
     g = Coupling(g_abs, theta)
@@ -272,7 +291,6 @@ def certify(
     residuals, _ = spectrum_residuals(spec_mode)
     sim = similarity_residual(spec_mode, SPECTRUM_FOCK_DIM // 4)
 
-    mode = TruncatedMode(omega, tau, fock_dim)
     if unreachable_fock_dim(mode, temperature, dim_budget) is not None:
         # fail before any exact evolution: the budget cannot hold the state
         return OracleReport(residuals, sim, None, fock_dim, False)

@@ -129,3 +129,10 @@ def test_figures_pass_counts_engine_passes_and_checks_the_pool(figures_pass):
     assert figures_pass["passes"] == {"fig1a": 12, "fig1b": 1, "fig2": 26, "fig3a": 25,
                                       "fig3b": 3, "fig4": 138, "sweep": 1}
     assert figures_pass["fig4_jobs2_matches_serial"] is True
+
+
+def test_oracle_run_reads_the_child_alone():
+    # a fresh interpreter on this checkout: its exit code, ru_maxrss and wall
+    run = load_bench_pairs().oracle_run(ROOT, ["-m", "ptbath.cli", "oracle", "--num-times", "3"])
+    assert run["exit"] == 0
+    assert run["maxrss_mb"] > 0.0 and run["wall_s"] > 0.0

@@ -1122,6 +1122,18 @@ class TestFlagsPerSubcommand:
         (("crossover", "--tau-max", "1e100"), "(--tau-max)"),
         (("optimize", "--free", "tau", "--tau-bounds", "0:1e100"), "(--tau-bounds)"),
         (("sweep", "--sweep", "tau=0:1e100:2"), "(--sweep tau=)"),
+        # a negative value: the library's own text, then the flag that gave it
+        (("gamma", "--t", "-1"), "(--t)"),
+        (("sweep", "--sweep", "t=-1:1:3"), "(--sweep t=)"),
+        (("optimize", "--free", "theta", "--t", "-1"), "(--t)"),
+        (("crossover", "--t", "-1"), "(--t)"),
+        (("gamma", "--temp", "-1e-3"), "(--temp)"),
+        (("oracle", "--temp", "-1"), "(--temp)"),
+        (("gamma", "--cutoff", "-1e-3"), "(--cutoff)"),
+        (("gamma", "--A", "-1e-3"), "(--A)"),
+        (("oracle", "--omega", "-1e-3"), "(--omega)"),
+        (("oracle", "--g-abs", "-1e-3"), "(--g-abs)"),
+        (("oracle", "--t-max", "-1"), "(--t-max)"),
     ])
     def test_library_checks_name_the_flag(self, argv, flag, capsys, monkeypatch):
         # values that argparse passes and the library rejects before any integral

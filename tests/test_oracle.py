@@ -5,7 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from ptbath import oracle
+from ptbath import cli, oracle
 from ptbath.core import BathMode, Coupling, DiscreteBath, gamma_discrete
 from ptbath.oracle import (
     TruncatedMode,
@@ -306,6 +306,18 @@ class TestExactDephasing:
 
 
 class TestParityRoute:
+    @staticmethod
+    def gauge_cases():
+        """Seeded single modes whose gauged H + V is real: tau != 0 at theta a
+        multiple of pi/2, and tau = 0 at any theta."""
+        rng = np.random.default_rng(27)
+        for case in range(16):
+            tau = 0.0 if case >= 12 else rng.uniform(-1.0, 1.0)
+            theta = rng.uniform(0.0, 2 * math.pi) if case >= 12 else (case % 4) * math.pi / 2
+            mode = TruncatedMode(rng.uniform(0.3, 3.0), tau, int(rng.integers(2, 161)))
+            temperature = 0.0 if case % 2 else rng.uniform(0.05, 3.0)
+            yield [(mode, Coupling(rng.uniform(0.0, 0.4), theta))], temperature
+
     def test_matches_two_eigh_reference(self):
         rng = np.random.default_rng(18)
         times = np.linspace(0.0, 20.0, 11)
@@ -327,15 +339,21 @@ class TestParityRoute:
         eigh = np.linalg.eigh
 
         def counting(h):
-            calls.append(h.shape)
+            calls.append((h.shape, h.dtype))
             return eigh(h)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
         exact_dephasing([(TruncatedMode(1.0, 0.2, 40), Coupling(0.1, 1.0))], 1.0, [0.0, 1.0])
-        assert calls == [(40, 40)]
+        assert calls == [((40, 40), np.complex128)]
         calls.clear()
         exact_dephasing(TWO_MODES, 0.5, [0.0, 1.0])
-        assert calls == [(576, 576)]
+        assert calls == [((576, 576), np.complex128)]
+        # where the gauge makes H + V real, its one eigh is float64
+        for modes, temperature in self.gauge_cases():
+            calls.clear()
+            exact_dephasing(modes, temperature, [0.0, 1.0])
+            dim = modes[0][0].fock_dim
+            assert calls == [((dim, dim), np.float64)], modes
 
     def test_peak_traced_memory_at_dim_320(self):
         # tracemalloc sees numpy's arrays but not LAPACK's workspace inside
@@ -352,6 +370,46 @@ class TestParityRoute:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 16 * dim**2
+
+    def test_float64_route_matches_two_eigh_reference(self):
+        times = np.linspace(0.0, 20.0, 11)
+        for modes, temperature in self.gauge_cases():
+            ratios = exact_dephasing(modes, temperature, times)
+            reference = dense_exact_dephasing(modes, temperature, times)
+            assert np.max(np.abs(ratios - reference)) <= 1e-12, (modes, temperature)
+
+    def test_peak_traced_memory_of_the_float64_route_at_dim_320(self):
+        # theta = pi/2: the dim x dim arrays are float64, half the bytes of
+        # those of the complex route, whose bound is 6 x 16 dim^2 above
+        import tracemalloc
+
+        dim = 320
+        mode = TruncatedMode(1.0, 0.2, dim)
+        tracemalloc.start()
+        try:
+            exact_dephasing([(mode, Coupling(0.1, math.pi / 2))], 10.0,
+                            np.linspace(0.0, 20.0, 101))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * dim**2
+
+    def test_unallocatable_dimension_fails_before_any_fock_vector(self, monkeypatch, capsys):
+        # 8e16 bytes of matrix: refused before the populations (0.8 GB a step)
+        # or the bands are built, which used to get the command killed
+        def no_populations(*args):
+            raise AssertionError("thermal populations built")
+
+        monkeypatch.setattr(oracle, "_thermal_populations", no_populations)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="--fock-dim or --dim-budget"):
+            exact_dephasing([(TruncatedMode(1.0, 0.2, 10**8), Coupling(0.1, 1.0))], 1.0, [1.0],
+                            dim_budget=10**11)
+        assert time.perf_counter() - start < 1.0
+        start = time.perf_counter()
+        assert cli.main(["oracle", "--fock-dim", "100000000", "--dim-budget", "100000000000"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "--fock-dim or --dim-budget" in capsys.readouterr().err
 
 
 class TestCertify:

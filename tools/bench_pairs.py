@@ -33,15 +33,19 @@ wrapper also counts the engine passes (`integrate_adaptive` calls) of each
 preset and of the sweep, which repeat run to run like the nodes.
 Each side also runs `python -m ptbath.cli oracle --temp 10` three times, each
 in a fresh interpreter, the sides alternating: the command that sets the
-peak RSS of the commands workload (its Fock dimension reaches 640).  Each
-run's peak RSS (the child's ru_maxrss, from wait4) and wall time are kept.
+peak RSS of the commands workload (its Fock dimension reaches 640; at the
+default theta = pi/2 the oracle decomposes a real matrix).  Beside each of
+those runs, `oracle --temp 10 --theta 1` runs too, so that the oracle's
+complex route stays measured.  Each run's peak RSS (the child's ru_maxrss,
+from wait4) and wall time are kept.
 
 Writes BENCH_<label>.json at the repository root: every run's result line
 (the last line of `ptbench/run.py`'s output), the traced runs, both sides'
 integrand nodes and values per figures pass and per preset, SHA-256 of
 each preset CSV and of the sweep CSV, minor page faults per preset, the peak
 RSS after the presets (`figures_peak_rss_mb`), the oracle runs
-(`oracle_t10`: exit code, peak RSS in MB and wall seconds per run and side),
+(`oracle_t10` and `oracle_t10_theta1`: exit code, peak RSS in MB and wall
+seconds per run and side),
 each side's engine passes per preset and for the sweep
 (`engine_passes_per_figures_pass`) and whether its fig4 at --jobs 2 matched
 its serial fig4 (`fig4_jobs2_matches_serial`),
@@ -73,7 +77,8 @@ ROOT = Path(__file__).resolve().parents[1]
 CLAIM_PAIRS, OTHER_PAIRS = 10, 5
 TRACED = "figures"
 ORACLE_RUNS = 3
-ORACLE_ARGV = ["-m", "ptbath.cli", "oracle", "--temp", "10"]
+ORACLE_ARGV = {"oracle_t10": ["-m", "ptbath.cli", "oracle", "--temp", "10"],
+               "oracle_t10_theta1": ["-m", "ptbath.cli", "oracle", "--temp", "10", "--theta", "1"]}
 
 # argv[1] is the checkout; prints the integrand nodes and values of each
 # preset of one figures pass, its CSV and its minor page faults, the peak RSS
@@ -167,12 +172,12 @@ def figures_pass(checkout: Path) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
-def oracle_run(checkout: Path) -> dict:
-    """Exit code, peak RSS (MB) and wall seconds of one oracle command run
-    in a fresh interpreter on the ptbath in `checkout`."""
+def oracle_run(checkout: Path, argv: list[str]) -> dict:
+    """Exit code, peak RSS (MB) and wall seconds of `python *argv` (an
+    oracle command) run in a fresh interpreter on the ptbath in `checkout`."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, *ORACLE_ARGV], cwd=checkout, env=env,
+    proc = subprocess.Popen([sys.executable, *argv], cwd=checkout, env=env,
                             stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)  # the rusage of this child alone
     wall = time.perf_counter() - start
@@ -309,10 +314,11 @@ def main() -> int:
         engine_passes = {side: p["passes"] for side, p in passes.items()}
         fig4_jobs2 = {side: p["fig4_jobs2_matches_serial"] for side, p in passes.items()}
         lines = {side: src_lines(root) for side, root in roots.items()}
-        oracle = {"parent": [], "change": []}
+        oracle = {name: {"parent": [], "change": []} for name in ORACLE_ARGV}
         for i in range(ORACLE_RUNS):
-            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                oracle[side].append(oracle_run(roots[side]))
+            for name, argv in ORACLE_ARGV.items():
+                for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                    oracle[name][side].append(oracle_run(roots[side], argv))
         print(json.dumps({"integrand_nodes_per_figures_pass": nodes,
                           "integrand_values_per_figures_pass": values,
                           "figure_rows_changed": digest["figure_rows_changed"],
@@ -321,7 +327,7 @@ def main() -> int:
                           "figures_peak_rss_mb": peak_rss,
                           "engine_passes_per_figures_pass": engine_passes,
                           "fig4_jobs2_matches_serial": fig4_jobs2,
-                          "src_lines": lines, "oracle_t10": oracle}),
+                          "src_lines": lines, **oracle}),
               flush=True)
 
         runs, order = [], 0
@@ -370,7 +376,8 @@ def main() -> int:
         "engine_passes_per_figures_pass": engine_passes,
         "fig4_jobs2_matches_serial": fig4_jobs2,
         "src_lines": lines,
-        "oracle_t10": {"command": "python " + " ".join(ORACLE_ARGV), **oracle},
+        **{name: {"command": "python " + " ".join(argv), **oracle[name]}
+           for name, argv in ORACLE_ARGV.items()},
         "summary": summarize(runs, metrics),
     }
     out = ROOT / f"BENCH_{args.label}.json"
