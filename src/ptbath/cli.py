@@ -231,12 +231,15 @@ def _cmd_oracle(args) -> int:
     _emit_json(asdict(report), args.out)
     if report.converged and report.dephasing_max_error <= 1e-6:
         return EXIT_OK
-    needed = oracle_mod.unreachable_fock_dim(
-        oracle_mod.TruncatedMode(args.omega, args.tau, args.fock_dim), args.temp, args.dim_budget)
-    if needed is not None:
+    budget = f"--fock-dim {args.fock_dim} within --dim-budget {args.dim_budget}"
+    if report.dephasing_max_error is None:  # the one report made without exact evolution
         print(f"error: the thermal state at temperature {args.temp:g} needs Fock dimension "
-              f"{needed}; doubling --fock-dim {args.fock_dim} within --dim-budget "
-              f"{args.dim_budget} cannot reach it", file=sys.stderr)
+              f"{oracle_mod.thermal_fock_dim(args.omega, args.temp)}; doubling {budget} "
+              "cannot reach it", file=sys.stderr)
+    elif not report.converged:
+        print(f"error: the exact coherence ratios did not converge: Fock dimension "
+              f"{report.fock_dim_used} is the last doubling of {budget}, and no doubling up to "
+              f"it moved them by less than {oracle_mod.DOUBLING_TOL:g}", file=sys.stderr)
     return EXIT_ORACLE
 
 
@@ -349,9 +352,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if p := _subcommand(sub, command, "oracle", _cmd_oracle, ("tau", "theta", "temp"),
                         "exact truncated-Fock validation report",
                         tau=0.2, theta=PI / 2, temp=1.0):
-        p.add_argument("--omega", type=float, default=1.0)
-        p.add_argument("--g-abs", type=float, default=0.1)
-        p.add_argument("--t-max", type=float, default=20.0)
+        p.add_argument("--omega", type=_finite, default=1.0)
+        p.add_argument("--g-abs", type=_finite, default=0.1)
+        p.add_argument("--t-max", type=_finite, default=20.0)
         p.add_argument("--num-times", type=_positive_int, default=101)
         p.add_argument("--fock-dim", type=int, default=40)
         p.add_argument("--dim-budget", type=int, default=6400)

@@ -445,13 +445,10 @@ def gamma_continuum_batch(spec: OhmicSpectrum, taus, times, thetas,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return np.concatenate(list(pool.map(gamma_continuum_batch, *zip(*tasks),
                                                 chunksize=max(1, len(tasks) // (8 * workers)))))
+    unit = OhmicSpectrum(1.0, spec.cutoff, 0.0, spec.temperature)  # A = 1; tau per integral
     for cut, widths in cuts:
-        # at A = 1, and at the tau of a lone integral, which runs on floats
-        unit = OhmicSpectrum(1.0, spec.cutoff, 0.0, spec.temperature, taus[cut.start])
         us, ts = np.array(taus[cut], dtype=float), np.array(times[cut], dtype=float)
-        lone = len(widths) == 1
-        f = lambda w, ids: gamma_integrand_nh(  # noqa: E731  (the terms serve every phase)
-            w, unit, times[cut.start] if lone else ts[ids], tau=None if lone else us[ids])
+        f = lambda w, ids: gamma_integrand_nh(w, unit, ts[ids], tau=us[ids])  # noqa: E731
         step = max(1, int(_RECORD_VALUES * min(widths) / hi))
         for i in range(0, len(thetas), step):
             part = thetas[i:i + step]
@@ -463,7 +460,7 @@ def gamma_continuum_batch(spec: OhmicSpectrum, taus, times, thetas,
                 [{"A": amp, "cutoff": spec.cutoff, "temp": spec.temperature, "tau": tau, "t": t,
                   "thetas": phases} for tau, t in zip(taus[cut], times[cut])],
                 np.hstack([np.ones((len(part), 1)), *_phase_columns(part)]),
-                _tail_bound(unit, part, None if lone else us))
+                _tail_bound(unit, part, us))
     with np.errstate(over="ignore"):
         gammas = amp * np.maximum(gammas, 0.0)
     if not np.isfinite(gammas).all():

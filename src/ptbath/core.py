@@ -345,11 +345,13 @@ def load_bath_csv(
                 f"modes file needs columns {sorted(expected)}, got {reader.fieldnames}"
             )
         for row in reader:
-            try:  # a missing field is None
-                omega, g_abs, theta = (float(row[k]) for k in ("omega", "g_abs", "theta"))
-            except (TypeError, ValueError):
-                raise ValueError(f"modes file {path} line {reader.line_num}: omega, g_abs and "
-                                 f"theta must be numbers, got {row['omega']!r}, "
-                                 f"{row['g_abs']!r}, {row['theta']!r}") from None
-            modes.append(BathMode(omega, Coupling(g_abs, theta)))
+            try:  # the row's numbers, then the mode they make
+                try:  # a missing field is None
+                    omega, g_abs, theta = (float(row[k]) for k in ("omega", "g_abs", "theta"))
+                except (TypeError, ValueError):
+                    raise ValueError(f"omega, g_abs and theta must be numbers, got {row['omega']!r}"
+                                     f", {row['g_abs']!r}, {row['theta']!r}") from None
+                modes.append(BathMode(omega, Coupling(g_abs, theta)))
+            except ValueError as exc:
+                raise ValueError(f"modes file {path} line {reader.line_num}: {exc}") from None
     return DiscreteBath(tuple(modes), temperature=temperature, tau=tau)

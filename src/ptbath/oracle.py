@@ -154,24 +154,11 @@ def _thermal_populations(mode: TruncatedMode, temperature: float) -> np.ndarray:
     return p / p.sum()
 
 
-def thermal_tail_weight(mode: TruncatedMode, temperature: float) -> float:
-    """Weight the untruncated thermal distribution puts beyond fock_dim."""
-    if temperature == 0.0:
-        return 0.0
-    x = math.exp(-mode.omega / temperature)
-    return x**mode.fock_dim
-
-
-def unreachable_fock_dim(mode: TruncatedMode, temperature: float, dim_budget: int) -> int | None:
-    """Fock dimension the thermal state needs (tail weight <= TAIL_TOL),
-    when doubling mode.fock_dim within dim_budget cannot reach it; None
-    when it can.  About 23 T / omega at high temperature."""
-    reach = mode.fock_dim
-    while 2 * reach <= dim_budget:
-        reach *= 2
-    if thermal_tail_weight(TruncatedMode(mode.omega, mode.tau, reach), temperature) <= TAIL_TOL:
-        return None
-    return math.ceil(math.log(1.0 / TAIL_TOL) * temperature / mode.omega)
+def thermal_fock_dim(omega: float, temperature: float) -> int:
+    """Fock dimension n whose truncation holds the thermal state: the
+    weight exp(-omega n / T) beyond it is at most TAIL_TOL.  0 at T = 0,
+    about 23 T / omega above."""
+    return math.ceil(math.log(1.0 / TAIL_TOL) * temperature / omega)
 
 
 def exact_dephasing(
@@ -266,9 +253,9 @@ def certify(
 ) -> OracleReport:
     """Full validation sweep: spectrum and similarity (at Fock dimension
     SPECTRUM_FOCK_DIM), and exact-vs-closed-form dephasing for a single
-    mode.  When doubling fock_dim within dim_budget cannot truncate the
-    thermal state (see unreachable_fock_dim), the report is non-converged
-    at once, without exact evolution."""
+    mode.  The doubling of fock_dim starts at its first value that holds the
+    thermal state (thermal_fock_dim); when that lies past dim_budget, the
+    report is non-converged at once, without exact evolution."""
     # checked before any work: a non-finite time or coupling would keep
     # exact_dephasing_converged doubling the Fock dimension to its budget
     require_finite(omega=omega, tau=tau, theta=theta, g_abs=g_abs, temperature=temperature,
@@ -282,7 +269,7 @@ def certify(
     if num_times < 1:
         raise ValueError(f"num_times must be >= 1, got {num_times}")
 
-    mode = TruncatedMode(omega, tau, fock_dim)  # before BathMode: names --omega
+    TruncatedMode(omega, tau, fock_dim)  # before BathMode: names --omega and --fock-dim
     # the closed form's bath too: a mode it rejects (|g|^2/omega^2 beyond a
     # float) fails here, not after the Fock work
     g = Coupling(g_abs, theta)
@@ -291,15 +278,17 @@ def certify(
     residuals, _ = spectrum_residuals(spec_mode)
     sim = similarity_residual(spec_mode, SPECTRUM_FOCK_DIM // 4)
 
-    if unreachable_fock_dim(mode, temperature, dim_budget) is not None:
+    start, needed = fock_dim, thermal_fock_dim(omega, temperature)
+    while start < needed:
+        start *= 2
+    if start > max(fock_dim, dim_budget):
         # fail before any exact evolution: the budget cannot hold the state
         return OracleReport(residuals, sim, None, fock_dim, False)
     times = np.linspace(0.0, t_max, num_times)
-    ratios, dim_used, converged = exact_dephasing_converged(
-        [(mode, g)], temperature, times, dim_budget=dim_budget,
-    )
+    # from start / 2: the first doubling compares start / 2 with start
+    mode = TruncatedMode(omega, tau, max(fock_dim, start // 2))
+    ratios, dim_used, converged = exact_dephasing_converged([(mode, g)], temperature, times,
+                                                            dim_budget)
     closed = np.exp(-np.array([gamma_discrete(bath, t) for t in times]))
     max_err = float(np.max(np.abs(ratios - closed)))
-    if thermal_tail_weight(TruncatedMode(omega, tau, dim_used), temperature) > TAIL_TOL:
-        converged = False
     return OracleReport(residuals, sim, max_err, int(dim_used), bool(converged))

@@ -1,5 +1,8 @@
 import hashlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -131,8 +134,23 @@ def test_figures_pass_counts_engine_passes_and_checks_the_pool(figures_pass):
     assert figures_pass["fig4_jobs2_matches_serial"] is True
 
 
-def test_oracle_run_reads_the_child_alone():
-    # a fresh interpreter on this checkout: its exit code, ru_maxrss and wall
-    run = load_bench_pairs().oracle_run(ROOT, ["-m", "ptbath.cli", "oracle", "--num-times", "3"])
+def test_oracle_run_reads_the_child_alone(capfd):
+    # a fresh interpreter on this checkout: its exit code, ru_maxrss, wall and stdout
+    argv = ["-m", "ptbath.cli", "oracle", "--num-times", "3"]
+    run = load_bench_pairs().oracle_run(ROOT, argv)
     assert run["exit"] == 0
     assert run["maxrss_mb"] > 0.0 and run["wall_s"] > 0.0
+    assert capfd.readouterr().out == ""  # the report went to the digest, not through
+    printed = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True, check=True,
+                             env=dict(os.environ, PYTHONPATH=str(ROOT / "src"))).stdout
+    assert run["stdout_sha256"] == hashlib.sha256(printed).hexdigest()
+
+
+def test_oracle_stdout_matches_needs_every_run_of_both_sides():
+    bench_pairs = load_bench_pairs()
+    a, b = {"stdout_sha256": "a"}, {"stdout_sha256": "b"}
+    oracle = {"same": {"parent": [a, a], "change": [a, a]},
+              "change_differs": {"parent": [a, a], "change": [a, b]},
+              "parent_differs": {"parent": [b, a], "change": [a, a]}}
+    assert bench_pairs.oracle_stdout_matches(oracle) == {
+        "same": True, "change_differs": False, "parent_differs": False}

@@ -205,6 +205,20 @@ class TestGammaCommand:
                                            f"and theta must be numbers, got {got}\n")
 
     @pytest.mark.parametrize("row, message", [
+        ("1.0,-0.1,0.5", "coupling magnitude must be >= 0, got -0.1"),
+        ("-1.0,0.1,0.5", "mode frequency must be > 0, got -1.0"),
+        ("0.5,1e200,0.5", "coupling g_abs 1e+200 at omega 0.5 makes |g|^2/omega^2 overflow"),
+    ])
+    def test_modes_file_row_a_mode_rejects_names_the_line(self, tmp_path, capsys, row,
+                                                          message):
+        # the mode's own message named neither the file nor the line
+        modes = tmp_path / "modes.csv"
+        modes.write_text("omega,g_abs,theta\n1,0.1,0\n" + row + "\n")
+        code, text = run_cli(tmp_path, "gamma", "--modes-file", str(modes))
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err.startswith(f"error: modes file {modes} line 3: {message}")
+
+    @pytest.mark.parametrize("row, message", [
         ("1e-170,1.0,0.5", "omega must be >= 1.49e-154"),
         ("1e-160,0.0,0.5", "omega must be >= 1.49e-154"),
         ("0.5,1e200,0.5", "g_abs 1e+200"),
@@ -725,6 +739,29 @@ class TestOracleCommand:
         assert payload["converged"] is False and payload["dephasing_max_error"] is None
         assert "needs Fock dimension 6908" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, dim", [
+        (("--tau", "2", "--dim-budget", "320"), 320),
+        (("--temp", "0", "--dim-budget", "79"), 40),  # no doubling fits the budget
+    ])
+    def test_non_convergence_is_one_error_line(self, argv, dim, capsys):
+        # exit 4 used to come with an empty stderr
+        assert exit_code("oracle", *argv, "--num-times", "11") == 4
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["converged"] is False
+        assert captured.err == (
+            f"error: the exact coherence ratios did not converge: Fock dimension {dim} is the "
+            f"last doubling of --fock-dim 40 within --dim-budget {argv[-1]}, and no doubling "
+            "up to it moved them by less than 1e-08\n")
+
+    @pytest.mark.parametrize("temp, g_abs, dim", [("10", "1e-6", 320), ("5", "1e-5", 160)])
+    def test_ratios_settled_short_of_the_thermal_state_converge(self, temp, g_abs, dim,
+                                                                tmp_path, capsys):
+        # the doubling stopped at 80, whose thermal tail is beyond TAIL_TOL: exit 4, no line
+        code, text = run_cli(tmp_path, "oracle", "--temp", temp, "--g-abs", g_abs)
+        assert code == 0 and capsys.readouterr().err == ""
+        payload = json.loads(text)
+        assert payload["converged"] is True and payload["fock_dim_used"] == dim
+
     def test_tau_zero_similarity(self, tmp_path):
         _, text = run_cli(tmp_path, "oracle", "--tau", "0", "--num-times", "11")
         assert json.loads(text)["similarity_residual"] == 0.0
@@ -1156,7 +1193,12 @@ class TestFlagsPerSubcommand:
         start = time.perf_counter()
         assert exit_code("oracle", "--t-max", value) == 2
         assert time.perf_counter() - start < 1.0
-        assert "t_max" in capsys.readouterr().err
+        assert "--t-max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--omega", "nan"), ("--g-abs", "inf")])
+    def test_oracle_non_finite_float_names_its_flag(self, flag, value, capsys):
+        assert exit_code("oracle", flag, value) == 2
+        assert f"argument {flag}: must be finite, got '{value}'" in capsys.readouterr().err
 
     def test_oracle_overflowing_coupling_is_a_usage_error(self, capsys):
         assert exit_code("oracle", "--g-abs", "1e200") == 2

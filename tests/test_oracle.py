@@ -17,8 +17,7 @@ from ptbath.oracle import (
     metric,
     similarity_residual,
     spectrum_residuals,
-    thermal_tail_weight,
-    unreachable_fock_dim,
+    thermal_fock_dim,
 )
 
 OMEGA_SHIFTED = math.sqrt(1.36)  # omega=1, tau=0.3
@@ -244,18 +243,20 @@ class TestThermalState:
         p = oracle._thermal_populations(TruncatedMode(1.0, 0.0, 25), 2.0)
         assert abs(p.sum() - 1.0) <= 1e-15
 
-    def test_tail_weight(self):
-        assert thermal_tail_weight(TruncatedMode(1.0, 0.0, 40), 1.0) == pytest.approx(
-            math.exp(-40.0), rel=1e-12)
-        assert thermal_tail_weight(TruncatedMode(1.0, 0.0, 40), 0.0) == 0.0
+    @pytest.mark.parametrize("omega, temperature, dim", [
+        (1.0, 300.0, 6908),  # ln(1e10) T / omega, rounded up
+        (2.0, 300.0, 3454),
+        (1.0, 10.0, 231),
+        (0.7, 1.3, 43),
+    ])
+    def test_thermal_fock_dim(self, omega, temperature, dim):
+        assert thermal_fock_dim(omega, temperature) == dim
+        # the tail weight beyond dim is within TAIL_TOL, beyond dim - 1 it is not
+        assert math.exp(-omega * dim / temperature) <= oracle.TAIL_TOL
+        assert math.exp(-omega * (dim - 1) / temperature) > oracle.TAIL_TOL
 
-    def test_unreachable_fock_dim(self):
-        # doubling 40 within 6400 reaches 5120; the tail needs ln(1e10) T / omega
-        assert unreachable_fock_dim(TruncatedMode(1.0, 0.2, 40), 300.0, 6400) == 6908
-        assert unreachable_fock_dim(TruncatedMode(2.0, 0.2, 40), 300.0, 3000) == 3454
-        assert unreachable_fock_dim(TruncatedMode(1.0, 0.2, 40), 10.0, 6400) is None
-        assert unreachable_fock_dim(TruncatedMode(1.0, 0.2, 40), 0.0, 40) is None
-        assert unreachable_fock_dim(TruncatedMode(1.0, 0.2, 40), 10.0, 79) == 231
+    def test_thermal_fock_dim_at_zero_temperature(self):
+        assert thermal_fock_dim(1.0, 0.0) == 0
 
 
 class TestExactDephasing:
@@ -436,6 +437,37 @@ class TestCertify:
         assert report.converged is False
         assert report.dephasing_max_error is None
         assert report.fock_dim_used == 40
+
+    def test_budget_short_of_the_thermal_state_fails_before_evolving(self, monkeypatch):
+        # T = 10 needs Fock dimension 231; doubling 40 within 79 stops at 40
+        def no_evolution(*args, **kwargs):
+            raise AssertionError("exact evolution ran")
+
+        monkeypatch.setattr(oracle, "exact_dephasing", no_evolution)
+        report = certify(temperature=10.0, dim_budget=79, num_times=11)
+        assert report.converged is False
+        assert report.dephasing_max_error is None
+        assert report.fock_dim_used == 40
+
+    def test_weak_coupling_converges_where_the_state_is_held(self):
+        # the ratios settle at 80, short of the 231 the state needs; a check
+        # after the run used to mark that non-converged
+        report = certify(temperature=10.0, g_abs=1e-6)
+        assert report.converged is True
+        assert report.fock_dim_used >= thermal_fock_dim(1.0, 10.0)
+        assert report.dephasing_max_error <= 1e-6
+
+    def test_doubling_starts_at_half_the_held_dimension(self, monkeypatch):
+        # 231 lies in (160, 320]: the first doubling compares 160 with 320
+        seen, real = [], oracle.exact_dephasing
+
+        def recording(modes, *args, **kwargs):
+            seen.append(modes[0][0].fock_dim)
+            return real(modes, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "exact_dephasing", recording)
+        assert cli.main(["oracle", "--temp", "10", "--num-times", "11"]) == 0
+        assert seen == [160, 320, 640]
 
     def test_overflowing_coupling_fails_before_any_fock_work(self, monkeypatch):
         def no_fock(*args):

@@ -37,15 +37,16 @@ peak RSS of the commands workload (its Fock dimension reaches 640; at the
 default theta = pi/2 the oracle decomposes a real matrix).  Beside each of
 those runs, `oracle --temp 10 --theta 1` runs too, so that the oracle's
 complex route stays measured.  Each run's peak RSS (the child's ru_maxrss,
-from wait4) and wall time are kept.
+from wait4), wall time and stdout are kept.
 
 Writes BENCH_<label>.json at the repository root: every run's result line
 (the last line of `ptbench/run.py`'s output), the traced runs, both sides'
 integrand nodes and values per figures pass and per preset, SHA-256 of
 each preset CSV and of the sweep CSV, minor page faults per preset, the peak
 RSS after the presets (`figures_peak_rss_mb`), the oracle runs
-(`oracle_t10` and `oracle_t10_theta1`: exit code, peak RSS in MB and wall
-seconds per run and side),
+(`oracle_t10` and `oracle_t10_theta1`: exit code, peak RSS in MB, wall
+seconds and SHA-256 of stdout per run and side) and per oracle command whether
+every run of both sides printed the same bytes (`oracle_stdout_matches`),
 each side's engine passes per preset and for the sweep
 (`engine_passes_per_figures_pass`) and whether its fig4 at --jobs 2 matched
 its serial fig4 (`fig4_jobs2_matches_serial`),
@@ -173,16 +174,27 @@ def figures_pass(checkout: Path) -> dict:
 
 
 def oracle_run(checkout: Path, argv: list[str]) -> dict:
-    """Exit code, peak RSS (MB) and wall seconds of `python *argv` (an
-    oracle command) run in a fresh interpreter on the ptbath in `checkout`."""
+    """Exit code, peak RSS (MB), wall seconds and SHA-256 of the stdout of
+    `python *argv` (an oracle command) run in a fresh interpreter on the
+    ptbath in `checkout`."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, *argv], cwd=checkout, env=env,
-                            stdout=subprocess.DEVNULL)
+                            stdout=subprocess.PIPE)
+    with proc.stdout:  # read to the end before wait4: a full pipe would block the child
+        digest = hashlib.sha256(proc.stdout.read()).hexdigest()
     _, status, usage = os.wait4(proc.pid, 0)  # the rusage of this child alone
     wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
-    return {"exit": proc.returncode, "maxrss_mb": usage.ru_maxrss / 1024, "wall_s": wall}
+    return {"exit": proc.returncode, "maxrss_mb": usage.ru_maxrss / 1024, "wall_s": wall,
+            "stdout_sha256": digest}
+
+
+def oracle_stdout_matches(oracle: dict) -> dict:
+    """Per oracle command (oracle: its runs by side, as main keeps them),
+    whether every run of both sides printed the same bytes."""
+    return {name: len({run["stdout_sha256"] for runs in sides.values() for run in runs}) == 1
+            for name, sides in oracle.items()}
 
 
 def working_tree_tar(out: Path) -> None:
@@ -327,7 +339,8 @@ def main() -> int:
                           "figures_peak_rss_mb": peak_rss,
                           "engine_passes_per_figures_pass": engine_passes,
                           "fig4_jobs2_matches_serial": fig4_jobs2,
-                          "src_lines": lines, **oracle}),
+                          "src_lines": lines, **oracle,
+                          "oracle_stdout_matches": oracle_stdout_matches(oracle)}),
               flush=True)
 
         runs, order = [], 0
@@ -378,6 +391,7 @@ def main() -> int:
         "src_lines": lines,
         **{name: {"command": "python " + " ".join(argv), **oracle[name]}
            for name, argv in ORACLE_ARGV.items()},
+        "oracle_stdout_matches": oracle_stdout_matches(oracle),
         "summary": summarize(runs, metrics),
     }
     out = ROOT / f"BENCH_{args.label}.json"
