@@ -118,7 +118,8 @@ class DiscreteBath:
         check_tau(self.tau)
         # |g|^2 coth(w/2T) / w^2 as dephasing_kernel rounds it: past the float range, Gamma is nan
         omega, weight, *_ = self._mode_arrays
-        with np.errstate(over="ignore", divide="ignore"):
+        # 0 x inf (|g| = 0, omega / T underflowing) is nan: out of range too
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             bad = ~np.isfinite(weight / (omega * omega)
                                * (2.0 / np.expm1(omega / self.temperature) + 1.0))
         if bad.any():

@@ -36,7 +36,7 @@ class TruncatedMode:
 
 # thermal weight beyond the truncation that still counts as converged
 TAIL_TOL = 1e-10
-# exact_dephasing_converged stops doubling once no ratio moves by this much
+# certify stops doubling the Fock dimension once no ratio moves by this much
 DOUBLING_TOL = 1e-8
 # certify's spectrum check: the lowest levels compared, at this Fock dimension
 SPECTRUM_LEVELS = 5
@@ -45,10 +45,10 @@ SPECTRUM_FOCK_DIM = 80
 
 @dataclass
 class OracleReport:
-    """dephasing_max_error is None when no exact evolution was run, and
-    similarity_residual when the metric is beyond the float range.  The
-    oracle command's exit code reads only converged and dephasing_max_error
-    <= 1e-6; no threshold reads spectrum_residuals or similarity_residual."""
+    """dephasing_max_error is None when certify ran no exact evolution, having
+    no two Fock dimensions to compare; similarity_residual when the metric is
+    beyond the float range.  The oracle command's exit code reads only converged
+    and dephasing_max_error <= 1e-6; no threshold reads the other two."""
 
     spectrum_residuals: list[float]
     similarity_residual: float | None
@@ -165,7 +165,6 @@ def exact_dephasing(
     modes: Sequence[tuple[TruncatedMode, Coupling]],
     temperature: float,
     times: Sequence[float],
-    dim_budget: int = 6400,
 ) -> np.ndarray:
     """Exact coherence ratio |rho01(t)| / |rho01(0)|.
 
@@ -183,12 +182,8 @@ def exact_dephasing(
     float64 (`oracle --temp 10`, Fock dimension 640: 51 MB peak RSS, not 72); else complex128.
     """
     times = np.asarray(times, dtype=float)
-    # checked before any Fock work: NaN ratios would keep
-    # exact_dephasing_converged doubling the Fock dimension to its budget
+    # before any Fock work: NaN ratios would keep certify doubling to the budget
     require_finite(temperature=temperature, times=float(np.max(np.abs(times), initial=0.0)))
-    total = math.prod(m.fock_dim for m, _ in modes)
-    if total > dim_budget:
-        raise ValueError(f"total Fock dimension {total} exceeds budget {dim_budget} (--dim-budget)")
     # exp(2i phi) is cos(2 phi) = +/-1 exactly where 2 phi is a float multiple of pi
     real = all(m.tau == 0.0 or math.remainder(2 * g.phase, math.pi) == 0.0 for m, g in modes)
     bands = (_hermitian_bands(m, g.magnitude, math.cos(2 * g.phase)) if real
@@ -206,26 +201,6 @@ def exact_dephasing(
     x = np.multiply.outer(times, e)
     cos, sin = np.cos(x), np.sin(x)
     return np.abs(np.sum((cos @ c - 1j * (sin @ c)) * (cos + 1j * sin), axis=1))
-
-
-def exact_dephasing_converged(
-    modes: Sequence[tuple[TruncatedMode, Coupling]],
-    temperature: float,
-    times: Sequence[float],
-    dim_budget: int = 6400,
-):
-    """Run exact_dephasing with Fock-dimension doubling until outputs move
-    by less than DOUBLING_TOL; returns (ratios, fock_dim_used, converged)."""
-    current = list(modes)
-    ratios = exact_dephasing(current, temperature, times, dim_budget)
-    while True:
-        doubled = [(TruncatedMode(m.omega, m.tau, 2 * m.fock_dim), g) for m, g in current]
-        if math.prod(m.fock_dim for m, _ in doubled) > dim_budget:
-            return ratios, max(m.fock_dim for m, _ in current), False
-        ratios2 = exact_dephasing(doubled, temperature, times, dim_budget)
-        if np.max(np.abs(ratios2 - ratios)) < DOUBLING_TOL:
-            return ratios2, max(m.fock_dim for m, _ in doubled), True
-        current, ratios = doubled, ratios2
 
 
 def spectrum_residuals(mode: TruncatedMode) -> tuple[list[float], float]:
@@ -252,12 +227,11 @@ def certify(
     dim_budget: int = 6400,
 ) -> OracleReport:
     """Full validation sweep: spectrum and similarity (at Fock dimension
-    SPECTRUM_FOCK_DIM), and exact-vs-closed-form dephasing for a single
-    mode.  The doubling of fock_dim starts at its first value that holds the
-    thermal state (thermal_fock_dim); when that lies past dim_budget, the
-    report is non-converged at once, without exact evolution."""
-    # checked before any work: a non-finite time or coupling would keep
-    # exact_dephasing_converged doubling the Fock dimension to its budget
+    SPECTRUM_FOCK_DIM), and exact-vs-closed-form dephasing for a single mode
+    on doublings of fock_dim within dim_budget, from the last one short of the
+    thermal state (thermal_fock_dim), until one moves the ratios by less than
+    DOUBLING_TOL; with no two doublings to compare, no exact evolution runs."""
+    # before any work: a non-finite time or coupling would keep the doubling going
     require_finite(omega=omega, tau=tau, theta=theta, g_abs=g_abs, temperature=temperature,
                    t_max=t_max)
     if temperature < 0:
@@ -274,21 +248,27 @@ def certify(
     # float) fails here, not after the Fock work
     g = Coupling(g_abs, theta)
     bath = DiscreteBath((BathMode(omega, g),), temperature=temperature, tau=tau)
+    if fock_dim > dim_budget:
+        raise ValueError(f"total Fock dimension {fock_dim} exceeds budget {dim_budget} "
+                         "(--dim-budget)")
     spec_mode = TruncatedMode(omega, tau, SPECTRUM_FOCK_DIM)
     residuals, _ = spectrum_residuals(spec_mode)
     sim = similarity_residual(spec_mode, SPECTRUM_FOCK_DIM // 4)
 
-    start, needed = fock_dim, thermal_fock_dim(omega, temperature)
-    while start < needed:
-        start *= 2
-    if start > max(fock_dim, dim_budget):
-        # fail before any exact evolution: the budget cannot hold the state
+    dims = [fock_dim]
+    while 2 * dims[-1] <= dim_budget:
+        dims.append(2 * dims[-1])
+    # the first comparison is the last doubling short of the thermal state with the next
+    dims = dims[max(0, sum(d < thermal_fock_dim(omega, temperature) for d in dims) - 1):]
+    if len(dims) < 2:
         return OracleReport(residuals, sim, None, fock_dim, False)
     times = np.linspace(0.0, t_max, num_times)
-    # from start / 2: the first doubling compares start / 2 with start
-    mode = TruncatedMode(omega, tau, max(fock_dim, start // 2))
-    ratios, dim_used, converged = exact_dephasing_converged([(mode, g)], temperature, times,
-                                                            dim_budget)
+    prev = None
+    for dim in dims:
+        ratios = exact_dephasing([(TruncatedMode(omega, tau, dim), g)], temperature, times)
+        if converged := prev is not None and np.max(np.abs(ratios - prev)) < DOUBLING_TOL:
+            break
+        prev = ratios
     closed = np.exp(-np.array([gamma_discrete(bath, t) for t in times]))
     max_err = float(np.max(np.abs(ratios - closed)))
-    return OracleReport(residuals, sim, max_err, int(dim_used), bool(converged))
+    return OracleReport(residuals, sim, max_err, dim, bool(converged))

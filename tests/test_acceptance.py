@@ -18,7 +18,7 @@ from ptbath.core import (
     gamma_discrete_amplitude,
 )
 from ptbath.entanglement import TwoQubitState, concurrence, dephased_bell, eof_from_concurrence
-from ptbath.oracle import TruncatedMode, exact_dephasing_converged, similarity_residual, spectrum_residuals
+from ptbath.oracle import TruncatedMode, certify, similarity_residual, spectrum_residuals
 
 from riemann_oracle import riemann_gamma_nh
 from test_entanglement import haar_unitary
@@ -70,18 +70,15 @@ def test_criterion_02_closed_form_amplitude_identity():
 
 def test_criterion_03_oracle_certification():
     """Exact truncated-Fock evolution matches exp(-Gamma) pointwise."""
-    times = np.linspace(0.0, 20.0, 101)
     worst = 0.0
     all_converged = True
     for tau in (0.0, 0.2, 0.4):
         for theta in (0.0, PI / 4, PI / 2):
-            g = Coupling(0.1, theta)
-            ratios, _, conv = exact_dephasing_converged(
-                [(TruncatedMode(1.0, tau, 40), g)], 1.0, times)
-            all_converged &= conv
-            bath = DiscreteBath((BathMode(1.0, g),), 1.0, tau)
-            closed = np.exp(-np.array([gamma_discrete(bath, float(t)) for t in times]))
-            worst = max(worst, float(np.max(np.abs(ratios - closed))))
+            # omega = 1, |g| = 0.1, T = 1, 101 times on [0, 20], doubling from 40
+            r = certify(omega=1.0, tau=tau, theta=theta, g_abs=0.1, temperature=1.0,
+                        t_max=20.0, num_times=101, fock_dim=40)
+            all_converged &= r.converged
+            worst = max(worst, r.dephasing_max_error)
     ok = all_converged and worst <= 1e-6
     report(3, ok, f"max |exact - closed| {worst:.3e} (tol 1e-6), converged={all_converged}")
 

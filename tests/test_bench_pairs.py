@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -144,6 +145,22 @@ def test_oracle_run_reads_the_child_alone(capfd):
     printed = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True, check=True,
                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src"))).stdout
     assert run["stdout_sha256"] == hashlib.sha256(printed).hexdigest()
+
+
+def test_oracle_argv_holds_every_oracle_of_the_commands_workload(monkeypatch):
+    # `oracle` (10 of the 100 commands) and `oracle --temp 10` (3, the peak RSS)
+    # get their bytes and peak RSS compared, beside the complex route at theta 1
+    spec = importlib.util.spec_from_file_location("ptbench_workloads",
+                                                  ROOT / "ptbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses looks it up
+    spec.loader.exec_module(workloads)
+    argvs = [argv[2:] for argv in load_bench_pairs().ORACLE_ARGV.values()]
+    oracles = [workloads._command(kind, random.Random(0)).argv
+               for kind, _ in workloads.SESSION_MIX if kind.startswith("oracle")]
+    assert oracles == [["oracle"], ["oracle", "--temp", "10"]]
+    assert all(argv in argvs for argv in oracles)
+    assert ["oracle", "--temp", "10", "--theta", "1"] in argvs
 
 
 def test_oracle_stdout_matches_needs_every_run_of_both_sides():

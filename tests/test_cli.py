@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import ptbath
-from ptbath import cli, continuum, drivers
+from ptbath import cli, continuum, drivers, oracle
 from ptbath.cli import (
     FIGURE_PRESETS,
     crossover,
@@ -55,10 +55,17 @@ def test_every_traced_name_resolves():
     spec = importlib.util.spec_from_file_location("ptbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    # deleted on purpose (certify runs the doubling it ran); spans.py still lists
+    # it, but no metric reads its span: TRACED is its only mention there
+    deleted = {"oracle.exact_dephasing_converged"}
     for layer, names in spans.TRACED.items():
         module = importlib.import_module(f"ptbath.{layer}")
         for name in names:
-            assert callable(getattr(module, name, None)), f"ptbath.{layer}.{name}"
+            if f"{layer}.{name}" in deleted:
+                assert not hasattr(module, name)
+                assert path.read_text().count(name) == 1
+            else:
+                assert callable(getattr(module, name, None)), f"ptbath.{layer}.{name}"
 
 
 def in_fresh_interpreter(statement, expression):
@@ -234,6 +241,18 @@ class TestGammaCommand:
         code, text = run_cli(tmp_path, "gamma", "--modes-file", str(modes))
         assert code == 2 and text == ""
         assert message in capsys.readouterr().err
+
+    def test_uncoupled_mode_whose_omega_over_t_underflows_fails_without_a_warning(
+            self, tmp_path, capsys):
+        # the range check computed 0 x inf there, and numpy's RuntimeWarning was
+        # printed before the error
+        modes = tmp_path / "modes.csv"
+        modes.write_text("omega,g_abs,theta\n1e-150,0,0.5\n")
+        for argv in (["gamma", "--modes-file", str(modes), "--temp", "1e200"],
+                     ["oracle", "--g-abs", "0", "--omega", "1e-150", "--temp", "1e200"]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == ("error: mode omega 1e-150 at --temp 1e+200 "
+                                               "makes |g|^2 coth(omega/2T)/omega^2 overflow\n")
 
     @pytest.mark.parametrize("tau", ["4.5e76", "6e76", "1e160"])
     def test_modes_file_tau_past_the_kernel_constants_is_a_usage_error(self, tmp_path,
@@ -741,7 +760,6 @@ class TestOracleCommand:
 
     @pytest.mark.parametrize("argv, dim", [
         (("--tau", "2", "--dim-budget", "320"), 320),
-        (("--temp", "0", "--dim-budget", "79"), 40),  # no doubling fits the budget
     ])
     def test_non_convergence_is_one_error_line(self, argv, dim, capsys):
         # exit 4 used to come with an empty stderr
@@ -752,6 +770,31 @@ class TestOracleCommand:
             f"error: the exact coherence ratios did not converge: Fock dimension {dim} is the "
             f"last doubling of --fock-dim 40 within --dim-budget {argv[-1]}, and no doubling "
             "up to it moved them by less than 1e-08\n")
+
+    def test_no_doubling_within_the_budget_is_one_error_line(self, capsys, monkeypatch):
+        # the state is held at 40 and 80 passes 79: one evolution used to run at 40,
+        # then its line claimed that doublings up to 40 had not converged
+        def no_evolution(*args):
+            raise AssertionError("exact evolution ran")
+
+        monkeypatch.setattr(oracle, "exact_dephasing", no_evolution)
+        assert exit_code("oracle", "--temp", "0", "--dim-budget", "79", "--num-times", "11") == 4
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["converged"] is False and report["dephasing_max_error"] is None
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "--fock-dim 40" in captured.err and "--dim-budget 79" in captured.err
+        assert "did not converge" not in captured.err and "no doubling up to" not in captured.err
+
+    def test_fock_dim_past_the_budget_fails_before_any_fock_work(self, capsys, monkeypatch):
+        def no_fock(*args):
+            raise AssertionError("Fock work ran")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_fock)
+        monkeypatch.setattr(np.linalg, "eigvals", no_fock)
+        assert exit_code("oracle", "--fock-dim", "80", "--dim-budget", "60") == 2
+        assert capsys.readouterr().err == (
+            "error: total Fock dimension 80 exceeds budget 60 (--dim-budget)\n")
 
     @pytest.mark.parametrize("temp, g_abs, dim", [("10", "1e-6", 320), ("5", "1e-5", 160)])
     def test_ratios_settled_short_of_the_thermal_state_converge(self, temp, g_abs, dim,

@@ -13,7 +13,6 @@ from ptbath.oracle import (
     bath_hamiltonian_nh,
     certify,
     exact_dephasing,
-    exact_dephasing_converged,
     metric,
     similarity_residual,
     spectrum_residuals,
@@ -265,25 +264,16 @@ class TestExactDephasing:
         ratios = exact_dephasing([(TruncatedMode(1.0, 0.2, 30), Coupling(0.0))], 1.0, times)
         assert np.allclose(ratios, 1.0, atol=1e-12)
 
+    # omega = 1, |g| = 0.1 at theta = pi/2, T = 1, 41 times on [0, 20], doubling from 40
     def test_matches_closed_form_non_hermitian(self):
-        g = Coupling(0.1, math.pi / 2)
-        times = np.linspace(0, 20, 41)
-        ratios, dim, conv = exact_dephasing_converged(
-            [(TruncatedMode(1.0, 0.2, 40), g)], 1.0, times)
-        assert conv
-        bath = DiscreteBath((BathMode(1.0, g),), 1.0, 0.2)
-        closed = np.exp(-np.array([gamma_discrete(bath, float(t)) for t in times]))
-        assert np.max(np.abs(ratios - closed)) <= 1e-6
+        report = certify(tau=0.2, theta=math.pi / 2, t_max=20.0, num_times=41, fock_dim=40)
+        assert report.converged
+        assert report.dephasing_max_error <= 1e-6
 
     def test_matches_closed_form_hermitian_limit(self):
-        g = Coupling(0.1, math.pi / 2)
-        times = np.linspace(0, 20, 41)
-        ratios, _, conv = exact_dephasing_converged(
-            [(TruncatedMode(1.0, 0.0, 40), g)], 1.0, times)
-        assert conv
-        bath = DiscreteBath((BathMode(1.0, g),), 1.0, 0.0)
-        closed = np.exp(-np.array([gamma_discrete(bath, float(t)) for t in times]))
-        assert np.max(np.abs(ratios - closed)) <= 1e-6
+        report = certify(tau=0.0, theta=math.pi / 2, t_max=20.0, num_times=41, fock_dim=40)
+        assert report.converged
+        assert report.dephasing_max_error <= 1e-6
 
     def test_two_mode_bath(self):
         modes = [(TruncatedMode(1.0, 0.1, 24), Coupling(0.08, 0.4)),
@@ -299,11 +289,6 @@ class TestExactDephasing:
         ratios = exact_dephasing([(TruncatedMode(1.0, 0.3, 30), Coupling(0.1, 1.0))],
                                  1.0, [0.0])
         assert ratios[0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_budget_overflow_rejected(self):
-        with pytest.raises(ValueError):
-            exact_dephasing([(TruncatedMode(1.0, 0.1, 100), Coupling(0.1))],
-                            1.0, [1.0], dim_budget=50)
 
 
 class TestParityRoute:
@@ -404,8 +389,7 @@ class TestParityRoute:
         monkeypatch.setattr(oracle, "_thermal_populations", no_populations)
         start = time.perf_counter()
         with pytest.raises(ValueError, match="--fock-dim or --dim-budget"):
-            exact_dephasing([(TruncatedMode(1.0, 0.2, 10**8), Coupling(0.1, 1.0))], 1.0, [1.0],
-                            dim_budget=10**11)
+            exact_dephasing([(TruncatedMode(1.0, 0.2, 10**8), Coupling(0.1, 1.0))], 1.0, [1.0])
         assert time.perf_counter() - start < 1.0
         start = time.perf_counter()
         assert cli.main(["oracle", "--fock-dim", "100000000", "--dim-budget", "100000000000"]) == 2
@@ -448,6 +432,20 @@ class TestCertify:
         assert report.converged is False
         assert report.dephasing_max_error is None
         assert report.fock_dim_used == 40
+
+    @pytest.mark.parametrize("fock_dim, dim_budget", [(40, 79), (1280, 2000)])
+    def test_no_doubling_within_the_budget_fails_before_evolving(self, monkeypatch, fock_dim,
+                                                                dim_budget):
+        # T = 0: fock_dim holds the state, and its doubling passes the budget;
+        # the lone evolution at fock_dim used to run, only to be non-converged
+        def no_evolution(*args, **kwargs):
+            raise AssertionError("exact evolution ran")
+
+        monkeypatch.setattr(oracle, "exact_dephasing", no_evolution)
+        report = certify(temperature=0.0, fock_dim=fock_dim, dim_budget=dim_budget)
+        assert report.converged is False
+        assert report.dephasing_max_error is None
+        assert report.fock_dim_used == fock_dim
 
     def test_weak_coupling_converges_where_the_state_is_held(self):
         # the ratios settle at 80, short of the 231 the state needs; a check
@@ -513,8 +511,8 @@ class TestNonFiniteInput:
         (1.0, -math.inf, "tau"),
     ])
     def test_truncated_mode_rejects_before_any_work(self, omega, tau, name):
-        # TruncatedMode(nan, 0.2, 40) used to run: exact_dephasing_converged
-        # then doubled on NaN ratios up to its budget
+        # TruncatedMode(nan, 0.2, 40) used to run: the doubling then went on
+        # NaN ratios up to its budget
         start = time.perf_counter()
         with pytest.raises(ValueError, match=name):
             TruncatedMode(omega, tau, 40)
@@ -527,8 +525,7 @@ class TestNonFiniteInput:
         (math.nan, [1.0], "temperature"),
         (math.inf, [1.0], "temperature"),
     ])
-    @pytest.mark.parametrize("run", [exact_dephasing, exact_dephasing_converged])
-    def test_exact_dephasing_rejects_before_any_work(self, run, temperature, times, name,
+    def test_exact_dephasing_rejects_before_any_work(self, temperature, times, name,
                                                      monkeypatch):
         def no_fock(*args):
             raise AssertionError("Fock work ran")
@@ -536,6 +533,5 @@ class TestNonFiniteInput:
         monkeypatch.setattr(np.linalg, "eigh", no_fock)
         start = time.perf_counter()
         with pytest.raises(ValueError, match=name):
-            run([(TruncatedMode(1.0, 0.2, 40), Coupling(0.1))], temperature, times,
-                dim_budget=160)
+            exact_dephasing([(TruncatedMode(1.0, 0.2, 40), Coupling(0.1))], temperature, times)
         assert time.perf_counter() - start < 1.0

@@ -36,17 +36,19 @@ in a fresh interpreter, the sides alternating: the command that sets the
 peak RSS of the commands workload (its Fock dimension reaches 640; at the
 default theta = pi/2 the oracle decomposes a real matrix).  Beside each of
 those runs, `oracle --temp 10 --theta 1` runs too, so that the oracle's
-complex route stays measured.  Each run's peak RSS (the child's ru_maxrss,
-from wait4), wall time and stdout are kept.
+complex route stays measured, and `oracle` with no flags, 10 of the 100
+commands runs.  Each run's peak RSS (the child's ru_maxrss, from wait4),
+wall time and stdout are kept.
 
 Writes BENCH_<label>.json at the repository root: every run's result line
 (the last line of `ptbench/run.py`'s output), the traced runs, both sides'
 integrand nodes and values per figures pass and per preset, SHA-256 of
 each preset CSV and of the sweep CSV, minor page faults per preset, the peak
 RSS after the presets (`figures_peak_rss_mb`), the oracle runs
-(`oracle_t10` and `oracle_t10_theta1`: exit code, peak RSS in MB, wall
-seconds and SHA-256 of stdout per run and side) and per oracle command whether
-every run of both sides printed the same bytes (`oracle_stdout_matches`),
+(`oracle_t10`, `oracle_t10_theta1` and `oracle_default`: exit code, peak
+RSS in MB, wall seconds and SHA-256 of stdout per run and side) and per
+oracle command whether every run of both sides printed the same bytes
+(`oracle_stdout_matches`),
 each side's engine passes per preset and for the sweep
 (`engine_passes_per_figures_pass`) and whether its fig4 at --jobs 2 matched
 its serial fig4 (`fig4_jobs2_matches_serial`),
@@ -79,7 +81,8 @@ CLAIM_PAIRS, OTHER_PAIRS = 10, 5
 TRACED = "figures"
 ORACLE_RUNS = 3
 ORACLE_ARGV = {"oracle_t10": ["-m", "ptbath.cli", "oracle", "--temp", "10"],
-               "oracle_t10_theta1": ["-m", "ptbath.cli", "oracle", "--temp", "10", "--theta", "1"]}
+               "oracle_t10_theta1": ["-m", "ptbath.cli", "oracle", "--temp", "10", "--theta", "1"],
+               "oracle_default": ["-m", "ptbath.cli", "oracle"]}
 
 # argv[1] is the checkout; prints the integrand nodes and values of each
 # preset of one figures pass, its CSV and its minor page faults, the peak RSS
