@@ -447,6 +447,18 @@ class TestCertify:
         assert report.dephasing_max_error is None
         assert report.fock_dim_used == fock_dim
 
+    def test_budget_overflow_rejected_before_any_fock_work(self, monkeypatch):
+        # the one --dim-budget check: fock_dim past it fails before the
+        # spectrum, the similarity or any exact evolution
+        def no_fock(*args, **kwargs):
+            raise AssertionError("Fock work ran")
+
+        for name in ("spectrum_residuals", "similarity_residual", "exact_dephasing"):
+            monkeypatch.setattr(oracle, name, no_fock)
+        with pytest.raises(ValueError,
+                           match=r"total Fock dimension 100 exceeds budget 50 \(--dim-budget\)"):
+            certify(fock_dim=100, dim_budget=50)
+
     def test_weak_coupling_converges_where_the_state_is_held(self):
         # the ratios settle at 80, short of the 231 the state needs; a check
         # after the run used to mark that non-converged
