@@ -36,7 +36,7 @@ class TruncatedMode:
 
 # thermal weight beyond the truncation that still counts as converged
 TAIL_TOL = 1e-10
-# certify stops doubling the Fock dimension once no ratio moves by this much
+# exact_dephasing_converged stops doubling once no ratio moves by this much
 DOUBLING_TOL = 1e-8
 # certify's spectrum check: the lowest levels compared, at this Fock dimension
 SPECTRUM_LEVELS = 5
@@ -182,7 +182,8 @@ def exact_dephasing(
     float64 (`oracle --temp 10`, Fock dimension 640: 51 MB peak RSS, not 72); else complex128.
     """
     times = np.asarray(times, dtype=float)
-    # before any Fock work: NaN ratios would keep certify doubling to the budget
+    # checked before any Fock work: NaN ratios would keep
+    # exact_dephasing_converged doubling the Fock dimension to its budget
     require_finite(temperature=temperature, times=float(np.max(np.abs(times), initial=0.0)))
     # exp(2i phi) is cos(2 phi) = +/-1 exactly where 2 phi is a float multiple of pi
     real = all(m.tau == 0.0 or math.remainder(2 * g.phase, math.pi) == 0.0 for m, g in modes)
@@ -201,6 +202,19 @@ def exact_dephasing(
     x = np.multiply.outer(times, e)
     cos, sin = np.cos(x), np.sin(x)
     return np.abs(np.sum((cos @ c - 1j * (sin @ c)) * (cos + 1j * sin), axis=1))
+
+
+def exact_dephasing_converged(omega: float, tau: float, g: Coupling, temperature: float,
+                              times: Sequence[float], dims: Sequence[int]):
+    """exact_dephasing of one mode at each of certify's Fock dimensions `dims` until one
+    moves the ratios by less than DOUBLING_TOL; returns (ratios, fock_dim_used, converged)."""
+    prev = None
+    for dim in dims:
+        ratios = exact_dephasing([(TruncatedMode(omega, tau, dim), g)], temperature, times)
+        if prev is not None and np.max(np.abs(ratios - prev)) < DOUBLING_TOL:
+            return ratios, dim, True
+        prev = ratios
+    return ratios, dim, False
 
 
 def spectrum_residuals(mode: TruncatedMode) -> tuple[list[float], float]:
@@ -228,10 +242,11 @@ def certify(
 ) -> OracleReport:
     """Full validation sweep: spectrum and similarity (at Fock dimension
     SPECTRUM_FOCK_DIM), and exact-vs-closed-form dephasing for a single mode
-    on doublings of fock_dim within dim_budget, from the last one short of the
-    thermal state (thermal_fock_dim), until one moves the ratios by less than
-    DOUBLING_TOL; with no two doublings to compare, no exact evolution runs."""
-    # before any work: a non-finite time or coupling would keep the doubling going
+    by exact_dephasing_converged on the doublings of fock_dim within dim_budget,
+    from the last one short of the thermal state (thermal_fock_dim); with no
+    two doublings to compare, no exact evolution runs."""
+    # checked before any work: a non-finite time or coupling would keep
+    # exact_dephasing_converged doubling the Fock dimension to its budget
     require_finite(omega=omega, tau=tau, theta=theta, g_abs=g_abs, temperature=temperature,
                    t_max=t_max)
     if temperature < 0:
@@ -258,17 +273,13 @@ def certify(
     dims = [fock_dim]
     while 2 * dims[-1] <= dim_budget:
         dims.append(2 * dims[-1])
-    # the first comparison is the last doubling short of the thermal state with the next
-    dims = dims[max(0, sum(d < thermal_fock_dim(omega, temperature) for d in dims) - 1):]
+    needed = thermal_fock_dim(omega, temperature)
+    while len(dims) > 1 and dims[1] < needed:  # from the last doubling short of the state
+        dims.pop(0)
     if len(dims) < 2:
         return OracleReport(residuals, sim, None, fock_dim, False)
     times = np.linspace(0.0, t_max, num_times)
-    prev = None
-    for dim in dims:
-        ratios = exact_dephasing([(TruncatedMode(omega, tau, dim), g)], temperature, times)
-        if converged := prev is not None and np.max(np.abs(ratios - prev)) < DOUBLING_TOL:
-            break
-        prev = ratios
+    ratios, dim, converged = exact_dephasing_converged(omega, tau, g, temperature, times, dims)
     closed = np.exp(-np.array([gamma_discrete(bath, t) for t in times]))
     max_err = float(np.max(np.abs(ratios - closed)))
-    return OracleReport(residuals, sim, max_err, dim, bool(converged))
+    return OracleReport(residuals, sim, max_err, dim, converged)

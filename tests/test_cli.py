@@ -55,17 +55,10 @@ def test_every_traced_name_resolves():
     spec = importlib.util.spec_from_file_location("ptbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    # deleted on purpose (certify runs the doubling it ran); spans.py still lists
-    # it, but no metric reads its span: TRACED is its only mention there
-    deleted = {"oracle.exact_dephasing_converged"}
     for layer, names in spans.TRACED.items():
         module = importlib.import_module(f"ptbath.{layer}")
         for name in names:
-            if f"{layer}.{name}" in deleted:
-                assert not hasattr(module, name)
-                assert path.read_text().count(name) == 1
-            else:
-                assert callable(getattr(module, name, None)), f"ptbath.{layer}.{name}"
+            assert callable(getattr(module, name, None)), f"ptbath.{layer}.{name}"
 
 
 def in_fresh_interpreter(statement, expression):

@@ -13,6 +13,7 @@ from ptbath.oracle import (
     bath_hamiltonian_nh,
     certify,
     exact_dephasing,
+    exact_dephasing_converged,
     metric,
     similarity_residual,
     spectrum_residuals,
@@ -447,6 +448,22 @@ class TestCertify:
         assert report.dephasing_max_error is None
         assert report.fock_dim_used == fock_dim
 
+    def test_converged_walks_the_ladder_until_a_doubling_moves_no_ratio(self, monkeypatch):
+        seen = []
+
+        def settled_at_80(modes, temperature, times):
+            ((mode, _),) = modes
+            seen.append(mode.fock_dim)
+            return np.full(len(times), min(mode.fock_dim, 80) / 80)
+
+        monkeypatch.setattr(oracle, "exact_dephasing", settled_at_80)
+        args = (1.0, 0.2, Coupling(0.1), 1.0, [0.0, 1.0])
+        _, dim, converged = exact_dephasing_converged(*args, [20, 40, 80, 160, 320])
+        assert (dim, converged, seen) == (160, True, [20, 40, 80, 160])
+        seen.clear()
+        _, dim, converged = exact_dephasing_converged(*args, [20, 40])
+        assert (dim, converged, seen) == (40, False, [20, 40])
+
     def test_budget_overflow_rejected_before_any_fock_work(self, monkeypatch):
         # the one --dim-budget check: fock_dim past it fails before the
         # spectrum, the similarity or any exact evolution
@@ -523,8 +540,8 @@ class TestNonFiniteInput:
         (1.0, -math.inf, "tau"),
     ])
     def test_truncated_mode_rejects_before_any_work(self, omega, tau, name):
-        # TruncatedMode(nan, 0.2, 40) used to run: the doubling then went on
-        # NaN ratios up to its budget
+        # TruncatedMode(nan, 0.2, 40) used to run: exact_dephasing_converged
+        # then doubled on NaN ratios up to its budget
         start = time.perf_counter()
         with pytest.raises(ValueError, match=name):
             TruncatedMode(omega, tau, 40)
