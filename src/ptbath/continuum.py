@@ -71,13 +71,6 @@ _PANELS_PER_OSCILLATION = 0.5
 # 14 -> 29, the README sweep (1.8k) 12 -> 25, fig1b (0.2k) 13 -> 26.
 _POOL_PANELS = 50_000
 
-# The kernel divides by w^2, which underflows below w ~ 1e-154; under
-# this multiple of the cutoff the integrands take their analytic w -> 0
-# limit instead.  No quadrature node comes near it; w = 0 is the case it
-# serves.  The limit's relative error grows like tau^2 t w, so a switch at
-# a resolvable frequency would put a jump into the integrand.
-_LIMIT_BELOW = 1e-60
-
 
 @dataclass(frozen=True)
 class OhmicSpectrum:
@@ -139,16 +132,12 @@ def spectral_density(omega, amplitude: float, cutoff: float):
     return out if out.ndim else float(out)
 
 
-def _omega_coth(w, temperature):
-    """w * coth(w/2T), finite and smooth through w = 0 (-> 2T)."""
-    w = np.asarray(w, dtype=float)
-    if temperature == 0.0:
-        return w.copy()
-    x = w / (2.0 * temperature)
-    small = x < 1e-4
-    xs = np.where(small, 1.0, x)
-    series = 2.0 * temperature + w * (x / 3.0 - x**3 / 45.0)
-    return np.where(small, series, w / np.tanh(xs))
+def _require_nodes(w: np.ndarray) -> None:
+    """Raise ValueError unless every node w > 0 has a normal float w^2 (not
+    w = 0 or NaN), the rule of core.BathMode: the kernel divides by w^2."""
+    low = float(np.min(w, initial=math.inf))  # NaN propagates
+    if not low * low >= sys.float_info.min:
+        raise ValueError(f"a quadrature node at w = {low:.3g}, where w^2 is not a normal float")
 
 
 def _phase_columns(thetas) -> tuple[np.ndarray, np.ndarray]:
@@ -167,49 +156,34 @@ def gamma_integrand_nh(omega, spec: OhmicSpectrum, t, tau=None):
     T0 + sin(theta) cos(theta) T1 + cos^2(theta) T2 (core.dephasing_kernel),
     which the engine forms per panel for every phase from one integral of
     the terms; spec.theta is not used.  t and tau (default spec.tau) may
-    be arrays broadcasting against omega.  The removable 0*inf form at
-    w -> 0 is replaced by its analytic limit 2 A t^2 * w coth(w/2T) (in T0;
-    T1 = T2 = 0) only where the kernel's w^2 would underflow, so the two
-    never meet at a resolvable frequency.
+    be arrays broadcasting against omega.  Every node w > 0 must have a
+    normal float w^2, which the kernel divides by; a node that does not
+    (w = 0 and NaN included) raises ValueError.  The quadrature's nodes lie
+    inside their panels, so none is 0.
     """
     if not isinstance(t, np.ndarray):
         check_time(t)
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    w = np.asarray(omega, dtype=float)
+    _require_nodes(w)
     A, lam, T, tau = spec.amplitude, spec.cutoff, spec.temperature, spec.tau if tau is None else tau
-    small = w < _LIMIT_BELOW * lam
-    any_small = small.any()
-    ws = np.where(small, lam, w) if any_small else w  # placeholder, overwritten below
     out = np.empty((3,) + w.shape)
     # J(w) = (A w) e^{-w/cutoff} as spectral_density rounds it, in the row
-    # that the kernel divides in place
-    weight = np.exp(np.divide(ws, -lam, out=out[2]), out=out[2])
-    weight *= ws if A == 1.0 else A * ws
-    dephasing_kernel(ws, weight, tau, t, T, out=out)
-    if any_small:  # the limit does not depend on the phase: T0 carries it
-        wl, tl = w[small], np.broadcast_to(t, w.shape)[small]
-        out[0, small] = 2.0 * A * tl * tl * _omega_coth(wl, T) * np.exp(-wl / lam)
-        out[1:, small] = 0.0
-    return out.reshape((3,) + np.shape(omega))
+    # that the kernel divides in place (a 0-d view for a scalar w)
+    weight = np.exp(np.divide(w, -lam, out=out[2, ...]), out=out[2, ...])
+    weight *= w if A == 1.0 else A * w
+    return dephasing_kernel(w, weight, tau, t, T, out=out)
 
 
 def gamma_integrand_hermitian(omega, amplitude: float, cutoff: float, temperature: float, t: float):
     """Integrand of the ordinary (tau = 0) spin-boson decoherence factor:
-    4 A exp(-w/cutoff) (1 - cos w t) coth(w/2T) / w, with the same w -> 0
-    limit and switch as gamma_integrand_nh."""
+    4 A exp(-w/cutoff) (1 - cos w t) coth(w/2T) / w, on the nodes of
+    gamma_integrand_nh: w^2 a normal float, else ValueError."""
     check_time(t)
     w = np.asarray(omega, dtype=float)
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w)
-    small = w < _LIMIT_BELOW * cutoff
-    any_small = small.any()
-    ws = np.where(small, cutoff, w) if any_small else w
-    cth = coth(ws / (2.0 * temperature)) if temperature > 0 else 1.0
+    _require_nodes(w)
+    cth = coth(w / (2.0 * temperature)) if temperature > 0 else 1.0
     # 1 - cos(wt) = 2 sin^2(wt/2), immune to cancellation
-    out = 8.0 * amplitude * np.exp(-ws / cutoff) * np.sin(0.5 * ws * t) ** 2 * cth / ws
-    if any_small:
-        wl = w[small]
-        out[small] = 2.0 * amplitude * t * t * _omega_coth(wl, temperature) * np.exp(-wl / cutoff)
-    return float(out[0]) if scalar else out
+    return 8.0 * amplitude * np.exp(-w / cutoff) * np.sin(0.5 * w * t) ** 2 * cth / w
 
 
 def _count(n: float) -> str:
@@ -345,19 +319,18 @@ def _panel_width(cutoff: float, t: float, tau: float) -> float:
     return min(2.0 * cutoff, 2.0 * math.pi / (_PANELS_PER_OSCILLATION * rate))
 
 
-def _tail_bound(spec: OhmicSpectrum, thetas, taus=None):
+def _tail_bound(spec: OhmicSpectrum, thetas, taus: np.ndarray):
     """The engine's bound for gamma_integrand_nh at each phase in thetas:
-    core.dephasing_bound against J(w), one row per phase, at spec.tau (at
-    taus[ids] given a batch's taus).  J(w)/w^2 = A e^{-w/cutoff}/w falls
+    core.dephasing_bound against J(w), one row per phase, at the tau
+    taus[ids] of each panel's integral.  J(w)/w^2 = A e^{-w/cutoff}/w falls
     with w, so its value at a panel's left edge bounds the panel.  At
     w = 0 it is NaN or inf, which keeps the first panel open."""
     sc, c2 = _phase_columns(thetas)
 
-    def bound(a, ids=None):
-        tau = spec.tau if taus is None else taus[ids]
+    def bound(a, ids):
         with np.errstate(divide="ignore", invalid="ignore"):
             return dephasing_bound(a, spec.amplitude * a * np.exp(a / -spec.cutoff),
-                                   tau, spec.temperature, sc, c2)
+                                   taus[ids], spec.temperature, sc, c2)
 
     return bound
 
@@ -367,11 +340,9 @@ def _check_range(spec: OhmicSpectrum, width: float) -> None:
     be evaluated at the smallest node of a first start panel [0, width]
     (every integral evaluates its first panel): w^2 must be a normal float
     and J(w) coth(w/2T) / w^2 at unit amplitude a finite one, as for a
-    discrete mode (core.BathMode, core.DiscreteBath).  A node below
-    _LIMIT_BELOW x cutoff takes the w -> 0 limit, not the kernel."""
+    discrete mode (core.BathMode, core.DiscreteBath) and as the
+    integrands require of every node."""
     w = float(0.5 * width + 0.5 * width * _NODES[0])  # as integrate_adaptive places it
-    if w < _LIMIT_BELOW * spec.cutoff:
-        return
     if w * w < sys.float_info.min:
         raise ValueError(f"cutoff {spec.cutoff:g} (--cutoff) puts quadrature nodes at "
                          f"w = {w:.3g}, where w^2 is not a normal float")
@@ -433,8 +404,11 @@ def gamma_continuum_batch(spec: OhmicSpectrum, taus, times, thetas,
     unit_quad = QuadratureSpec(quad.rel_tol, min(quad.abs_tol / amp, sys.float_info.max),
                                quad.max_subdivisions)
     cuts = batches(spec.cutoff, taus, times, len(thetas))
-    if cuts:  # before any integral runs
-        _check_range(spec, min(width for _, widths in cuts for width in widths))
+    # before any integral runs, at the start grids that fit the budget: the
+    # engine refuses the others first, a zero width among them
+    fits = [w for _, ws in cuts for w in ws if 0.0 < w and hi / w <= quad.max_subdivisions]
+    if fits:
+        _check_range(spec, min(fits))
     # a zero width is an integral that integrate_adaptive rejects
     if jobs > 1 and sum(hi / w for _, ws in cuts for w in ws if w > 0.0) > jobs * _POOL_PANELS:
         from concurrent.futures import ProcessPoolExecutor  # imported only where a pool runs

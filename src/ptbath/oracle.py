@@ -154,11 +154,12 @@ def _thermal_populations(mode: TruncatedMode, temperature: float) -> np.ndarray:
     return p / p.sum()
 
 
-def thermal_fock_dim(omega: float, temperature: float) -> int:
+def thermal_fock_dim(omega: float, temperature: float) -> int | float:
     """Fock dimension n whose truncation holds the thermal state: the
     weight exp(-omega n / T) beyond it is at most TAIL_TOL.  0 at T = 0,
-    about 23 T / omega above."""
-    return math.ceil(math.log(1.0 / TAIL_TOL) * temperature / omega)
+    about 23 T / omega above, inf where that passes the float range."""
+    n = math.log(1.0 / TAIL_TOL) * temperature / omega
+    return math.ceil(n) if n < math.inf else n
 
 
 def exact_dephasing(

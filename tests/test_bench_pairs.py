@@ -128,6 +128,14 @@ def test_figures_pass_reads_the_peak_rss_of_the_presets(figures_pass):
     assert 10.0 < figures_pass["peak_rss_mb"] < 1000.0
 
 
+def test_figures_pass_reads_the_smallest_node_of_each_preset(figures_pass):
+    # the smallest node over the cutoff: inside the first panel, far above
+    # the w^2 underflow; one value per preset
+    low = figures_pass["min_node_over_cutoff"]
+    assert set(low) == set(figures_pass["csv"])
+    assert all(1e-6 < value < 1.0 for value in low.values())
+
+
 def test_figures_pass_counts_engine_passes_and_checks_the_pool(figures_pass):
     # one integrate_adaptive call per engine batch of a run's grid
     assert figures_pass["passes"] == {"fig1a": 12, "fig1b": 1, "fig2": 26, "fig3a": 25,

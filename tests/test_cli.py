@@ -779,6 +779,24 @@ class TestOracleCommand:
         assert "--fock-dim 40" in captured.err and "--dim-budget 79" in captured.err
         assert "did not converge" not in captured.err and "no doubling up to" not in captured.err
 
+    @pytest.mark.parametrize("argv", [("--temp", "1e307"), ("--g-abs", "0", "--temp", "1e307")])
+    def test_thermal_dim_past_the_float_range_is_one_error_line(self, argv, capsys,
+                                                                monkeypatch):
+        # ln(1/TAIL_TOL) T / omega overflows: exit 1 with an OverflowError traceback
+        # used to follow, where --temp 1e306 already gave exit 4 and one line
+        def no_evolution(*args):
+            raise AssertionError("exact evolution ran")
+
+        monkeypatch.setattr(oracle, "exact_dephasing", no_evolution)
+        assert exit_code("oracle", *argv) == 4
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["converged"] is False and report["dephasing_max_error"] is None
+        assert captured.err == (
+            "error: the thermal state at temperature 1e+307 needs Fock dimension inf; the ratios "
+            "are checked at a doubling of --fock-dim 40 within --dim-budget 6400 that holds it, "
+            "and there is none\n")
+
     def test_fock_dim_past_the_budget_fails_before_any_fock_work(self, capsys, monkeypatch):
         def no_fock(*args):
             raise AssertionError("Fock work ran")

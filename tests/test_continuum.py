@@ -145,18 +145,15 @@ class TestIntegrand:
             assert below == pytest.approx(
                 gamma_integrand_hermitian(w, 1.0, 0.7, 0.05, t), rel=1e-10)
 
-    @pytest.mark.parametrize("temperature", [0.0, 2.0])
-    def test_zero_frequency_takes_the_limit(self, temperature):
-        spec = OhmicSpectrum(1.3, 0.2, 0.4, temperature, 1.5)
-        t = 3.0
-        # 2 A t^2 * lim w coth(w/2T): 0 at T = 0, 2T otherwise
-        limit = 2.0 * spec.amplitude * t * t * 2.0 * temperature
-        w = np.array([0.0, 1e-3])
-        val = at_phase(w, spec, t)
-        assert val[0] == pytest.approx(limit, rel=1e-15, abs=0.0)
-        assert val[1] == pytest.approx(at_phase(1e-3, spec, t), rel=1e-15)
-        assert gamma_integrand_hermitian(0.0, 1.3, 0.2, temperature, t) == pytest.approx(
-            limit, rel=1e-15, abs=0.0)
+    @pytest.mark.parametrize("w", [0.0, 1e-160, math.nan])
+    def test_rejects_a_node_whose_square_is_not_normal(self, w):
+        # the kernel divides by w^2: w = 0 and a w^2 that underflows are not nodes
+        spec = OhmicSpectrum(1.3, 0.2, 0.4, 2.0, 1.5)
+        for omega in (w, np.array([0.5, w, 1e-3])):
+            with pytest.raises(ValueError, match="w\\^2 is not a normal float"):
+                gamma_integrand_nh(omega, spec, 3.0)
+            with pytest.raises(ValueError, match="w\\^2 is not a normal float"):
+                gamma_integrand_hermitian(omega, 1.3, 0.2, 2.0, 3.0)
 
 
 class TestGammaContinuum:
@@ -176,6 +173,13 @@ class TestGammaContinuum:
             a = gamma_continuum_nh(spec, t)
             b = gamma_hermitian(A, lam, T, t)
             assert a == pytest.approx(b, rel=1e-8)
+
+    def test_hermitian_rejects_nodes_whose_square_underflows(self):
+        # at cutoff 1e-170 the nodes (about 2e-173) square to an underflow, and
+        # 0.0 used to come back for Gamma = 4 A T t^2 cutoff = 1.2e-167
+        with pytest.raises(ValueError, match="w\\^2 is not a normal float"):
+            gamma_hermitian(1.0, 1e-170, 300.0, 1.0)
+        assert gamma_hermitian(1.0, 1e-100, 300.0, 1.0) == pytest.approx(1.2e-97, rel=1e-12)
 
     def test_non_hermitian_against_riemann_value(self):
         spec = OhmicSpectrum(theta=math.pi / 2, tau=2.0, **FIG_SETTINGS)
@@ -631,34 +635,29 @@ class TestTermRoute:
     K(T0) + sin cos K(T1) + cos^2 K(T2)."""
 
     @staticmethod
-    def node_level(spec, t, thetas, quad, hi=None, width=None):
+    def node_level(spec, t, thetas, quad):
         # the same engine on the per-phase rows combined at every node from
         # gamma_integrand_nh's terms, as the production route runs it: at
         # A = 1, with its tail bound
-        hi = 60.0 * spec.cutoff if hi is None else hi
-        if width is None:
-            width = _panel_width(spec.cutoff, t, spec.tau) if t > 0.0 else hi
+        hi = 60.0 * spec.cutoff
+        width = _panel_width(spec.cutoff, t, spec.tau) if t > 0.0 else hi
         rows = continuum.integrate_adaptive(
             lambda w, ids: phase_rows(w, spec, t, thetas), 0.0, hi, quad, [width], [None],
-            np.eye(len(thetas)), _tail_bound(spec, thetas))[0]
+            np.eye(len(thetas)), _tail_bound(spec, thetas, np.array([spec.tau])))[0]
         return np.maximum(rows, 0.0)
 
     def test_terms_combine_into_the_phase_rows(self):
         thetas = [0.0, 0.4, math.pi / 2, 2 * math.pi / 3, 5.1]
         for temperature, tau in [(0.0, 1.5), (2.0, 1.5), (300.0, 0.0)]:
             spec = OhmicSpectrum(1.3, 0.2, 0.0, temperature, tau)
-            w = np.array([[0.0, 1e-70, 1e-3, 0.5], [1.0, 2.0, 7.5, 11.0]])
+            w = np.array([[1e-6, 1e-3, 0.2, 0.5], [1.0, 2.0, 7.5, 11.0]])
             terms = gamma_integrand_nh(w, spec, 3.0)
             assert terms.shape == (3, 2, 4)
-            # the kernel's combined mode, where its w^2 does not underflow
-            kernel = w >= continuum._LIMIT_BELOW * spec.cutoff
-            j = spectral_density(w[kernel], spec.amplitude, spec.cutoff)
+            # the kernel's combined mode at every node
+            j = spectral_density(w, spec.amplitude, spec.cutoff)
             for _, sc, c2 in phase_mix(thetas):
-                row = dephasing_kernel(w[kernel], j, tau, 3.0, temperature, sc, c2)
-                assert np.array_equal(row, (terms[0] + sc * terms[1] + c2 * terms[2])[kernel])
-            # the w -> 0 limit is phase-free: T0 carries it
-            assert np.all(terms[1:, 0, :2] == 0.0)
-            assert np.all(terms[0, 0, :2] == phase_rows(w, spec, 3.0, thetas)[:, 0, :2])
+                row = dephasing_kernel(w, j, tau, 3.0, temperature, sc, c2)
+                assert np.array_equal(row, terms[0] + sc * terms[1] + c2 * terms[2])
             if tau == 0.0:  # no non-Hermiticity: the phase terms vanish
                 assert np.all(terms[1:] == 0.0)
 
@@ -675,19 +674,6 @@ class TestTermRoute:
             got = gamma_continuum_batch(spec, [spec.tau], [t], thetas, quad)[0]
             ref = self.node_level(spec, t, thetas, quad)
             assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), (temperature, tau, t)
-
-    @pytest.mark.parametrize("temperature", [0.0, 3.0])
-    def test_limit_panel_agrees_with_the_node_level_rows(self, temperature):
-        # one panel whose every node lies below _LIMIT_BELOW * cutoff
-        spec = OhmicSpectrum(1.0, 0.2, 0.0, temperature, 1.5)
-        thetas = [0.0, 0.4, 2.0]
-        hi = 0.5 * continuum._LIMIT_BELOW * spec.cutoff
-        got = continuum.integrate_adaptive(
-            lambda w, ids: gamma_integrand_nh(w, spec, 4.0), 0.0, hi, QuadratureSpec(), [hi],
-            [None], phase_mix(thetas))[0]
-        ref = self.node_level(spec, 4.0, thetas, QuadratureSpec(), hi=hi, width=hi)
-        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
-        assert np.all(ref > 0.0)
 
     def test_work_does_not_grow_with_the_phases(self, monkeypatch):
         # 3 term values per node for a group of any size, and at most
@@ -809,7 +795,8 @@ class TestTailBound:
             t = math.exp(rng.uniform(math.log(0.01), math.log(300.0)))
             w = np.concatenate([np.geomspace(1e-8, lam, 2000),
                                 np.linspace(lam, 60.0 * lam, 20000)])
-            bound = _tail_bound(spec, thetas)(w)
+            ids = np.zeros(w.size, dtype=int)
+            bound = _tail_bound(spec, thetas, np.array([spec.tau]))(w, ids)
             values = phase_rows(w, spec, t, thetas)
             assert np.all(values <= bound * (1.0 + 1e-13))
             # falling in w, so a panel's left edge bounds the whole panel
@@ -818,7 +805,8 @@ class TestTailBound:
     @pytest.mark.parametrize("temperature", [0.0, 300.0])
     def test_zero_frequency_panel_stays_open(self, temperature):
         spec = OhmicSpectrum(1.0, 0.1, 0.5, temperature, 2.0)
-        assert not _tail_bound(spec, [0.5])(np.array([0.0]))[0, 0] <= 1e300
+        bound = _tail_bound(spec, [0.5], np.array([spec.tau]))
+        assert not bound(np.array([0.0]), np.array([0]))[0, 0] <= 1e300
         # the first panel holds most of Gamma at t = 120: were it accepted as
         # 0, the result would be off by far more than abs_tol * 60 cutoff / 2
         loose = QuadratureSpec(abs_tol=1e-3)
@@ -876,9 +864,9 @@ class TestTailBound:
             t = math.exp(rng.uniform(math.log(0.1), math.log(50.0)))
             quad = QuadratureSpec(abs_tol=10.0 ** rng.uniform(-14, -8))
             hi, width = 60.0 * spec.cutoff, _panel_width(spec.cutoff, t, spec.tau)
-            bound = _tail_bound(spec, [spec.theta])
+            bound = _tail_bound(spec, [spec.theta], np.array([spec.tau]))
             left = continuum._initial_edges(0.0, hi, width)[:-1]
-            skipped = left[bound(left)[0] <= quad.abs_tol / 2.0]
+            skipped = left[bound(left, np.zeros(left.size, dtype=int))[0] <= quad.abs_tol / 2.0]
             assert skipped.size
             cut = skipped.min()
 

@@ -258,6 +258,11 @@ class TestThermalState:
     def test_thermal_fock_dim_at_zero_temperature(self):
         assert thermal_fock_dim(1.0, 0.0) == 0
 
+    @pytest.mark.parametrize("omega, temperature", [(1.0, 1e307), (1e-300, 1e10)])
+    def test_thermal_fock_dim_past_the_float_range_is_inf(self, omega, temperature):
+        # no integer to round up to: the truncation is beyond any doubling
+        assert thermal_fock_dim(omega, temperature) == math.inf
+
 
 class TestExactDephasing:
     def test_zero_coupling_keeps_full_coherence(self):

@@ -20,7 +20,10 @@ Each side also runs one figures pass in one process: the six presets as
 handed to the integrand and the values it returns (nodes x rows), which do
 not depend on the hardware and repeat run to run: equal nodes show that
 both sides evaluated the same panels, whatever rows each integrand gives
-per node.  It keeps each preset's CSV, to compare the printed rows of the
+per node.  It also keeps, per preset, the smallest node handed to the
+integrand divided by the cutoff of its integrals (`min_node_over_cutoff`):
+how far from w = 0, where the kernel's w^2 would underflow, the quadrature
+gets.  It keeps each preset's CSV, to compare the printed rows of the
 sides, and reads the process's minor page faults (getrusage ru_minflt)
 around each preset: a working set that outgrows the heap top the allocator
 keeps shows there as thousands of faults.  After the presets it reads the
@@ -42,7 +45,8 @@ wall time and stdout are kept.
 
 Writes BENCH_<label>.json at the repository root: every run's result line
 (the last line of `ptbench/run.py`'s output), the traced runs, both sides'
-integrand nodes and values per figures pass and per preset, SHA-256 of
+integrand nodes and values per figures pass and per preset, the smallest
+node over the cutoff per preset (`min_node_over_cutoff`), SHA-256 of
 each preset CSV and of the sweep CSV, minor page faults per preset, the peak
 RSS after the presets (`figures_peak_rss_mb`), the oracle runs
 (`oracle_t10`, `oracle_t10_theta1` and `oracle_default`: exit code, peak
@@ -85,40 +89,45 @@ ORACLE_ARGV = {"oracle_t10": ["-m", "ptbath.cli", "oracle", "--temp", "10"],
                "oracle_default": ["-m", "ptbath.cli", "oracle"]}
 
 # argv[1] is the checkout; prints the integrand nodes and values of each
-# preset of one figures pass, its CSV and its minor page faults, the peak RSS
-# after the presets, the README sweep's CSV, the engine passes of each preset
-# and of the sweep, and whether fig4 at --jobs 2 printed the serial CSV, as
-# one JSON line
+# preset of one figures pass, its smallest node over the cutoff, its CSV and
+# its minor page faults, the peak RSS after the presets, the README sweep's
+# CSV, the engine passes of each preset and of the sweep, and whether fig4 at
+# --jobs 2 printed the serial CSV, as one JSON line
 FIGURES_PASS = '''
-import json, resource, sys, tempfile
+import json, math, resource, sys, tempfile
 from pathlib import Path
 import numpy as np
 from ptbath import cli, continuum
 sys.path.insert(0, str(Path(sys.argv[1]) / "ptbench"))
 from workloads import FIGURE_IDS, figure_argv, sweep_argv
 
-real, count = continuum.integrate_adaptive, {"nodes": 0, "values": 0, "passes": 0}
+real = continuum.integrate_adaptive
+count = {"nodes": 0, "values": 0, "passes": 0, "low": math.inf}
 
-def tally(x, out):
+def tally(x, out, cutoff):
     count["nodes"] += np.size(x)
     count["values"] += np.size(out)
+    count["low"] = min(count["low"], float(np.min(x)) / cutoff)
     return out
 
-def counting(f, *args, **kwargs):
+def counting(f, lo, hi, quad, panel_width, params, *args, **kwargs):
     count["passes"] += 1
-    return real(lambda x, *a: tally(x, f(x, *a)), *args, **kwargs)
+    cutoff = params[0]["cutoff"]  # one spectrum per engine pass
+    return real(lambda x, *a: tally(x, f(x, *a), cutoff), lo, hi, quad, panel_width, params,
+                *args, **kwargs)
 
 continuum.integrate_adaptive = counting
-csv, faults, nodes, values, passes = {}, {}, {}, {}, {}
+csv, faults, nodes, values, passes, low = {}, {}, {}, {}, {}, {}
 with tempfile.TemporaryDirectory() as tmp:
     for fig in FIGURE_IDS:
         out = Path(tmp) / (fig + ".csv")
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        count.update(nodes=0, values=0, passes=0)
+        count.update(nodes=0, values=0, passes=0, low=math.inf)
         if cli.main(figure_argv(fig, str(out))) != 0:
             sys.exit(f"figure {fig} failed")
         faults[fig] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         nodes[fig], values[fig], passes[fig] = count["nodes"], count["values"], count["passes"]
+        low[fig] = count["low"]
         csv[fig] = out.read_bytes().decode()  # as written: no newline translation
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     out = Path(tmp) / "sweep.csv"
@@ -132,7 +141,8 @@ with tempfile.TemporaryDirectory() as tmp:
     if cli.main(figure_argv("fig4", str(out)) + ["--jobs", "2"]) != 0:
         sys.exit("figure fig4 --jobs 2 failed")
     fig4_jobs2 = out.read_bytes().decode() == csv["fig4"]
-print(json.dumps({"nodes": nodes, "values": values, "csv": csv, "minor_faults": faults,
+print(json.dumps({"nodes": nodes, "values": values, "min_node_over_cutoff": low,
+                  "csv": csv, "minor_faults": faults,
                   "peak_rss_mb": peak_rss_mb, "sweep_csv": sweep_csv, "passes": passes,
                   "fig4_jobs2_matches_serial": fig4_jobs2}))
 '''
@@ -165,7 +175,8 @@ def src_lines(checkout: Path) -> dict:
 
 def figures_pass(checkout: Path) -> dict:
     """Integrand nodes and values of each preset of one figures pass of the
-    ptbath in `checkout`, each preset's CSV text and minor page faults, the
+    ptbath in `checkout`, its smallest node over the cutoff
+    (`min_node_over_cutoff`), each preset's CSV text and minor page faults, the
     process's peak RSS in MB after the presets, the CSV text of the README
     sweep run after them in the same process, the engine passes
     (`integrate_adaptive` calls) of each preset and of the sweep, and
@@ -323,6 +334,7 @@ def main() -> int:
                  for side, p in passes.items()}
         values = {side: {"total": sum(p["values"].values()), **p["values"]}
                   for side, p in passes.items()}
+        low = {side: p["min_node_over_cutoff"] for side, p in passes.items()}
         digest = csv_digest(passes)
         faults = {side: p["minor_faults"] for side, p in passes.items()}
         peak_rss = {side: p["peak_rss_mb"] for side, p in passes.items()}
@@ -336,6 +348,7 @@ def main() -> int:
                     oracle[name][side].append(oracle_run(roots[side], argv))
         print(json.dumps({"integrand_nodes_per_figures_pass": nodes,
                           "integrand_values_per_figures_pass": values,
+                          "min_node_over_cutoff": low,
                           "figure_rows_changed": digest["figure_rows_changed"],
                           "sweep_rows_changed": digest["sweep_rows_changed"],
                           "figure_minor_faults": faults,
@@ -386,6 +399,7 @@ def main() -> int:
         "traced": traced,
         "integrand_nodes_per_figures_pass": nodes,
         "integrand_values_per_figures_pass": values,
+        "min_node_over_cutoff": low,
         **digest,
         "figure_minor_faults": faults,
         "figures_peak_rss_mb": peak_rss,
