@@ -248,8 +248,18 @@ def _cmd_oracle(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of the count flags."""
-    n = _number(int, text)
+    """argparse type of the count flags: an int, or an integral float such as 1e+70, the
+    form in which an error message prints a count past 1e15."""
+    try:
+        n = int(text)
+    except ValueError:
+        try:
+            x = float(text)
+        except ValueError:
+            x = math.nan
+        if not x.is_integer():  # nor nan or inf
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        n = int(x)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
     return n

@@ -335,23 +335,26 @@ def _tail_bound(spec: OhmicSpectrum, thetas, taus: np.ndarray):
     return bound
 
 
-def _check_range(spec: OhmicSpectrum, width: float) -> None:
-    """Raise ValueError, naming --cutoff or --temp, when the kernel cannot
-    be evaluated at the smallest node of a first start panel [0, width]
-    (every integral evaluates its first panel): w^2 must be a normal float
-    and J(w) coth(w/2T) / w^2 at unit amplitude a finite one, as for a
-    discrete mode (core.BathMode, core.DiscreteBath) and as the
-    integrands require of every node."""
+def _check_range(spec: OhmicSpectrum, width: float, tau: float, t: float) -> None:
+    """Raise ValueError, naming --temp or what set the width (--cutoff, or
+    --t and --tau through the oscillation rate of _panel_width), when the
+    kernel cannot be evaluated at the smallest node of the first start panel
+    [0, width] of the integral at (tau, t) (every integral evaluates its
+    first panel): w^2 must be a normal float and J(w) coth(w/2T) / w^2 at
+    unit amplitude a finite one, as for a discrete mode (core.BathMode,
+    core.DiscreteBath) and as the integrands require of every node."""
     w = float(0.5 * width + 0.5 * width * _NODES[0])  # as integrate_adaptive places it
+    by = (f"cutoff {spec.cutoff:g} (--cutoff)" if width >= 2.0 * spec.cutoff
+          else f"t {t:g} (--t) with tau {tau:g} (--tau)")
     if w * w < sys.float_info.min:
-        raise ValueError(f"cutoff {spec.cutoff:g} (--cutoff) puts quadrature nodes at "
-                         f"w = {w:.3g}, where w^2 is not a normal float")
+        raise ValueError(f"{by} puts quadrature nodes at w = {w:.3g}, where w^2 is not a "
+                         "normal float")
     x = w / spec.temperature if spec.temperature else math.inf
     cth = 2.0 / math.expm1(x) + 1.0 if x < 709.0 else 1.0  # 1 + 2/expm1(x) rounds to 1 above
     weight = w * math.exp(w / -spec.cutoff) / (w * w) * cth
     if not math.isfinite(weight):
-        raise ValueError(f"temperature {spec.temperature:g} (--temp) at cutoff {spec.cutoff:g} "
-                         f"(--cutoff) makes J(w) coth(w/2T)/w^2 overflow at w = {w:.3g}")
+        raise ValueError(f"temperature {spec.temperature:g} (--temp) at {by} makes "
+                         f"J(w) coth(w/2T)/w^2 overflow at w = {w:.3g}")
 
 
 def batches(cutoff: float, taus, times, n_phases: int) -> list[tuple[slice, list[float]]]:
@@ -404,11 +407,13 @@ def gamma_continuum_batch(spec: OhmicSpectrum, taus, times, thetas,
     unit_quad = QuadratureSpec(quad.rel_tol, min(quad.abs_tol / amp, sys.float_info.max),
                                quad.max_subdivisions)
     cuts = batches(spec.cutoff, taus, times, len(thetas))
-    # before any integral runs, at the start grids that fit the budget: the
-    # engine refuses the others first, a zero width among them
-    fits = [w for _, ws in cuts for w in ws if 0.0 < w and hi / w <= quad.max_subdivisions]
+    # before any integral runs, at the narrowest start grid that fits the budget:
+    # the engine refuses the others first, a zero width among them
+    widths = [w for _, ws in cuts for w in ws]
+    fits = [i for i, w in enumerate(widths) if 0.0 < w and hi / w <= quad.max_subdivisions]
     if fits:
-        _check_range(spec, min(fits))
+        i = min(fits, key=widths.__getitem__)
+        _check_range(spec, widths[i], taus[i], times[i])
     # a zero width is an integral that integrate_adaptive rejects
     if jobs > 1 and sum(hi / w for _, ws in cuts for w in ws if w > 0.0) > jobs * _POOL_PANELS:
         from concurrent.futures import ProcessPoolExecutor  # imported only where a pool runs

@@ -210,7 +210,8 @@ def optimize(fixed: OhmicSpectrum, free: list[str], t: float, bounds: dict,
             raise ValueError(f"cannot optimize over {name!r}")
         lo, hi = bounds[name]
         if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
-            raise ValueError(f"bad bounds for {name!r}: {bounds[name]}")
+            raise ValueError(f"bad bounds for {name!r} (--{name}-bounds): {bounds[name]}; "
+                             "expected finite LO <= HI")
         if name == "tau":
             check_tau(max(lo, hi, key=abs), "--tau-bounds")
 

@@ -17,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BathMode, Coupling, DiscreteBath, gamma_discrete, require_finite
+from .core import (BathMode, Coupling, DiscreteBath, dephasing_bound, gamma_discrete,
+                   require_finite)
 
 
 @dataclass(frozen=True)
@@ -180,7 +181,7 @@ def exact_dephasing(
     In the gauge D = diag(exp(i n phi)) of each coupling phase phi, D'H_plus D has
     coupling |g| and exp(+/-2i phi) on a^2 (a'^2); D commutes with P and rho_B, so D'U
     gives the same C.  Where each mode has tau = 0 or theta a multiple of pi/2 it is real:
-    float64 (`oracle --temp 10`, Fock dimension 640: 51 MB peak RSS, not 72); else complex128.
+    float64 (`oracle --temp 10`, Fock dimension 464: 45 MB peak RSS, not 51); else complex128.
     """
     times = np.asarray(times, dtype=float)
     # checked before any Fock work: NaN ratios would keep
@@ -218,6 +219,31 @@ def exact_dephasing_converged(omega: float, tau: float, g: Coupling, temperature
     return ratios, dim, False
 
 
+def _check_phases(bath: DiscreteBath, level: int, t_max: float) -> None:
+    """Raise ValueError, naming --t-max, where rounding the float phases e t_max of the
+    levels 0..`level` that hold the thermal state may move a ratio by more than
+    DOUBLING_TOL, so that no doubling could tell converged ratios from rounding: the float
+    spacing at the phase of the top one (of energy Omega (level + 1/2) + omega tau), or 2
+    past it (|exp(i x) - 1| <= 2), times the most the coupling lowers a ratio,
+    1 - exp(-Gamma) for Gamma of core.dephasing_bound.  An infinite phase is refused."""
+    omega, weight, sin_cos, cos2 = bath._mode_arrays
+    tau = bath.tau
+    with np.errstate(over="ignore"):
+        energy = omega * math.sqrt(1.0 + 4.0 * tau * tau) * (level + 0.5) + omega * tau
+        phase = float(np.max(np.abs(energy))) * t_max
+        gamma = float(np.sum(dephasing_bound(omega, weight, tau, bath.temperature, sin_cos,
+                                             cos2)))
+    moved = -math.expm1(-gamma)
+    if phase < math.inf and min(math.ulp(phase), 2.0) * moved <= DOUBLING_TOL:
+        return
+    where = ("past the float range" if phase == math.inf else
+             f"to {phase:.3g}, where floats are {math.ulp(phase):.3g} apart: too coarse for "
+             f"ratios that move by up to {moved:.3g} to settle within the doubling "
+             f"tolerance {DOUBLING_TOL:g}")
+    raise ValueError(f"t_max {t_max:g} (--t-max) takes the phases e t of the thermal state's "
+                     f"levels {where}")
+
+
 def spectrum_residuals(mode: TruncatedMode) -> tuple[list[float], float]:
     """Distance of the SPECTRUM_LEVELS lowest truncated non-Hermitian
     eigenvalues from the analytic ladder Omega (n + 1/2) + omega tau; also
@@ -243,9 +269,9 @@ def certify(
 ) -> OracleReport:
     """Full validation sweep: spectrum and similarity (at Fock dimension
     SPECTRUM_FOCK_DIM), and exact-vs-closed-form dephasing for a single mode
-    by exact_dephasing_converged on the doublings of fock_dim within dim_budget,
-    from the last one short of the thermal state (thermal_fock_dim); with no
-    two doublings to compare, no exact evolution runs."""
+    by exact_dephasing_converged on the doublings within dim_budget of
+    max(fock_dim, ceil(thermal_fock_dim / 2)); with no two doublings to
+    compare, no exact evolution runs."""
     # checked before any work: a non-finite time or coupling would keep
     # exact_dephasing_converged doubling the Fock dimension to its budget
     require_finite(omega=omega, tau=tau, theta=theta, g_abs=g_abs, temperature=temperature,
@@ -267,16 +293,20 @@ def certify(
     if fock_dim > dim_budget:
         raise ValueError(f"total Fock dimension {fock_dim} exceeds budget {dim_budget} "
                          "(--dim-budget)")
+    # the doublings within dim_budget of the least dimension >= fock_dim whose doubling
+    # holds the thermal state: the first comparison is half the held dimension against it
+    needed = thermal_fock_dim(omega, temperature)
+    dim = max(fock_dim, -(-needed // 2)) if needed < math.inf else needed
+    dims = []
+    while dim <= dim_budget:
+        dims.append(dim)
+        dim *= 2
+    if len(dims) > 1:
+        _check_phases(bath, needed, t_max)
     spec_mode = TruncatedMode(omega, tau, SPECTRUM_FOCK_DIM)
     residuals, _ = spectrum_residuals(spec_mode)
     sim = similarity_residual(spec_mode, SPECTRUM_FOCK_DIM // 4)
 
-    dims = [fock_dim]
-    while 2 * dims[-1] <= dim_budget:
-        dims.append(2 * dims[-1])
-    needed = thermal_fock_dim(omega, temperature)
-    while len(dims) > 1 and dims[1] < needed:  # from the last doubling short of the state
-        dims.pop(0)
     if len(dims) < 2:
         return OracleReport(residuals, sim, None, fock_dim, False)
     times = np.linspace(0.0, t_max, num_times)

@@ -807,7 +807,7 @@ class TestOracleCommand:
         assert capsys.readouterr().err == (
             "error: total Fock dimension 80 exceeds budget 60 (--dim-budget)\n")
 
-    @pytest.mark.parametrize("temp, g_abs, dim", [("10", "1e-6", 320), ("5", "1e-5", 160)])
+    @pytest.mark.parametrize("temp, g_abs, dim", [("10", "1e-6", 232), ("5", "1e-5", 116)])
     def test_ratios_settled_short_of_the_thermal_state_converge(self, temp, g_abs, dim,
                                                                 tmp_path, capsys):
         # the doubling stopped at 80, whose thermal tail is beyond TAIL_TOL: exit 4, no line
@@ -872,6 +872,21 @@ class TestExitCodesAndConfig:
         # a count past 1e15 prints in three digits
         assert exit_code("crossover", "--t", "1e300") == 3
         assert "start grid needs 4.77e+299 panels" in capsys.readouterr().err
+
+    def test_start_grid_budget_printed_past_1e15_parses_back(self, capsys):
+        # "--max-subdivisions 1e+70" used to be refused: invalid int value
+        assert exit_code("gamma", "--t", "1e60", "--max-subdivisions", "1" + "0" * 70) == 3
+        err = capsys.readouterr().err
+        printed = err.split("under --max-subdivisions ", 1)[1].split()[0]
+        assert printed == "1e+70"
+        assert exit_code("gamma", "--t", "1e60", "--max-subdivisions", printed) == 3
+        assert capsys.readouterr().err == err
+        assert cli._positive_int(printed) == int(1e70)
+
+    @pytest.mark.parametrize("text", ["1.5", "1e-3", "nan", "inf", "x", "0x10"])
+    def test_count_flags_refuse_what_is_no_integer(self, text, capsys):
+        assert exit_code("gamma", "--max-subdivisions", text) == 2
+        assert f"invalid int value: {text!r}" in capsys.readouterr().err
 
     def test_start_grid_past_memory_exits_3(self, monkeypatch, capsys):
         # 4.77e59 start panels within a budget of 1e70: numpy refuses the
@@ -1257,6 +1272,58 @@ class TestFlagsPerSubcommand:
     def test_oracle_overflowing_coupling_is_a_usage_error(self, capsys):
         assert exit_code("oracle", "--g-abs", "1e200") == 2
         assert "g_abs 1e+200" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("--t-max", "1e12", "--num-times", "2", "--dim-budget", "320"),
+        ("--t-max", "1e300"),
+    ])
+    def test_oracle_unresolvable_phases_are_a_usage_error(self, argv, capsys, monkeypatch):
+        # exit 4 used to follow a climb up the ladder, non-converged at its budget
+        def no_fock(*args):
+            raise AssertionError("Fock work ran")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_fock)
+        monkeypatch.setattr(np.linalg, "eigvals", no_fock)
+        assert exit_code("oracle", *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: t_max {float(argv[1]):g} (--t-max) takes the phases")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("t_max", ["20", "1e3"])
+    def test_oracle_resolvable_phases_run(self, t_max, capsys):
+        assert exit_code("oracle", "--t-max", t_max, "--num-times", "11") == 0
+        assert json.loads(capsys.readouterr().out)["converged"] is True
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("--free", "tau", "--tau-bounds", "5:1"), "--tau-bounds"),
+        (("--free", "tau", "--tau-bounds", "nan:1"), "--tau-bounds"),
+        (("--free", "tau", "--tau-bounds", "0:inf"), "--tau-bounds"),
+        (("--free", "theta", "--theta-bounds", "2:1"), "--theta-bounds"),
+        (("--free", "theta", "--theta-bounds=-inf:1"), "--theta-bounds"),
+        (("--free", "tau", "--free", "theta", "--theta-bounds", "0:nan"), "--theta-bounds"),
+    ])
+    def test_bad_search_bounds_name_their_flag(self, argv, flag, capsys, monkeypatch):
+        # "bad bounds for 'tau': (5.0, 1.0)" used to name no flag
+        calls = count_integrals(monkeypatch)
+        assert exit_code("optimize", *argv) == 2
+        err = capsys.readouterr().err
+        assert f"({flag})" in err and err.count("\n") == 1
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("argv, named, blamed", [
+        # the start panel is narrow through the oscillation rate 0.5 t r
+        (("--t", "1e155", "--max-subdivisions", "1" + "0" * 160), "t 1e+155 (--t)", "--cutoff"),
+        (("--t", "1e151", "--max-subdivisions", "1" + "0" * 160), "t 1e+151 (--t)", "--cutoff"),
+        # the start panel is 2 cutoff wide
+        (("--t", "1", "--cutoff", "1e-300"), "cutoff 1e-300 (--cutoff)", "--t"),
+        (("--t", "1", "--cutoff", "1e-160", "--temp", "0"), "cutoff 1e-160 (--cutoff)", "--t"),
+    ])
+    def test_out_of_range_nodes_name_what_set_the_start_panel(self, argv, named, blamed,
+                                                             capsys):
+        # a huge --t used to be blamed on "cutoff 0.1 (--cutoff)"
+        assert exit_code("gamma", *argv) == 2
+        err = capsys.readouterr().err
+        assert named in err and blamed not in err
 
     def test_readme_cli_lines_parse(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

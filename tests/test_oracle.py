@@ -490,7 +490,7 @@ class TestCertify:
         assert report.dephasing_max_error <= 1e-6
 
     def test_doubling_starts_at_half_the_held_dimension(self, monkeypatch):
-        # 231 lies in (160, 320]: the first doubling compares 160 with 320
+        # T = 10 needs 231: the first doubling compares ceil(231 / 2) = 116 with 232
         seen, real = [], oracle.exact_dephasing
 
         def recording(modes, *args, **kwargs):
@@ -499,7 +499,49 @@ class TestCertify:
 
         monkeypatch.setattr(oracle, "exact_dephasing", recording)
         assert cli.main(["oracle", "--temp", "10", "--num-times", "11"]) == 0
-        assert seen == [160, 320, 640]
+        assert seen == [116, 232, 464]
+
+    @pytest.mark.parametrize("temperature, first", [
+        (0.0, 40), (1.0, 40), (4.5, 52), (10.0, 116), (20.0, 231),
+    ])
+    def test_ladder_starts_where_its_doubling_holds_the_thermal_state(self, monkeypatch,
+                                                                      temperature, first):
+        # max(fock_dim 40, ceil(thermal_fock_dim / 2)): 0, 24, 104, 231 and 461 are needed
+        seen, real = [], oracle.exact_dephasing
+
+        def recording(modes, *args, **kwargs):
+            seen.append(modes[0][0].fock_dim)
+            return real(modes, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "exact_dephasing", recording)
+        report = certify(temperature=temperature, num_times=11)
+        assert seen[0] == first and seen[1] >= thermal_fock_dim(1.0, temperature)
+        assert report.converged is True and report.dephasing_max_error <= 1e-6
+
+    @pytest.mark.parametrize("kwargs", [
+        {"t_max": 1e12, "num_times": 2, "dim_budget": 320},
+        {"t_max": 1e300},
+        {"t_max": 1e12, "temperature": 0.0},
+    ])
+    def test_unresolvable_phases_fail_before_any_fock_work(self, monkeypatch, kwargs):
+        # the float phases e t could not settle within DOUBLING_TOL: the ladder used
+        # to climb to its budget and end non-converged
+        def no_fock(*args, **kwargs):
+            raise AssertionError("Fock work ran")
+
+        for name in ("spectrum_residuals", "similarity_residual", "exact_dephasing"):
+            monkeypatch.setattr(oracle, name, no_fock)
+        with pytest.raises(ValueError, match=r"t_max .* \(--t-max\) takes the phases"):
+            certify(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"t_max": 20.0}, {"t_max": 1e3}, {"t_max": 1e300, "g_abs": 0.0},
+        # phases far past any resolution, but a coupling that barely moves the ratios
+        {"t_max": 20.0, "tau": 1e10, "dim_budget": 80},
+    ])
+    def test_resolvable_phases_run(self, kwargs):
+        report = certify(num_times=11, **kwargs)
+        assert report.converged is True and report.dephasing_max_error <= 1e-6
 
     def test_overflowing_coupling_fails_before_any_fock_work(self, monkeypatch):
         def no_fock(*args):

@@ -36,7 +36,7 @@ wrapper also counts the engine passes (`integrate_adaptive` calls) of each
 preset and of the sweep, which repeat run to run like the nodes.
 Each side also runs `python -m ptbath.cli oracle --temp 10` three times, each
 in a fresh interpreter, the sides alternating: the command that sets the
-peak RSS of the commands workload (its Fock dimension reaches 640; at the
+peak RSS of the commands workload (its Fock dimension reaches 464; at the
 default theta = pi/2 the oracle decomposes a real matrix).  Beside each of
 those runs, `oracle --temp 10 --theta 1` runs too, so that the oracle's
 complex route stays measured, and `oracle` with no flags, 10 of the 100
