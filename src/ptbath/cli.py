@@ -231,15 +231,15 @@ def _cmd_oracle(args) -> int:
     _emit_json(asdict(report), args.out)
     if report.converged and report.dephasing_max_error <= 1e-6:
         return EXIT_OK
-    budget = f"--fock-dim {args.fock_dim} within --dim-budget {args.dim_budget}"
     if report.dephasing_max_error is None:  # the one report made without exact evolution
         print(f"error: the thermal state at temperature {args.temp:g} needs Fock dimension "
-              f"{oracle_mod.thermal_fock_dim(args.omega, args.temp)}; the ratios are checked at "
-              f"a doubling of {budget} that holds it, and there is none", file=sys.stderr)
+              f"{oracle_mod.thermal_fock_dim(args.omega, args.temp)}; no Fock dimension of at "
+              f"least --fock-dim {args.fock_dim} and its doubling, which must hold it, fit "
+              f"--dim-budget {args.dim_budget}", file=sys.stderr)
     elif not report.converged:
-        print(f"error: the exact coherence ratios did not converge: Fock dimension "
-              f"{report.fock_dim_used} is the last doubling of {budget}, and no doubling up to "
-              f"it moved them by less than {oracle_mod.DOUBLING_TOL:g}", file=sys.stderr)
+        print("error: the exact coherence ratios did not converge: no doubling up to Fock "
+              f"dimension {report.fock_dim_used}, the last within --dim-budget {args.dim_budget}, "
+              f"moved them by less than {oracle_mod.DOUBLING_TOL:g}", file=sys.stderr)
     return EXIT_ORACLE
 
 

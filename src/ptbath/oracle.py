@@ -1,18 +1,16 @@
-"""Exact truncated-Fock-space checks for the non-Hermitian bath.
+"""Exact truncated-Fock-space checks for the non-Hermitian bath, one mode at a time.
 
-Builds the non-Hermitian single-mode Hamiltonian, its metric and Hermitian
-equivalent from their ladder bands, and runs exact dephasing by evolving the
-two spin-conditioned bath branches, parity images of each other, with one
-Hermitian eigendecomposition.  Unit convention
-m = hbar = 1, so the spring constant is omega^2 and the non-Hermiticity
-scale is tau/omega.
+Builds a mode's non-Hermitian Hamiltonian, its metric and Hermitian equivalent from their
+ladder bands, and runs its exact dephasing by evolving the two spin-conditioned branches,
+parity images of each other, with one Hermitian eigendecomposition.  Unit convention
+m = hbar = 1, so the spring constant is omega^2 and the non-Hermiticity scale is tau/omega.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -71,34 +69,29 @@ def _ladder_bands(dim: int):
     return n, s1, s1[:-1] * s1[1:], q2
 
 
-def _assemble(mode_bands, dtype=complex, dims=None) -> np.ndarray:
-    """Dense sum over modes of I x B x I, mode 0 outermost, each B given as {k: its k-th
-    diagonal} (np.diag's convention), put at offset k times the mode's stride.  Given
-    the modes' `dims` (else the 0th diagonals' lengths), it allocates before it iterates."""
-    dims = dims or [len(bands[0]) for bands in mode_bands]
-    total = math.prod(dims)
+def _assemble(dim: int, bands, dtype=complex) -> np.ndarray:
+    """Dense dim x dim matrix of the (k, k-th diagonal) pairs `bands` yields (np.diag's
+    convention).  It allocates before it iterates, so a dimension that does not fit in
+    memory fails before lazy `bands` build any O(dim) vector."""
     try:
-        h = np.zeros((total, total), dtype)
+        h = np.zeros((dim, dim), dtype)
     except MemoryError:
-        raise ValueError(f"a dense matrix of Fock dimension {total} does not fit in memory; "
+        raise ValueError(f"a dense matrix of Fock dimension {dim} does not fit in memory; "
                          "lower --fock-dim or --dim-budget") from None
-    stride = total
-    for dim, bands in zip(dims, mode_bands):
-        stride //= dim
-        level = np.arange(total) // stride % dim  # this mode's level in each basis state
-        for k, band in bands.items():
-            rows = np.flatnonzero((0 <= level + k) & (level + k < dim))
-            h[rows, rows + k * stride] += band[level[rows] + min(k, 0)]
+    for k, band in bands:
+        rows = np.arange(len(band)) - min(k, 0)
+        h[rows, rows + k] += band
     return h
 
 
-def _hermitian_bands(mode: TruncatedMode, g: complex = 0j, squeeze: float = 1.0) -> dict:
+def _hermitian_bands(mode: TruncatedMode, g: complex = 0j, squeeze: float = 1.0):
     """Bands of w [a'a + 1/2 + tau - tau^2 (a - a')^2] + g a' + conj(g) a,
-    its a^2 and a'^2 terms times a real `squeeze`."""
+    its a^2 and a'^2 terms times a real `squeeze`, built once iterated."""
     n, s1, s2, q2 = _ladder_bands(mode.fock_dim)
     w, tau = mode.omega, mode.tau
     sq = -w * tau**2 * squeeze * s2
-    return {0: w * (n + (0.5 + tau) - tau**2 * q2), 2: sq, -2: sq, 1: np.conj(g) * s1, -1: g * s1}
+    bands = {0: w * (n + (0.5 + tau) - tau**2 * q2), 2: sq, -2: sq, 1: np.conj(g) * s1, -1: g * s1}
+    yield from bands.items()
 
 
 def bath_hamiltonian_nh(mode: TruncatedMode) -> np.ndarray:
@@ -106,12 +99,13 @@ def bath_hamiltonian_nh(mode: TruncatedMode) -> np.ndarray:
     w (a'a + 1/2) + tau w (a^2 - a'^2 + 1)."""
     n, _, s2, _ = _ladder_bands(mode.fock_dim)
     tw = mode.tau * mode.omega
-    return _assemble([{0: mode.omega * (n + 0.5) + tw, 2: tw * s2, -2: -tw * s2}])
+    bands = {0: mode.omega * (n + 0.5) + tw, 2: tw * s2, -2: -tw * s2}
+    return _assemble(mode.fock_dim, bands.items())
 
 
 def bath_hamiltonian_h(mode: TruncatedMode) -> np.ndarray:
     """Hermitian equivalent: w [a'a + 1/2 + tau - tau^2 (a - a')^2]."""
-    return _assemble([_hermitian_bands(mode)])
+    return _assemble(mode.fock_dim, _hermitian_bands(mode))
 
 
 def metric(mode: TruncatedMode, inverse: bool = False) -> np.ndarray:
@@ -119,7 +113,8 @@ def metric(mode: TruncatedMode, inverse: bool = False) -> np.ndarray:
     definite; identity at tau = 0."""
     _, _, s2, q2 = _ladder_bands(mode.fock_dim)
     c = 0.5 * mode.tau if inverse else -0.5 * mode.tau
-    vals, vecs = np.linalg.eigh(_assemble([{0: c * q2, 2: c * s2, -2: c * s2}], float))
+    bands = {0: c * q2, 2: c * s2, -2: c * s2}
+    vals, vecs = np.linalg.eigh(_assemble(mode.fock_dim, bands.items(), float))
     return (vecs * np.exp(vals)) @ vecs.T
 
 
@@ -163,38 +158,34 @@ def thermal_fock_dim(omega: float, temperature: float) -> int | float:
     return math.ceil(n) if n < math.inf else n
 
 
-def exact_dephasing(
-    modes: Sequence[tuple[TruncatedMode, Coupling]],
-    temperature: float,
-    times: Sequence[float],
-) -> np.ndarray:
-    """Exact coherence ratio |rho01(t)| / |rho01(0)|.
+def exact_dephasing(mode: TruncatedMode, g: Coupling, temperature: float,
+                    times: Sequence[float]) -> np.ndarray:
+    """Exact coherence ratio |rho01(t)| / |rho01(0)| of a spin coupled to one mode.  The modes
+    of a bath are independent (H and V are sums over them, rho_B is their product), so the
+    ratio of a bath is the product of its modes' ratios.
 
-    The ratio is |Tr(exp(-i H_minus t) rho_B exp(+i H_plus t))| for the
-    spin-conditioned bath branches H_plus/minus = H +/- V (the free spin
-    splitting drops out of the modulus).  H is even in the ladder operators
-    and V odd, so H_minus = P H_plus P for the total parity P, exactly in the
-    truncated space, and one eigendecomposition H_plus = U diag(e) U' serves
-    both: with rho_B = diag(p) the ratio is |exp(-i e t) C exp(i e t)| for
+    The ratio is |Tr(exp(-i H_minus t) rho_B exp(+i H_plus t))| for the spin-conditioned
+    branches H_plus/minus = H +/- V (the free spin splitting drops out of the modulus).  H is
+    even in the ladder operators and V odd, so H_minus = P H_plus P for the parity P, exactly
+    in the truncated space, and one eigendecomposition H_plus = U diag(e) U' serves both:
+    with rho_B = diag(p) the ratio is |exp(-i e t) C exp(i e t)| for
     C = (U' diag(P p) U) o conj(U' P U).
 
-    In the gauge D = diag(exp(i n phi)) of each coupling phase phi, D'H_plus D has
-    coupling |g| and exp(+/-2i phi) on a^2 (a'^2); D commutes with P and rho_B, so D'U
-    gives the same C.  Where each mode has tau = 0 or theta a multiple of pi/2 it is real:
-    float64 (`oracle --temp 10`, Fock dimension 464: 45 MB peak RSS, not 51); else complex128.
+    In the gauge D = diag(exp(i n phi)) of the coupling phase phi, D'H_plus D has coupling
+    |g| and exp(+/-2i phi) on a^2 (a'^2); D commutes with P and rho_B, so D'U gives the same
+    C.  Where tau = 0 or theta is a multiple of pi/2 it is real, float64; else complex128.
     """
     times = np.asarray(times, dtype=float)
     # checked before any Fock work: NaN ratios would keep
     # exact_dephasing_converged doubling the Fock dimension to its budget
     require_finite(temperature=temperature, times=float(np.max(np.abs(times), initial=0.0)))
     # exp(2i phi) is cos(2 phi) = +/-1 exactly where 2 phi is a float multiple of pi
-    real = all(m.tau == 0.0 or math.remainder(2 * g.phase, math.pi) == 0.0 for m, g in modes)
-    bands = (_hermitian_bands(m, g.magnitude, math.cos(2 * g.phase)) if real
-             else _hermitian_bands(m, g.as_complex) for m, g in modes)
-    e, u = np.linalg.eigh(_assemble(bands, float if real else complex,
-                                    [m.fock_dim for m, _ in modes]))
-    pop = reduce(np.kron, [_thermal_populations(m, temperature) for m, _ in modes])
-    parity = reduce(np.kron, [(-1.0) ** np.arange(m.fock_dim) for m, _ in modes])
+    real = mode.tau == 0.0 or math.remainder(2 * g.phase, math.pi) == 0.0
+    bands = (_hermitian_bands(mode, g.magnitude, math.cos(2 * g.phase)) if real
+             else _hermitian_bands(mode, g.as_complex))
+    e, u = np.linalg.eigh(_assemble(mode.fock_dim, bands, float if real else complex))
+    pop = _thermal_populations(mode, temperature)
+    parity = (-1.0) ** np.arange(mode.fock_dim)
     pu = parity[:, None] * u.conj()  # P conj(U): a new array, also when u.conj() is u
     c = u.T @ (pu * pop[:, None])  # conj(U' diag(P p) U)
     np.conjugate(c, out=c)
@@ -212,7 +203,7 @@ def exact_dephasing_converged(omega: float, tau: float, g: Coupling, temperature
     moves the ratios by less than DOUBLING_TOL; returns (ratios, fock_dim_used, converged)."""
     prev = None
     for dim in dims:
-        ratios = exact_dephasing([(TruncatedMode(omega, tau, dim), g)], temperature, times)
+        ratios = exact_dephasing(TruncatedMode(omega, tau, dim), g, temperature, times)
         if prev is not None and np.max(np.abs(ratios - prev)) < DOUBLING_TOL:
             return ratios, dim, True
         prev = ratios
@@ -291,7 +282,7 @@ def certify(
     g = Coupling(g_abs, theta)
     bath = DiscreteBath((BathMode(omega, g),), temperature=temperature, tau=tau)
     if fock_dim > dim_budget:
-        raise ValueError(f"total Fock dimension {fock_dim} exceeds budget {dim_budget} "
+        raise ValueError(f"Fock dimension {fock_dim} (--fock-dim) exceeds budget {dim_budget} "
                          "(--dim-budget)")
     # the doublings within dim_budget of the least dimension >= fock_dim whose doubling
     # holds the thermal state: the first comparison is half the held dimension against it
@@ -303,6 +294,14 @@ def certify(
         dim *= 2
     if len(dims) > 1:
         _check_phases(bath, needed, t_max)
+        # Gershgorin: no level of H + V at Fock dimension D, nor its bands, passes D times this
+        # over max(t_max, 1), nor a phase e t_max D times this; D, an int, compares exactly
+        scale = (omega * (1.0 + abs(tau) + 4.0 * tau * tau) + 2.0 * g_abs) * max(t_max, 1.0)
+        if dims[-1] > sys.float_info.max / scale:
+            raise ValueError(f"omega {omega:g} (--omega), tau {tau:g} (--tau) and g_abs "
+                             f"{g_abs:g} (--g-abs) may take the levels of H + V at Fock "
+                             f"dimension {dims[-1]} (--dim-budget {dim_budget}), or their "
+                             f"phases at t_max {t_max:g} (--t-max), past the float range")
     spec_mode = TruncatedMode(omega, tau, SPECTRUM_FOCK_DIM)
     residuals, _ = spectrum_residuals(spec_mode)
     sim = similarity_residual(spec_mode, SPECTRUM_FOCK_DIM // 4)

@@ -749,10 +749,16 @@ class TestOracleCommand:
         assert code == 4
         payload = json.loads(text)
         assert payload["converged"] is False and payload["dephasing_max_error"] is None
-        assert "needs Fock dimension 6908" in capsys.readouterr().err
+        # the ladder starts at 3454, whose doubling passes the budget
+        assert capsys.readouterr().err == (
+            "error: the thermal state at temperature 300 needs Fock dimension 6908; no Fock "
+            "dimension of at least --fock-dim 40 and its doubling, which must hold it, fit "
+            "--dim-budget 6400\n")
 
     @pytest.mark.parametrize("argv, dim", [
         (("--tau", "2", "--dim-budget", "320"), 320),
+        # the ladder starts at 116, not at --fock-dim 40
+        (("--temp", "10", "--tau", "5", "--dim-budget", "500"), 464),
     ])
     def test_non_convergence_is_one_error_line(self, argv, dim, capsys):
         # exit 4 used to come with an empty stderr
@@ -760,9 +766,9 @@ class TestOracleCommand:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["converged"] is False
         assert captured.err == (
-            f"error: the exact coherence ratios did not converge: Fock dimension {dim} is the "
-            f"last doubling of --fock-dim 40 within --dim-budget {argv[-1]}, and no doubling "
-            "up to it moved them by less than 1e-08\n")
+            "error: the exact coherence ratios did not converge: no doubling up to Fock "
+            f"dimension {dim}, the last within --dim-budget {argv[-1]}, moved them by less "
+            "than 1e-08\n")
 
     def test_no_doubling_within_the_budget_is_one_error_line(self, capsys, monkeypatch):
         # the state is held at 40 and 80 passes 79: one evolution used to run at 40,
@@ -793,9 +799,9 @@ class TestOracleCommand:
         report = json.loads(captured.out)
         assert report["converged"] is False and report["dephasing_max_error"] is None
         assert captured.err == (
-            "error: the thermal state at temperature 1e+307 needs Fock dimension inf; the ratios "
-            "are checked at a doubling of --fock-dim 40 within --dim-budget 6400 that holds it, "
-            "and there is none\n")
+            "error: the thermal state at temperature 1e+307 needs Fock dimension inf; no Fock "
+            "dimension of at least --fock-dim 40 and its doubling, which must hold it, fit "
+            "--dim-budget 6400\n")
 
     def test_fock_dim_past_the_budget_fails_before_any_fock_work(self, capsys, monkeypatch):
         def no_fock(*args):
@@ -805,7 +811,7 @@ class TestOracleCommand:
         monkeypatch.setattr(np.linalg, "eigvals", no_fock)
         assert exit_code("oracle", "--fock-dim", "80", "--dim-budget", "60") == 2
         assert capsys.readouterr().err == (
-            "error: total Fock dimension 80 exceeds budget 60 (--dim-budget)\n")
+            "error: Fock dimension 80 (--fock-dim) exceeds budget 60 (--dim-budget)\n")
 
     @pytest.mark.parametrize("temp, g_abs, dim", [("10", "1e-6", 232), ("5", "1e-5", 116)])
     def test_ratios_settled_short_of_the_thermal_state_converge(self, temp, g_abs, dim,
@@ -1272,6 +1278,27 @@ class TestFlagsPerSubcommand:
     def test_oracle_overflowing_coupling_is_a_usage_error(self, capsys):
         assert exit_code("oracle", "--g-abs", "1e200") == 2
         assert "g_abs 1e+200" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("--omega", "1e300", "--temp", "0", "--tau", "1e5", "--dim-budget", "640"),
+        ("--omega", "1e200", "--tau", "1e70", "--temp", "0"),
+    ])
+    def test_oracle_levels_past_the_float_range_are_a_usage_error(self, argv, capsys,
+                                                                  monkeypatch):
+        # numpy used to warn of an overflow in the bands, and the JSON to hold a NaN
+        def no_fock(*args):
+            raise AssertionError("Fock work ran")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_fock)
+        monkeypatch.setattr(np.linalg, "eigvals", no_fock)
+        assert exit_code("oracle", *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: omega {float(argv[1]):g} (--omega), tau ")
+        assert "(--tau)" in err and err.count("\n") == 1
+
+    def test_oracle_huge_omega_in_the_float_range_runs(self, capsys):
+        assert exit_code("oracle", "--omega", "1e300", "--num-times", "11") == 0
+        assert json.loads(capsys.readouterr().out)["converged"] is True
 
     @pytest.mark.parametrize("argv", [
         ("--t-max", "1e12", "--num-times", "2", "--dim-budget", "320"),

@@ -23,8 +23,7 @@ from ptbath.oracle import (
 OMEGA_SHIFTED = math.sqrt(1.36)  # omega=1, tau=0.3
 TWO_MODES = [(TruncatedMode(1.0, 0.1, 24), Coupling(0.08, 0.4)),
              (TruncatedMode(1.7, 0.1, 24), Coupling(0.05, 2.0))]
-# a two-level mode in the middle: its empty +/-2 band sits at the offset of
-# the first mode's +/-1 band
+# a two-level mode in the middle, whose +/-2 bands are empty
 THREE_MODES = [(TruncatedMode(1.0, 0.3, 5), Coupling(0.1, 1.0)),
                (TruncatedMode(2.0, -0.2, 2), Coupling(0.3, 4.0)),
                (TruncatedMode(0.5, 0.1, 3), Coupling(0.2, 0.5))]
@@ -32,8 +31,9 @@ THREE_MODES = [(TruncatedMode(1.0, 0.3, 5), Coupling(0.1, 1.0)),
 
 # Dense reference: the ladder operator as a matrix, the Hamiltonians as
 # products of it, tensor products by np.kron, and the dephasing ratio from one
-# eigendecomposition per spin branch.  The library builds the same operators
-# from their bands and evolves both branches from one eigendecomposition.
+# eigendecomposition per spin branch.  The library builds one mode's operators
+# from their bands and evolves both branches from one eigendecomposition; a
+# bath's ratio is the product of its modes' ratios.
 
 def annihilation(dim: int) -> np.ndarray:
     """Truncated ladder operator with <n-1|a|n> = sqrt(n)."""
@@ -99,16 +99,9 @@ def dense_exact_dephasing(modes, temperature, times):
     return np.array([abs(np.exp(-1j * e_m * t) @ c @ np.exp(1j * e_p * t)) for t in times])
 
 
-def assembled_branch(modes, sign=1.0):
+def assembled_branch(mode, g, sign=1.0):
     """H + sign V built from the bands, as exact_dephasing builds H + V."""
-    return oracle._assemble([oracle._hermitian_bands(m, sign * g.as_complex) for m, g in modes])
-
-
-def total_parity(modes):
-    parity = np.ones(1)
-    for mode, _ in modes:
-        parity = np.kron(parity, (-1.0) ** np.arange(mode.fock_dim))
-    return parity
+    return oracle._assemble(mode.fock_dim, oracle._hermitian_bands(mode, sign * g.as_complex))
 
 
 class TestLadder:
@@ -172,24 +165,20 @@ class TestBandAssembly:
             dense = dense_metric(mode, inverse)
             assert np.max(np.abs(metric(mode, inverse) - dense)) <= 1e-12 * np.max(np.abs(dense))
 
-    @pytest.mark.parametrize("modes", [[(TruncatedMode(1.3, 0.25, 40), Coupling(0.2, 2.1))],
-                                       TWO_MODES, THREE_MODES],
-                             ids=["one_mode", "two_modes", "three_modes"])
-    def test_branches_match_kron_reference(self, modes):
-        h_plus, h_minus = dense_branches(modes)
+    def test_branches_match_kron_reference(self):
+        mode, g = TruncatedMode(1.3, 0.25, 40), Coupling(0.2, 2.1)
+        h_plus, h_minus = dense_branches([(mode, g)])
         for sign, dense in ((1.0, h_plus), (-1.0, h_minus)):
-            built = assembled_branch(modes, sign)
+            built = assembled_branch(mode, g, sign)
             assert np.max(np.abs(built - dense)) <= 1e-12 * np.max(np.abs(dense))
 
-    @pytest.mark.parametrize("modes", [[(TruncatedMode(1.3, 0.25, 40), Coupling(0.2, 2.1))],
-                                       TWO_MODES, THREE_MODES],
-                             ids=["one_mode", "two_modes", "three_modes"])
-    def test_parity_maps_plus_branch_onto_minus_bit_for_bit(self, modes):
+    def test_parity_maps_plus_branch_onto_minus_bit_for_bit(self):
         # H is even in the ladder operators and V odd: P (H + V) P = H - V,
         # in the truncated space too, and only the signs of V's entries flip
-        p = total_parity(modes)
-        assert np.array_equal(p[:, None] * assembled_branch(modes) * p,
-                              assembled_branch(modes, -1.0))
+        mode, g = TruncatedMode(1.3, 0.25, 40), Coupling(0.2, 2.1)
+        p = (-1.0) ** np.arange(mode.fock_dim)
+        assert np.array_equal(p[:, None] * assembled_branch(mode, g) * p,
+                              assembled_branch(mode, g, -1.0))
 
 
 class TestMetric:
@@ -267,7 +256,7 @@ class TestThermalState:
 class TestExactDephasing:
     def test_zero_coupling_keeps_full_coherence(self):
         times = np.linspace(0, 10, 11)
-        ratios = exact_dephasing([(TruncatedMode(1.0, 0.2, 30), Coupling(0.0))], 1.0, times)
+        ratios = exact_dephasing(TruncatedMode(1.0, 0.2, 30), Coupling(0.0), 1.0, times)
         assert np.allclose(ratios, 1.0, atol=1e-12)
 
     # omega = 1, |g| = 0.1 at theta = pi/2, T = 1, 41 times on [0, 20], doubling from 40
@@ -282,18 +271,17 @@ class TestExactDephasing:
         assert report.dephasing_max_error <= 1e-6
 
     def test_two_mode_bath(self):
-        modes = [(TruncatedMode(1.0, 0.1, 24), Coupling(0.08, 0.4)),
-                 (TruncatedMode(1.7, 0.1, 24), Coupling(0.05, 2.0))]
+        # the product of the modes' ratios, which test_bath_ratio_is_the_product_of_its_modes
+        # holds to the dense two-mode evolution
         times = np.linspace(0, 10, 21)
-        ratios = exact_dephasing(modes, 0.5, times)
+        ratios = np.prod([exact_dephasing(m, g, 0.5, times) for m, g in TWO_MODES], axis=0)
         bath = DiscreteBath((BathMode(1.0, Coupling(0.08, 0.4)),
                              BathMode(1.7, Coupling(0.05, 2.0))), 0.5, 0.1)
         closed = np.exp(-np.array([gamma_discrete(bath, float(t)) for t in times]))
         assert np.max(np.abs(ratios - closed)) <= 1e-5
 
     def test_unit_ratio_at_zero_time(self):
-        ratios = exact_dephasing([(TruncatedMode(1.0, 0.3, 30), Coupling(0.1, 1.0))],
-                                 1.0, [0.0])
+        ratios = exact_dephasing(TruncatedMode(1.0, 0.3, 30), Coupling(0.1, 1.0), 1.0, [0.0])
         assert ratios[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -308,7 +296,7 @@ class TestParityRoute:
             theta = rng.uniform(0.0, 2 * math.pi) if case >= 12 else (case % 4) * math.pi / 2
             mode = TruncatedMode(rng.uniform(0.3, 3.0), tau, int(rng.integers(2, 161)))
             temperature = 0.0 if case % 2 else rng.uniform(0.05, 3.0)
-            yield [(mode, Coupling(rng.uniform(0.0, 0.4), theta))], temperature
+            yield mode, Coupling(rng.uniform(0.0, 0.4), theta), temperature
 
     def test_matches_two_eigh_reference(self):
         rng = np.random.default_rng(18)
@@ -318,13 +306,19 @@ class TestParityRoute:
                                  int(rng.integers(2, 161)))
             g = Coupling(rng.uniform(0.0, 0.4), rng.uniform(0.0, 2 * math.pi))
             temperature = 0.0 if case % 2 else rng.uniform(0.05, 3.0)
-            ratios = exact_dephasing([(mode, g)], temperature, times)
+            ratios = exact_dephasing(mode, g, temperature, times)
             reference = dense_exact_dephasing([(mode, g)], temperature, times)
             assert np.max(np.abs(ratios - reference)) <= 1e-12, (mode, g, temperature)
+
+    @pytest.mark.parametrize("modes", [TWO_MODES, THREE_MODES], ids=["two_modes", "three_modes"])
+    @pytest.mark.parametrize("temperature", [0.0, 0.5])
+    def test_bath_ratio_is_the_product_of_its_modes(self, modes, temperature):
+        # H +/- V are sums over the modes and rho_B their product: the dense evolution on
+        # the tensor product space factors into one exact_dephasing per mode
         times = np.linspace(0.0, 10.0, 21)
-        for temperature in (0.0, 0.5):
-            ratios = exact_dephasing(TWO_MODES, temperature, times)
-            assert np.max(np.abs(ratios - dense_exact_dephasing(TWO_MODES, temperature, times))) <= 1e-12
+        product = np.prod([exact_dephasing(m, g, temperature, times) for m, g in modes], axis=0)
+        reference = dense_exact_dephasing(modes, temperature, times)
+        assert np.max(np.abs(product - reference)) <= 1e-12
 
     def test_one_eigendecomposition_per_call(self, monkeypatch):
         calls = []
@@ -335,17 +329,13 @@ class TestParityRoute:
             return eigh(h)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        exact_dephasing([(TruncatedMode(1.0, 0.2, 40), Coupling(0.1, 1.0))], 1.0, [0.0, 1.0])
+        exact_dephasing(TruncatedMode(1.0, 0.2, 40), Coupling(0.1, 1.0), 1.0, [0.0, 1.0])
         assert calls == [((40, 40), np.complex128)]
-        calls.clear()
-        exact_dephasing(TWO_MODES, 0.5, [0.0, 1.0])
-        assert calls == [((576, 576), np.complex128)]
         # where the gauge makes H + V real, its one eigh is float64
-        for modes, temperature in self.gauge_cases():
+        for mode, g, temperature in self.gauge_cases():
             calls.clear()
-            exact_dephasing(modes, temperature, [0.0, 1.0])
-            dim = modes[0][0].fock_dim
-            assert calls == [((dim, dim), np.float64)], modes
+            exact_dephasing(mode, g, temperature, [0.0, 1.0])
+            assert calls == [((mode.fock_dim, mode.fock_dim), np.float64)], (mode, g)
 
     def test_peak_traced_memory_at_dim_320(self):
         # tracemalloc sees numpy's arrays but not LAPACK's workspace inside
@@ -357,7 +347,7 @@ class TestParityRoute:
         mode = TruncatedMode(1.0, 0.2, dim)
         tracemalloc.start()
         try:
-            exact_dephasing([(mode, Coupling(0.1, 1.0))], 10.0, np.linspace(0.0, 20.0, 101))
+            exact_dephasing(mode, Coupling(0.1, 1.0), 10.0, np.linspace(0.0, 20.0, 101))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -365,10 +355,10 @@ class TestParityRoute:
 
     def test_float64_route_matches_two_eigh_reference(self):
         times = np.linspace(0.0, 20.0, 11)
-        for modes, temperature in self.gauge_cases():
-            ratios = exact_dephasing(modes, temperature, times)
-            reference = dense_exact_dephasing(modes, temperature, times)
-            assert np.max(np.abs(ratios - reference)) <= 1e-12, (modes, temperature)
+        for mode, g, temperature in self.gauge_cases():
+            ratios = exact_dephasing(mode, g, temperature, times)
+            reference = dense_exact_dephasing([(mode, g)], temperature, times)
+            assert np.max(np.abs(ratios - reference)) <= 1e-12, (mode, g, temperature)
 
     def test_peak_traced_memory_of_the_float64_route_at_dim_320(self):
         # theta = pi/2: the dim x dim arrays are float64, half the bytes of
@@ -379,8 +369,7 @@ class TestParityRoute:
         mode = TruncatedMode(1.0, 0.2, dim)
         tracemalloc.start()
         try:
-            exact_dephasing([(mode, Coupling(0.1, math.pi / 2))], 10.0,
-                            np.linspace(0.0, 20.0, 101))
+            exact_dephasing(mode, Coupling(0.1, math.pi / 2), 10.0, np.linspace(0.0, 20.0, 101))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -395,7 +384,7 @@ class TestParityRoute:
         monkeypatch.setattr(oracle, "_thermal_populations", no_populations)
         start = time.perf_counter()
         with pytest.raises(ValueError, match="--fock-dim or --dim-budget"):
-            exact_dephasing([(TruncatedMode(1.0, 0.2, 10**8), Coupling(0.1, 1.0))], 1.0, [1.0])
+            exact_dephasing(TruncatedMode(1.0, 0.2, 10**8), Coupling(0.1, 1.0), 1.0, [1.0])
         assert time.perf_counter() - start < 1.0
         start = time.perf_counter()
         assert cli.main(["oracle", "--fock-dim", "100000000", "--dim-budget", "100000000000"]) == 2
@@ -456,8 +445,7 @@ class TestCertify:
     def test_converged_walks_the_ladder_until_a_doubling_moves_no_ratio(self, monkeypatch):
         seen = []
 
-        def settled_at_80(modes, temperature, times):
-            ((mode, _),) = modes
+        def settled_at_80(mode, g, temperature, times):
             seen.append(mode.fock_dim)
             return np.full(len(times), min(mode.fock_dim, 80) / 80)
 
@@ -478,7 +466,8 @@ class TestCertify:
         for name in ("spectrum_residuals", "similarity_residual", "exact_dephasing"):
             monkeypatch.setattr(oracle, name, no_fock)
         with pytest.raises(ValueError,
-                           match=r"total Fock dimension 100 exceeds budget 50 \(--dim-budget\)"):
+                           match=r"Fock dimension 100 \(--fock-dim\) exceeds budget 50 "
+                                 r"\(--dim-budget\)"):
             certify(fock_dim=100, dim_budget=50)
 
     def test_weak_coupling_converges_where_the_state_is_held(self):
@@ -493,9 +482,9 @@ class TestCertify:
         # T = 10 needs 231: the first doubling compares ceil(231 / 2) = 116 with 232
         seen, real = [], oracle.exact_dephasing
 
-        def recording(modes, *args, **kwargs):
-            seen.append(modes[0][0].fock_dim)
-            return real(modes, *args, **kwargs)
+        def recording(mode, *args, **kwargs):
+            seen.append(mode.fock_dim)
+            return real(mode, *args, **kwargs)
 
         monkeypatch.setattr(oracle, "exact_dephasing", recording)
         assert cli.main(["oracle", "--temp", "10", "--num-times", "11"]) == 0
@@ -509,9 +498,9 @@ class TestCertify:
         # max(fock_dim 40, ceil(thermal_fock_dim / 2)): 0, 24, 104, 231 and 461 are needed
         seen, real = [], oracle.exact_dephasing
 
-        def recording(modes, *args, **kwargs):
-            seen.append(modes[0][0].fock_dim)
-            return real(modes, *args, **kwargs)
+        def recording(mode, *args, **kwargs):
+            seen.append(mode.fock_dim)
+            return real(mode, *args, **kwargs)
 
         monkeypatch.setattr(oracle, "exact_dephasing", recording)
         report = certify(temperature=temperature, num_times=11)
@@ -542,6 +531,22 @@ class TestCertify:
     def test_resolvable_phases_run(self, kwargs):
         report = certify(num_times=11, **kwargs)
         assert report.converged is True and report.dephasing_max_error <= 1e-6
+
+    @pytest.mark.parametrize("kwargs", [
+        {"omega": 1e300, "temperature": 0.0, "tau": 1e5, "dim_budget": 640},
+        {"omega": 1e200, "tau": 1e70, "temperature": 0.0},
+    ])
+    def test_levels_past_the_float_range_fail_before_any_fock_work(self, monkeypatch, kwargs):
+        # the bands of H + V overflow: numpy used to warn in _hermitian_bands, and the
+        # report to end non-converged with a NaN max error
+        def no_fock(*args, **kwargs):
+            raise AssertionError("Fock work ran")
+
+        for name in ("spectrum_residuals", "similarity_residual", "exact_dephasing"):
+            monkeypatch.setattr(oracle, name, no_fock)
+        monkeypatch.setattr(np.linalg, "eigh", no_fock)
+        with pytest.raises(ValueError, match=r"\(--omega\), tau .* \(--tau\)"):
+            certify(**kwargs)
 
     def test_overflowing_coupling_fails_before_any_fock_work(self, monkeypatch):
         def no_fock(*args):
@@ -609,5 +614,5 @@ class TestNonFiniteInput:
         monkeypatch.setattr(np.linalg, "eigh", no_fock)
         start = time.perf_counter()
         with pytest.raises(ValueError, match=name):
-            exact_dephasing([(TruncatedMode(1.0, 0.2, 40), Coupling(0.1))], temperature, times)
+            exact_dephasing(TruncatedMode(1.0, 0.2, 40), Coupling(0.1), temperature, times)
         assert time.perf_counter() - start < 1.0
