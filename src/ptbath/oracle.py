@@ -1,9 +1,10 @@
 """Exact truncated-Fock-space checks for the non-Hermitian bath, one mode at a time.
 
-Builds a mode's non-Hermitian Hamiltonian, its metric and Hermitian equivalent from their
-ladder bands, and runs its exact dephasing by evolving the two spin-conditioned branches,
-parity images of each other, with one Hermitian eigendecomposition.  Unit convention
-m = hbar = 1, so the spring constant is omega^2 and the non-Hermiticity scale is tau/omega.
+Builds a mode's Hermitian equivalent h = eta H eta^-1 of the PT-symmetric bath Hamiltonian
+H from its ladder bands, and runs its exact dephasing by evolving the two spin-conditioned
+branches, parity images of each other, with one Hermitian eigendecomposition.  Unit
+convention m = hbar = 1, so the spring constant is omega^2 and the non-Hermiticity scale is
+tau/omega.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ class TruncatedMode:
 
     def __post_init__(self):
         require_finite(omega=self.omega, tau=self.tau)
-        if self.omega <= 0:
-            raise ValueError(f"omega must be > 0, got {self.omega} (--omega)")
+        if not self.omega >= math.sqrt(sys.float_info.min):
+            raise ValueError(f"omega must be >= {math.sqrt(sys.float_info.min):.3g} (omega^2 a "
+                             f"normal float), got {self.omega} (--omega)")
         if self.fock_dim < 2:
             raise ValueError(f"fock_dim (--fock-dim) must be >= 2, got {self.fock_dim}")
 
@@ -37,20 +39,14 @@ class TruncatedMode:
 TAIL_TOL = 1e-10
 # exact_dephasing_converged stops doubling once no ratio moves by this much
 DOUBLING_TOL = 1e-8
-# certify's spectrum check: the lowest levels compared, at this Fock dimension
-SPECTRUM_LEVELS = 5
-SPECTRUM_FOCK_DIM = 80
 
 
 @dataclass
 class OracleReport:
     """dephasing_max_error is None when certify ran no exact evolution, having
-    no two Fock dimensions to compare; similarity_residual when the metric is
-    beyond the float range.  The oracle command's exit code reads only converged
-    and dephasing_max_error <= 1e-6; no threshold reads the other two."""
+    no two Fock dimensions to compare.  The oracle command exits 0 where converged
+    and dephasing_max_error <= 1e-6."""
 
-    spectrum_residuals: list[float]
-    similarity_residual: float | None
     dephasing_max_error: float | None
     fock_dim_used: int
     converged: bool
@@ -92,51 +88,6 @@ def _hermitian_bands(mode: TruncatedMode, g: complex = 0j, squeeze: float = 1.0)
     sq = -w * tau**2 * squeeze * s2
     bands = {0: w * (n + (0.5 + tau) - tau**2 * q2), 2: sq, -2: sq, 1: np.conj(g) * s1, -1: g * s1}
     yield from bands.items()
-
-
-def bath_hamiltonian_nh(mode: TruncatedMode) -> np.ndarray:
-    """Non-Hermitian bath Hamiltonian in ladder form:
-    w (a'a + 1/2) + tau w (a^2 - a'^2 + 1)."""
-    n, _, s2, _ = _ladder_bands(mode.fock_dim)
-    tw = mode.tau * mode.omega
-    bands = {0: mode.omega * (n + 0.5) + tw, 2: tw * s2, -2: -tw * s2}
-    return _assemble(mode.fock_dim, bands.items())
-
-
-def bath_hamiltonian_h(mode: TruncatedMode) -> np.ndarray:
-    """Hermitian equivalent: w [a'a + 1/2 + tau - tau^2 (a - a')^2]."""
-    return _assemble(mode.fock_dim, _hermitian_bands(mode))
-
-
-def metric(mode: TruncatedMode, inverse: bool = False) -> np.ndarray:
-    """Similarity metric exp[-(tau/2)(a - a')^2], Hermitian positive
-    definite; identity at tau = 0."""
-    _, _, s2, q2 = _ladder_bands(mode.fock_dim)
-    c = 0.5 * mode.tau if inverse else -0.5 * mode.tau
-    bands = {0: c * q2, 2: c * s2, -2: c * s2}
-    vals, vecs = np.linalg.eigh(_assemble(mode.fock_dim, bands.items(), float))
-    return (vecs * np.exp(vals)) @ vecs.T
-
-
-def similarity_residual(mode: TruncatedMode, interior_dim: int) -> float | None:
-    """Max-norm mismatch of eta H_nh eta^-1 against the Hermitian
-    equivalent, restricted to the top-left interior block (truncation
-    corrupts the edge rows).  None when eta, eta^-1 or that product is not
-    finite: the metric grows like exp(tau fock_dim), so a large tau puts it
-    beyond the float range."""
-    if interior_dim > mode.fock_dim // 4:
-        raise ValueError("interior_dim must not exceed fock_dim / 4")
-    if mode.tau == 0.0:
-        return 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        eta = metric(mode)
-        eta_inv = metric(mode, inverse=True)
-        h_sim = eta @ bath_hamiltonian_nh(mode) @ eta_inv
-    if not all(np.isfinite(m).all() for m in (eta, eta_inv, h_sim)):
-        return None
-    diff = h_sim - bath_hamiltonian_h(mode)
-    k = interior_dim
-    return float(np.max(np.abs(diff[:k, :k])))
 
 
 def _thermal_populations(mode: TruncatedMode, temperature: float) -> np.ndarray:
@@ -235,18 +186,6 @@ def _check_phases(bath: DiscreteBath, level: int, t_max: float) -> None:
                      f"levels {where}")
 
 
-def spectrum_residuals(mode: TruncatedMode) -> tuple[list[float], float]:
-    """Distance of the SPECTRUM_LEVELS lowest truncated non-Hermitian
-    eigenvalues from the analytic ladder Omega (n + 1/2) + omega tau; also
-    the largest imaginary part seen among those eigenvalues."""
-    vals = np.linalg.eigvals(bath_hamiltonian_nh(mode))
-    vals = vals[np.argsort(vals.real)][:SPECTRUM_LEVELS]
-    Om = mode.omega * math.sqrt(1.0 + 4.0 * mode.tau**2)
-    target = Om * (np.arange(SPECTRUM_LEVELS) + 0.5) + mode.omega * mode.tau
-    res = np.abs(vals.real - target)
-    return [float(r) for r in res], float(np.max(np.abs(vals.imag)))
-
-
 def certify(
     omega: float = 1.0,
     tau: float = 0.2,
@@ -258,11 +197,9 @@ def certify(
     fock_dim: int = 40,
     dim_budget: int = 6400,
 ) -> OracleReport:
-    """Full validation sweep: spectrum and similarity (at Fock dimension
-    SPECTRUM_FOCK_DIM), and exact-vs-closed-form dephasing for a single mode
-    by exact_dephasing_converged on the doublings within dim_budget of
-    max(fock_dim, ceil(thermal_fock_dim / 2)); with no two doublings to
-    compare, no exact evolution runs."""
+    """Exact-vs-closed-form dephasing for a single mode by exact_dephasing_converged on the
+    doublings within dim_budget of max(fock_dim, ceil(thermal_fock_dim / 2)); with no two
+    doublings to compare, no exact evolution runs."""
     # checked before any work: a non-finite time or coupling would keep
     # exact_dephasing_converged doubling the Fock dimension to its budget
     require_finite(omega=omega, tau=tau, theta=theta, g_abs=g_abs, temperature=temperature,
@@ -292,24 +229,32 @@ def certify(
     while dim <= dim_budget:
         dims.append(dim)
         dim *= 2
-    if len(dims) > 1:
-        _check_phases(bath, needed, t_max)
-        # Gershgorin: no level of H + V at Fock dimension D, nor its bands, passes D times this
-        # over max(t_max, 1), nor a phase e t_max D times this; D, an int, compares exactly
-        scale = (omega * (1.0 + abs(tau) + 4.0 * tau * tau) + 2.0 * g_abs) * max(t_max, 1.0)
-        if dims[-1] > sys.float_info.max / scale:
-            raise ValueError(f"omega {omega:g} (--omega), tau {tau:g} (--tau) and g_abs "
-                             f"{g_abs:g} (--g-abs) may take the levels of H + V at Fock "
-                             f"dimension {dims[-1]} (--dim-budget {dim_budget}), or their "
-                             f"phases at t_max {t_max:g} (--t-max), past the float range")
-    spec_mode = TruncatedMode(omega, tau, SPECTRUM_FOCK_DIM)
-    residuals, _ = spectrum_residuals(spec_mode)
-    sim = similarity_residual(spec_mode, SPECTRUM_FOCK_DIM // 4)
-
     if len(dims) < 2:
-        return OracleReport(residuals, sim, None, fock_dim, False)
+        return OracleReport(None, fock_dim, False)
+    _check_phases(bath, needed, t_max)
+    # Gershgorin: no level of H + V at Fock dimension D, nor its bands, passes D times this
+    # over max(t_max, 1), nor a phase e t_max D times this; D, an int, compares exactly
+    scale = (omega * (1.0 + abs(tau) + 4.0 * tau * tau) + 2.0 * g_abs) * max(t_max, 1.0)
+    if dims[-1] > sys.float_info.max / scale:
+        raise ValueError(f"omega {omega:g} (--omega), tau {tau:g} (--tau) and g_abs "
+                         f"{g_abs:g} (--g-abs) may take the levels of H + V at Fock "
+                         f"dimension {dims[-1]} (--dim-budget {dim_budget}), or their "
+                         f"phases at t_max {t_max:g} (--t-max), past the float range")
     times = np.linspace(0.0, t_max, num_times)
+    # refused where the coupling displaces the state to a'a >= D, the ladder's top, at one of
+    # the times, as no state on the levels 0..D-1 does.  With s = sqrt(1 + 4 tau^2), H + V =
+    # s^2 p^2/2 + omega^2 x^2/2 + |g| sqrt(2 omega) (x cos theta + p sin theta / omega) + const
+    # turns (omega <x>, s <p>) from the thermal state's 0 about its rest point at omega s: at t
+    # it is 2 |sin(omega s t / 2)| times the rest point's distance from 0, and a'a >= |<a>|^2 >=
+    # (omega^2 <x>^2 + s^2 <p>^2) / (2 omega s^2) = reach^2.  Gershgorin keeps omega s t finite.
+    s = math.hypot(1.0, 2.0 * tau)
+    swing = float(np.max(np.abs(np.sin(0.5 * omega * s * times))))
+    reach = 2.0 * swing * g_abs * math.hypot(math.cos(theta), math.sin(theta) / s) / (omega * s)
+    if reach >= math.sqrt(dims[-1]):
+        raise ValueError(f"g_abs {g_abs:g} (--g-abs) displaces the state to a mean occupation "
+                         f"of at least {reach * reach:.3g}, which no Fock dimension up to "
+                         f"{dims[-1]} (--dim-budget {dim_budget}) holds")
     ratios, dim, converged = exact_dephasing_converged(omega, tau, g, temperature, times, dims)
     closed = np.exp(-np.array([gamma_discrete(bath, t) for t in times]))
     max_err = float(np.max(np.abs(ratios - closed)))
-    return OracleReport(residuals, sim, max_err, dim, converged)
+    return OracleReport(max_err, dim, converged)

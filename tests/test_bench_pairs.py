@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import json
 import os
 import random
 import subprocess
@@ -153,6 +154,7 @@ def test_oracle_run_reads_the_child_alone(capfd):
     printed = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True, check=True,
                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src"))).stdout
     assert run["stdout_sha256"] == hashlib.sha256(printed).hexdigest()
+    assert run["report"] == json.loads(printed)
 
 
 def test_oracle_argv_holds_every_oracle_of_the_commands_workload(monkeypatch):
@@ -179,3 +181,17 @@ def test_oracle_stdout_matches_needs_every_run_of_both_sides():
               "parent_differs": {"parent": [b, a], "change": [a, a]}}
     assert bench_pairs.oracle_stdout_matches(oracle) == {
         "same": True, "change_differs": False, "parent_differs": False}
+
+
+def test_oracle_fields_match_compares_the_fields_every_run_prints():
+    bench_pairs = load_bench_pairs()
+    old = {"spectrum_residuals": [1e-14], "dephasing_max_error": 1e-15, "fock_dim_used": 80,
+           "converged": True}
+    new = {"dephasing_max_error": 1e-15, "fock_dim_used": 80, "converged": True}
+    moved = dict(new, fock_dim_used=160)
+    oracle = {"dropped_field": {"parent": [{"report": old}] * 2, "change": [{"report": new}] * 2},
+              "value_differs": {"parent": [{"report": old}] * 2,
+                                "change": [{"report": new}, {"report": moved}]},
+              "no_report": {"parent": [{"report": old}], "change": [{"report": None}]}}
+    assert bench_pairs.oracle_fields_match(oracle) == {
+        "dropped_field": True, "value_differs": False, "no_report": False}

@@ -207,6 +207,7 @@ class TestGammaCommand:
     @pytest.mark.parametrize("row, message", [
         ("1.0,-0.1,0.5", "coupling magnitude must be >= 0, got -0.1"),
         ("-1.0,0.1,0.5", "mode frequency must be > 0, got -1.0"),
+        ("1e-300,0.1,0.5", "mode frequency omega must be >= 1.49e-154"),
         ("0.5,1e200,0.5", "coupling g_abs 1e+200 at omega 0.5 makes |g|^2/omega^2 overflow"),
     ])
     def test_modes_file_row_a_mode_rejects_names_the_line(self, tmp_path, capsys, row,
@@ -737,8 +738,7 @@ class TestOracleCommand:
         code, text = run_cli(tmp_path, "oracle", "--num-times", "21")
         assert code == 0
         payload = json.loads(text)
-        assert set(payload) == {"spectrum_residuals", "similarity_residual",
-                                "dephasing_max_error", "fock_dim_used", "converged"}
+        assert list(payload) == ["dephasing_max_error", "fock_dim_used", "converged"]
         assert payload["converged"] is True
         assert payload["dephasing_max_error"] <= 1e-6
 
@@ -822,23 +822,17 @@ class TestOracleCommand:
         payload = json.loads(text)
         assert payload["converged"] is True and payload["fock_dim_used"] == dim
 
-    def test_tau_zero_similarity(self, tmp_path):
-        _, text = run_cli(tmp_path, "oracle", "--tau", "0", "--num-times", "11")
-        assert json.loads(text)["similarity_residual"] == 0.0
-
     def test_zero_coupling(self, tmp_path):
         _, text = run_cli(tmp_path, "oracle", "--g-abs", "0", "--num-times", "11")
         assert json.loads(text)["dephasing_max_error"] <= 1e-12
 
     @pytest.mark.parametrize("tau", ["5", "8", "1e10"])
     def test_json_holds_no_nan(self, tau, capsys):
-        # exp(-(tau/2)(a - a')^2) leaves the float range at fock_dim 80
         def no_constant(name):
             raise AssertionError(f"{name} in the oracle report")
 
         code = exit_code("oracle", "--tau", tau, "--dim-budget", "80")
-        report = json.loads(capsys.readouterr().out, parse_constant=no_constant)
-        assert report["similarity_residual"] is None
+        json.loads(capsys.readouterr().out, parse_constant=no_constant)
         assert code == (0 if tau == "1e10" else 4)
 
 
@@ -1246,6 +1240,8 @@ class TestFlagsPerSubcommand:
         (("oracle", "--omega", "-1e-3"), "(--omega)"),
         (("oracle", "--g-abs", "-1e-3"), "(--g-abs)"),
         (("oracle", "--t-max", "-1"), "(--t-max)"),
+        # omega^2 subnormal: core.BathMode refused it without naming the flag
+        (("oracle", "--omega", "1e-300"), "(--omega)"),
     ])
     def test_library_checks_name_the_flag(self, argv, flag, capsys, monkeypatch):
         # values that argparse passes and the library rejects before any integral
@@ -1295,6 +1291,21 @@ class TestFlagsPerSubcommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: omega {float(argv[1]):g} (--omega), tau ")
         assert "(--tau)" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("g_abs", ["1e150", "1e3"])
+    def test_oracle_displacement_past_the_ladder_is_a_usage_error(self, g_abs, capsys,
+                                                                  monkeypatch):
+        # the ladder used to climb towards --dim-budget 6400 and exit 4
+        def no_fock(*args):
+            raise AssertionError("Fock work ran")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_fock)
+        start = time.perf_counter()
+        assert exit_code("oracle", "--g-abs", g_abs) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: g_abs {float(g_abs):g} (--g-abs) displaces the state")
+        assert "(--dim-budget 6400)" in err and err.count("\n") == 1
 
     def test_oracle_huge_omega_in_the_float_range_runs(self, capsys):
         assert exit_code("oracle", "--omega", "1e300", "--num-times", "11") == 0

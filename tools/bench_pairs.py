@@ -41,7 +41,7 @@ default theta = pi/2 the oracle decomposes a real matrix).  Beside each of
 those runs, `oracle --temp 10 --theta 1` runs too, so that the oracle's
 complex route stays measured, and `oracle` with no flags, 10 of the 100
 commands runs.  Each run's peak RSS (the child's ru_maxrss, from wait4),
-wall time and stdout are kept.
+wall time, SHA-256 of stdout and the JSON report it printed are kept.
 
 Writes BENCH_<label>.json at the repository root: every run's result line
 (the last line of `ptbench/run.py`'s output), the traced runs, both sides'
@@ -50,9 +50,11 @@ node over the cutoff per preset (`min_node_over_cutoff`), SHA-256 of
 each preset CSV and of the sweep CSV, minor page faults per preset, the peak
 RSS after the presets (`figures_peak_rss_mb`), the oracle runs
 (`oracle_t10`, `oracle_t10_theta1` and `oracle_default`: exit code, peak
-RSS in MB, wall seconds and SHA-256 of stdout per run and side) and per
-oracle command whether every run of both sides printed the same bytes
-(`oracle_stdout_matches`),
+RSS in MB, wall seconds, SHA-256 of stdout and the printed report per run
+and side), per oracle command whether every run of both sides printed the
+same bytes (`oracle_stdout_matches`) and whether they printed the same value
+of every field that each of them printed (`oracle_fields_match`: the bytes
+differ where one side reports a field the other does not),
 each side's engine passes per preset and for the sweep
 (`engine_passes_per_figures_pass`) and whether its fig4 at --jobs 2 matched
 its serial fig4 (`fig4_jobs2_matches_serial`),
@@ -188,20 +190,21 @@ def figures_pass(checkout: Path) -> dict:
 
 
 def oracle_run(checkout: Path, argv: list[str]) -> dict:
-    """Exit code, peak RSS (MB), wall seconds and SHA-256 of the stdout of
-    `python *argv` (an oracle command) run in a fresh interpreter on the
-    ptbath in `checkout`."""
+    """Exit code, peak RSS (MB), wall seconds, SHA-256 of the stdout and the
+    JSON report it holds (None for an empty stdout) of `python *argv` (an
+    oracle command) run in a fresh interpreter on the ptbath in `checkout`."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, *argv], cwd=checkout, env=env,
                             stdout=subprocess.PIPE)
     with proc.stdout:  # read to the end before wait4: a full pipe would block the child
-        digest = hashlib.sha256(proc.stdout.read()).hexdigest()
+        out = proc.stdout.read()
     _, status, usage = os.wait4(proc.pid, 0)  # the rusage of this child alone
     wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
     return {"exit": proc.returncode, "maxrss_mb": usage.ru_maxrss / 1024, "wall_s": wall,
-            "stdout_sha256": digest}
+            "stdout_sha256": hashlib.sha256(out).hexdigest(),
+            "report": json.loads(out) if out else None}
 
 
 def oracle_stdout_matches(oracle: dict) -> dict:
@@ -209,6 +212,22 @@ def oracle_stdout_matches(oracle: dict) -> dict:
     whether every run of both sides printed the same bytes."""
     return {name: len({run["stdout_sha256"] for runs in sides.values() for run in runs}) == 1
             for name, sides in oracle.items()}
+
+
+def oracle_fields_match(oracle: dict) -> dict:
+    """Per oracle command (oracle as for oracle_stdout_matches), whether every
+    run of both sides printed a report, and the same value of each field that
+    all of those reports hold."""
+    match = {}
+    for name, sides in oracle.items():
+        reports = [run["report"] for runs in sides.values() for run in runs]
+        if None in reports:
+            match[name] = False
+            continue
+        shared = set.intersection(*(set(report) for report in reports))
+        match[name] = all(len({json.dumps(report[key]) for report in reports}) == 1
+                          for key in shared)
+    return match
 
 
 def working_tree_tar(out: Path) -> None:
@@ -356,7 +375,8 @@ def main() -> int:
                           "engine_passes_per_figures_pass": engine_passes,
                           "fig4_jobs2_matches_serial": fig4_jobs2,
                           "src_lines": lines, **oracle,
-                          "oracle_stdout_matches": oracle_stdout_matches(oracle)}),
+                          "oracle_stdout_matches": oracle_stdout_matches(oracle),
+                          "oracle_fields_match": oracle_fields_match(oracle)}),
               flush=True)
 
         runs, order = [], 0
@@ -409,6 +429,7 @@ def main() -> int:
         **{name: {"command": "python " + " ".join(argv), **oracle[name]}
            for name, argv in ORACLE_ARGV.items()},
         "oracle_stdout_matches": oracle_stdout_matches(oracle),
+        "oracle_fields_match": oracle_fields_match(oracle),
         "summary": summarize(runs, metrics),
     }
     out = ROOT / f"BENCH_{args.label}.json"
